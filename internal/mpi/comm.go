@@ -31,6 +31,7 @@ type Comm struct {
 	splitSeq int   // lockstep counter deriving split contexts
 
 	sparse *SparseExchange // cached SparseScratch result, lazily built
+	ag     *ringTask       // allgather state, lazily built (ring.go)
 }
 
 // SparseScratch returns this member's cached SparseExchange, creating
@@ -159,6 +160,11 @@ func (c *Comm) irecv(src, tag int) any {
 // their mailboxes safely. Bounded tags keep the mailbox table small
 // (a fresh tag per call made it grow with every round of two-phase
 // I/O, which dominated large-run memory and GC time).
+//
+// tagAllgather no longer names mailboxes: the ring delivers into one
+// inbox per member (ring.go). Its 63 step tags survive only as the
+// stream identity of the fault layer's per-(src,dst,tag) arrival clamp
+// in World.inject, which a fault schedule's trajectory depends on.
 const (
 	tagBarrier   = userTagSpace
 	tagBcast     = userTagSpace + 1
@@ -239,28 +245,24 @@ func (c *Comm) Bcast(root int, v any, bytes int64) any {
 // Allgather collects one value from every member on every member, via
 // the ring algorithm (p−1 steps, each carrying one block). bytes is the
 // charged size of each member's value. Result is indexed by comm rank.
+//
+// The ring runs as an engine-driven task (ring.go): the caller starts
+// it, parks at most once, and is resumed by the step that completes it.
 func (c *Comm) Allgather(v any, bytes int64) []any {
-	p := len(c.group)
-	out := make([]any, p)
+	out := make([]any, len(c.group))
 	out[c.rank] = v
-	if p == 1 {
+	if len(out) == 1 {
 		return out
 	}
-	const tag = tagAllgather
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendIdx := (c.rank - step + p) % p
-		recvIdx := (c.rank - step - 1 + p) % p
-		c.isend(right, tag+stepTag(step), out[sendIdx], bytes)
-		out[recvIdx] = c.irecv(left, tag+stepTag(step))
+	if t := c.ringTask(); !t.start(out, bytes) {
+		t.parked = true
+		c.p.Park(t)
 	}
 	return out
 }
 
 // stepTag folds an unbounded ring step into the 63-tag block reserved
-// for Allgather; ring neighbours reuse a tag no sooner than 63 steps
-// later, far beyond any in-flight window.
+// for Allgather.
 func stepTag(step int) int { return step % 63 }
 
 // Gather collects one value from every member at root; non-roots get
@@ -417,7 +419,15 @@ type splitInfo struct {
 // MPI_Comm_split. Every member must call it; the caller gets its own
 // color's communicator.
 func (c *Comm) Split(color, key int) *Comm {
-	infos := c.Allgather(splitInfo{color: color, key: key, rank: c.rank}, 12)
+	return c.splitFrom(c.Allgather(splitInfo{color: color, key: key, rank: c.rank}, splitInfoBytes), color)
+}
+
+// splitInfoBytes is the charged size of one splitInfo record.
+const splitInfoBytes = 12
+
+// splitFrom builds the caller's new communicator from every member's
+// allgathered splitInfo.
+func (c *Comm) splitFrom(infos []any, color int) *Comm {
 	var mine []splitInfo
 	for _, v := range infos {
 		si := v.(splitInfo)

@@ -11,6 +11,17 @@
 // memory bus and NIC; the fabric and receiver-side hops determine the
 // arrival time, at which point the message lands in the destination
 // mailbox. A receive blocks until its message arrives.
+//
+// Two execution styles share that model (World.inject is its single
+// copy). Point-to-point calls and most collectives are coroutine code:
+// they run on the calling rank's simulated process and park it at every
+// wait. The ring allgather — p·(p−1) messages per call, the dominant
+// host cost at a few hundred ranks — is instead an engine-driven task
+// (ring.go): a per-rank state record advanced by engine callbacks that
+// occupy exactly the queue slots the coroutine's wakes did, with the
+// process parked once for the whole collective. The virtual trajectory
+// is the same to the last event; see ring.go for the rule and
+// ring_test.go for the coroutine ring it is checked against.
 package mpi
 
 import (
@@ -57,6 +68,8 @@ type World struct {
 	size     int
 	boxes    map[msgKey]*mailbox
 	barriers map[uint64]*simtime.Barrier // per communicator context
+	rings    map[ringKey]*ringInbox      // per (context, member), see ring.go
+	identity []int                       // the world group, shared by every world communicator
 
 	met worldMetrics
 
@@ -115,7 +128,12 @@ func NewWorld(e *simtime.Engine, m *cluster.Machine, size int) (*World, error) {
 		size:     size,
 		boxes:    make(map[msgKey]*mailbox),
 		barriers: make(map[uint64]*simtime.Barrier),
+		rings:    make(map[ringKey]*ringInbox),
+		identity: make([]int, size),
 		met:      newWorldMetrics(m.Metrics()),
+	}
+	for i := range w.identity {
+		w.identity[i] = i
 	}
 	nn := m.NumNodes()
 	w.txPaths = make([]resource.Path, nn)
@@ -155,16 +173,14 @@ func (w *World) Machine() *cluster.Machine { return w.machine }
 func (w *World) Engine() *simtime.Engine { return w.engine }
 
 // Start spawns every process; each runs body with its world
-// communicator. Call engine.Run() afterwards to execute.
+// communicator. Call engine.Run() afterwards to execute. A group is
+// never written after construction, so the p world communicators share
+// one identity slice instead of holding p copies of it.
 func (w *World) Start(body func(*Comm)) {
 	for r := 0; r < w.size; r++ {
 		r := r
-		group := make([]int, w.size)
-		for i := range group {
-			group[i] = i
-		}
 		w.engine.Spawn(fmt.Sprintf("rank%d", r), func(p *simtime.Proc) {
-			body(&Comm{w: w, p: p, ctx: 1, rank: r, group: group})
+			body(&Comm{w: w, p: p, ctx: 1, rank: r, group: w.identity})
 		})
 	}
 }
@@ -216,46 +232,63 @@ type TrafficStats struct {
 	MsgsIntra, MsgsInter   int64
 }
 
-// deliver injects the message from src to dst (world ranks): the
-// calling proc blocks while its local hops carry the bytes; remote hops
-// are reserved asynchronously and the payload lands in the mailbox at
-// the arrival time.
-func (w *World) deliver(p *simtime.Proc, src, dst int, ctx uint64, tag int, msg message) {
+// inject books one message's hops at the caller's current time and
+// counts its traffic, without blocking anyone: the sender is busy until
+// free; an inter-node payload (intra false) reaches dst's node at
+// arrival, while an intra-node one is handed over by the sender itself
+// once free has passed. It is the single copy of the reservation,
+// traffic-counter and fault arithmetic, shared by the blocking deliver
+// and the engine-driven ring (ring.go).
+func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, arrival float64, intra bool) {
 	sn, dn := w.machine.NodeOfRank(src), w.machine.NodeOfRank(dst)
-	k := msgKey{src: src, dst: dst, ctx: ctx, tag: tag}
-	b := w.box(k)
+	now := w.engine.Now()
 	if sn == dn {
-		w.bytesIntra += msg.bytes
+		w.bytesIntra += bytes
 		w.msgsIntra++
 		// One memory-bus pass; sender is occupied for the whole copy.
-		w.intraPaths[sn].Transfer(p, msg.bytes)
-		b.ch.Put(msg)
-		return
+		free = w.intraPaths[sn].Reserve(now, bytes)
+		return free, free, true
 	}
-	w.bytesInter += msg.bytes
+	w.bytesInter += bytes
 	w.msgsInter++
-	txDone := w.txPaths[sn].Reserve(p.Now(), msg.bytes)
-	arrival := w.rxPaths[dn].Reserve(txDone, msg.bytes)
+	txDone := w.txPaths[sn].Reserve(now, bytes)
+	arrival = w.rxPaths[dn].Reserve(txDone, bytes)
 	if w.faults != nil {
 		// A degraded link stretches the remote (fabric + receiver) part
 		// of the delivery; either endpoint's link fault applies.
-		f := w.faults.LinkFactor(sn, p.Now())
-		if g := w.faults.LinkFactor(dn, p.Now()); g > f {
+		f := w.faults.LinkFactor(sn, now)
+		if g := w.faults.LinkFactor(dn, now); g > f {
 			f = g
 		}
 		if f > 1 {
 			arrival = txDone + (arrival-txDone)*f
 		}
-		arrival += w.faults.MessageDelay(sn, dn, p.Now())
+		arrival += w.faults.MessageDelay(sn, dn, now)
 		// Variable fault delays must not reorder a (src,dst,tag) stream:
-		// the mailbox is a FIFO and receivers match payloads by arrival
-		// order, so clamp each arrival to its predecessor's.
+		// receivers match payloads by arrival order within one, so clamp
+		// each arrival to its predecessor's.
+		k := msgKey{src: src, dst: dst, ctx: ctx, tag: tag}
 		if last := w.lastArrival[k]; arrival < last {
 			arrival = last
 		}
 		w.lastArrival[k] = arrival
 	}
+	return txDone, arrival, false
+}
+
+// deliver injects the message from src to dst (world ranks): the
+// calling proc blocks while its local hops carry the bytes; remote hops
+// are reserved asynchronously and the payload lands in the mailbox at
+// the arrival time.
+func (w *World) deliver(p *simtime.Proc, src, dst int, ctx uint64, tag int, msg message) {
+	b := w.box(msgKey{src: src, dst: dst, ctx: ctx, tag: tag})
+	free, arrival, intra := w.inject(src, dst, ctx, tag, msg.bytes)
+	if intra {
+		p.WaitUntil(free)
+		b.ch.Put(msg)
+		return
+	}
 	b.pending = append(b.pending, msg)
 	w.engine.After(arrival-p.Now(), b.flush)
-	p.WaitUntil(txDone)
+	p.WaitUntil(free)
 }

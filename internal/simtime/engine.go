@@ -109,6 +109,32 @@ type Engine struct {
 	procs   []*Proc // all spawned procs, for deadlock reporting
 	alive   int     // procs whose body has not returned
 	stopped bool    // Stop was called
+
+	// resumed is the parked process the running callback named with
+	// Resume; next returns it as soon as that callback returns.
+	resumed *Proc
+
+	// Park census (see Stats). Plain counters: one goroutine executes
+	// simulation code at a time.
+	parks, dispatches, callbacks, inline uint64
+}
+
+// Stats is the engine's park census: how often the simulation paid for
+// each kind of step since NewEngine. Parks and Dispatches are the
+// goroutine handoffs that dominate host time; Callbacks and Inline are
+// the steps that avoided one. Reading it changes nothing simulated.
+type Stats struct {
+	Parks      uint64 // times a process blocked on a primitive
+	Dispatches uint64 // times a process was handed the run token
+	Callbacks  uint64 // callback events run in place
+	Inline     uint64 // clock advances taken without an event
+	Scheduled  uint64 // events scheduled: the last tie-break sequence issued
+}
+
+// Stats returns the census so far. It may be called at any time from
+// simulation context, or after Run returns.
+func (e *Engine) Stats() Stats {
+	return Stats{Parks: e.parks, Dispatches: e.dispatches, Callbacks: e.callbacks, Inline: e.inline, Scheduled: e.seq}
 }
 
 // NewEngine returns an empty simulation at time zero.
@@ -136,9 +162,9 @@ func (e *Engine) schedule(at float64, p *Proc, fn func()) {
 	e.events.push(event{at: at, seq: e.nextSeq(), p: p, fn: fn})
 }
 
-// advanceInline reports whether the running process may advance the
-// clock to at without parking: no pending event precedes at, so a
-// park would be immediately followed by this process's own resumption.
+// advanceInline reports whether the running process (or callback) may
+// advance the clock to at without parking: no pending event precedes
+// at, so a park would be immediately followed by its own resumption.
 // Skipping the round trip elides two goroutine handshakes — the
 // dominant host cost of chained resource reservations (storage
 // batches, message injection). An event already queued AT at must
@@ -157,6 +183,7 @@ func (e *Engine) advanceInline(at float64) bool {
 		panic(fmt.Sprintf("simtime: advance to non-finite time %g", at))
 	}
 	e.now = at
+	e.inline++
 	return true
 }
 
@@ -167,6 +194,41 @@ func (e *Engine) After(d float64, fn func()) {
 		panic(fmt.Sprintf("simtime: negative delay %g", d))
 	}
 	e.schedule(e.now+d, nil, fn)
+}
+
+// ContinueAt is Proc.WaitUntil for a computation that runs as engine
+// callbacks instead of on a process's stack. Where WaitUntil would
+// advance the clock inline, ContinueAt does the same and reports true:
+// the caller carries on. Where WaitUntil would park, ContinueAt
+// schedules fn as the continuation at the instant (and with the
+// tie-break sequence) the process's own wake would have taken — the
+// current time when t is not in the future, else t — and reports false:
+// the caller returns and fn picks up from there. The caller must hold
+// the run token, as a process body or a callback does.
+func (e *Engine) ContinueAt(t float64, fn func()) bool {
+	if t > e.now && e.advanceInline(t) {
+		return true
+	}
+	if t < e.now {
+		t = e.now
+	}
+	e.schedule(t, nil, fn)
+	return false
+}
+
+// Resume hands the run token to p, which must be blocked in Proc.Park,
+// as soon as the calling callback returns: p runs in the callback's own
+// queue slot, before any other event. It is how a computation driven by
+// callbacks returns control to the process that started it. Only a
+// callback may call Resume, and at most once per invocation.
+func (e *Engine) Resume(p *Proc) {
+	if e.resumed != nil {
+		panic(fmt.Sprintf("simtime: Resume(%s) while %s is already named", p.name, e.resumed.name))
+	}
+	if p.state != stateParked {
+		panic(fmt.Sprintf("simtime: Resume(%s): process is not parked", p.name))
+	}
+	e.resumed = p
 }
 
 // Spawn creates a simulated process executing body and schedules it to
@@ -194,7 +256,8 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 }
 
 // next drains events on the caller's goroutine until one resumes a
-// process, and returns that process (without dispatching it), or nil
+// process — its own wake event, or a callback that named it with
+// Resume — and returns that process (without dispatching it), or nil
 // when the queue is empty or Stop was called. Callback (timer) events
 // run inline here: exactly one goroutine executes simulation code at a
 // time, so a callback is safe on whichever goroutine holds the run
@@ -211,10 +274,17 @@ func (e *Engine) next() *Proc {
 			if ev.p.state == stateDone {
 				continue // proc was killed/finished before its wake fired
 			}
+			e.dispatches++
 			return ev.p
 		}
 		if ev.fn != nil {
+			e.callbacks++
 			ev.fn()
+			if p := e.resumed; p != nil {
+				e.resumed = nil
+				e.dispatches++
+				return p
+			}
 		}
 	}
 	return nil
@@ -293,7 +363,11 @@ func (e *Engine) deadlock() error {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == stateParked || p.state == stateReady {
-			blocked = append(blocked, fmt.Sprintf("%s (waiting: %s)", p.name, p.waitingOn))
+			reason := p.waitingOn
+			if p.waitingFor != nil {
+				reason = p.waitingFor.String()
+			}
+			blocked = append(blocked, fmt.Sprintf("%s (waiting: %s)", p.name, reason))
 		}
 	}
 	sort.Strings(blocked)

@@ -21,6 +21,10 @@ type Proc struct {
 	resume    chan struct{}
 	state     procState
 	waitingOn string // human-readable reason, for deadlock reports
+
+	// waitingFor, when non-nil, supersedes waitingOn: a reason rendered
+	// only if a deadlock report needs it (see Park).
+	waitingFor fmt.Stringer
 }
 
 // Name returns the name given at Spawn.
@@ -40,6 +44,7 @@ func (p *Proc) Engine() *Engine { return p.e }
 // The run token is handed directly to the next runnable process; see
 // Engine.handoff.
 func (p *Proc) park(reason string) {
+	p.e.parks++
 	p.state = stateParked
 	p.waitingOn = reason
 	if !p.e.handoff(p) {
@@ -47,6 +52,18 @@ func (p *Proc) park(reason string) {
 	}
 	p.state = stateRunning
 	p.waitingOn = ""
+}
+
+// Park blocks the process until a callback returns control to it with
+// Engine.Resume. It is the process side of a computation that advances
+// as engine callbacks: the process starts it, parks once for however
+// many steps it takes, and is resumed by the step that finishes it.
+// why describes the wait for deadlock reports and is rendered only
+// then, so it may report progress made while the process was parked.
+func (p *Proc) Park(why fmt.Stringer) {
+	p.waitingFor = why
+	p.park("")
+	p.waitingFor = nil
 }
 
 // wake schedules the process to resume at the current virtual time.
