@@ -72,7 +72,7 @@ func main() {
 		msgind    = flag.String("msgind", "", "override mccio Msgind (e.g. 4MB)")
 		nah       = flag.Int("nah", 0, "override mccio Nah")
 		calibrate = flag.Bool("calibrate", false, "measure Msgind/Nah/Memmin/Msggroup on the platform (paper §3) and use them")
-		combine   = flag.Bool("combine", false, "enable the rank-order node-combine exchange for mccio")
+		combine   = flag.Bool("combine", false, "run mccio's exchange in two layers under lowest-rank node leaders (see -twolayer for elected ones)")
 		twoLayer  = flag.Bool("twolayer", false, "compose the full two-layer exchange (elected leaders) into mccio's groups")
 		hints     = flag.String("hints", "", "MPI_Info-style hints (overrides -strategy); 'help' lists keys")
 		tracePath = flag.String("trace", "", "record an event trace to FILE (.jsonl = JSON lines, otherwise Chrome trace_event JSON for Perfetto) and print the phase breakdown")

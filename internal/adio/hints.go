@@ -35,7 +35,7 @@ var knownKeys = map[string]string{
 	"mccio_msggroup":     "aggregation-group data volume in bytes (0 = one group)",
 	"mccio_nah":          "max aggregators per node",
 	"mccio_memmin":       "minimum host memory to place an aggregator, bytes",
-	"mccio_node_combine": "true | false: rank-order node-combine exchange",
+	"mccio_node_combine": "true | false: two-layer exchange under lowest-rank node leaders",
 	"mccio_two_layer":    "true | false: full two-layer exchange (elected leaders) within each group",
 	"mccio_calibrate":    "true | false: measure Msgind/Nah/Memmin/Msggroup on the platform first",
 	"mccio_no_groups":    "true | false: ablation, disable group division",

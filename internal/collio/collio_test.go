@@ -117,12 +117,27 @@ func TestPlanValidate(t *testing.T) {
 	if err := good.Validate(2); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
+	led := *good
+	led.LeaderOf = []int{1, 1}
+	led.LeaderSucc = [][]int{{1, 0}, {1, 0}}
+	if err := led.Validate(2); err != nil {
+		t.Fatalf("good leader plan rejected: %v", err)
+	}
+	withLeaders := func(leaderOf []int, succ [][]int) *Plan {
+		return &Plan{Exts: make([]Ext, 2), LeaderOf: leaderOf, LeaderSucc: succ}
+	}
 	bad := []*Plan{
 		{Domains: []Domain{{Agg: 5}}, Exts: make([]Ext, 2)},
 		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: OffsetWindows(0, 10, 4)}, {Agg: 0, Lo: 10, Hi: 20, BufBytes: 4, Windows: OffsetWindows(10, 20, 4)}}, Exts: make([]Ext, 2)},
 		{Domains: []Domain{{Agg: 0, Lo: 10, Hi: 5}}, Exts: make([]Ext, 2)},
 		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: []datatype.Segment{{Off: 0, Len: 20}}}}, Exts: make([]Ext, 2)},
 		{Exts: make([]Ext, 1)},
+		withLeaders([]int{0}, nil),                      // wrong length
+		withLeaders([]int{0, 2}, nil),                   // leader out of range
+		withLeaders([]int{1, 0}, nil),                   // leaders do not lead themselves
+		withLeaders([]int{0, 0}, [][]int{{0, 1}}),       // succession: wrong length
+		withLeaders([]int{0, 0}, [][]int{{0, 2}, {0}}),  // succession: entry out of range
+		withLeaders([]int{0, 0}, [][]int{{0, -1}, {0}}), // succession: negative entry
 	}
 	for i, p := range bad {
 		if err := p.Validate(2); err == nil {

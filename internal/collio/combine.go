@@ -7,157 +7,137 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
-// Hierarchical (two-layer) exchange: the paper's abstract promises that
-// memory-conscious collective I/O "coordinates I/O accesses in
-// intra-node and inter-node layer". This file implements that layer
-// split for the round engine: within each physical node, ranks first
-// funnel their round pieces to a node leader over the memory bus; only
-// leaders talk to aggregators across the fabric. Many small NIC
-// messages become one combined message per (node, aggregator) pair per
-// round, at the price of one extra intra-node hop.
+// The intra-node layer of the round driver. The paper's abstract
+// promises that memory-conscious collective I/O "coordinates I/O
+// accesses in intra-node and inter-node layer"; a plan's LeaderOf map
+// is that split. Ranks funnel their round pieces to their leader over
+// the memory bus and only leaders talk to aggregators across the
+// fabric: many small NIC messages become one merged message per
+// (leader, aggregator) pair per round, at the price of one extra
+// intra-node hop. Who leads is an election policy (lowest rank per
+// node, the two-layer strategy's memory score) the driver never sees;
+// with no map every rank leads only itself and this layer is idle.
 //
 // Matching stays deterministic on both sides:
 //   - every non-leader sends its leader exactly one bundle per round
 //     (possibly empty), so leaders never guess;
-//   - aggregators expect traffic from the *leader* of any node that has
-//     requests in the current window (computable from othersReq plus
-//     the node map);
+//   - aggregators expect traffic from the *leader* of any rank that has
+//     requests in the current window (computable from the request
+//     exchange plus the leader map);
 //   - on reads, leaders know what their mates expect because mates'
 //     views are gathered once up front.
 
-// nodeBundle is the per-round intra-node payload: one piece per domain
-// the sender has data for.
-type nodeBundle struct {
-	pieces map[int]shufflePiece // domain index -> piece
+// topology is the calling rank's place in the collective's leader map.
+// It is rebuilt after a leader failover changes Plan.LeaderOf.
+type topology struct {
+	me       int
+	leaderOf []int           // Plan.LeaderOf; nil: every rank leads itself
+	mates    []int           // the other ranks I lead, ascending
+	views    []datatype.List // reads: my mates' full views, parallel to mates
+	domOf    []int           // reads, with mates: comm rank -> index of the domain it aggregates
 }
 
-func (nb nodeBundle) wireBytes() int64 {
-	var n int64 = 8
-	for _, p := range nb.pieces {
-		n += p.wireBytes()
-	}
-	return n
-}
-
-// rankPiece is a read-path piece addressed to one rank.
-type rankPiece struct {
-	rank  int // comm rank the piece belongs to
-	piece shufflePiece
-}
-
-// combineState holds the node topology for one collective. It is
-// rebuilt after a leader failover changes the plan's leader map.
-type combineState struct {
-	leaderOf []int // comm rank -> leader comm rank
-	mates    []int // my node's comm ranks (only filled for leaders)
-	leaders  []int // distinct leaders in rank-of-first-member order
-	amLeader bool
-	merged   bool                  // elected-leader mode: merge/dedup pieces
-	views    map[int]datatype.List // leader only: mate comm rank -> full view
-}
-
-// newCombineState derives the per-node leader topology: the plan's
-// elected leader map when present (two-layer strategy), else the
-// legacy lowest-rank-per-node choice.
-func newCombineState(c *mpi.Comm, plan *Plan) *combineState {
-	p := c.Size()
-	cs := &combineState{leaderOf: make([]int, p)}
-	if plan != nil && plan.LeaderOf != nil {
-		cs.merged = true
-		copy(cs.leaderOf, plan.LeaderOf)
-		seen := make(map[int]bool, p)
-		for r := 0; r < p; r++ {
-			if l := cs.leaderOf[r]; !seen[l] {
-				seen[l] = true
-				cs.leaders = append(cs.leaders, l)
-			}
-		}
-	} else {
-		firstOnNode := make(map[int]int)
-		for r := 0; r < p; r++ {
-			node := c.NodeOf(r)
-			if _, ok := firstOnNode[node]; !ok {
-				firstOnNode[node] = r
-				cs.leaders = append(cs.leaders, r)
-			}
-			cs.leaderOf[r] = firstOnNode[node]
-		}
-	}
-	me := c.Rank()
-	cs.amLeader = cs.leaderOf[me] == me
-	if cs.amLeader {
-		for r := 0; r < p; r++ {
-			if cs.leaderOf[r] == me {
-				cs.mates = append(cs.mates, r)
+// newTopology places rank me in leaderOf. The map is referenced, not
+// copied: a leader failover mutates it right after a round barrier and
+// every rank rebuilds its topology in that same round before using it.
+func newTopology(me int, leaderOf []int) topology {
+	tp := topology{me: me, leaderOf: leaderOf}
+	if tp.leads() {
+		for r, l := range leaderOf {
+			if l == me && r != me {
+				tp.mates = append(tp.mates, r)
 			}
 		}
 	}
-	return cs
+	return tp
 }
 
-// gatherViews sends every non-leader's view to its leader so leaders
-// can compute mate expectations (read path) — the intra-node layer of
-// the upfront request exchange. Charged at segment-metadata size.
-const viewTag = 1000 // user-tag space; distinct from bundle/piece tags
+// of returns the leader of comm rank r.
+func (tp *topology) of(r int) int {
+	if tp.leaderOf == nil {
+		return r
+	}
+	return tp.leaderOf[r]
+}
 
-const bundleTag = 1001
-const pieceTag = 1002
+// leads reports whether this rank is a leader (of itself at least).
+func (tp *topology) leads() bool { return tp.of(tp.me) == tp.me }
 
-func (cs *combineState) gatherViews(c *mpi.Comm, vi *iolib.ViewIndex) {
-	me := c.Rank()
-	if !cs.amLeader {
+// solo reports whether this rank leads only itself: it has no intra-node
+// stage to run and exchanges with aggregators directly.
+func (tp *topology) solo() bool { return tp.leads() && len(tp.mates) == 0 }
+
+// mateIntersects reports whether any mate's view touches [lo, hi).
+func (tp *topology) mateIntersects(lo, hi int64) bool {
+	for _, v := range tp.views {
+		if v.Intersects(lo, hi) {
+			return true
+		}
+	}
+	return false
+}
+
+// LowestRankLeaders is the simplest leader election: every rank follows
+// the lowest comm rank on its node. It returns nil — no intra-node layer
+// — when no node hosts two ranks.
+func LowestRankLeaders(nodeOf []int) []int {
+	leaderOf := make([]int, len(nodeOf))
+	first := make(map[int]int, len(nodeOf))
+	shared := false
+	for r, node := range nodeOf {
+		l, ok := first[node]
+		if !ok {
+			first[node], l = r, r
+		}
+		shared = shared || ok
+		leaderOf[r] = l
+	}
+	if !shared {
+		return nil
+	}
+	return leaderOf
+}
+
+// User-tag space for the intra-node sends.
+const (
+	viewTag   = 1000
+	bundleTag = 1001
+	pieceTag  = 1002
+)
+
+// gatherViews is the intra-node layer of the upfront request exchange
+// (read path): every non-leader sends its view to its leader, charged
+// at segment-metadata size, so leaders can compute mate expectations
+// and carve mate pieces; a leader with mates also indexes the domains
+// by aggregator, to find the window a received piece was cut from.
+func (tp *topology) gatherViews(c *mpi.Comm, vi *iolib.ViewIndex, plan *Plan) {
+	if !tp.leads() {
 		view := vi.View()
-		c.SendVal(cs.leaderOf[me], viewTag, segsVal{view}, int64(len(view))*extBytes+8)
+		c.SendVal(tp.of(tp.me), viewTag, segsVal{view}, int64(len(view))*extBytes+8)
 		return
 	}
-	cs.views = map[int]datatype.List{me: vi.View()}
-	for _, mate := range cs.mates {
-		if mate == me {
-			continue
-		}
-		cs.views[mate] = c.RecvVal(mate, viewTag).(segsVal).segs
+	if len(tp.mates) == 0 {
+		return
+	}
+	tp.views = make([]datatype.List, len(tp.mates))
+	for i, mate := range tp.mates {
+		tp.views[i] = c.RecvVal(mate, viewTag).(segsVal).segs
+	}
+	tp.domOf = make([]int, c.Size())
+	for di, d := range plan.Domains {
+		tp.domOf[d.Agg] = di
 	}
 }
 
-// segsVal wraps a view for the intra-node metadata send.
-type segsVal struct {
-	segs datatype.List
-}
-
-// combinePieces concatenates several pieces into one (segment lists
-// joined, payloads packed back to back). Segments from different ranks
-// never overlap, so the aggregator's scatter handles the joined list
-// without normalization.
-func combinePieces(pieces []shufflePiece, phantom bool) shufflePiece {
-	if len(pieces) == 1 {
-		return pieces[0]
-	}
-	var segs datatype.List
-	var total int64
-	for _, p := range pieces {
-		segs = append(segs, p.segs...)
-		total += p.data.Len()
-	}
-	data := buffer.New(total, phantom)
-	var pos int64
-	for _, p := range pieces {
-		buffer.Copy(data.Slice(pos, p.data.Len()), p.data)
-		pos += p.data.Len()
-	}
-	return shufflePiece{segs: segs, data: data}
-}
-
-// mergePieces is the elected-leader variant of combinePieces: the
-// node's segments are merge-sorted into file order with adjacent runs
+// mergePieces joins a node's pieces for one domain into a single piece:
+// the segments merge-sorted into file order with adjacent runs
 // coalesced and the payload reordered to match, so the combined wire
 // message carries one run's metadata where ranks on a node wrote
 // interleaved neighbours — Kang et al.'s node-level request merging.
 // Disjointness across ranks (the collective-write contract) makes the
-// sort a pure reordering.
+// sort a pure reordering. A single piece is returned as is.
 func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 	if len(pieces) == 1 {
 		return pieces[0]
@@ -193,461 +173,71 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 	return shufflePiece{segs: segs, data: data}
 }
 
-// windowOfAgg returns the round-r window of the domain aggregated by
-// comm rank agg. ok is false when agg owns no domain or its schedule
-// ended before r — unreachable for a piece actually received from agg,
-// since failover checks run before the exchange at every round.
-func windowOfAgg(plan *Plan, agg, r int) (datatype.Segment, bool) {
-	for _, d := range plan.Domains {
-		if d.Agg == agg {
-			if r < len(d.Windows) {
-				return d.Windows[r], true
-			}
-			return datatype.Segment{}, false
+// funnel is the write round's intra-node stage: a non-leader hands its
+// packed pieces (packed payload bytes in all) to its leader; a leader
+// collects its mates' bundles.
+func (x *collective) funnel(r int, packed int64) {
+	c, tp := x.c, &x.topo
+	if tp.leads() {
+		x.bundles = x.bundles[:0]
+		for _, mate := range tp.mates {
+			x.bundles = append(x.bundles, c.RecvVal(mate, bundleTag).([]shufflePiece))
+		}
+		return
+	}
+	wire := int64(8)
+	for di := range x.plan.Domains {
+		if r < len(x.plan.Domains[di].Windows) {
+			wire += x.pieces[di].wireBytes()
 		}
 	}
-	return datatype.Segment{}, false
+	c.SendVal(tp.of(tp.me), bundleTag, x.pieces, wire)
+	x.m.AddExchange(packed, 0, 0)
+	x.em.shuffle(packed, 0)
 }
 
-// executeWriteCombined is ExecuteWrite with the two-layer exchange.
-func executeWriteCombined(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics) {
-	p := c.Size()
-	me := c.Rank()
-	t := c.Tracer()
-	em := newEngineMetrics(c, "write")
-	sched := c.Faults()
-	loc := traceLoc(c, plan)
-	sp := t.Begin(obs.PhaseReqExchange, loc)
-	mine := exchangeRequests(c, vi, plan)
-	sp.End()
-	if mine != nil {
-		m.AddAggregator(mine.domain.BufBytes)
+// fanOut is the read round's intra-node stage. Each piece a leader
+// received is one aggregator's window clipped to the union of the
+// node's views; the leader re-clips every view against that window to
+// carve the per-rank pieces — exactly what the aggregator would have
+// sent each rank directly — paying the scatter/gather pass on the
+// node's memory bus. Every mate knows how many pieces to expect: one
+// per active domain its view hits.
+func (x *collective) fanOut(r int) {
+	c, tp := x.c, &x.topo
+	if !tp.leads() {
+		for di := range x.plan.Domains {
+			d := &x.plan.Domains[di]
+			if r < len(d.Windows) && x.vi.Intersects(d.Windows[r].Off, d.Windows[r].End()) {
+				piece := c.RecvVal(tp.of(tp.me), pieceTag).(shufflePiece)
+				x.vi.Unpack(x.data, piece.segs, piece.data)
+			}
+		}
+		return
 	}
-	cs := newCombineState(c, plan)
-	phantom := data.Phantom()
-
-	vals := make([]any, p)
-	bytes := make([]int64, p)
-	present := make([]bool, p)
-
-	for r := 0; r < plan.Rounds; r++ {
-		rloc := loc
-		rloc.Round = r
-		sp = t.Begin(obs.PhaseBarrier, rloc)
-		c.Barrier()
-		sp.End()
-		if mine != nil {
-			sampleMem(c, r)
+	var fanned int64
+	x.ex.Received(func(agg int, v any) {
+		piece := v.(*shufflePiece)
+		w := x.plan.Domains[tp.domOf[agg]].Windows[r]
+		lo, hi := piece.segs.Extent()
+		region := buffer.New(hi-lo, x.data.Phantom())
+		iolib.ScatterIntoRegion(region, lo, piece.segs, piece.data)
+		chargeAssembly(c, piece.data.Len())
+		if clip := x.arena.Clip(x.vi.View(), w.Off, w.End()); len(clip) > 0 {
+			x.vi.Unpack(x.data, clip, iolib.GatherFromRegion(region, lo, clip))
 		}
-		if sched != nil {
-			changed := injectRoundFaults(c, sched, plan, r, m, rloc)
-			if lf := maybeLeaderFailover(c, sched, plan, r); len(lf) > 0 {
-				recordLeaderFailovers(c, sched, lf, rloc)
-				changed = true
-			}
-			if changed {
-				// Remerge or leadership handoff changed routing: redo the
-				// request exchange and rebuild the node topology. Collective —
-				// every rank takes this branch for the same rounds.
-				mine = exchangeRequests(c, vi, plan)
-				cs = newCombineState(c, plan)
-			}
-		}
-		clearScratch(vals, bytes, present)
-
-		// Intra-node layer: pack my pieces and hand them to my leader.
-		myBundle := nodeBundle{pieces: make(map[int]shufflePiece, len(plan.Domains))}
-		var packedIntra int64
-		sp = t.Begin(obs.PhasePack, rloc)
-		for di, d := range plan.Domains {
-			if r >= len(d.Windows) {
+		for i, mate := range tp.mates {
+			clip := x.arena.Clip(tp.views[i], w.Off, w.End())
+			if len(clip) == 0 {
 				continue
 			}
-			w := d.Windows[r]
-			segs, packed := vi.Pack(data, w.Off, w.End())
-			if len(segs) == 0 {
-				continue
-			}
-			myBundle.pieces[di] = shufflePiece{segs: segs, data: packed}
-			packedIntra += packed.Len()
+			mp := shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, lo, clip)}
+			c.SendVal(mate, pieceTag, mp, mp.wireBytes())
+			fanned += mp.data.Len()
 		}
-		sp.EndBytes(packedIntra, 0)
-		byDomain := make(map[int][]shufflePiece)
-		sp = t.Begin(obs.PhaseIntra, rloc)
-		if cs.amLeader {
-			for di := range plan.Domains {
-				if piece, ok := myBundle.pieces[di]; ok {
-					byDomain[di] = append(byDomain[di], piece)
-				}
-			}
-			for _, mate := range cs.mates {
-				if mate == me {
-					continue
-				}
-				nb := c.RecvVal(mate, bundleTag).(nodeBundle)
-				for di, piece := range nb.pieces {
-					byDomain[di] = append(byDomain[di], piece)
-				}
-			}
-		} else {
-			c.SendVal(cs.leaderOf[me], bundleTag, myBundle, myBundle.wireBytes())
-			m.AddExchange(packedIntra, 0, 0)
-			em.shuffle(packedIntra, 0)
-		}
-		sp.EndBytes(packedIntra, 0)
-
-		// Inter-node layer: leaders ship one combined piece per domain.
-		// Elected-leader plans merge the node's segments into file order
-		// (coalescing adjacent runs from different mates) and pay the
-		// reorder pass on the node's memory bus; legacy plans concatenate.
-		var sentIntra, sentInter int64
-		if cs.amLeader {
-			for di := range plan.Domains {
-				pieces, ok := byDomain[di]
-				if !ok {
-					continue
-				}
-				d := plan.Domains[di]
-				var combined shufflePiece
-				if cs.merged {
-					combined = mergePieces(pieces, phantom)
-					if len(pieces) > 1 {
-						chargeAssembly(c, combined.data.Len())
-					}
-				} else {
-					combined = combinePieces(pieces, phantom)
-				}
-				vals[d.Agg] = combined
-				bytes[d.Agg] = combined.wireBytes()
-				i, x := localityOf(c, me, d.Agg, combined.data.Len())
-				sentIntra += i
-				sentInter += x
-			}
-		}
-		// Aggregator expectation: the leader of any node whose ranks
-		// request inside my window.
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			for src, segs := range mine.othersReq {
-				if len(segs.Clip(w.Off, w.End())) > 0 {
-					present[cs.leaderOf[src]] = true
-				}
-			}
-		}
-
-		tExch := c.Now()
-		sp = t.Begin(obs.PhaseExchange, rloc)
-		out := c.AlltoallSparse(vals, bytes, present)
-		sp.EndBytes(sentIntra+sentInter, 0)
-		m.AddExchange(sentIntra, sentInter, c.Now()-tExch)
-		em.shuffle(sentIntra, sentInter)
-		em.exchangeSeconds.Add(c.Now() - tExch)
-		if sched != nil {
-			dropPenalty(c, sched, plan, r, rloc)
-		}
-
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			cov := mine.coverage.Clip(w.Off, w.End())
-			if len(cov) > 0 {
-				aggregatorWrite(f, c, plan, mine, cov, out, phantom, m, em, rloc)
-			}
-			m.AddRound(r + 1)
-		}
-	}
-}
-
-// aggregatorWrite assembles received pieces and issues the window's
-// file writes; shared by the flat and combined write paths. rloc is
-// the caller's round-stamped trace location.
-func aggregatorWrite(f *iolib.File, c *mpi.Comm, plan *Plan, mine *aggState, cov datatype.List, out []any, phantom bool, m *trace.Metrics, em engineMetrics, rloc obs.Loc) {
-	t := c.Tracer()
-	covLo, covHi := cov.Extent()
-	region := buffer.New(covHi-covLo, phantom)
-	var reqs, ioBytes int64
-	tIO := c.Now()
-	if !plan.ExactWrite && len(cov.Holes()) > 0 {
-		sp := t.Begin(obs.PhaseRMW, rloc)
-		f.ReadAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
-		sp.EndBytes(covHi-covLo, 1)
-		reqs++
-		ioBytes += covHi - covLo
-	}
-	tAsm := c.Now()
-	sp := t.Begin(obs.PhaseAssembly, rloc)
-	for _, v := range out {
-		if v == nil {
-			continue
-		}
-		piece := v.(shufflePiece)
-		iolib.ScatterIntoRegion(region, covLo, piece.segs, piece.data)
-	}
-	chargeAssembly(c, cov.TotalBytes())
-	sp.EndBytes(cov.TotalBytes(), 0)
-	m.AddExchange(0, 0, c.Now()-tAsm)
-	sp = t.Begin(obs.PhaseIO, rloc)
-	if plan.ExactWrite {
-		offs := make([]int64, len(cov))
-		bufs := make([]buffer.Buf, len(cov))
-		for i, run := range cov {
-			offs[i] = run.Off
-			bufs[i] = region.Slice(run.Off-covLo, run.Len)
-			reqs++
-			ioBytes += run.Len
-		}
-		f.WriteVec(c.Proc(), c.WorldRank(c.Rank()), offs, bufs)
-	} else {
-		f.WriteAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
-		reqs++
-		ioBytes += covHi - covLo
-	}
-	sp.EndBytes(ioBytes, reqs)
-	m.AddIO(ioBytes, reqs, c.Now()-tIO)
-	em.aggRound(ioBytes, c.Now()-tIO)
-}
-
-// executeReadCombined is ExecuteRead with the two-layer exchange:
-// aggregators ship one bundle of per-rank pieces to each node leader;
-// leaders fan the pieces out over the memory bus.
-func executeReadCombined(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, dst buffer.Buf, plan *Plan, m *trace.Metrics) {
-	p := c.Size()
-	me := c.Rank()
-	t := c.Tracer()
-	em := newEngineMetrics(c, "read")
-	sched := c.Faults()
-	loc := traceLoc(c, plan)
-	sp := t.Begin(obs.PhaseReqExchange, loc)
-	mine := exchangeRequests(c, vi, plan)
-	cs := newCombineState(c, plan)
-	cs.gatherViews(c, vi)
-	sp.End()
-	if mine != nil {
-		m.AddAggregator(mine.domain.BufBytes)
-	}
-	phantom := dst.Phantom()
-
-	vals := make([]any, p)
-	bytes := make([]int64, p)
-	present := make([]bool, p)
-
-	for r := 0; r < plan.Rounds; r++ {
-		rloc := loc
-		rloc.Round = r
-		sp = t.Begin(obs.PhaseBarrier, rloc)
-		c.Barrier()
-		sp.End()
-		if mine != nil {
-			sampleMem(c, r)
-		}
-		if sched != nil {
-			changed := injectRoundFaults(c, sched, plan, r, m, rloc)
-			if lf := maybeLeaderFailover(c, sched, plan, r); len(lf) > 0 {
-				recordLeaderFailovers(c, sched, lf, rloc)
-				changed = true
-			}
-			if changed {
-				// See executeWriteCombined; the read path additionally
-				// re-gathers mate views so new leaders can fan out.
-				mine = exchangeRequests(c, vi, plan)
-				cs = newCombineState(c, plan)
-				cs.gatherViews(c, vi)
-			}
-		}
-		clearScratch(vals, bytes, present)
-
-		// Aggregator: read the window's coverage and bundle pieces per
-		// destination node.
-		var sentIntra, sentInter int64
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			cov := mine.coverage.Clip(w.Off, w.End())
-			if len(cov) > 0 {
-				covLo, covHi := cov.Extent()
-				region := buffer.New(covHi-covLo, phantom)
-				tIO := c.Now()
-				offs := make([]int64, len(cov))
-				bufs := make([]buffer.Buf, len(cov))
-				for i, run := range cov {
-					offs[i] = run.Off
-					bufs[i] = region.Slice(run.Off-covLo, run.Len)
-				}
-				sp = t.Begin(obs.PhaseIO, rloc)
-				f.ReadVec(c.Proc(), c.WorldRank(c.Rank()), offs, bufs)
-				sp.EndBytes(cov.TotalBytes(), int64(len(cov)))
-				m.AddIO(cov.TotalBytes(), int64(len(cov)), c.Now()-tIO)
-				em.aggRound(cov.TotalBytes(), c.Now()-tIO)
-				sp = t.Begin(obs.PhaseAssembly, rloc)
-				chargeAssembly(c, cov.TotalBytes())
-
-				if cs.merged {
-					// Deduplicated shipping (elected-leader mode): the node's
-					// mates often request overlapping file ranges (halo reads,
-					// shared blocks); ship the *union* of the node's clips once
-					// per node and let the leader replicate locally. Inter-node
-					// payload shrinks by exactly the shared bytes — the
-					// measurable win of the two-layer read path.
-					nodeSegs := make(map[int]datatype.List)
-					for src := 0; src < p; src++ {
-						segs, ok := mine.othersReq[src]
-						if !ok {
-							continue
-						}
-						clip := segs.Clip(w.Off, w.End())
-						if len(clip) == 0 {
-							continue
-						}
-						l := cs.leaderOf[src]
-						nodeSegs[l] = append(nodeSegs[l], clip...)
-					}
-					for _, leader := range cs.leaders {
-						segs, ok := nodeSegs[leader]
-						if !ok {
-							continue
-						}
-						union := datatype.Normalize(segs)
-						piece := shufflePiece{segs: union, data: iolib.GatherFromRegion(region, covLo, union)}
-						vals[leader] = piece
-						bytes[leader] = piece.wireBytes()
-						i, x := localityOf(c, me, leader, piece.data.Len())
-						sentIntra += i
-						sentInter += x
-					}
-				} else {
-					// Iterate requesters in rank order so bundles and the
-					// leader fan-out are deterministic.
-					byLeader := make(map[int][]rankPiece)
-					for src := 0; src < p; src++ {
-						segs, ok := mine.othersReq[src]
-						if !ok {
-							continue
-						}
-						clip := segs.Clip(w.Off, w.End())
-						if len(clip) == 0 {
-							continue
-						}
-						piece := shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, covLo, clip)}
-						byLeader[cs.leaderOf[src]] = append(byLeader[cs.leaderOf[src]], rankPiece{rank: src, piece: piece})
-					}
-					for _, leader := range cs.leaders {
-						pieces, ok := byLeader[leader]
-						if !ok {
-							continue
-						}
-						var wire int64 = 8
-						for _, rp := range pieces {
-							wire += rp.piece.wireBytes()
-						}
-						vals[leader] = pieces
-						bytes[leader] = wire
-						var payload int64
-						for _, rp := range pieces {
-							payload += rp.piece.data.Len()
-						}
-						i, x := localityOf(c, me, leader, payload)
-						sentIntra += i
-						sentInter += x
-					}
-				}
-				sp.EndBytes(cov.TotalBytes(), 0)
-			}
-			m.AddRound(r + 1)
-		}
-
-		// Leader expectation: any mate (including myself) with data in
-		// an active window means the owning aggregator will bundle to me.
-		if cs.amLeader {
-			for _, d := range plan.Domains {
-				if r >= len(d.Windows) {
-					continue
-				}
-				w := d.Windows[r]
-				for _, mate := range cs.mates {
-					if len(cs.views[mate].Clip(w.Off, w.End())) > 0 {
-						present[d.Agg] = true
-						break
-					}
-				}
-			}
-		}
-
-		tExch := c.Now()
-		sp = t.Begin(obs.PhaseExchange, rloc)
-		out := c.AlltoallSparse(vals, bytes, present)
-		sp.EndBytes(sentIntra+sentInter, 0)
-		m.AddExchange(sentIntra, sentInter, c.Now()-tExch)
-		em.shuffle(sentIntra, sentInter)
-		em.exchangeSeconds.Add(c.Now() - tExch)
-		if sched != nil {
-			dropPenalty(c, sched, plan, r, rloc)
-		}
-
-		// Intra-node layer: leaders fan pieces out; every rank knows how
-		// many pieces to expect (one per active domain its view hits).
-		sp = t.Begin(obs.PhaseIntra, rloc)
-		if cs.amLeader && cs.merged {
-			// Each received piece is a node union from one aggregator's
-			// window; re-clip every mate's view against that window to
-			// carve the per-rank pieces locally. The clip equals what the
-			// aggregator would have sent flat, so mates see identical data.
-			var fanned int64
-			for agg, v := range out {
-				if v == nil {
-					continue
-				}
-				piece := v.(shufflePiece)
-				w, ok := windowOfAgg(plan, agg, r)
-				if !ok {
-					continue
-				}
-				lo, hi := piece.segs.Extent()
-				region := buffer.New(hi-lo, phantom)
-				iolib.ScatterIntoRegion(region, lo, piece.segs, piece.data)
-				chargeAssembly(c, piece.data.Len())
-				for _, mate := range cs.mates {
-					clip := cs.views[mate].Clip(w.Off, w.End())
-					if len(clip) == 0 {
-						continue
-					}
-					mdata := iolib.GatherFromRegion(region, lo, clip)
-					if mate == me {
-						vi.Unpack(dst, clip, mdata)
-						continue
-					}
-					mp := shufflePiece{segs: clip, data: mdata}
-					c.SendVal(mate, pieceTag, mp, mp.wireBytes())
-					fanned += mdata.Len()
-				}
-			}
-			if fanned > 0 {
-				m.AddExchange(fanned, 0, 0)
-				em.shuffle(fanned, 0)
-			}
-		} else if cs.amLeader {
-			for _, v := range out {
-				if v == nil {
-					continue
-				}
-				for _, rp := range v.([]rankPiece) {
-					if rp.rank == me {
-						vi.Unpack(dst, rp.piece.segs, rp.piece.data)
-						continue
-					}
-					c.SendVal(rp.rank, pieceTag, rp.piece, rp.piece.wireBytes())
-				}
-			}
-		}
-		if !cs.amLeader {
-			expect := 0
-			for _, d := range plan.Domains {
-				if r < len(d.Windows) && len(vi.Clip(d.Windows[r].Off, d.Windows[r].End())) > 0 {
-					expect++
-				}
-			}
-			for i := 0; i < expect; i++ {
-				piece := c.RecvVal(cs.leaderOf[me], pieceTag).(shufflePiece)
-				vi.Unpack(dst, piece.segs, piece.data)
-			}
-		}
-		sp.End()
+	})
+	if fanned > 0 {
+		x.m.AddExchange(fanned, 0, 0)
+		x.em.shuffle(fanned, 0)
 	}
 }

@@ -1,6 +1,8 @@
 package collio
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/buffer"
@@ -8,76 +10,131 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 )
 
-func TestCombinePiecesConcatenatesAligned(t *testing.T) {
-	mk := func(off, n int64, tag uint64) shufflePiece {
-		b := buffer.NewReal(n)
-		b.Fill(tag, off)
-		return shufflePiece{segs: datatype.List{{Off: off, Len: n}}, data: b}
+// TestMergePiecesFileOrder: two mates' interleaved pieces merge into
+// one piece in file order with touching runs coalesced, and the payload
+// follows its segments (this also covers what the deleted
+// TestCombinePiecesConcatenatesAligned checked: each input byte lands at
+// its file offset when the merged piece is scattered).
+func TestMergePiecesFileOrder(t *testing.T) {
+	mk := func(tag uint64, segs ...datatype.Segment) shufflePiece {
+		l := datatype.List(segs)
+		b := buffer.NewReal(l.TotalBytes())
+		var pos int64
+		for _, s := range l {
+			b.Slice(pos, s.Len).Fill(tag, s.Off)
+			pos += s.Len
+		}
+		return shufflePiece{segs: l, data: b}
 	}
-	a := mk(0, 10, 1)
-	b := mk(50, 20, 2)
-	c := combinePieces([]shufflePiece{a, b}, false)
-	if c.data.Len() != 30 || len(c.segs) != 2 {
-		t.Fatalf("combined %d bytes, %d segs", c.data.Len(), len(c.segs))
+	a := mk(1, datatype.Segment{Off: 0, Len: 10}, datatype.Segment{Off: 20, Len: 10}, datatype.Segment{Off: 70, Len: 5})
+	b := mk(2, datatype.Segment{Off: 10, Len: 10}, datatype.Segment{Off: 50, Len: 20})
+	got := mergePieces([]shufflePiece{b, a}, false)
+	want := datatype.List{{Off: 0, Len: 30}, {Off: 50, Len: 25}}
+	if !got.segs.Equal(want) {
+		t.Fatalf("merged segments %v, want %v", got.segs, want)
 	}
-	// Scatter into a region and verify placement.
+	if got.data.Len() != 55 {
+		t.Fatalf("merged payload %d bytes, want 55", got.data.Len())
+	}
 	region := buffer.NewReal(100)
-	iolib.ScatterIntoRegion(region, 0, c.segs, c.data)
-	if i := region.Slice(0, 10).Verify(1, 0); i != -1 {
-		t.Fatalf("first piece at %d", i)
+	iolib.ScatterIntoRegion(region, 0, got.segs, got.data)
+	for _, c := range []struct {
+		tag      uint64
+		off, len int64
+	}{{1, 0, 10}, {2, 10, 10}, {1, 20, 10}, {2, 50, 20}, {1, 70, 5}} {
+		if i := region.Slice(c.off, c.len).Verify(c.tag, c.off); i != -1 {
+			t.Errorf("bytes of rank %d at [%d,%d) wrong at %d", c.tag, c.off, c.off+c.len, i)
+		}
 	}
-	if i := region.Slice(50, 20).Verify(2, 50); i != -1 {
-		t.Fatalf("second piece at %d", i)
+	if p := mergePieces([]shufflePiece{a, b}, true); !p.data.Phantom() || p.data.Len() != 55 {
+		t.Errorf("phantom merge gave %+v", p.data)
 	}
 }
 
-func TestCombinePiecesSingleIsIdentity(t *testing.T) {
+// TestMergePiecesSingleIsIdentity: one piece is forwarded untouched —
+// what makes a rank that leads only itself ship exactly the flat
+// exchange's payload (and what TestCombinePiecesSingleIsIdentity
+// checked of the deleted combinePieces).
+func TestMergePiecesSingleIsIdentity(t *testing.T) {
 	p := shufflePiece{segs: datatype.List{{Off: 3, Len: 4}}, data: buffer.NewPhantom(4)}
-	if got := combinePieces([]shufflePiece{p}, true); got.data.Len() != 4 || len(got.segs) != 1 {
-		t.Fatalf("%+v", got)
+	got := mergePieces([]shufflePiece{p}, true)
+	if &got.segs[0] != &p.segs[0] || got.data.Len() != 4 || !got.data.Phantom() {
+		t.Fatalf("single piece was rebuilt: %+v", got)
 	}
 }
 
-func TestCombineStateTopology(t *testing.T) {
-	e := simtime.NewEngine()
-	m, err := cluster.New(cluster.Config{
-		Nodes: 3, CoresPerNode: 2, MemPerNode: 1 << 20,
-		MemBusBW: 1e9, NICBW: 1e9, BisectionBW: 1e9, IONetBW: 1e9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := mpi.NewWorld(e, m, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start(func(c *mpi.Comm) {
-		cs := newCombineState(c, nil)
-		wantLeader := c.Rank() / 2 * 2
-		if cs.leaderOf[c.Rank()] != wantLeader {
-			t.Errorf("rank %d leader %d, want %d", c.Rank(), cs.leaderOf[c.Rank()], wantLeader)
+// TestLowestRankLeaders covers the election NodeCombine uses, including
+// its nil-when-no-node-is-shared case; with TestTopology it replaces the
+// deleted TestCombineStateTopology (lowest-rank leaders, who leads, who
+// the mates are).
+func TestLowestRankLeaders(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		nodeOf []int
+		want   []int
+	}{
+		{"block placement", []int{0, 0, 1, 1, 2, 2}, []int{0, 0, 2, 2, 4, 4}},
+		{"round-robin placement", []int{7, 3, 7, 3}, []int{0, 1, 0, 1}},
+		{"mixed node sizes", []int{0, 1, 1, 2}, []int{0, 1, 1, 3}},
+		{"one rank per node", []int{0, 1, 2, 3}, nil},
+		{"single rank", []int{5}, nil},
+		{"empty", nil, nil},
+	} {
+		if got := LowestRankLeaders(c.nodeOf); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: LowestRankLeaders(%v) = %v, want %v", c.name, c.nodeOf, got, c.want)
 		}
-		if cs.amLeader != (c.Rank()%2 == 0) {
-			t.Errorf("rank %d amLeader=%v", c.Rank(), cs.amLeader)
-		}
-		if cs.amLeader && len(cs.mates) != 2 {
-			t.Errorf("rank %d mates %v", c.Rank(), cs.mates)
-		}
-		if len(cs.leaders) != 3 {
-			t.Errorf("leaders %v", cs.leaders)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestCombinedTwoPhaseRoundTripInPackage drives the combined engine via
-// the baseline planner entirely within this package.
+// TestTopology checks a rank's place in the leader map for the three
+// ways of filling it: no map, the identity map, and a real election.
+func TestTopology(t *testing.T) {
+	elected := []int{1, 1, 1, 3, 4, 4} // rank 1 leads {0,1,2}, 3 itself, 4 leads {4,5}
+	for _, c := range []struct {
+		name     string
+		me       int
+		leaderOf []int
+		leader   int
+		leads    bool
+		solo     bool
+		mates    []int
+	}{
+		{"no map", 2, nil, 2, true, true, nil},
+		{"identity", 2, []int{0, 1, 2}, 2, true, true, nil},
+		{"elected leader", 1, elected, 1, true, false, []int{0, 2}},
+		{"elected follower", 2, elected, 1, false, false, nil},
+		{"single-rank node", 3, elected, 3, true, true, nil},
+		{"lowest-rank leader", 4, elected, 4, true, false, []int{5}},
+	} {
+		tp := newTopology(c.me, c.leaderOf)
+		if tp.of(c.me) != c.leader || tp.leads() != c.leads || tp.solo() != c.solo || !reflect.DeepEqual(tp.mates, c.mates) {
+			t.Errorf("%s: leader=%d leads=%v solo=%v mates=%v, want %d %v %v %v",
+				c.name, tp.of(c.me), tp.leads(), tp.solo(), tp.mates, c.leader, c.leads, c.solo, c.mates)
+		}
+	}
+}
+
+// roundTrip writes and reads back view through s, checking every byte.
+func roundTrip(t *testing.T, s iolib.Collective, f *iolib.File, c *mpi.Comm, view datatype.List, mtr *trace.Metrics) {
+	data := fillViewBuffer(view, uint64(c.Rank()))
+	s.WriteAll(f, c, view, data, mtr)
+	c.Barrier()
+	dst := fillViewBuffer(view, 999)
+	s.ReadAll(f, c, view, dst, mtr)
+	var pos int64
+	for _, seg := range view {
+		if i := dst.Slice(pos, seg.Len).Verify(uint64(c.Rank()), seg.Off); i != -1 {
+			t.Errorf("rank %d segment %v mismatch at %d", c.Rank(), seg, i)
+		}
+		pos += seg.Len
+	}
+}
+
+// TestCombinedTwoPhaseRoundTripInPackage drives the intra-node layer
+// via the baseline planner entirely within this package.
 func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	e, m, fs := testRig(t, 2, 3, 64*cluster.MiB)
 	w, err := mpi.NewWorld(e, m, 6)
@@ -87,20 +144,12 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
-		data := fillViewBuffer(view, uint64(c.Rank()))
 		tp := TwoPhase{CBBuffer: 32 << 10, NodeCombine: true}
-		var mtr trace.Metrics
-		tp.WriteAll(f, c, view, data, &mtr)
-		c.Barrier()
-		dst := fillViewBuffer(view, 999)
-		tp.ReadAll(f, c, view, dst, &mtr)
-		var pos int64
-		for _, s := range view {
-			if i := dst.Slice(pos, s.Len).Verify(uint64(c.Rank()), s.Off); i != -1 {
-				t.Errorf("rank %d segment %v mismatch at %d", c.Rank(), s, i)
-			}
-			pos += s.Len
+		if plan := tp.BuildPlan(c, view); !reflect.DeepEqual(plan.LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
+			t.Errorf("NodeCombine plan leader map %v", plan.LeaderOf)
 		}
+		var mtr trace.Metrics
+		roundTrip(t, tp, f, c, view, &mtr)
 		// Only aggregators record rounds in their local metrics.
 		if mtr.Aggregators > 0 && mtr.Rounds == 0 {
 			t.Error("aggregator recorded no rounds")
@@ -111,9 +160,9 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	}
 }
 
+// TestCombinedSingleRankPerNode: with one rank per node NodeCombine has
+// nobody to combine — the plan carries no leader map at all.
 func TestCombinedSingleRankPerNode(t *testing.T) {
-	// Degenerate combining: every rank is its own leader; the combined
-	// engine must behave exactly like the flat one.
 	e, m, fs := testRig(t, 4, 1, 64*cluster.MiB)
 	w, err := mpi.NewWorld(e, m, 4)
 	if err != nil {
@@ -122,21 +171,168 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 4, 4<<10)
-		data := fillViewBuffer(view, uint64(c.Rank()))
 		tp := TwoPhase{CBBuffer: 16 << 10, NodeCombine: true}
-		tp.WriteAll(f, c, view, data, &trace.Metrics{})
-		c.Barrier()
-		dst := fillViewBuffer(view, 999)
-		tp.ReadAll(f, c, view, dst, &trace.Metrics{})
-		var pos int64
-		for _, s := range view {
-			if i := dst.Slice(pos, s.Len).Verify(uint64(c.Rank()), s.Off); i != -1 {
-				t.Errorf("rank %d segment %v mismatch at %d", c.Rank(), s, i)
-			}
-			pos += s.Len
+		if plan := tp.BuildPlan(c, view); plan.LeaderOf != nil {
+			t.Errorf("leader map %v on a one-rank-per-node machine", plan.LeaderOf)
 		}
+		roundTrip(t, tp, f, c, view, &trace.Metrics{})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// plannedStrategy runs a plan builder through the round engine,
+// optionally with the identity leader map stamped on the plan.
+type plannedStrategy struct {
+	build    func(c *mpi.Comm, view datatype.List) *Plan
+	identity bool
+}
+
+func (s plannedStrategy) Name() string { return "planned" }
+
+func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) (*Plan, func()) {
+	plan := s.build(c, view)
+	if s.identity {
+		plan.LeaderOf = make([]int, c.Size())
+		for r := range plan.LeaderOf {
+			plan.LeaderOf[r] = r
+		}
+	}
+	release := func() {}
+	if d := myDomain(c, plan); d != nil {
+		release = chargeBuffer(c, d)
+	}
+	return plan, release
+}
+
+func (s plannedStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+	plan, release := s.plan(c, view)
+	ExecuteWrite(f, c, iolib.NewViewIndex(view), data, plan, m)
+	release()
+}
+
+func (s plannedStrategy) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
+	plan, release := s.plan(c, view)
+	ExecuteRead(f, c, iolib.NewViewIndex(view), dst, plan, m)
+	release()
+}
+
+// groupedPlan builds a plan of the memory-conscious shape from the
+// allgathered views: exact writes, coverage windows over domains cut by
+// data volume, several aggregators per node and none of them the
+// node's lowest rank.
+func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
+	return func(c *mpi.Comm, view datatype.List) *Plan {
+		p := c.Size()
+		plan := &Plan{Exts: make([]Ext, p), ExactWrite: true}
+		var all datatype.List
+		for r, v := range c.Allgather(segsVal{view}, int64(len(view))*extBytes+8) {
+			segs := v.(segsVal).segs
+			lo, hi := segs.Extent()
+			plan.Exts[r] = Ext{Lo: lo, Hi: hi}
+			all = append(all, segs...)
+		}
+		coverage := datatype.Normalize(all)
+		if len(coverage) == 0 {
+			return plan
+		}
+		naggs := (p + 1) / 2
+		share := (coverage.TotalBytes() + int64(naggs) - 1) / int64(naggs)
+		rest := coverage
+		for i := 0; i < naggs && len(rest) > 0; i++ {
+			// Cut after `share` covered bytes (the last domain takes the rest).
+			cut := rest[len(rest)-1].End()
+			if i < naggs-1 {
+				left := share
+				for _, s := range rest {
+					if s.Len >= left {
+						cut = s.Off + left
+						break
+					}
+					left -= s.Len
+				}
+			}
+			var dom datatype.List
+			dom, rest = rest.SplitAt(cut)
+			lo, hi := dom.Extent()
+			plan.Domains = append(plan.Domains, Domain{
+				Agg: p - 1 - 2*i, Lo: lo, Hi: hi, BufBytes: buf,
+				Windows: CoverageWindows(dom, buf), Sibling: -1,
+			})
+		}
+		plan.Rounds = plan.maxRounds()
+		return plan
+	}
+}
+
+// TestIdentityLeadersMatchFlat is the degenerate-topology property: a
+// plan whose leader map is the identity runs the very same simulation
+// as the plan without a map — equal results and an equal final event
+// sequence number, so not one message, bus charge or wake-up differs —
+// for random IOR and explicit layouts, writes and reads, two-phase and
+// memory-conscious plan shapes.
+func TestIdentityLeadersMatchFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 24; i++ {
+		nodes, cores := 1+rng.Intn(4), 1+rng.Intn(4)
+		p := nodes * cores
+		views := make([]datatype.List, p)
+		if i%2 == 0 { // IOR: interleaved blocks
+			blocks, blockLen := 1+rng.Intn(6), int64(1+rng.Intn(8))<<10
+			for r := range views {
+				views[r] = interleavedView(r, p, blocks, blockLen)
+			}
+		} else { // explicit: random disjoint runs with holes, some ranks empty
+			var off int64
+			for n := rng.Intn(6 * p); n > 0; n-- {
+				off += int64(rng.Intn(3)) << 9
+				l := int64(1+rng.Intn(16)) << 8
+				r := rng.Intn(p)
+				views[r] = append(views[r], datatype.Segment{Off: off, Len: l})
+				off += l
+			}
+			for r := range views {
+				views[r] = datatype.Normalize(views[r])
+			}
+		}
+		buf := int64(1+rng.Intn(8)) << 10
+		for name, build := range map[string]func(*mpi.Comm, datatype.List) *Plan{
+			"two-phase": TwoPhase{CBBuffer: buf}.BuildPlan,
+			"grouped":   groupedPlan(buf),
+		} {
+			for _, op := range []string{"write", "read"} {
+				run := func(identity bool) (trace.Result, uint64) {
+					e, m, fs := testRig(t, nodes, cores, 64*cluster.MiB)
+					w, err := mpi.NewWorld(e, m, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f := iolib.Open(fs, "x")
+					var res trace.Result
+					w.Start(func(c *mpi.Comm) {
+						view := views[c.Rank()]
+						data := fillViewBuffer(view, uint64(c.Rank()))
+						s := plannedStrategy{build: build, identity: identity}
+						if r := iolib.Run(s, op, f, c, view, data, &trace.Metrics{}); c.Rank() == 0 {
+							res = r
+						}
+					})
+					if err := e.Run(); err != nil {
+						t.Fatal(err)
+					}
+					return res, e.Stats().Scheduled
+				}
+				flat, flatSeq := run(false)
+				ident, identSeq := run(true)
+				if !reflect.DeepEqual(flat, ident) || flatSeq != identSeq {
+					t.Fatalf("case %d (%dx%d) %s %s: identity leaders diverge from flat:\nflat  %+v seq %d\nident %+v seq %d",
+						i, nodes, cores, name, op, flat, flatSeq, ident, identSeq)
+				}
+				if flat.Bytes > 0 && flat.Rounds == 0 {
+					t.Fatalf("case %d %s %s: moved %d bytes in no rounds", i, name, op, flat.Bytes)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package collio
 
 import (
+	"sort"
+
 	"repro/internal/buffer"
 	"repro/internal/datatype"
 	"repro/internal/iolib"
@@ -9,21 +11,16 @@ import (
 	"repro/internal/trace"
 )
 
-// traceLoc is the calling rank's track identity for engine spans:
-// world rank and node, stamped with the plan's aggregation group.
-// Round is -1; per-round spans override it.
-func traceLoc(c *mpi.Comm, plan *Plan) obs.Loc {
-	return obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: plan.Group, Round: -1}
-}
-
-// reqList is the upfront request metadata a rank sends each aggregator
-// whose domain its extent touches: its view clipped to that domain.
-type reqList struct {
+// segsVal is a metadata message carrying a segment list: in the upfront
+// request exchange, a rank's view clipped to the domain of the
+// aggregator it is sent to; inside a node, a rank's whole view.
+type segsVal struct {
 	segs datatype.List
 }
 
-// shufflePiece is one round's payload between a rank and an aggregator:
-// the clipped segments plus their packed bytes.
+// shufflePiece is one round's payload between a leader and an
+// aggregator (or, inside a node, a rank and its leader): the clipped
+// segments plus their packed bytes.
 type shufflePiece struct {
 	segs datatype.List
 	data buffer.Buf
@@ -35,65 +32,19 @@ func (s shufflePiece) wireBytes() int64 {
 
 // aggState is what an aggregator accumulates during one collective.
 type aggState struct {
-	domain    Domain
-	othersReq map[int]datatype.List // comm rank -> its segments in my domain
-	reqOrder  []reqEntry            // same entries, ascending src; per-round scans iterate this
-	coverage  datatype.List         // union of othersReq
+	domain Domain
+	// reqOrder holds each requesting rank's segments in my domain,
+	// grouped by the rank's leader and ascending by rank within a group
+	// (plain ascending rank when every rank leads itself).
+	reqOrder []reqEntry
+	coverage datatype.List // union of reqOrder
 }
 
 // reqEntry is one requesting rank's segments, in the compact form the
-// per-round hot loops scan (ranging the othersReq map every round cost
-// measurable iterator time at large communicator sizes).
+// per-round hot loops scan.
 type reqEntry struct {
 	src  int
 	segs datatype.List
-}
-
-// exchangeRequests performs the upfront metadata exchange and returns
-// this rank's aggregator state (nil if it owns no domain).
-func exchangeRequests(c *mpi.Comm, vi *iolib.ViewIndex, plan *Plan) *aggState {
-	p := c.Size()
-	var mine *aggState
-	for _, d := range plan.Domains {
-		if d.Agg == c.Rank() {
-			mine = &aggState{domain: d, othersReq: make(map[int]datatype.List)}
-		}
-	}
-	myExt := plan.Exts[c.Rank()]
-
-	vals := make([]any, p)
-	bytes := make([]int64, p)
-	present := make([]bool, p)
-	for _, d := range plan.Domains {
-		if !myExt.Empty() && myExt.Lo < d.Hi && myExt.Hi > d.Lo {
-			segs := vi.Clip(d.Lo, d.Hi)
-			vals[d.Agg] = reqList{segs: segs}
-			bytes[d.Agg] = int64(len(segs))*extBytes + 8
-		}
-	}
-	if mine != nil {
-		for src := 0; src < p; src++ {
-			e := plan.Exts[src]
-			present[src] = !e.Empty() && e.Lo < mine.domain.Hi && e.Hi > mine.domain.Lo
-		}
-	}
-	out := c.AlltoallSparse(vals, bytes, present)
-	if mine != nil {
-		var all datatype.List
-		for src, v := range out {
-			if v == nil {
-				continue
-			}
-			segs := v.(reqList).segs
-			if len(segs) > 0 {
-				mine.othersReq[src] = segs
-				mine.reqOrder = append(mine.reqOrder, reqEntry{src: src, segs: segs})
-				all = append(all, segs...)
-			}
-		}
-		mine.coverage = datatype.Normalize(all)
-	}
-	return mine
 }
 
 // sampleMem records the calling aggregator's node-ledger state (used,
@@ -109,24 +60,15 @@ func sampleMem(c *mpi.Comm, round int) {
 	rec.MemSample(node.ID, round, node.Used(), node.HighWater(), node.Capacity)
 }
 
-// chargeAssembly models the extra off-chip pass an aggregator pays to
-// scatter/gather between its collective buffer and the shuffle
-// payloads — the memory-bandwidth pressure the paper is about.
+// chargeAssembly models the extra off-chip pass a rank pays to
+// scatter/gather between a staging buffer and shuffle payloads — the
+// memory-bandwidth pressure the paper is about.
 func chargeAssembly(c *mpi.Comm, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
 	node := c.World().Machine().Node(c.NodeOf(c.Rank()))
 	node.MemBus.Transfer(c.Proc(), bytes)
-}
-
-// clearScratch zeroes the per-round exchange arrays.
-func clearScratch(vals []any, bytes []int64, present []bool) {
-	for i := range vals {
-		vals[i] = nil
-		bytes[i] = 0
-		present[i] = false
-	}
 }
 
 // localityOf splits a payload size into (intra, inter) node bytes for
@@ -143,39 +85,81 @@ func localityOf(c *mpi.Comm, a, b int, n int64) (int64, int64) {
 // all ranks. Aggregation buffers must already be charged to the memory
 // ledger by the strategy; the engine only reports them.
 func ExecuteWrite(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics) {
+	execute(f, c, vi, data, plan, m, "write")
+}
+
+// ExecuteRead runs the two-phase read rounds for plan: aggregators read
+// their window's covered extent and ship each node leader its members'
+// pieces; ranks unpack into dst.
+func ExecuteRead(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, dst buffer.Buf, plan *Plan, m *trace.Metrics) {
+	execute(f, c, vi, dst, plan, m, "read")
+}
+
+// collective is one rank's state for one collective call: its routing
+// (aggregator state and leader topology, rebuilt together when a
+// failover changes the plan) and the scratch its rounds reuse —
+// allocating per round dominated GC time at 1080 ranks. pieces backs
+// the boxed *shufflePiece payloads: boxing the struct by value
+// allocated on every send, a pointer into a reused array does not. The
+// arena recycles every per-round clipped list; it resets at the round
+// barrier, by which point the previous round's pieces (ours, our
+// mates' and our peers') are all consumed. See DESIGN.md §14 for the
+// ownership rules.
+type collective struct {
+	f     *iolib.File
+	c     *mpi.Comm
+	vi    *iolib.ViewIndex
+	data  buffer.Buf // source of a write, destination of a read
+	plan  *Plan
+	m     *trace.Metrics
+	em    engineMetrics
+	write bool
+
+	mine *aggState // nil unless this rank aggregates a domain
+	topo topology
+
+	ex      *mpi.SparseExchange
+	arena   datatype.Arena
+	pieces  []shufflePiece   // staged payloads: by domain (write), by destination rank (read)
+	bundles [][]shufflePiece // write leader: each mate's pieces this round
+	group   []shufflePiece   // write leader: one domain's pieces, to merge
+	offs    []int64
+	bufs    []buffer.Buf
+}
+
+// execute is the round driver, shared by both directions and every
+// leader topology. A round is: barrier, fault checks, then the sending
+// side (write: pack, funnel to the node leader, leaders stage one
+// merged piece per domain; read: aggregators read their window and
+// stage one piece per node leader), the sparse exchange between
+// leaders and aggregators, and the receiving side (write: aggregators
+// assemble and write; read: leaders carve and fan out, ranks unpack).
+// When every rank leads only itself the funnel and fan-out stages have
+// nothing to do and the round is the classic flat two-phase exchange.
+func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) {
 	if err := plan.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	if plan.NodeCombine {
-		executeWriteCombined(f, c, vi, data, plan, m)
-		return
+	write := op == "write"
+	x := &collective{
+		f: f, c: c, vi: vi, data: data, plan: plan, m: m, write: write,
+		em: newEngineMetrics(c, op),
+		ex: c.SparseScratch(),
 	}
-	p := c.Size()
+	if write {
+		x.pieces = make([]shufflePiece, len(plan.Domains))
+	}
 	t := c.Tracer()
-	em := newEngineMetrics(c, "write")
 	sched := c.Faults()
-	loc := traceLoc(c, plan)
+	// The rank's track identity for engine spans; per-round spans
+	// override Round.
+	loc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: plan.Group, Round: -1}
 	sp := t.Begin(obs.PhaseReqExchange, loc)
-	mine := exchangeRequests(c, vi, plan)
+	x.route()
 	sp.End()
-	if mine != nil {
-		m.AddAggregator(mine.domain.BufBytes)
+	if x.mine != nil {
+		m.AddAggregator(x.mine.domain.BufBytes)
 	}
-	phantom := data.Phantom()
-
-	// Per-collective scratch, reused across rounds (allocating per
-	// round dominated GC time at 1080 ranks). pieces backs the boxed
-	// *shufflePiece payloads — boxing the struct by value allocated on
-	// every send; a pointer into a reused array does not. The arena
-	// recycles every per-round clipped list; it resets at the round
-	// barrier, by which point the previous round's pieces (ours and our
-	// peers') are all consumed. See DESIGN.md §14 for the ownership
-	// rules.
-	ex := c.SparseScratch()
-	pieces := make([]shufflePiece, p)
-	var arena datatype.Arena
-	var offs []int64
-	var bufs []buffer.Buf
 
 	for r := 0; r < plan.Rounds; r++ {
 		rloc := loc
@@ -190,233 +174,337 @@ func ExecuteWrite(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.B
 		sp = t.Begin(obs.PhaseBarrier, rloc)
 		c.Barrier()
 		sp.End()
-		if mine != nil {
+		if x.mine != nil {
 			sampleMem(c, r)
 		}
 		if sched != nil && injectRoundFaults(c, sched, plan, r, m, rloc) {
-			// Failover changed the plan: redo the request exchange so
-			// coverage and routing reflect the remerged domains, then
-			// resume this round. Collective — every rank takes this
-			// branch for the same rounds (the decision is pure).
-			mine = exchangeRequests(c, vi, plan)
+			// A remerge or leadership handoff changed routing: redo the
+			// request exchange and the topology, then resume this round.
+			// Collective — every rank takes this branch for the same
+			// rounds (the decision is pure).
+			x.route()
 		}
-		ex.Reset()
-		arena.Reset()
+		x.ex.Reset()
+		x.arena.Reset()
 
-		// Sender side: pack my pieces for every domain active this round.
-		var sentIntra, sentInter int64
-		sp = t.Begin(obs.PhasePack, rloc)
-		for di := range plan.Domains {
-			d := &plan.Domains[di]
-			if r >= len(d.Windows) {
-				continue
-			}
-			w := d.Windows[r]
-			segs, packed := vi.PackArena(&arena, data, w.Off, w.End())
-			if len(segs) == 0 {
-				continue
-			}
-			pieces[d.Agg] = shufflePiece{segs: segs, data: packed}
-			ex.Stage(d.Agg, &pieces[d.Agg], pieces[d.Agg].wireBytes())
-			i, x := localityOf(c, c.Rank(), d.Agg, packed.Len())
-			sentIntra += i
-			sentInter += x
-		}
-		sp.EndBytes(sentIntra+sentInter, 0)
-		// Receiver side: I expect from every rank whose requests
-		// intersect my current window.
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			for _, en := range mine.reqOrder {
-				if en.segs.Intersects(w.Off, w.End()) {
-					ex.Expect(en.src)
-				}
-			}
+		var intra, inter int64
+		if write {
+			intra, inter = x.sendToAggregators(r, rloc)
+			x.expectLeaders(r)
+		} else {
+			intra, inter = x.readWindow(r, rloc)
+			x.expectAggregators(r)
 		}
 
 		tExch := c.Now()
 		sp = t.Begin(obs.PhaseExchange, rloc)
-		ex.Exchange()
-		sp.EndBytes(sentIntra+sentInter, 0)
-		m.AddExchange(sentIntra, sentInter, c.Now()-tExch)
-		em.shuffle(sentIntra, sentInter)
-		em.exchangeSeconds.Add(c.Now() - tExch)
+		x.ex.Exchange()
+		sp.EndBytes(intra+inter, 0)
+		m.AddExchange(intra, inter, c.Now()-tExch)
+		x.em.shuffle(intra, inter)
+		x.em.exchangeSeconds.Add(c.Now() - tExch)
 		if sched != nil {
 			dropPenalty(c, sched, plan, r, rloc)
 		}
 
-		// Aggregator: assemble and write this window.
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			cov := arena.Clip(mine.coverage, w.Off, w.End())
-			if len(cov) > 0 {
-				covLo, covHi := cov.Extent()
-				region := buffer.New(covHi-covLo, phantom)
-				var reqs, ioBytes int64
-				tIO := c.Now()
-				if !plan.ExactWrite && len(cov.Holes()) > 0 {
-					// Read-modify-write: fetch the extent so the bytes
-					// between requests survive. Safe only for a single
-					// global collective (see Plan.ExactWrite).
-					sp = t.Begin(obs.PhaseRMW, rloc)
-					f.ReadAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
-					sp.EndBytes(covHi-covLo, 1)
-					reqs++
-					ioBytes += covHi - covLo
-				}
-				tAsm := c.Now()
-				sp = t.Begin(obs.PhaseAssembly, rloc)
-				ex.Received(func(_ int, v any) {
-					piece := v.(*shufflePiece)
-					iolib.ScatterIntoRegion(region, covLo, piece.segs, piece.data)
-				})
-				chargeAssembly(c, cov.TotalBytes())
-				sp.EndBytes(cov.TotalBytes(), 0)
-				m.AddExchange(0, 0, c.Now()-tAsm)
-				sp = t.Begin(obs.PhaseIO, rloc)
-				if plan.ExactWrite {
-					// One request per covered run, issued as a pipelined
-					// batch: never touches bytes between requests, so
-					// concurrent groups interleave safely.
-					offs, bufs = offs[:0], bufs[:0]
-					for _, run := range cov {
-						offs = append(offs, run.Off)
-						bufs = append(bufs, region.Slice(run.Off-covLo, run.Len))
-						reqs++
-						ioBytes += run.Len
-					}
-					f.WriteVec(c.Proc(), c.WorldRank(c.Rank()), offs, bufs)
-				} else {
-					f.WriteAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
-					reqs++
-					ioBytes += covHi - covLo
-				}
-				sp.EndBytes(ioBytes, reqs)
-				m.AddIO(ioBytes, reqs, c.Now()-tIO)
-				em.aggRound(ioBytes, c.Now()-tIO)
-			}
-			m.AddRound(r + 1)
+		if write {
+			x.writeWindow(r, rloc)
+		} else {
+			x.deliver(r, rloc)
 		}
 	}
 }
 
-// ExecuteRead runs the two-phase read rounds for plan: aggregators read
-// their window's covered extent and ship each rank its pieces; ranks
-// unpack into dst.
-func ExecuteRead(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, dst buffer.Buf, plan *Plan, m *trace.Metrics) {
-	if err := plan.Validate(c.Size()); err != nil {
-		panic(err)
+// route performs the upfront metadata exchange under the plan's current
+// domains and leader map: this rank's topology, its aggregator state
+// (nil if it owns no domain) and, for reads, the mate views a leader
+// fans out by.
+func (x *collective) route() {
+	c, plan := x.c, x.plan
+	x.topo = newTopology(c.Rank(), plan.LeaderOf)
+	x.mine = nil
+	if d := myDomain(c, plan); d != nil {
+		x.mine = &aggState{domain: *d}
 	}
-	if plan.NodeCombine {
-		executeReadCombined(f, c, vi, dst, plan, m)
+	mine := x.mine
+	myExt := plan.Exts[c.Rank()]
+
+	x.ex.Reset()
+	for _, d := range plan.Domains {
+		if !myExt.Empty() && myExt.Lo < d.Hi && myExt.Hi > d.Lo {
+			segs := x.vi.Clip(d.Lo, d.Hi)
+			x.ex.Stage(d.Agg, segsVal{segs}, int64(len(segs))*extBytes+8)
+		}
+	}
+	if mine != nil {
+		for src, e := range plan.Exts {
+			if !e.Empty() && e.Lo < mine.domain.Hi && e.Hi > mine.domain.Lo {
+				x.ex.Expect(src)
+			}
+		}
+	}
+	x.ex.Exchange()
+	if mine != nil {
+		var all datatype.List
+		x.ex.Received(func(src int, v any) {
+			if segs := v.(segsVal).segs; len(segs) > 0 {
+				mine.reqOrder = append(mine.reqOrder, reqEntry{src: src, segs: segs})
+				all = append(all, segs...)
+			}
+		})
+		mine.coverage = datatype.Normalize(all)
+		if x.topo.leaderOf != nil {
+			sort.SliceStable(mine.reqOrder, func(i, j int) bool {
+				return x.topo.of(mine.reqOrder[i].src) < x.topo.of(mine.reqOrder[j].src)
+			})
+		}
+	}
+	if !x.write {
+		x.topo.gatherViews(c, x.vi, plan)
+	}
+}
+
+// sendToAggregators is the write round's sending side: pack my piece
+// for every domain active this round, funnel the pieces to my leader,
+// and — as a leader — stage one merged piece per domain. It returns
+// the staged payload split by locality.
+func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64) {
+	c, plan, tp := x.c, x.plan, &x.topo
+	t := c.Tracer()
+	var packed int64
+	sp := t.Begin(obs.PhasePack, rloc)
+	for di := range plan.Domains {
+		d := &plan.Domains[di]
+		if r >= len(d.Windows) {
+			continue
+		}
+		w := d.Windows[r]
+		segs, data := x.vi.PackArena(&x.arena, x.data, w.Off, w.End())
+		x.pieces[di] = shufflePiece{segs: segs, data: data}
+		packed += data.Len()
+	}
+	sp.EndBytes(packed, 0)
+
+	if !tp.solo() {
+		sp = t.Begin(obs.PhaseIntra, rloc)
+		x.funnel(r, packed)
+		sp.EndBytes(packed, 0)
+	}
+	if !tp.leads() {
+		return 0, 0
+	}
+	// Leaders ship one piece per domain: the node's segments merged into
+	// file order (adjacent runs from different mates coalesce), paying
+	// the reorder pass on the node's memory bus when there was anything
+	// to merge.
+	phantom := x.data.Phantom()
+	for di := range plan.Domains {
+		d := &plan.Domains[di]
+		if r >= len(d.Windows) {
+			continue
+		}
+		x.group = x.group[:0]
+		if own := x.pieces[di]; len(own.segs) > 0 {
+			x.group = append(x.group, own)
+		}
+		for _, b := range x.bundles {
+			if p := b[di]; len(p.segs) > 0 {
+				x.group = append(x.group, p)
+			}
+		}
+		if len(x.group) == 0 {
+			continue
+		}
+		merged := mergePieces(x.group, phantom)
+		if len(x.group) > 1 {
+			chargeAssembly(c, merged.data.Len())
+		}
+		x.pieces[di] = merged
+		x.ex.Stage(d.Agg, &x.pieces[di], merged.wireBytes())
+		i, e := localityOf(c, c.Rank(), d.Agg, merged.data.Len())
+		intra += i
+		inter += e
+	}
+	return intra, inter
+}
+
+// expectLeaders declares the write round's receives: the leader of
+// every rank whose requests intersect my current window.
+func (x *collective) expectLeaders(r int) {
+	mine := x.mine
+	if mine == nil || r >= len(mine.domain.Windows) {
 		return
 	}
-	p := c.Size()
-	t := c.Tracer()
-	em := newEngineMetrics(c, "read")
-	sched := c.Faults()
-	loc := traceLoc(c, plan)
-	sp := t.Begin(obs.PhaseReqExchange, loc)
-	mine := exchangeRequests(c, vi, plan)
-	sp.End()
-	if mine != nil {
-		m.AddAggregator(mine.domain.BufBytes)
+	w := mine.domain.Windows[r]
+	for _, en := range mine.reqOrder {
+		if en.segs.Intersects(w.Off, w.End()) {
+			x.ex.Expect(x.topo.of(en.src))
+		}
 	}
-	phantom := dst.Phantom()
+}
 
-	// Per-collective scratch, reused across rounds; see ExecuteWrite
-	// for the pieces/arena ownership rules.
-	ex := c.SparseScratch()
-	pieces := make([]shufflePiece, p)
-	var arena datatype.Arena
-	var offs []int64
-	var bufs []buffer.Buf
-
-	for r := 0; r < plan.Rounds; r++ {
-		rloc := loc
-		rloc.Round = r
-		// Same lock-step as the write path; see ExecuteWrite.
-		sp = t.Begin(obs.PhaseBarrier, rloc)
-		c.Barrier()
-		sp.End()
-		if mine != nil {
-			sampleMem(c, r)
+// writeWindow is the write round's receiving side: the aggregator
+// assembles the received pieces and writes this window.
+func (x *collective) writeWindow(r int, rloc obs.Loc) {
+	mine := x.mine
+	if mine == nil || r >= len(mine.domain.Windows) {
+		return
+	}
+	c, f, m, plan := x.c, x.f, x.m, x.plan
+	t := c.Tracer()
+	w := mine.domain.Windows[r]
+	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
+	if len(cov) > 0 {
+		covLo, covHi := cov.Extent()
+		region := buffer.New(covHi-covLo, x.data.Phantom())
+		var reqs, ioBytes int64
+		tIO := c.Now()
+		if !plan.ExactWrite && len(cov.Holes()) > 0 {
+			// Read-modify-write: fetch the extent so the bytes
+			// between requests survive. Safe only for a single
+			// global collective (see Plan.ExactWrite).
+			sp := t.Begin(obs.PhaseRMW, rloc)
+			f.ReadAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
+			sp.EndBytes(covHi-covLo, 1)
+			reqs++
+			ioBytes += covHi - covLo
 		}
-		if sched != nil && injectRoundFaults(c, sched, plan, r, m, rloc) {
-			// See ExecuteWrite: redo the request exchange post-failover.
-			mine = exchangeRequests(c, vi, plan)
-		}
-		ex.Reset()
-		arena.Reset()
-
-		// Aggregator: read my window's coverage and carve per-rank pieces.
-		var sentIntra, sentInter int64
-		if mine != nil && r < len(mine.domain.Windows) {
-			w := mine.domain.Windows[r]
-			cov := arena.Clip(mine.coverage, w.Off, w.End())
-			if len(cov) > 0 {
-				covLo, covHi := cov.Extent()
-				region := buffer.New(covHi-covLo, phantom)
-				tIO := c.Now()
-				// Read exactly the covered runs as one pipelined batch —
-				// a sparse window (grouped strategies) would otherwise
-				// fetch more hole bytes than data.
-				offs, bufs = offs[:0], bufs[:0]
-				for _, run := range cov {
-					offs = append(offs, run.Off)
-					bufs = append(bufs, region.Slice(run.Off-covLo, run.Len))
-				}
-				sp = t.Begin(obs.PhaseIO, rloc)
-				f.ReadVec(c.Proc(), c.WorldRank(c.Rank()), offs, bufs)
-				sp.EndBytes(cov.TotalBytes(), int64(len(cov)))
-				m.AddIO(cov.TotalBytes(), int64(len(cov)), c.Now()-tIO)
-				em.aggRound(cov.TotalBytes(), c.Now()-tIO)
-				sp = t.Begin(obs.PhaseAssembly, rloc)
-				chargeAssembly(c, cov.TotalBytes())
-				for _, en := range mine.reqOrder {
-					clip := arena.Clip(en.segs, w.Off, w.End())
-					if len(clip) == 0 {
-						continue
-					}
-					pieces[en.src] = shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, covLo, clip)}
-					ex.Stage(en.src, &pieces[en.src], pieces[en.src].wireBytes())
-					i, x := localityOf(c, c.Rank(), en.src, pieces[en.src].data.Len())
-					sentIntra += i
-					sentInter += x
-				}
-				sp.EndBytes(cov.TotalBytes(), 0)
+		tAsm := c.Now()
+		sp := t.Begin(obs.PhaseAssembly, rloc)
+		x.ex.Received(func(_ int, v any) {
+			piece := v.(*shufflePiece)
+			iolib.ScatterIntoRegion(region, covLo, piece.segs, piece.data)
+		})
+		chargeAssembly(c, cov.TotalBytes())
+		sp.EndBytes(cov.TotalBytes(), 0)
+		m.AddExchange(0, 0, c.Now()-tAsm)
+		sp = t.Begin(obs.PhaseIO, rloc)
+		if plan.ExactWrite {
+			// One request per covered run, issued as a pipelined
+			// batch: never touches bytes between requests, so
+			// concurrent groups interleave safely.
+			x.offs, x.bufs = x.offs[:0], x.bufs[:0]
+			for _, run := range cov {
+				x.offs = append(x.offs, run.Off)
+				x.bufs = append(x.bufs, region.Slice(run.Off-covLo, run.Len))
+				reqs++
+				ioBytes += run.Len
 			}
-			m.AddRound(r + 1)
+			f.WriteVec(c.Proc(), c.WorldRank(c.Rank()), x.offs, x.bufs)
+		} else {
+			f.WriteAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
+			reqs++
+			ioBytes += covHi - covLo
 		}
-		// Rank side: I expect a piece from every domain whose window
-		// intersects my view this round.
-		for di := range plan.Domains {
-			d := &plan.Domains[di]
-			if r >= len(d.Windows) {
+		sp.EndBytes(ioBytes, reqs)
+		m.AddIO(ioBytes, reqs, c.Now()-tIO)
+		x.em.aggRound(ioBytes, c.Now()-tIO)
+	}
+	m.AddRound(r + 1)
+}
+
+// readWindow is the read round's sending side: the aggregator reads its
+// window's coverage and stages one piece per node leader — the union of
+// the clips of the ranks it leads, so file ranges a node's mates share
+// (halo reads, replicated blocks) cross the fabric once. It returns the
+// staged payload split by locality.
+func (x *collective) readWindow(r int, rloc obs.Loc) (intra, inter int64) {
+	mine := x.mine
+	if mine == nil || r >= len(mine.domain.Windows) {
+		return 0, 0
+	}
+	c, m, tp := x.c, x.m, &x.topo
+	t := c.Tracer()
+	w := mine.domain.Windows[r]
+	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
+	if len(cov) > 0 {
+		covLo, covHi := cov.Extent()
+		region := buffer.New(covHi-covLo, x.data.Phantom())
+		tIO := c.Now()
+		// Read exactly the covered runs as one pipelined batch —
+		// a sparse window (grouped strategies) would otherwise
+		// fetch more hole bytes than data.
+		x.offs, x.bufs = x.offs[:0], x.bufs[:0]
+		for _, run := range cov {
+			x.offs = append(x.offs, run.Off)
+			x.bufs = append(x.bufs, region.Slice(run.Off-covLo, run.Len))
+		}
+		sp := t.Begin(obs.PhaseIO, rloc)
+		x.f.ReadVec(c.Proc(), c.WorldRank(c.Rank()), x.offs, x.bufs)
+		sp.EndBytes(cov.TotalBytes(), int64(len(cov)))
+		m.AddIO(cov.TotalBytes(), int64(len(cov)), c.Now()-tIO)
+		x.em.aggRound(cov.TotalBytes(), c.Now()-tIO)
+		sp = t.Begin(obs.PhaseAssembly, rloc)
+		chargeAssembly(c, cov.TotalBytes())
+		if x.pieces == nil { // only aggregators stage read pieces
+			x.pieces = make([]shufflePiece, c.Size())
+		}
+		for i := 0; i < len(mine.reqOrder); {
+			leader := tp.of(mine.reqOrder[i].src)
+			var segs datatype.List
+			members := 0
+			for ; i < len(mine.reqOrder) && tp.of(mine.reqOrder[i].src) == leader; i++ {
+				clip := x.arena.Clip(mine.reqOrder[i].segs, w.Off, w.End())
+				if len(clip) == 0 {
+					continue
+				}
+				if members == 0 {
+					segs = clip
+				} else {
+					segs = append(segs, clip...) // arena lists are capped: this copies
+				}
+				members++
+			}
+			if members == 0 {
 				continue
 			}
-			w := d.Windows[r]
-			if vi.Intersects(w.Off, w.End()) {
-				ex.Expect(d.Agg)
+			if members > 1 {
+				segs = datatype.Normalize(segs)
 			}
+			x.pieces[leader] = shufflePiece{segs: segs, data: iolib.GatherFromRegion(region, covLo, segs)}
+			x.ex.Stage(leader, &x.pieces[leader], x.pieces[leader].wireBytes())
+			i, e := localityOf(c, c.Rank(), leader, x.pieces[leader].data.Len())
+			intra += i
+			inter += e
 		}
+		sp.EndBytes(cov.TotalBytes(), 0)
+	}
+	m.AddRound(r + 1)
+	return intra, inter
+}
 
-		tExch := c.Now()
-		sp = t.Begin(obs.PhaseExchange, rloc)
-		ex.Exchange()
-		sp.EndBytes(sentIntra+sentInter, 0)
-		m.AddExchange(sentIntra, sentInter, c.Now()-tExch)
-		em.shuffle(sentIntra, sentInter)
-		em.exchangeSeconds.Add(c.Now() - tExch)
-		if sched != nil {
-			dropPenalty(c, sched, plan, r, rloc)
+// expectAggregators declares the read round's receives: as a leader, a
+// piece from every domain whose window intersects my view or a mate's.
+func (x *collective) expectAggregators(r int) {
+	if !x.topo.leads() {
+		return
+	}
+	for di := range x.plan.Domains {
+		d := &x.plan.Domains[di]
+		if r >= len(d.Windows) {
+			continue
 		}
+		w := d.Windows[r]
+		if x.vi.Intersects(w.Off, w.End()) || x.topo.mateIntersects(w.Off, w.End()) {
+			x.ex.Expect(d.Agg)
+		}
+	}
+}
 
-		sp = t.Begin(obs.PhasePack, rloc)
-		ex.Received(func(_ int, v any) {
+// deliver is the read round's receiving side. A rank that leads only
+// itself unpacks what the aggregators sent it; otherwise the pieces are
+// node unions and travel the intra-node layer (see fanOut).
+func (x *collective) deliver(r int, rloc obs.Loc) {
+	if x.topo.solo() {
+		sp := x.c.Tracer().Begin(obs.PhasePack, rloc)
+		x.ex.Received(func(_ int, v any) {
 			piece := v.(*shufflePiece)
-			vi.Unpack(dst, piece.segs, piece.data)
+			x.vi.Unpack(x.data, piece.segs, piece.data)
 		})
 		sp.End()
+		return
 	}
+	sp := x.c.Tracer().Begin(obs.PhaseIntra, rloc)
+	x.fanOut(r)
+	sp.End()
 }

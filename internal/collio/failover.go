@@ -162,24 +162,24 @@ func recordFailovers(c *mpi.Comm, sched *faults.Schedule, plan *Plan, evs []FoEv
 }
 
 // injectRoundFaults runs the per-round fault hooks after the entry
-// barrier: ledger pressure application and the failover check. It
-// returns true when the plan changed and the caller must redo the
-// request exchange. Callers guard with sched != nil so the fault-free
-// path stays allocation-free.
+// barrier: ledger pressure application, the aggregator failover check
+// and the leader failover check. It returns true when the plan changed
+// and the caller must redo its routing (request exchange and leader
+// topology). Callers guard with sched != nil so the fault-free path
+// stays allocation-free.
 func injectRoundFaults(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int, m *trace.Metrics, loc obs.Loc) bool {
 	sched.ApplyPressure(r, func(node int, bytes int64) {
 		c.World().Machine().Node(node).InjectPressure(bytes)
 	})
 	evs := maybeFailover(c, sched, plan, r)
-	if len(evs) == 0 {
-		return false
-	}
 	recordFailovers(c, sched, plan, evs, m, loc)
-	return true
+	lf := maybeLeaderFailover(c, sched, plan, r)
+	recordLeaderFailovers(c, sched, lf, loc)
+	return len(evs) > 0 || len(lf) > 0
 }
 
 // LeaderFoEvent records one leadership-handoff decision of a round's
-// leader check (two-layer plans only).
+// leader check (plans with a leader map only).
 type LeaderFoEvent struct {
 	Round  int
 	Node   int // comm node of the failed leader
@@ -194,7 +194,7 @@ type LeaderFoEvent struct {
 // order. Like maybeFailover the decision is a pure function of
 // (schedule, plan, round), guarded by Plan.lfRound so shared plans
 // mutate once; non-empty events mean the caller must redo the request
-// exchange and rebuild its combine state.
+// exchange and rebuild its topology.
 func maybeLeaderFailover(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int) []LeaderFoEvent {
 	if sched == nil || plan.LeaderOf == nil {
 		return nil

@@ -4,9 +4,12 @@
 //
 //   - The round engine (ExecuteWrite / ExecuteRead): given a Plan — a
 //     set of file domains, each owned by one aggregator with a window
-//     schedule — it performs the upfront request exchange, then the
-//     lock-step rounds of shuffle + file I/O that define two-phase
-//     collective I/O.
+//     schedule, and optionally a leader map — it performs the upfront
+//     request exchange, then the lock-step rounds of shuffle + file I/O
+//     that define two-phase collective I/O. Both entry points run one
+//     round driver (engine.go); the leader map adds an intra-node
+//     funnel / fan-out stage around the exchange (combine.go), and
+//     without one every rank leads itself and the stage is idle.
 //   - The TwoPhase strategy: ROMIO's classic plan — one aggregator per
 //     node, the aggregate file extent split evenly by offset, a fixed
 //     collective buffer.
@@ -72,20 +75,15 @@ type Plan struct {
 	// group's plan with its color.
 	Group int
 
-	// NodeCombine enables the two-layer (intra-node, inter-node)
-	// exchange: ranks funnel their round pieces to a per-node leader
-	// over the memory bus and only leaders cross the fabric. See
-	// combine.go.
-	NodeCombine bool
-
-	// LeaderOf, when non-nil, overrides the combine layer's default
-	// lowest-rank-per-node leader choice: LeaderOf[r] is the comm rank
-	// leading r's node. The two-layer strategy sets it from its
-	// memory-aware election; it also switches the combine layer into
-	// merged-piece mode (leaders coalesce adjacent segments, read
-	// aggregators deduplicate node-shared data). Length must equal the
-	// comm size when set, and every rank of a node must map to the
-	// same leader. nil keeps the legacy lowest-rank behaviour.
+	// LeaderOf, when non-nil, splits the exchange into an intra-node and
+	// an inter-node layer (see combine.go): LeaderOf[r] is the comm rank
+	// leading r. Ranks funnel their round pieces to their leader over the
+	// memory bus and only leaders cross the fabric, with the node's
+	// segments merged into file order (writes) and node-shared ranges
+	// shipped once (reads). Any election fills it — LowestRankLeaders,
+	// the two-layer strategy's memory score. Length must equal the comm
+	// size and every leader must lead itself. nil means every rank leads
+	// only itself: the flat exchange.
 	LeaderOf []int
 
 	// LeaderSucc, when non-nil alongside LeaderOf, is each rank's
@@ -125,7 +123,8 @@ type Plan struct {
 }
 
 // Validate checks the invariants the engine relies on: one domain per
-// aggregator, windows inside the domain and strictly ordered.
+// aggregator, windows inside the domain and strictly ordered, a leader
+// map whose leaders lead themselves, in-range succession lines.
 func (p *Plan) Validate(commSize int) error {
 	seen := make(map[int]bool, len(p.Domains))
 	for i, d := range p.Domains {
@@ -160,6 +159,21 @@ func (p *Plan) Validate(commSize int) error {
 		for r, l := range p.LeaderOf {
 			if l < 0 || l >= commSize {
 				return fmt.Errorf("collio: rank %d leader %d out of comm size %d", r, l, commSize)
+			}
+			if p.LeaderOf[l] != l {
+				return fmt.Errorf("collio: rank %d follows %d, which follows %d instead of leading", r, l, p.LeaderOf[l])
+			}
+		}
+	}
+	if p.LeaderSucc != nil {
+		if len(p.LeaderSucc) != commSize {
+			return fmt.Errorf("collio: plan has %d succession lines for comm of %d", len(p.LeaderSucc), commSize)
+		}
+		for r, line := range p.LeaderSucc {
+			for _, s := range line {
+				if s < 0 || s >= commSize {
+					return fmt.Errorf("collio: rank %d successor %d out of comm size %d", r, s, commSize)
+				}
 			}
 		}
 	}

@@ -26,8 +26,9 @@ type TwoPhase struct {
 	// available memory (a buffer cannot exceed the RAM that exists) and
 	// floored at BufFloor.
 	CBBuffer int64
-	// NodeCombine enables the two-layer intra/inter-node exchange for
-	// the baseline too, so the mechanism can be studied in isolation.
+	// NodeCombine enables the intra/inter-node exchange for the
+	// baseline too (lowest-rank leaders), so the mechanism can be
+	// studied in isolation.
 	NodeCombine bool
 	// AlignStripe, when positive, rounds file-domain boundaries down to
 	// a multiple of this size — ROMIO's Lustre-aware domain alignment,
@@ -51,7 +52,7 @@ func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
 		empty = empty && exts[i].Empty()
 	}
 	if empty { // nobody has data; skip the availability gather
-		return &Plan{Exts: exts, NodeCombine: tp.NodeCombine}
+		return &Plan{Exts: exts}
 	}
 
 	// Physically available memory per rank's node, so every rank can
@@ -86,9 +87,12 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 		}
 		first = false
 	}
-	plan := &Plan{Exts: exts, NodeCombine: tp.NodeCombine}
+	plan := &Plan{Exts: exts}
 	if first { // nobody has data
 		return plan
+	}
+	if tp.NodeCombine {
+		plan.LeaderOf = LowestRankLeaders(nodeOf)
 	}
 
 	// One aggregator per node: lowest comm rank on each node.
@@ -167,33 +171,27 @@ func chargeBuffer(c *mpi.Comm, d *Domain) func() {
 
 // WriteAll implements iolib.Collective.
 func (tp TwoPhase) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
-	plan := tp.BuildPlan(c, view)
-	sp.End()
-	m.SetGroups(1)
-	vi := iolib.NewViewIndex(view)
-	var release func()
-	if d := myDomain(c, plan); d != nil {
-		release = chargeBuffer(c, d)
-	}
-	ExecuteWrite(f, c, vi, data, plan, m)
-	if release != nil {
-		release()
-	}
+	tp.run(ExecuteWrite, f, c, view, data, m)
 }
 
 // ReadAll implements iolib.Collective.
 func (tp TwoPhase) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
+	tp.run(ExecuteRead, f, c, view, dst, m)
+}
+
+// run plans, charges the caller's collective buffer if it aggregates,
+// and runs the rounds in the direction execute names.
+func (tp TwoPhase) run(execute func(*iolib.File, *mpi.Comm, *iolib.ViewIndex, buffer.Buf, *Plan, *trace.Metrics),
+	f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
 	plan := tp.BuildPlan(c, view)
 	sp.End()
 	m.SetGroups(1)
-	vi := iolib.NewViewIndex(view)
 	var release func()
 	if d := myDomain(c, plan); d != nil {
 		release = chargeBuffer(c, d)
 	}
-	ExecuteRead(f, c, vi, dst, plan, m)
+	execute(f, c, iolib.NewViewIndex(view), data, plan, m)
 	if release != nil {
 		release()
 	}

@@ -116,15 +116,16 @@ func TestNodeCombineWithTwoPhasePlan(t *testing.T) {
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
 		data := fillViewBuffer(view, uint64(c.Rank()))
-		tp := collio.TwoPhase{CBBuffer: 64 << 10}
+		tp := collio.TwoPhase{CBBuffer: 64 << 10, NodeCombine: true}
 		plan := tp.BuildPlan(c, view)
-		plan.NodeCombine = true
+		if plan.LeaderOf == nil {
+			t.Error("NodeCombine plan on a 3-rank-per-node machine carries no leader map")
+		}
 		vi := iolib.NewViewIndex(view)
 		var mtr trace.Metrics
 		collio.ExecuteWrite(f, c, vi, data, plan, &mtr)
 		c.Barrier()
 		plan2 := tp.BuildPlan(c, view)
-		plan2.NodeCombine = true
 		dst := fillViewBuffer(view, 999)
 		collio.ExecuteRead(f, c, vi, dst, plan2, &mtr)
 		var pos int64

@@ -40,7 +40,7 @@ type Options struct {
 	// ranks funnel shuffle pieces to a node leader over the memory bus
 	// and only leaders cross the fabric — the intra-node/inter-node
 	// coordination the paper's abstract describes. Leaders are the
-	// lowest rank per node.
+	// lowest rank per node, with no succession line.
 	NodeCombine bool
 
 	// TwoLayer runs the full two-layer aggregation (Kang et al.,
@@ -237,7 +237,10 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 		// Exact writes: groups aggregate disjoint data that interleaves
 		// in the file, so an extent RMW in one group could overwrite
 		// another group's concurrent writes with stale bytes.
-		plan = &collio.Plan{Exts: make([]collio.Ext, sub.Size()), ExactWrite: true, NodeCombine: mc.Opts.NodeCombine, MemMin: mc.Opts.Memmin}
+		plan = &collio.Plan{Exts: make([]collio.Ext, sub.Size()), ExactWrite: true, MemMin: mc.Opts.Memmin}
+		if mc.Opts.NodeCombine {
+			plan.LeaderOf = collio.LowestRankLeaders(nodeOfRank)
+		}
 		for i, segs := range memberSegs {
 			l, h := segs.Extent()
 			plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
@@ -311,7 +314,6 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 					availOf[r] = nodeAvail[nodeOfRank[r]]
 				}
 				if el := twolayer.Elect(nodeOfRank, availOf, spanOf); el.MultiRank {
-					plan.NodeCombine = true
 					plan.LeaderOf = el.LeaderOf
 					plan.LeaderSucc = el.Succ
 					twolayer.Audit(sub, op, colors[c.Rank()], el)

@@ -11,11 +11,11 @@
 // file ranges across the fabric once instead of once per requesting
 // rank.
 //
-// The strategy reuses the collio round engine (the plan carries
-// NodeCombine + the elected LeaderOf/LeaderSucc maps) and mirrors the
-// two-phase planner comm-for-comm: on a machine with one rank per node
-// the election is trivial, the combine layer stays off, and the
-// trajectory is byte-identical to TwoPhase. The memory-conscious
+// The strategy reuses the collio round engine (the plan carries the
+// elected LeaderOf/LeaderSucc maps) and mirrors the two-phase planner
+// comm-for-comm: on a machine with one rank per node the election is
+// trivial, the plan carries no leader map, and the trajectory is
+// byte-identical to TwoPhase. The memory-conscious
 // strategy composes with it per aggregation group via
 // core.Options.TwoLayer.
 package twolayer
@@ -156,10 +156,10 @@ func (tl Strategy) PlanFromMeta(exts []collio.Ext, nodeOf []int, avail []int64) 
 		plan.Domains[i].Sibling = s
 	}
 	// The two-layer exchange only pays off when nodes host several
-	// ranks; with one rank per node the combine layer stays off and the
-	// engine runs the flat path — the two-phase trajectory exactly.
+	// ranks; with one rank per node the plan carries no leader map and
+	// the engine runs the flat exchange — the two-phase trajectory
+	// exactly.
 	if el.MultiRank {
-		plan.NodeCombine = true
 		plan.LeaderOf = el.LeaderOf
 		plan.LeaderSucc = el.Succ
 	}
