@@ -20,7 +20,6 @@ import (
 	"repro/internal/adio"
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/collio"
 	"repro/internal/core"
 	"repro/internal/explain"
 	"repro/internal/faults"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/strategy"
 	"repro/internal/trace"
-	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
@@ -274,9 +272,9 @@ func buildStrategy(hints, name string, calibrate, combine, twoLayer bool, msgind
 		fmt.Fprintf(os.Stderr, "mccio-sim: unknown strategy %q (want %s)\n", name, strategy.List())
 		os.Exit(2)
 	}
-	switch name {
-	case strategy.MCCIO:
-		opts := core.DefaultOptions(mcfg, fcfg)
+	var opts core.Options
+	if name == strategy.MCCIO {
+		opts = core.DefaultOptions(mcfg, fcfg)
 		if calibrate {
 			rep, err := core.Calibrate(mcfg, fcfg)
 			if err != nil {
@@ -301,14 +299,12 @@ func buildStrategy(hints, name string, calibrate, combine, twoLayer bool, msgind
 		}
 		fmt.Fprintf(os.Stderr, "mccio options: Msgind=%d Msggroup=%d Nah=%d Memmin=%d\n",
 			opts.Msgind, opts.Msggroup, opts.Nah, opts.Memmin)
-		return core.MCCIO{Opts: opts}
-	case strategy.TwoPhase:
-		return collio.TwoPhase{CBBuffer: mem}
-	case strategy.TwoLayer:
-		return twolayer.Strategy{CBBuffer: mem}
-	default: // strategy.Independent
-		return iolib.Naive{Opts: iolib.DefaultSieve()}
 	}
+	s, err := adio.New(name, opts, mem)
+	if err != nil {
+		fatal(err)
+	}
+	return s
 }
 
 // report prints the run summary.

@@ -13,16 +13,14 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/adio"
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/collio"
 	"repro/internal/core"
-	"repro/internal/iolib"
 	"repro/internal/iotrace"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/strategy"
-	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
@@ -188,19 +186,15 @@ func cmdRun(args []string) {
 		fmt.Fprintf(os.Stderr, "mccio-trace: unknown strategy %q (want %s)\n", *stratName, strategy.List())
 		os.Exit(2)
 	}
-	var s iolib.Collective
-	switch *stratName {
-	case strategy.MCCIO:
-		opts := core.DefaultOptions(mcfg, fcfg)
+	var opts core.Options
+	if *stratName == strategy.MCCIO {
+		opts = core.DefaultOptions(mcfg, fcfg)
 		opts.Msggroup = rp.TotalBytes() / int64(maxInt(nodes/2, 1))
 		opts.Memmin = mem / 4
-		s = core.MCCIO{Opts: opts}
-	case strategy.TwoPhase:
-		s = collio.TwoPhase{CBBuffer: mem}
-	case strategy.TwoLayer:
-		s = twolayer.Strategy{CBBuffer: mem}
-	default: // strategy.Independent
-		s = iolib.Naive{Opts: iolib.DefaultSieve()}
+	}
+	s, err := adio.New(*stratName, opts, mem)
+	if err != nil {
+		fatal(err)
 	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/iolib"
 	"repro/internal/pfs"
+	"repro/internal/strategy"
 	"repro/internal/twolayer"
 )
 
@@ -27,7 +28,7 @@ type Hints map[string]string
 
 // Recognized keys and their meaning.
 var knownKeys = map[string]string{
-	"collective":         "strategy selector: mccio | two_phase | two_layer | independent (default mccio)",
+	"collective":         "strategy selector: " + strategy.List() + " (default mccio; two_phase, two_layer also accepted)",
 	"cb_buffer_size":     "collective buffer per aggregator in bytes (ROMIO key)",
 	"romio_cb_write":     "enable | disable: disable selects independent I/O (ROMIO key)",
 	"ind_rd_buffer_size": "data-sieving buffer for independent I/O in bytes (ROMIO key)",
@@ -106,124 +107,138 @@ func (h Hints) getBool(key string) (bool, error) {
 	return false, fmt.Errorf("adio: hint %s=%q is not a boolean", key, v)
 }
 
+// New is the one place a strategy name becomes a strategy: the
+// canonical names of internal/strategy (the ROMIO-style spellings
+// two_phase and two_layer are accepted too). opts are the MCCIO
+// tunables, cb the collective buffer of the single-group strategies;
+// each strategy takes what it needs and ignores the rest. Independent
+// I/O comes with the default sieving options.
+func New(name string, opts core.Options, cb int64) (iolib.Collective, error) {
+	switch strings.ReplaceAll(name, "_", "-") {
+	case strategy.MCCIO:
+		return core.MCCIO{Opts: opts}, nil
+	case strategy.TwoPhase:
+		return collio.TwoPhase{CBBuffer: cb}, nil
+	case strategy.TwoLayer:
+		return twolayer.Strategy{CBBuffer: cb}, nil
+	case strategy.Independent:
+		return iolib.Naive{Opts: iolib.DefaultSieve()}, nil
+	}
+	return nil, fmt.Errorf("adio: unknown collective %q (want %s)", name, strategy.List())
+}
+
 // BuildStrategy resolves the hints into a concrete strategy for the
 // given platform. totalBytes sizes group division when mccio_msggroup
-// is not set explicitly.
+// is not set explicitly. Two-layer composed into mccio rides the
+// mccio_two_layer flag; collective=two-layer is the standalone
+// strategy.
 func (h Hints) BuildStrategy(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64) (iolib.Collective, error) {
 	kind := h["collective"]
 	if kind == "" {
-		kind = "mccio"
+		kind = strategy.MCCIO
 	}
 	if cbw, err := h.getBool("romio_cb_write"); err != nil {
 		return nil, err
 	} else if _, set := h["romio_cb_write"]; set && !cbw {
-		kind = "independent"
+		kind = strategy.Independent
 	}
-
-	switch kind {
-	case "independent":
-		sieve, err := h.getInt64("ind_rd_buffer_size", iolib.DefaultSieve().BufSize)
-		if err != nil {
-			return nil, err
-		}
-		opts := iolib.DefaultSieve()
-		opts.BufSize = sieve
-		return iolib.Naive{Opts: opts}, nil
-
-	case "two_phase":
-		cb, err := h.getInt64("cb_buffer_size", 16<<20)
-		if err != nil {
-			return nil, err
-		}
-		if cb <= 0 {
-			return nil, fmt.Errorf("adio: cb_buffer_size must be positive, got %d", cb)
-		}
-		return collio.TwoPhase{CBBuffer: cb}, nil
-
-	case "two_layer":
-		cb, err := h.getInt64("cb_buffer_size", 16<<20)
-		if err != nil {
-			return nil, err
-		}
-		if cb <= 0 {
-			return nil, fmt.Errorf("adio: cb_buffer_size must be positive, got %d", cb)
-		}
-		return twolayer.Strategy{CBBuffer: cb}, nil
-
-	case "mccio":
-		var opts core.Options
-		calibrate, err := h.getBool("mccio_calibrate")
-		if err != nil {
-			return nil, err
-		}
-		if calibrate {
-			rep, err := core.Calibrate(mcfg, fcfg)
-			if err != nil {
-				return nil, err
-			}
-			opts = rep.Result
-		} else {
-			opts = core.DefaultOptions(mcfg, fcfg)
-		}
-		if totalBytes > 0 {
-			groups := int64(mcfg.Nodes / 2)
-			if groups < 1 {
-				groups = 1
-			}
-			opts.Msggroup = totalBytes / groups
-		}
-		cb, err := h.getInt64("cb_buffer_size", 0)
-		if err != nil {
-			return nil, err
-		}
-		if cb > 0 {
-			opts.Memmin = cb / 4
-		}
-		type i64 struct {
-			key string
-			dst *int64
-		}
-		for _, f := range []i64{
-			{"mccio_msgind", &opts.Msgind},
-			{"mccio_msggroup", &opts.Msggroup},
-			{"mccio_memmin", &opts.Memmin},
-		} {
-			if v, err := h.getInt64(f.key, *f.dst); err != nil {
-				return nil, err
-			} else {
-				*f.dst = v
-			}
-		}
-		if v, err := h.getInt64("mccio_nah", int64(opts.Nah)); err != nil {
-			return nil, err
-		} else {
-			opts.Nah = int(v)
-		}
-		type flags struct {
-			key string
-			dst *bool
-		}
-		for _, f := range []flags{
-			{"mccio_node_combine", &opts.NodeCombine},
-			{"mccio_two_layer", &opts.TwoLayer},
-			{"mccio_no_groups", &opts.DisableGroups},
-			{"mccio_no_mem_aware", &opts.DisableMemAware},
-			{"mccio_no_remerge", &opts.DisableRemerge},
-		} {
-			v, err := h.getBool(f.key)
-			if err != nil {
-				return nil, err
-			}
-			if _, set := h[f.key]; set {
-				*f.dst = v
-			}
-		}
-		if err := opts.Validate(); err != nil {
-			return nil, err
-		}
-		return core.MCCIO{Opts: opts}, nil
+	// Resolve the name first (an unknown one fails here); what it
+	// resolved to says which hints parameterise it.
+	s, err := New(kind, core.Options{}, 0)
+	if err != nil {
+		return nil, err
 	}
-	// Two-layer composed into mccio rides the mccio case via the
-	// mccio_two_layer flag; two_layer here is the standalone strategy.
-	return nil, fmt.Errorf("adio: unknown collective %q (want mccio | two_phase | two_layer | independent)", kind)
+	switch s := s.(type) {
+	case iolib.Naive:
+		if s.Opts.BufSize, err = h.getInt64("ind_rd_buffer_size", s.Opts.BufSize); err != nil {
+			return nil, err
+		}
+		return s, nil
+	case core.MCCIO:
+		opts, err := h.mccioOptions(mcfg, fcfg, totalBytes)
+		if err != nil {
+			return nil, err
+		}
+		return New(kind, opts, 0)
+	}
+	cb, err := h.getInt64("cb_buffer_size", 16<<20)
+	if err != nil {
+		return nil, err
+	}
+	if cb <= 0 {
+		return nil, fmt.Errorf("adio: cb_buffer_size must be positive, got %d", cb)
+	}
+	return New(kind, core.Options{}, cb)
+}
+
+// mccioOptions resolves the MCCIO tunables: the platform's calibration
+// (measured under mccio_calibrate, derived otherwise), group division
+// sized from totalBytes, then every mccio_* override.
+func (h Hints) mccioOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64) (core.Options, error) {
+	var opts core.Options
+	calibrate, err := h.getBool("mccio_calibrate")
+	if err != nil {
+		return opts, err
+	}
+	if calibrate {
+		rep, err := core.Calibrate(mcfg, fcfg)
+		if err != nil {
+			return opts, err
+		}
+		opts = rep.Result
+	} else {
+		opts = core.DefaultOptions(mcfg, fcfg)
+	}
+	if totalBytes > 0 {
+		groups := int64(mcfg.Nodes / 2)
+		if groups < 1 {
+			groups = 1
+		}
+		opts.Msggroup = totalBytes / groups
+	}
+	cb, err := h.getInt64("cb_buffer_size", 0)
+	if err != nil {
+		return opts, err
+	}
+	if cb > 0 {
+		opts.Memmin = cb / 4
+	}
+	type i64 struct {
+		key string
+		dst *int64
+	}
+	for _, f := range []i64{
+		{"mccio_msgind", &opts.Msgind},
+		{"mccio_msggroup", &opts.Msggroup},
+		{"mccio_memmin", &opts.Memmin},
+	} {
+		if *f.dst, err = h.getInt64(f.key, *f.dst); err != nil {
+			return opts, err
+		}
+	}
+	nah, err := h.getInt64("mccio_nah", int64(opts.Nah))
+	if err != nil {
+		return opts, err
+	}
+	opts.Nah = int(nah)
+	type flags struct {
+		key string
+		dst *bool
+	}
+	for _, f := range []flags{
+		{"mccio_node_combine", &opts.NodeCombine},
+		{"mccio_two_layer", &opts.TwoLayer},
+		{"mccio_no_groups", &opts.DisableGroups},
+		{"mccio_no_mem_aware", &opts.DisableMemAware},
+		{"mccio_no_remerge", &opts.DisableRemerge},
+	} {
+		v, err := h.getBool(f.key)
+		if err != nil {
+			return opts, err
+		}
+		if _, set := h[f.key]; set {
+			*f.dst = v
+		}
+	}
+	return opts, opts.Validate()
 }

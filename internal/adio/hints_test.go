@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/iolib"
 	"repro/internal/pfs"
+	"repro/internal/strategy"
 )
 
 func platform() (cluster.Config, pfs.Config) {
@@ -63,6 +64,44 @@ func TestBuildTwoPhaseWithBuffer(t *testing.T) {
 	tp, ok := s.(collio.TwoPhase)
 	if !ok || tp.CBBuffer != 4<<20 {
 		t.Fatalf("%+v", s)
+	}
+}
+
+// TestBuildCollectiveSpellings: the canonical names strategy.List()
+// prints and the ROMIO-style underscore spellings select the same
+// strategy; anything else is refused with the canonical list.
+func TestBuildCollectiveSpellings(t *testing.T) {
+	mcfg, fcfg := platform()
+	for _, tc := range []struct{ collective, want string }{
+		{"mccio", strategy.MCCIO},
+		{"two-phase", strategy.TwoPhase},
+		{"two_phase", strategy.TwoPhase},
+		{"two-layer", strategy.TwoLayer},
+		{"two_layer", strategy.TwoLayer},
+		{"independent", strategy.Independent},
+	} {
+		h, err := ParseHints("collective=" + tc.collective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := h.BuildStrategy(mcfg, fcfg, 1<<30)
+		if err != nil {
+			t.Errorf("collective=%s: %v", tc.collective, err)
+			continue
+		}
+		if got := s.Name(); got != tc.want {
+			t.Errorf("collective=%s built %q, want %q", tc.collective, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"three-phase", "twophase", "MCCIO"} {
+		h, _ := ParseHints("collective=" + bad)
+		_, err := h.BuildStrategy(mcfg, fcfg, 1<<30)
+		if err == nil || !strings.Contains(err.Error(), strategy.List()) {
+			t.Errorf("collective=%s: error %v does not list %q", bad, err, strategy.List())
+		}
+	}
+	if !strings.Contains(knownKeys["collective"], strategy.List()) {
+		t.Errorf("collective help %q does not list %q", knownKeys["collective"], strategy.List())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -80,6 +81,34 @@ func TestGoldenStrategiesSeedEngine(t *testing.T) {
 	run := func(o Options) (*BenchFile, error) { return RunStrategies(o, metrics.New()) }
 	checkGolden(t, "strategies_seed_engine.json", run, 1)
 	checkGolden(t, "strategies_seed_engine.json", run, 8)
+}
+
+// TestStrategiesOneLeaderPerNode runs the strategies experiment afresh,
+// at the CLI's defaults, and checks the election invariant on its rows:
+// every two-layer row (standalone or composed into mccio) elects
+// exactly one leader per node, and no other row elects any.
+func TestStrategiesOneLeaderPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	got, err := RunStrategies(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoLayer := 0
+	for _, r := range got.Experiments {
+		want := 0
+		if strings.Contains(r.Key, "two-layer") {
+			want = StrategiesNodes
+			twoLayer++
+		}
+		if r.Leaders != want {
+			t.Errorf("row %s elected %d leaders, want %d", r.Key, r.Leaders, want)
+		}
+	}
+	if twoLayer != 4 {
+		t.Errorf("%d two-layer rows, want 4 (two-layer and mccio+two-layer, write and read)", twoLayer)
+	}
 }
 
 // TestGoldenHostMetricsDoNotPerturb proves host-cost recording is an

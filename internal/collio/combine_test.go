@@ -191,7 +191,7 @@ type plannedStrategy struct {
 
 func (s plannedStrategy) Name() string { return "planned" }
 
-func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) (*Plan, func()) {
+func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) *Plan {
 	plan := s.build(c, view)
 	if s.identity {
 		plan.LeaderOf = make([]int, c.Size())
@@ -199,23 +199,15 @@ func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) (*Plan, func()) {
 			plan.LeaderOf[r] = r
 		}
 	}
-	release := func() {}
-	if d := myDomain(c, plan); d != nil {
-		release = chargeBuffer(c, d)
-	}
-	return plan, release
+	return plan
 }
 
 func (s plannedStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	plan, release := s.plan(c, view)
-	ExecuteWrite(f, c, iolib.NewViewIndex(view), data, plan, m)
-	release()
+	s.plan(c, view).Run("write", f, c, view, data, m)
 }
 
 func (s plannedStrategy) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	plan, release := s.plan(c, view)
-	ExecuteRead(f, c, iolib.NewViewIndex(view), dst, plan, m)
-	release()
+	s.plan(c, view).Run("read", f, c, view, dst, m)
 }
 
 // groupedPlan builds a plan of the memory-conscious shape from the
@@ -261,7 +253,7 @@ func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
 				Windows: CoverageWindows(dom, buf), Sibling: -1,
 			})
 		}
-		plan.Rounds = plan.maxRounds()
+		plan.Rounds = plan.MaxRounds()
 		return plan
 	}
 }

@@ -223,7 +223,7 @@ func (x *collective) route() {
 	c, plan := x.c, x.plan
 	x.topo = newTopology(c.Rank(), plan.LeaderOf)
 	x.mine = nil
-	if d := myDomain(c, plan); d != nil {
+	if d := plan.domainOf(c.Rank()); d != nil {
 		x.mine = &aggState{domain: *d}
 	}
 	mine := x.mine

@@ -117,7 +117,7 @@ func applyFailover(plan *Plan, r int, down func(d *Domain) (dead, byNode bool)) 
 		f.Hi = f.Lo
 		evs = append(evs, ev)
 	}
-	plan.Rounds = plan.maxRounds()
+	plan.Rounds = plan.MaxRounds()
 	if plan.Rounds < r {
 		plan.Rounds = r
 	}

@@ -17,7 +17,7 @@ func failPlan() *Plan {
 		}
 	}
 	p := &Plan{Domains: []Domain{mk(0, 0), mk(1, 200), mk(2, 400)}}
-	p.Rounds = p.maxRounds()
+	p.Rounds = p.MaxRounds()
 	return p
 }
 

@@ -11,20 +11,26 @@
 //     funnel / fan-out stage around the exchange (combine.go), and
 //     without one every rank leads itself and the stage is idle.
 //   - The TwoPhase strategy: ROMIO's classic plan — one aggregator per
-//     node, the aggregate file extent split evenly by offset, a fixed
-//     collective buffer.
+//     node, the aggregate file extent split evenly by offset
+//     (EvenSplit), a fixed collective buffer.
 //
-// The memory-conscious strategy (internal/core) builds different plans
-// — aggregation groups, partition-tree domains, memory-aware aggregator
-// placement — and runs them on the same engine, which mirrors how the
-// paper positions MCCIO as an enhancement of two-phase rather than a
-// replacement.
+// The two-layer strategy (internal/twolayer) is the same even split
+// over elected leaders; the memory-conscious strategy (internal/core)
+// builds different plans — aggregation groups, partition-tree domains,
+// memory-aware aggregator placement. All of them hand their plan to
+// Plan.Run, which charges the caller's aggregation buffer and runs the
+// rounds on the same engine — how the paper positions MCCIO: an
+// enhancement of two-phase rather than a replacement.
 package collio
 
 import (
 	"fmt"
 
+	"repro/internal/buffer"
 	"repro/internal/datatype"
+	"repro/internal/iolib"
+	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // Ext is one rank's access extent, the coarse metadata ROMIO allgathers
@@ -180,8 +186,9 @@ func (p *Plan) Validate(commSize int) error {
 	return nil
 }
 
-// maxRounds recomputes Rounds from the domains.
-func (p *Plan) maxRounds() int {
+// MaxRounds recomputes Rounds from the domains: the longest window
+// schedule.
+func (p *Plan) MaxRounds() int {
 	r := 0
 	for _, d := range p.Domains {
 		if d.Rounds() > r {
@@ -189,6 +196,36 @@ func (p *Plan) maxRounds() int {
 		}
 	}
 	return r
+}
+
+// domainOf returns the domain rank aggregates, or nil.
+func (p *Plan) domainOf(rank int) *Domain {
+	for i := range p.Domains {
+		if p.Domains[i].Agg == rank {
+			return &p.Domains[i]
+		}
+	}
+	return nil
+}
+
+// Run is the tail every strategy shares once its plan exists: if the
+// caller aggregates a domain, reserve that domain's buffer on its
+// node's ledger; run the rounds in direction op ("write" or "read");
+// release. The planner sized the buffer within the node's snapshot
+// availability, but another aggregator (or strategy layer) may have
+// claimed memory meanwhile; MustAlloc keeps the overcommit visible in
+// the high-water reports rather than failing. Every rank of c calls it
+// with the identical plan.
+func (p *Plan) Run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+	if d := p.domainOf(c.Rank()); d != nil {
+		buf := d.BufBytes
+		node := c.World().Machine().Node(c.NodeOf(c.Rank()))
+		if !node.Alloc(buf) {
+			node.MustAlloc(buf)
+		}
+		defer node.Free(buf)
+	}
+	execute(f, c, iolib.NewViewIndex(view), data, p, m, op)
 }
 
 // OffsetWindows slices [lo, hi) into consecutive windows of buf bytes —

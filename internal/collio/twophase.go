@@ -39,33 +39,38 @@ type TwoPhase struct {
 // Name implements iolib.Collective.
 func (tp TwoPhase) Name() string { return "two-phase" }
 
-// BuildPlan computes the baseline schedule. Every rank calls it inside
-// the collective; the result is identical everywhere because it is a
-// pure function of allgathered metadata.
-func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
+// GatherMeta is the planning prelude of the single-group strategies:
+// every rank contributes its access extent and, unless nobody has
+// data, its node's physically available memory, so every rank can size
+// every aggregator's effective buffer identically. nodeOf and avail
+// are nil when nobody has data (the availability gather is skipped).
+func GatherMeta(c *mpi.Comm, view datatype.List) (exts []Ext, nodeOf []int, avail []int64) {
 	lo, hi := view.Extent()
 	raw := c.Allgather(Ext{Lo: lo, Hi: hi}, extBytes)
-	exts := make([]Ext, len(raw))
+	exts = make([]Ext, len(raw))
 	empty := true
 	for i, v := range raw {
 		exts[i] = v.(Ext)
 		empty = empty && exts[i].Empty()
 	}
 	if empty { // nobody has data; skip the availability gather
-		return &Plan{Exts: exts}
+		return exts, nil, nil
 	}
-
-	// Physically available memory per rank's node, so every rank can
-	// size every aggregator's effective buffer identically.
-	machine := c.World().Machine()
-	availRaw := c.Allgather(machine.Node(c.NodeOf(c.Rank())).Available(), 8)
-	nodeOf := make([]int, c.Size())
-	avail := make([]int64, c.Size())
-	for r := 0; r < c.Size(); r++ {
+	availRaw := c.Allgather(c.World().Machine().Node(c.NodeOf(c.Rank())).Available(), 8)
+	nodeOf = make([]int, c.Size())
+	avail = make([]int64, c.Size())
+	for r := range nodeOf {
 		nodeOf[r] = c.NodeOf(r)
 		avail[r] = availRaw[r].(int64)
 	}
-	return tp.PlanFromMeta(exts, nodeOf, avail)
+	return exts, nodeOf, avail
+}
+
+// BuildPlan computes the baseline schedule. Every rank calls it inside
+// the collective; the result is identical everywhere because it is a
+// pure function of allgathered metadata.
+func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
+	return tp.PlanFromMeta(GatherMeta(c, view))
 }
 
 // PlanFromMeta builds the baseline schedule from already-gathered
@@ -73,7 +78,36 @@ func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
 // availability. The pure core of BuildPlan, shared with the offline
 // plan service.
 func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
-	gLo, gHi := int64(0), int64(0)
+	// One aggregator per node: lowest comm rank on each node.
+	var aggs []int
+	lastNode := -1
+	for r, n := range nodeOf {
+		if n != lastNode {
+			aggs = append(aggs, r)
+			lastNode = n
+		}
+	}
+	plan := EvenSplit(exts, aggs, avail, tp.CBBuffer, tp.AlignStripe)
+	if tp.NodeCombine && len(plan.Domains) > 0 {
+		plan.LeaderOf = LowestRankLeaders(nodeOf)
+	}
+	return plan
+}
+
+// EvenSplit is the even file-domain geometry of two-phase collective
+// I/O: the aggregate extent of exts split evenly by offset into one
+// domain per aggregator in aggs (in order), each with a collective
+// buffer of cb bytes capped by its node's availability (avail is
+// indexed by comm rank) and floored at BufFloor, offset windows of that
+// size, and consecutive domains paired as failover siblings. align,
+// when positive, rounds the domain size up to a multiple of it so
+// boundaries fall on stripe edges (the last domain absorbs the
+// remainder). Which ranks aggregate is the caller's policy — lowest
+// rank per node for the baseline, elected leaders for two-layer. The
+// plan carries no domains when nobody has data.
+func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
+	plan := &Plan{Exts: exts}
+	var gLo, gHi int64
 	first := true
 	for _, e := range exts {
 		if e.Empty() {
@@ -87,29 +121,12 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 		}
 		first = false
 	}
-	plan := &Plan{Exts: exts}
 	if first { // nobody has data
 		return plan
 	}
-	if tp.NodeCombine {
-		plan.LeaderOf = LowestRankLeaders(nodeOf)
-	}
-
-	// One aggregator per node: lowest comm rank on each node.
-	var aggs []int
-	lastNode := -1
-	for r := 0; r < len(nodeOf); r++ {
-		if n := nodeOf[r]; n != lastNode {
-			aggs = append(aggs, r)
-			lastNode = n
-		}
-	}
-
 	fd := (gHi - gLo + int64(len(aggs)) - 1) / int64(len(aggs))
-	if a := tp.AlignStripe; a > 0 {
-		// Round the domain size up to a stripe multiple so boundaries
-		// fall on stripe edges (the last domain absorbs the remainder).
-		fd = (fd + a - 1) / a * a
+	if align > 0 {
+		fd = (fd + align - 1) / align * align
 	}
 	for i, agg := range aggs {
 		dLo := gLo + int64(i)*fd
@@ -120,9 +137,9 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 		if dHi <= dLo {
 			break
 		}
-		buf := tp.CBBuffer
-		if av := avail[agg]; buf > av {
-			buf = av
+		buf := cb
+		if buf > avail[agg] {
+			buf = avail[agg]
 		}
 		if buf < BufFloor {
 			buf = BufFloor
@@ -133,7 +150,7 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 			Windows:  OffsetWindows(dLo, dHi, buf),
 		})
 	}
-	plan.Rounds = plan.maxRounds()
+	plan.Rounds = plan.MaxRounds()
 	// Pair consecutive domains for runtime failover: even absorbs odd and
 	// vice versa; a trailing unpaired domain leans on its left neighbour.
 	for i := range plan.Domains {
@@ -146,53 +163,21 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 	return plan
 }
 
-// myDomain returns the domain owned by this rank, or nil.
-func myDomain(c *mpi.Comm, plan *Plan) *Domain {
-	for i := range plan.Domains {
-		if plan.Domains[i].Agg == c.Rank() {
-			return &plan.Domains[i]
-		}
-	}
-	return nil
-}
-
-// chargeBuffer reserves an aggregator's collective buffer on its node's
-// ledger and returns a release func. The baseline sized the buffer
-// within physical capacity, but another aggregator (or strategy layer)
-// may have claimed memory meanwhile; MustAlloc keeps the overcommit
-// visible in the high-water reports rather than failing.
-func chargeBuffer(c *mpi.Comm, d *Domain) func() {
-	node := c.World().Machine().Node(c.NodeOf(c.Rank()))
-	if !node.Alloc(d.BufBytes) {
-		node.MustAlloc(d.BufBytes)
-	}
-	return func() { node.Free(d.BufBytes) }
-}
-
 // WriteAll implements iolib.Collective.
 func (tp TwoPhase) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	tp.run(ExecuteWrite, f, c, view, data, m)
+	tp.run("write", f, c, view, data, m)
 }
 
 // ReadAll implements iolib.Collective.
 func (tp TwoPhase) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	tp.run(ExecuteRead, f, c, view, dst, m)
+	tp.run("read", f, c, view, dst, m)
 }
 
-// run plans, charges the caller's collective buffer if it aggregates,
-// and runs the rounds in the direction execute names.
-func (tp TwoPhase) run(execute func(*iolib.File, *mpi.Comm, *iolib.ViewIndex, buffer.Buf, *Plan, *trace.Metrics),
-	f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+// run plans under the plan span and runs the rounds in direction op.
+func (tp TwoPhase) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
 	plan := tp.BuildPlan(c, view)
 	sp.End()
 	m.SetGroups(1)
-	var release func()
-	if d := myDomain(c, plan); d != nil {
-		release = chargeBuffer(c, d)
-	}
-	execute(f, c, iolib.NewViewIndex(view), data, plan, m)
-	if release != nil {
-		release()
-	}
+	plan.Run(op, f, c, view, data, m)
 }

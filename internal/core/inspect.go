@@ -6,25 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datatype"
-	"repro/internal/trace"
-	"repro/internal/twolayer"
 )
-
-// GroupPlan is the planning outcome for one aggregation group, exposed
-// for inspection tools: the tree after remerging, and each domain's
-// placement.
-type GroupPlan struct {
-	Group      Group
-	Coverage   datatype.List
-	Tree       *Tree
-	Placements []*Placement
-	NodeOfRank []int // group rank -> node
-	Remerges   int
-	// Leaders is the group's node-leader election outcome when
-	// Options.TwoLayer composes the two-layer exchange; nil otherwise
-	// (including groups whose nodes all host a single rank).
-	Leaders []twolayer.Leader
-}
 
 // InspectResult is the full static plan MCCIO would compute for a set
 // of rank views on a machine — everything but the data movement.
@@ -34,9 +16,10 @@ type InspectResult struct {
 }
 
 // Inspect runs MCCIO's planning pipeline (group division, workload
-// partition, remerging, aggregator location) outside the simulator,
-// for debugging and teaching. views[r] is rank r's file view; ranks map
-// to nodes block-wise on the machine.
+// partition, remerging, aggregator location) outside the simulator:
+// the same divideGroups and planGroup the live collective runs, fed
+// from the machine instead of an allgather. views[r] is rank r's file
+// view; ranks map to nodes block-wise on the machine.
 func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*InspectResult, error) {
 	if err := mc.Opts.Validate(); err != nil {
 		return nil, err
@@ -50,60 +33,21 @@ func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*Inspe
 		bytesPer[r] = v.TotalBytes()
 	}
 	nodeOf := machine.NodeOfRank
-	msggroup := mc.Opts.Msggroup
-	if mc.Opts.DisableGroups {
-		msggroup = 0
-	}
-	groups := DivideGroupsMemAware(nodeOf, bytesPer, msggroup,
-		func(node int) int64 { return machine.Node(node).Available() }, mc.Opts.Memmin)
+	availOf := func(node int) int64 { return machine.Node(node).Available() }
 	rec := machine.Explain()
-	var total int64
-	for _, b := range bytesPer {
-		total += b
-	}
-	auditGroups(rec, "inspect", total, msggroup, groups)
+	groups, _ := mc.Opts.divideGroups("inspect", nodeOf, bytesPer, availOf, rec)
 
-	res := &InspectResult{Groups: groups}
+	res := &InspectResult{Groups: groups, Plans: make([]GroupPlan, 0, len(groups))}
 	for gi, g := range groups {
-		memberSegs := make([]datatype.List, 0, g.Last-g.First+1)
 		nodeOfRank := make([]int, 0, g.Last-g.First+1)
-		var all datatype.List
+		nodeAvail := make(map[int]int64)
 		for r := g.First; r <= g.Last; r++ {
-			memberSegs = append(memberSegs, views[r])
-			nodeOfRank = append(nodeOfRank, nodeOf(r))
-			all = append(all, views[r]...)
+			node := nodeOf(r)
+			nodeOfRank = append(nodeOfRank, node)
+			nodeAvail[node] = availOf(node)
 		}
-		coverage := datatype.Normalize(all)
-		gp := GroupPlan{Group: g, Coverage: coverage, NodeOfRank: nodeOfRank}
-		if coverage.TotalBytes() > 0 {
-			nodeAvail := make(map[int]int64)
-			for _, node := range nodeOfRank {
-				nodeAvail[node] = machine.Node(node).Available()
-			}
-			maxAggs := MemoryAssignableAggregators(nodeOfRank, nodeAvail, mc.Opts.Nah, mc.Opts.Memmin)
-			msgind := mc.Opts.Msgind
-			if need := (coverage.TotalBytes() + int64(maxAggs) - 1) / int64(maxAggs); need > msgind {
-				msgind = need
-			}
-			gp.Tree = BuildTreeExplained(coverage, msgind, maxAggs, rec, gi)
-			auditTree(rec, gi, gp.Tree, msgind, maxAggs)
-			var pm trace.Metrics
-			gp.Placements = newPlacer(gp.Tree, memberSegs, nodeOfRank, nodeAvail, mc.Opts, &pm, rec, gi).Place()
-			gp.Remerges = pm.Remerges
-			if mc.Opts.TwoLayer {
-				spanOf := make([]int64, len(memberSegs))
-				availOf := make([]int64, len(memberSegs))
-				for r := range memberSegs {
-					if l, h := memberSegs[r].Extent(); h > l {
-						spanOf[r] = h - l
-					}
-					availOf[r] = nodeAvail[nodeOfRank[r]]
-				}
-				if el := twolayer.Elect(nodeOfRank, availOf, spanOf); el.MultiRank {
-					gp.Leaders = el.Leaders
-				}
-			}
-		}
+		gp := mc.Opts.planGroup(gi, g, views[g.First:g.Last+1], nodeOfRank, nodeAvail, rec)
+		gp.election.Explain(rec, gi)
 		res.Plans = append(res.Plans, gp)
 	}
 	return res, nil

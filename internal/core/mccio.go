@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/datatype"
+	"repro/internal/explain"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -171,11 +172,8 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 		bytesPer[i] = metas[i].Bytes
 	}
 
-	// Aggregation Group Division.
-	msggroup := mc.Opts.Msggroup
-	if mc.Opts.DisableGroups {
-		msggroup = 0
-	}
+	// Aggregation Group Division: every rank divides identically; rank 0
+	// alone records the outcome.
 	nodeAvailOf := func(node int) int64 {
 		for _, mt := range metas {
 			if mt.Node == node {
@@ -184,16 +182,14 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 		}
 		return 0
 	}
-	groups := DivideGroupsMemAware(func(r int) int { return metas[r].Node }, bytesPer, msggroup,
-		nodeAvailOf, mc.Opts.Memmin)
+	var rec *explain.Recorder
+	if c.Rank() == 0 {
+		rec = machine.Explain()
+	}
+	groups, total := mc.Opts.divideGroups(op, func(r int) int { return metas[r].Node }, bytesPer, nodeAvailOf, rec)
 	colors := ColorOf(groups, c.Size())
 	if c.Rank() == 0 {
-		var total int64
-		for _, b := range bytesPer {
-			total += b
-		}
 		t.Instant(obs.EventGroupDivision, obs.Loc{Rank: c.WorldRank(0), Node: c.NodeOf(0), Group: -1, Round: -1}, total, int64(len(groups)))
-		auditGroups(machine.Explain(), op, total, msggroup, groups)
 		// Planner metrics: one rank records the group count and the
 		// memory-availability snapshot the whole plan worked from, so the
 		// exposition reflects exactly what placement saw.
@@ -212,150 +208,99 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 		}
 	}
 	m.SetGroups(len(groups))
-	sub := c.Split(colors[c.Rank()], 0)
-	g := groups[colors[c.Rank()]]
+	gi := colors[c.Rank()]
+	sub := c.Split(gi, 0)
 
 	// In-group exchange of full request lists: the group root learns
-	// the group's aggregate pattern, computes coverage, partition tree,
-	// remerges and placement once, and broadcasts the resulting plan —
-	// the "let the aggregators know the entire aggregated I/O requests"
-	// step, paid once per group instead of once per process.
+	// the group's aggregate pattern, plans the group once, and
+	// broadcasts the resulting plan — the "let the aggregators know the
+	// entire aggregated I/O requests" step, paid once per group instead
+	// of once per process.
 	segsRaw := sub.Gather(0, segsMsg{segs: view}, int64(len(view))*16+8)
 	var plan *collio.Plan
 	remerges := 0
 	if sub.Rank() == 0 {
+		g := groups[gi]
 		memberSegs := make([]datatype.List, sub.Size())
 		nodeOfRank := make([]int, sub.Size())
-		var all datatype.List
 		for i, v := range segsRaw {
 			memberSegs[i] = v.(segsMsg).segs
 			nodeOfRank[i] = sub.NodeOf(i)
-			all = append(all, memberSegs[i]...)
 		}
-		coverage := datatype.Normalize(all)
-
-		// Exact writes: groups aggregate disjoint data that interleaves
-		// in the file, so an extent RMW in one group could overwrite
-		// another group's concurrent writes with stale bytes.
-		plan = &collio.Plan{Exts: make([]collio.Ext, sub.Size()), ExactWrite: true, MemMin: mc.Opts.Memmin}
-		if mc.Opts.NodeCombine {
-			plan.LeaderOf = collio.LowestRankLeaders(nodeOfRank)
+		// Aggregator Location works from the consistent availability
+		// snapshot of the global allgather.
+		nodeAvail := make(map[int]int64)
+		for _, mt := range metas[g.First : g.Last+1] {
+			nodeAvail[mt.Node] = mt.NodeAvail
 		}
-		for i, segs := range memberSegs {
-			l, h := segs.Extent()
-			plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
-		}
-
-		if coverage.TotalBytes() > 0 {
-			// Aggregator Location works from the consistent availability
-			// snapshot of the global allgather.
-			nodeAvail := make(map[int]int64)
-			for _, mt := range metas[g.First : g.Last+1] {
-				nodeAvail[mt.Node] = mt.NodeAvail
-			}
-			// I/O Workload Partition: leaves hold <= msgind data, but
-			// never more leaves than the group can field aggregators —
-			// counting only slots the nodes can back with Memmin memory,
-			// so the tree is born balanced for what placement can host
-			// instead of being remerged into shape leaf by leaf.
-			maxAggs := MemoryAssignableAggregators(nodeOfRank, nodeAvail, mc.Opts.Nah, mc.Opts.Memmin)
-			msgind := mc.Opts.Msgind
-			if need := (coverage.TotalBytes() + int64(maxAggs) - 1) / int64(maxAggs); need > msgind {
-				msgind = need
-			}
-			rec := machine.Explain()
-			tree := BuildTreeExplained(coverage, msgind, maxAggs, rec, colors[c.Rank()])
-			auditTree(rec, colors[c.Rank()], tree, msgind, maxAggs)
-			var pm trace.Metrics
-			pl := newPlacer(tree, memberSegs, nodeOfRank, nodeAvail, mc.Opts, &pm, rec, colors[c.Rank()])
-			placements := pl.Place()
-			remerges = pm.Remerges
+		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, machine.Explain())
+		remerges = gp.Remerges
+		plan = mc.executable(&gp, memberSegs, nodeAvail)
+		if gp.Tree != nil {
 			reg := c.Metrics()
 			reg.Counter("mccio_plan_remerges_total",
-				"Workload-portion remerges performed during placement.", "op", op).Add(float64(remerges))
+				"Workload-portion remerges performed during placement.", "op", op).Add(float64(gp.Remerges))
 			reg.Counter("mccio_plan_placement_retries_total",
-				"Aggregator placements that fell back past the data-owning hosts.", "op", op).Add(float64(pl.retries))
-
-			gloc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: colors[c.Rank()], Round: -1}
-			t.Instant(obs.EventPartition, gloc, coverage.TotalBytes(), int64(len(placements)))
+				"Aggregator placements that fell back past the data-owning hosts.", "op", op).Add(float64(gp.Retries))
+			gloc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: gi, Round: -1}
+			t.Instant(obs.EventPartition, gloc, gp.Coverage.TotalBytes(), int64(len(gp.Placements)))
 			if remerges > 0 {
 				t.Instant(obs.EventRemerge, gloc, 0, int64(remerges))
 			}
-			for _, pl := range placements {
+			for _, pl := range gp.Placements {
 				t.Instant(obs.EventPlace, gloc, pl.Buf, int64(pl.Agg))
 			}
-
-			for i, pl := range placements {
-				domCov := coverage.Clip(pl.Leaf.Lo, pl.Leaf.Hi)
-				plan.Domains = append(plan.Domains, collio.Domain{
-					Agg: pl.Agg, Lo: pl.Leaf.Lo, Hi: pl.Leaf.Hi,
-					BufBytes: pl.Buf,
-					Windows:  collio.CoverageWindows(domCov, pl.Buf),
-					// Failover identity: the partition tree's adjacent leaf
-					// absorbs this domain if its aggregator is lost mid-run
-					// (placements are in Leaves() order).
-					Sibling:   tree.SiblingLeafIndex(i),
-					NodeAvail: nodeAvail[nodeOfRank[pl.Agg]],
-				})
-			}
-			plan.Rounds = maxRoundsOf(plan)
-
-			// Two-layer composition: elect node leaders within the group
-			// from the same consistent snapshot the placement used, so the
-			// group's exchange runs intra-node funnels under the
-			// memory-conscious domain layout.
-			if mc.Opts.TwoLayer {
-				spanOf := make([]int64, sub.Size())
-				availOf := make([]int64, sub.Size())
-				for r := range memberSegs {
-					if l, h := memberSegs[r].Extent(); h > l {
-						spanOf[r] = h - l
-					}
-					availOf[r] = nodeAvail[nodeOfRank[r]]
-				}
-				if el := twolayer.Elect(nodeOfRank, availOf, spanOf); el.MultiRank {
-					plan.LeaderOf = el.LeaderOf
-					plan.LeaderSucc = el.Succ
-					twolayer.Audit(sub, op, colors[c.Rank()], el)
-					m.AddLeaders(len(el.Leaders))
-				}
+			if el := gp.election; el != nil {
+				twolayer.Audit(sub, op, gi, el)
+				m.AddLeaders(len(el.Leaders))
 			}
 		}
 	}
 	plan = sub.Bcast(0, plan, planWireBytes(plan)).(*collio.Plan)
 	// Stamp the group identity so engine spans carry it. All ranks of a
 	// group share the plan pointer and the same color, so this is stable.
-	plan.Group = colors[c.Rank()]
+	plan.Group = gi
 	psp.End()
 	for i := 0; i < remerges; i++ {
 		m.AddRemerge()
 	}
-	var myBuf int64
-	for _, d := range plan.Domains {
-		if d.Agg == sub.Rank() {
-			myBuf = d.BufBytes
-		}
-	}
+	plan.Run(op, f, sub, view, data, m)
+}
 
-	// Charge my aggregation buffer, run the two-phase rounds in-group,
-	// release.
-	var node *cluster.Node
-	if myBuf > 0 {
-		node = machine.Node(c.NodeOf(c.Rank()))
-		if !node.Alloc(myBuf) {
-			node.MustAlloc(myBuf)
-		}
+// executable converts a group's planning record into the schedule the
+// round engine runs: one domain per placement with coverage windows
+// sized by its buffer, the partition tree's adjacent leaf as failover
+// sibling, the snapshot availability arming the memory-exhaustion
+// predicate, and the leader map of the chosen exchange layering. Only
+// the live collective pays for it; the offline planner stops at the
+// record.
+func (mc MCCIO) executable(gp *GroupPlan, memberSegs []datatype.List, nodeAvail map[int]int64) *collio.Plan {
+	// Exact writes: groups aggregate disjoint data that interleaves in
+	// the file, so an extent RMW in one group could overwrite another
+	// group's concurrent writes with stale bytes.
+	plan := &collio.Plan{Exts: make([]collio.Ext, len(memberSegs)), ExactWrite: true, MemMin: mc.Opts.Memmin}
+	if mc.Opts.NodeCombine {
+		plan.LeaderOf = collio.LowestRankLeaders(gp.NodeOfRank)
 	}
-	vi := iolib.NewViewIndex(view)
-	switch op {
-	case "write":
-		collio.ExecuteWrite(f, sub, vi, data, plan, m)
-	case "read":
-		collio.ExecuteRead(f, sub, vi, data, plan, m)
+	for i, segs := range memberSegs {
+		l, h := segs.Extent()
+		plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
 	}
-	if node != nil {
-		node.Free(myBuf)
+	for i, pl := range gp.Placements {
+		plan.Domains = append(plan.Domains, collio.Domain{
+			Agg: pl.Agg, Lo: pl.Leaf.Lo, Hi: pl.Leaf.Hi,
+			BufBytes:  pl.Buf,
+			Windows:   collio.CoverageWindows(gp.Coverage.Clip(pl.Leaf.Lo, pl.Leaf.Hi), pl.Buf),
+			Sibling:   gp.Tree.SiblingLeafIndex(i),
+			NodeAvail: nodeAvail[gp.NodeOfRank[pl.Agg]],
+		})
 	}
+	plan.Rounds = plan.MaxRounds()
+	if el := gp.election; el != nil {
+		plan.LeaderOf = el.LeaderOf
+		plan.LeaderSucc = el.Succ
+	}
+	return plan
 }
 
 // planWireBytes estimates the broadcast size of a plan: per-domain
@@ -374,15 +319,4 @@ func planWireBytes(p *collio.Plan) int64 {
 		n += int64(len(p.LeaderOf)) * 16
 	}
 	return n
-}
-
-// maxRoundsOf returns the maximum window count across domains.
-func maxRoundsOf(p *collio.Plan) int {
-	r := 0
-	for _, d := range p.Domains {
-		if len(d.Windows) > r {
-			r = len(d.Windows)
-		}
-	}
-	return r
 }

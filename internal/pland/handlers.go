@@ -8,14 +8,15 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/adio"
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/explain"
-	"repro/internal/iolib"
 	"repro/internal/logx"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/twolayer"
@@ -367,7 +368,7 @@ func (s *Server) admitPlan(canon *canonRequest, fp string, rec *logx.Record) ([]
 			s.testHooks.planStarted()
 		}
 		t0 := time.Now()
-		body, sum, err := buildPlanJSON(canon, fp)
+		body, sum, err := buildPlanJSON(canon, fp, s.panics)
 		rec.WorkS = time.Since(t0).Seconds()
 		if err == nil {
 			s.planRuns.Inc()
@@ -384,14 +385,17 @@ func (s *Server) admitPlan(canon *canonRequest, fp string, rec *logx.Record) ([]
 
 // buildPlanJSON runs the offline planner on a fresh machine built from
 // the canonical request and serializes the resulting plan, plus the
-// decision-count summary GET /debug/explain reports. MCCIO plans go
-// through core.MCCIO.Inspect; the flat strategies (two-phase,
-// two-layer) through their comm-free PlanFromMeta builders. A planner
-// panic (hostile-but-validated input hitting an internal invariant) is
-// converted to an error so one request cannot take the daemon down.
-func buildPlanJSON(c *canonRequest, fp string) (body []byte, sum explain.Summary, err error) {
+// decision-count summary GET /debug/explain reports. Both planner
+// families produce the same per-group record — core.MCCIO.Inspect one
+// core.GroupPlan per aggregation group, flatGroupPlan one for the
+// single group of two-phase and two-layer — and the response is one
+// projection of those records. A planner panic (hostile-but-validated
+// input hitting an internal invariant) is counted and converted to an
+// error so one request cannot take the daemon down.
+func buildPlanJSON(c *canonRequest, fp string, panics *metrics.Counter) (body []byte, sum explain.Summary, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			panics.Inc()
 			err = fmt.Errorf("pland: planner failed: %v", p)
 		}
 	}()
@@ -401,39 +405,19 @@ func buildPlanJSON(c *canonRequest, fp string) (body []byte, sum explain.Summary
 	}
 	rec := explain.NewRecorder()
 	machine.SetExplain(rec)
-	var resp PlanResponse
-	switch c.Strategy {
-	case strategy.TwoPhase, strategy.TwoLayer:
-		resp, err = flatPlanResponse(c, machine, rec)
-	default:
-		resp, err = mccioPlanResponse(c, machine)
+	var plans []core.GroupPlan
+	if c.Strategy == strategy.MCCIO {
+		ir, err := core.MCCIO{Opts: c.Options}.Inspect(machine, c.Views)
+		if err != nil {
+			return nil, explain.Summary{}, err
+		}
+		plans = ir.Plans
+	} else {
+		plans = []core.GroupPlan{flatGroupPlan(c, machine, rec)}
 	}
-	if err != nil {
-		return nil, explain.Summary{}, err
-	}
-	sum = explain.Summarize(rec.Events())
-	resp.Fingerprint = fp
-	resp.Strategy = c.Strategy
-	resp.Ranks = len(c.Views)
-	for _, v := range c.Views {
-		resp.TotalBytes += v.TotalBytes()
-	}
-	body, err = json.Marshal(resp)
-	if err != nil {
-		return nil, explain.Summary{}, err
-	}
-	return append(body, '\n'), sum, nil
-}
 
-// mccioPlanResponse is buildPlanJSON's memory-conscious path.
-func mccioPlanResponse(c *canonRequest, machine *cluster.Machine) (PlanResponse, error) {
-	mc := core.MCCIO{Opts: c.Options}
-	ir, err := mc.Inspect(machine, c.Views)
-	if err != nil {
-		return PlanResponse{}, err
-	}
-	resp := PlanResponse{Options: c.Options}
-	for gi, gp := range ir.Plans {
+	resp := PlanResponse{Fingerprint: fp, Strategy: c.Strategy, Ranks: len(c.Views), Options: c.Options}
+	for gi, gp := range plans {
 		pg := PlanGroup{
 			First:         gp.Group.First,
 			Last:          gp.Group.Last,
@@ -458,77 +442,63 @@ func mccioPlanResponse(c *canonRequest, machine *cluster.Machine) (PlanResponse,
 				MemAvail: l.Avail, Score: l.Score, RunnersUp: len(l.RunnersUp),
 			})
 		}
+		resp.TotalBytes += gp.Group.Bytes
 		resp.Aggregators += len(gp.Placements)
 		resp.Remerges += gp.Remerges
 		resp.Groups = append(resp.Groups, pg)
 	}
-	return resp, nil
+	body, err = json.Marshal(resp)
+	if err != nil {
+		return nil, explain.Summary{}, err
+	}
+	return append(body, '\n'), explain.Summarize(rec.Events()), nil
 }
 
-// flatPlanResponse is buildPlanJSON's path for the single-group
-// strategies: two-phase (lowest-rank aggregators) and two-layer
-// (memory-elected leaders). Both strategies size their collective
-// buffer from the node's memory, mirroring the simulation path.
-func flatPlanResponse(c *canonRequest, machine *cluster.Machine, rec *explain.Recorder) (PlanResponse, error) {
+// flatGroupPlan plans the single-group strategies — two-phase (lowest-
+// rank aggregators) and two-layer (memory-elected leaders) — through
+// their comm-free PlanFromMeta builders and returns the plan as the
+// per-group record the memory-conscious planner produces: one group
+// spanning every rank, one placement per even-split domain. Both
+// strategies size their collective buffer from the node's memory,
+// mirroring the simulation path.
+func flatGroupPlan(c *canonRequest, machine *cluster.Machine, rec *explain.Recorder) core.GroupPlan {
 	n := len(c.Views)
 	exts := make([]collio.Ext, n)
 	nodeOf := make([]int, n)
 	avail := make([]int64, n)
-	nodes := make(map[int]bool, n)
+	g := core.Group{Last: n - 1}
 	var all datatype.List
 	for r, v := range c.Views {
 		lo, hi := v.Extent()
 		exts[r] = collio.Ext{Lo: lo, Hi: hi}
 		nodeOf[r] = machine.NodeOfRank(r)
 		avail[r] = machine.Node(nodeOf[r]).Available()
-		nodes[nodeOf[r]] = true
+		g.Bytes += v.TotalBytes()
 		all = append(all, v...)
 	}
-	coverage := datatype.Normalize(all)
+	g.Nodes = nodeOf[n-1] - nodeOf[0] + 1 // ranks map to nodes block-wise
+	gp := core.GroupPlan{Group: g, Coverage: datatype.Normalize(all), NodeOfRank: nodeOf}
 
 	var plan *collio.Plan
-	resp := PlanResponse{Options: c.Options}
 	if c.Strategy == strategy.TwoLayer {
 		var el *twolayer.Election
 		plan, el = twolayer.Strategy{CBBuffer: c.Cluster.MemPerNode}.PlanFromMeta(exts, nodeOf, avail)
 		if el != nil && el.MultiRank {
-			for _, l := range el.Leaders {
-				resp.Leaders = append(resp.Leaders, PlanLeader{
-					Group: 0, Node: l.Node, Rank: l.Rank,
-					MemAvail: l.Avail, Score: l.Score, RunnersUp: len(l.RunnersUp),
-				})
-				if rec.Enabled() {
-					rec.Record(explain.Event{
-						Kind: explain.KindLeader, Group: 0,
-						Node: l.Node, Rank: l.Rank, Avail: l.Avail, Score: l.Score,
-					})
-				}
-			}
+			gp.Leaders = el.Leaders
+			el.Explain(rec, 0)
 		}
 	} else {
 		plan = collio.TwoPhase{CBBuffer: c.Cluster.MemPerNode}.PlanFromMeta(exts, nodeOf, avail)
 	}
-
-	pg := PlanGroup{
-		First: 0, Last: n - 1, Nodes: len(nodes),
-		CoverageBytes: coverage.TotalBytes(),
+	leaves := make([]core.TreeNode, len(plan.Domains))
+	placed := make([]core.Placement, len(plan.Domains))
+	gp.Placements = make([]*core.Placement, len(plan.Domains))
+	for i, d := range plan.Domains {
+		leaves[i] = core.TreeNode{Lo: d.Lo, Hi: d.Hi, DataBytes: gp.Coverage.Clip(d.Lo, d.Hi).TotalBytes()}
+		placed[i] = core.Placement{Leaf: &leaves[i], Agg: d.Agg, Buf: d.BufBytes}
+		gp.Placements[i] = &placed[i]
 	}
-	for _, v := range c.Views {
-		pg.Bytes += v.TotalBytes()
-	}
-	for _, d := range plan.Domains {
-		pg.Domains = append(pg.Domains, PlanDomain{
-			Agg:       d.Agg,
-			Node:      nodeOf[d.Agg],
-			Lo:        d.Lo,
-			Hi:        d.Hi,
-			DataBytes: coverage.Clip(d.Lo, d.Hi).TotalBytes(),
-			BufBytes:  d.BufBytes,
-		})
-	}
-	resp.Aggregators = len(plan.Domains)
-	resp.Groups = append(resp.Groups, pg)
-	return resp, nil
+	return gp
 }
 
 // ExplainState is the body of GET /debug/explain: the decision-count
@@ -605,7 +575,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	admitted := s.pool.TrySubmit(func() {
 		rec.WaitS = time.Since(submitted).Seconds()
 		t0 := time.Now()
-		resp, err := runSimulation(canon, fp, op)
+		resp, err := runSimulation(canon, fp, op, s.panics)
 		rec.WorkS = time.Since(t0).Seconds()
 		if err == nil {
 			s.simRuns.Inc()
@@ -640,34 +610,36 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.finish(&rec, start)
 }
 
-// runSimulation executes one collective through bench.RunOnce with a
-// per-run tracer and folds the phase summary into the response. The
-// strategy comes from the canonical request; the non-MCCIO collectives
-// size their buffer from the node's memory, like the bench sweeps.
-func runSimulation(c *canonRequest, fp, op string) (resp *SimResponse, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("pland: simulation failed: %v", p)
-		}
-	}()
-	var strat iolib.Collective
-	switch c.Strategy {
-	case strategy.TwoPhase:
-		strat = collio.TwoPhase{CBBuffer: c.Cluster.MemPerNode}
-	case strategy.TwoLayer:
-		strat = twolayer.Strategy{CBBuffer: c.Cluster.MemPerNode}
-	case strategy.Independent:
-		strat = iolib.Naive{Opts: iolib.DefaultSieve()}
-	default:
-		strat = core.MCCIO{Opts: c.Options}
-	}
-	res, sum, err := bench.RunOncePhases(bench.Spec{
+// simSpec is the run /v1/simulate executes for a canonical request:
+// the request's strategy built by name — the non-MCCIO collectives
+// size their buffer from the node's memory, like the bench sweeps — on
+// the request's platform and layout.
+func simSpec(c *canonRequest, op string) (bench.Spec, error) {
+	strat, err := adio.New(c.Strategy, c.Options, c.Cluster.MemPerNode)
+	return bench.Spec{
 		Strategy: strat,
 		Op:       op,
 		Machine:  c.Cluster,
 		FS:       c.FS,
 		Workload: workload.Explicit{Label: "plan-service", Views: c.Views},
-	})
+	}, err
+}
+
+// runSimulation executes one collective through bench.RunOnce with a
+// per-run tracer and folds the phase summary into the response. A
+// simulator panic is counted and converted to an error.
+func runSimulation(c *canonRequest, fp, op string, panics *metrics.Counter) (resp *SimResponse, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			panics.Inc()
+			err = fmt.Errorf("pland: simulation failed: %v", p)
+		}
+	}()
+	spec, err := simSpec(c, op)
+	if err != nil {
+		return nil, err
+	}
+	res, sum, err := bench.RunOncePhases(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -158,6 +158,7 @@ type Server struct {
 	shed      *metrics.Counter
 	planRuns  *metrics.Counter
 	simRuns   *metrics.Counter
+	panics    *metrics.Counter
 	queueGa   *metrics.Gauge
 	activeGa  *metrics.Gauge
 	testHooks struct {
@@ -215,6 +216,8 @@ func New(cfg Config) (*Server, error) {
 			"Planner executions (cache misses that ran to completion)."),
 		simRuns: reg.Counter("mccio_pland_simulations_total",
 			"Simulations executed by /v1/simulate."),
+		panics: reg.Counter("mccio_pland_planner_panics_total",
+			"Planner or simulator panics recovered into a 422; anything but 0 is a bug."),
 		queueGa: reg.Gauge("mccio_pland_queue_depth",
 			"Admitted jobs waiting for a worker, sampled per request."),
 		activeGa: reg.Gauge("mccio_pland_active_jobs",

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/strategy"
 )
@@ -88,6 +89,34 @@ func multiRankRequest() PlanRequest {
 		ranks[r] = []Extent{{int64(r) << 20, 1 << 20}}
 	}
 	return PlanRequest{Cluster: mc, FS: pfs.DefaultConfig(), Ranks: ranks}
+}
+
+// assertNoPlannerPanics checks that no request so far reached the
+// planner's or the simulator's recover(): a 422 must come from a
+// returned error, never from a swallowed panic.
+func assertNoPlannerPanics(t *testing.T, srv *Server) {
+	t.Helper()
+	if n := srv.panics.Value(); n != 0 {
+		t.Fatalf("mccio_pland_planner_panics_total = %v, want 0", n)
+	}
+}
+
+// TestPlannerPanicIsCounted reaches buildPlanJSON's recover() with a
+// request canonicalization would have refused (no ranks at all): it
+// answers with an error instead of taking the process down, and the
+// panic is counted.
+func TestPlannerPanicIsCounted(t *testing.T) {
+	panics := metrics.New().Counter("panics", "")
+	c := &canonRequest{Cluster: multiRankRequest().Cluster, FS: pfs.DefaultConfig(), Strategy: strategy.TwoPhase}
+	if err := c.Cluster.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := buildPlanJSON(c, "fp", panics); err == nil || !strings.Contains(err.Error(), "planner failed") {
+		t.Fatalf("plan over no ranks: err = %v, want a recovered planner failure", err)
+	}
+	if got := panics.Value(); got != 1 {
+		t.Fatalf("one recovered panic counted %v times", got)
+	}
 }
 
 // TestPlanStrategies drives /v1/plan across the plannable strategies
@@ -171,6 +200,7 @@ func TestPlanStrategies(t *testing.T) {
 	if resp, _ := post(t, url, body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown strategy plan: %d, want 400", resp.StatusCode)
 	}
+	assertNoPlannerPanics(t, srv)
 }
 
 // TestSimulateStrategies drives /v1/simulate across all four
@@ -206,4 +236,5 @@ func TestSimulateStrategies(t *testing.T) {
 	if resp, _ := post(t, url, body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown strategy simulate: %d, want 400", resp.StatusCode)
 	}
+	assertNoPlannerPanics(t, srv)
 }
