@@ -6,7 +6,7 @@
 //	mccio-bench -experiment all            # Table 1 + Figures 6,7,8 + ablations
 //	mccio-bench -experiment fig7 -scale 0.25
 //	mccio-bench -experiment fig8 -csv out.csv
-//	mccio-bench -experiment profile -json profile.json
+//	mccio-bench -experiment regression -sites sites.json
 //	mccio-bench -experiment regression -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -18,24 +18,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/explain"
 	"repro/internal/metrics"
-	"repro/internal/pland"
 )
 
 // stopProfiles finishes any -cpuprofile/-memprofile capture; every
 // exit path must run it because os.Exit skips deferred calls.
 var stopProfiles = func() {}
-
-// exit terminates the process after flushing active profiles.
-func exit(code int) {
-	stopProfiles()
-	os.Exit(code)
-}
 
 // startProfiles begins the -cpuprofile capture and arranges the
 // -memprofile snapshot, returning an idempotent stop function.
@@ -78,30 +72,65 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	return stop, nil
 }
 
+// fail reports err and terminates with code after flushing profiles.
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
+	stopProfiles()
+	os.Exit(code)
+}
+
+// writeTo creates path and lets write fill it.
+func writeTo(path string, write func(*os.File) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(1, err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fail(1, err)
+	}
+}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig6 | fig7 | fig8 | ablation | memory | exascale | stripes | phases | strategies | regression | chaos | sweep | serve | profile | all")
+		experiment = flag.String("experiment", "all", strings.Join(bench.ExperimentNames(), " | ")+" | all")
 		scale      = flag.Float64("scale", 1.0, "workload scale factor (1.0 = default experiment size)")
 		seed       = flag.Uint64("seed", 42, "seed for memory variance and storage jitter")
 		parallel   = flag.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS, 1 = serial); results are byte-identical for every value")
 		csvPath    = flag.String("csv", "", "also write results as CSV to this file")
 		quiet      = flag.Bool("quiet", false, "suppress per-run progress lines")
-		jsonPath   = flag.String("json", "", "write the regression trajectory (schema-versioned bench JSON) to this file; implies -experiment regression unless one is named; with -experiment profile, receives the profile report instead")
+		jsonPath   = flag.String("json", "", "write the trajectory of -experiment regression | sweep | strategies (schema-versioned bench JSON) to this file; implies -experiment regression unless one is named")
 		serveAddr  = flag.String("serve", "", "serve Prometheus metrics on ADDR at /metrics during the runs and keep serving afterwards until interrupted")
 		pprofOn    = flag.Bool("pprof", false, "with -serve, also mount live profiling handlers under /debug/pprof/")
-		topN       = flag.Int("top", 15, "sites per table for -experiment profile")
+		topN       = flag.Int("top", 15, "sites per table for -sites")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		explPath   = flag.String("explain", "", "with -experiment regression, record the planner decision audit to FILE as JSONL (render with mccio-report explain/memtl); byte-identical for every -parallel value")
 		hostOn     = flag.Bool("host", false, "record host wall-clock and allocation columns (host_ns_op, host_allocs_op) per trajectory row; forces serial execution and is gated separately from the deterministic columns (mccio-report compare -host)")
-		sitesPath  = flag.String("sites", "", "capture a CPU+allocation profile across the whole run and write the decoded top-site tables (machine-readable JSON, -top sites each) to this file; incompatible with -cpuprofile and -experiment profile")
+		sitesPath  = flag.String("sites", "", "capture a CPU+allocation profile across the whole run and write the decoded top-site tables (machine-readable JSON, -top sites each) to this file; incompatible with -cpuprofile")
 	)
 	flag.Parse()
 
+	if (*jsonPath != "" || *explPath != "") && *experiment == "all" {
+		*experiment = "regression"
+	}
+	// Resolve the name before anything starts: a typo must not cost a
+	// profile file, a listening socket or a run.
+	selected, err := bench.SelectExperiments(*experiment)
+	if err != nil {
+		fail(2, err)
+	}
+	if *sitesPath != "" && *cpuProf != "" {
+		// One CPU profiler per process: -sites owns it for the whole run.
+		fail(2, fmt.Errorf("-sites is incompatible with -cpuprofile"))
+	}
+
 	stop, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	stopProfiles = stop
 	defer stopProfiles()
@@ -112,248 +141,58 @@ func main() {
 	}
 	var sites *bench.SiteCapture
 	if *sitesPath != "" {
-		// One CPU profiler per process: -sites owns it for the whole run,
-		// so the raw-profile flag and the self-profiling experiment are
-		// both out.
-		if *cpuProf != "" || *experiment == "profile" {
-			fmt.Fprintln(os.Stderr, "mccio-bench: -sites is incompatible with -cpuprofile and -experiment profile")
-			exit(2)
-		}
-		var err error
 		if sites, err = bench.StartSiteCapture(); err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-			exit(1)
+			fail(1, err)
 		}
 	}
-	if (*jsonPath != "" || *explPath != "") && *experiment == "all" {
-		*experiment = "regression"
-	}
-	var rec *explain.Recorder
 	if *explPath != "" {
-		rec = explain.NewRecorder()
-		opts.Explain = rec
+		opts.Explain = explain.NewRecorder()
 	}
 
 	reg := metrics.New()
 	var expo *metrics.Exposition
 	if *serveAddr != "" {
-		var err error
 		start := metrics.StartExposition
 		if *pprofOn {
 			start = metrics.StartExpositionPprof
 		}
-		expo, err = start(*serveAddr, reg, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-			exit(1)
+		if expo, err = start(*serveAddr, reg, os.Stderr); err != nil {
+			fail(1, err)
 		}
 	}
 
 	var tables []*bench.Table
-	runFig := func(name string, f func(bench.Options) (*bench.Table, []bench.SweepPoint, error)) {
-		fmt.Fprintf(os.Stderr, "running %s (scale %.3g)...\n", name, *scale)
-		t, _, err := f(opts)
+	for _, e := range selected {
+		fmt.Fprintf(os.Stderr, "running %s (scale %.3g, parallel %d)...\n", e.Name, *scale, *parallel)
+		t, traj, err := e.Run(opts, reg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %s: %v\n", name, err)
-			exit(1)
+			fail(1, fmt.Errorf("%s: %w", e.Name, err))
 		}
 		tables = append(tables, t)
-	}
-	runT := func(name string, f func(bench.Options) (*bench.Table, error)) {
-		fmt.Fprintf(os.Stderr, "running %s (scale %.3g)...\n", name, *scale)
-		t, err := f(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %s: %v\n", name, err)
-			exit(1)
-		}
-		tables = append(tables, t)
-	}
-
-	want := func(name string) bool { return *experiment == name || *experiment == "all" }
-	if want("table1") {
-		tables = append(tables, bench.Table1())
-	}
-	if want("fig6") {
-		runFig("fig6", bench.Fig6CollPerf)
-	}
-	if want("fig7") {
-		runFig("fig7", bench.Fig7IOR120)
-	}
-	if want("fig8") {
-		runFig("fig8", bench.Fig8IOR1080)
-	}
-	if want("ablation") {
-		runT("ablation", bench.Ablation)
-	}
-	if want("memory") {
-		runT("memory", bench.MemoryPressure)
-	}
-	if want("exascale") {
-		runT("exascale", bench.Exascale)
-	}
-	if want("stripes") {
-		runT("stripes", bench.Stripes)
-	}
-	if want("phases") {
-		runT("phases", bench.PhaseBreakdown)
-	}
-	if *experiment == "chaos" {
-		// Chaos needs the live registry so its fault/failover counters
-		// land in /metrics alongside the table; it is not part of "all"
-		// because its runs verify every byte and dominate the sweep time.
-		fmt.Fprintf(os.Stderr, "running chaos (scale %.3g)...\n", *scale)
-		t, err := bench.Chaos(opts, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: chaos: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, t)
-	}
-	if *experiment == "strategies" {
-		// The per-strategy comparison on the node-shared workload: the
-		// rows CI's two-layer gates assert on. Fixed-seed and virtual-
-		// time like the regression bench, so -json output is a golden.
-		fmt.Fprintf(os.Stderr, "running strategies (scale %.3g)...\n", *scale)
-		traj, err := bench.RunStrategies(opts, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: strategies: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, bench.StrategiesTable(traj))
-		if *jsonPath != "" {
+		if traj != nil && *jsonPath != "" {
 			traj.Created = time.Now().UTC().Format(time.RFC3339)
 			if err := bench.WriteBenchFile(*jsonPath, traj); err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
+				fail(1, err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 		}
 	}
-	if *experiment == "regression" {
-		fmt.Fprintf(os.Stderr, "running regression (scale %.3g)...\n", *scale)
-		traj, err := bench.RunRegression(opts, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: regression: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, trajectoryTable("Regression", traj))
-		if rec != nil {
-			f, err := os.Create(*explPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			err = rec.WriteJSONL(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
-		}
-		if *jsonPath != "" {
-			traj.Created = time.Now().UTC().Format(time.RFC3339)
-			if err := bench.WriteBenchFile(*jsonPath, traj); err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-	}
-	if *experiment == "serve" {
-		// The plan-service benchmark: an in-process pland daemon under
-		// Zipf load. Not part of "all" because its wall-clock numbers are
-		// host-dependent and must not land in the regression baseline.
-		fmt.Fprintf(os.Stderr, "running serve (seed %d)...\n", *seed)
-		traj, t, err := pland.RunServeBench(opts, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: serve: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, t)
-		if *jsonPath != "" {
-			traj.Created = time.Now().UTC().Format(time.RFC3339)
-			if err := bench.WriteBenchFile(*jsonPath, traj); err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-	}
-	if *experiment == "sweep" {
-		// The sharded grid: 48 seed-varied rows fanned across -parallel
-		// workers, with per-row seeds derived from (seed, row index) so
-		// the trajectory is byte-identical at any worker count.
-		fmt.Fprintf(os.Stderr, "running sweep (scale %.3g, parallel %d)...\n", *scale, *parallel)
-		traj, err := bench.RunSweep(opts, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: sweep: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, trajectoryTable("Sharded sweep", traj))
-		if *jsonPath != "" {
-			traj.Created = time.Now().UTC().Format(time.RFC3339)
-			if err := bench.WriteBenchFile(*jsonPath, traj); err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-	}
-	if *experiment == "profile" {
-		// Continuous-profiling harness: the fixed-seed regression
-		// workload runs under the CPU profiler, the allocation profile
-		// is snapshotted, and both decode into top-site tables. Not part
-		// of "all": it re-runs the workload for sampling time, and its
-		// numbers are host-dependent. Incompatible with -cpuprofile
-		// (only one CPU profiler can run).
-		fmt.Fprintf(os.Stderr, "running profile (scale %.3g)...\n", *scale)
-		rep, err := bench.RunProfile(opts, *topN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: profile: %v\n", err)
-			exit(1)
-		}
-		tables = append(tables, rep.Tables()...)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-				exit(1)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-	}
-	if len(tables) == 0 {
-		fmt.Fprintf(os.Stderr, "mccio-bench: unknown experiment %q\n", *experiment)
-		exit(2)
+	if rec := opts.Explain; rec != nil {
+		writeTo(*explPath, func(f *os.File) error { return rec.WriteJSONL(f) })
+		fmt.Fprintf(os.Stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
 	}
 	if sites != nil {
 		rep, err := sites.Stop(*topN)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: sites: %v\n", err)
-			exit(1)
+			fail(1, fmt.Errorf("sites: %w", err))
 		}
-		rep.Scale, rep.Seed, rep.Rounds = *scale, *seed, 1
+		rep.Scale, rep.Seed = *scale, *seed
 		tables = append(tables, rep.Tables()...)
-		f, err := os.Create(*sitesPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-			exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-			exit(1)
-		}
-		f.Close()
+		writeTo(*sitesPath, func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *sitesPath)
 	}
 
@@ -361,36 +200,16 @@ func main() {
 		t.WriteText(os.Stdout)
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-			exit(1)
-		}
-		for _, t := range tables {
-			t.WriteCSV(f)
-			io.WriteString(f, "\n")
-		}
-		f.Close()
+		writeTo(*csvPath, func(f *os.File) error {
+			for _, t := range tables {
+				t.WriteCSV(f)
+				io.WriteString(f, "\n")
+			}
+			return nil
+		})
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
 	if expo != nil {
 		expo.Block(os.Stderr, "runs complete; still serving /metrics — interrupt to exit")
 	}
-}
-
-// trajectoryTable renders a bench trajectory for stdout.
-func trajectoryTable(name string, b *bench.BenchFile) *bench.Table {
-	t := &bench.Table{
-		Title:   fmt.Sprintf("%s bench (scale %.3g, seed %d)", name, b.Scale, b.Seed),
-		Headers: []string{"experiment", "MB/s", "rounds", "aggs", "io MB", "shuffle MB"},
-	}
-	for _, r := range b.Experiments {
-		t.AddRow(r.Key,
-			fmt.Sprintf("%.1f", r.BandwidthMBps),
-			fmt.Sprintf("%d", r.Rounds),
-			fmt.Sprintf("%d", r.Aggregators),
-			fmt.Sprintf("%.1f", float64(r.BytesIO)/1e6),
-			fmt.Sprintf("%.1f", float64(r.ShuffleIntra+r.ShuffleInter)/1e6))
-	}
-	return t
 }

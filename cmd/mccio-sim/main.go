@@ -8,11 +8,13 @@
 //	mccio-sim -strategy two-phase -workload collperf -dim 512 -mem 16MB
 //	mccio-sim -strategy two-layer -workload ior -procs 48 -cores 4 -mem 16MB
 //	mccio-sim -strategy independent -workload random -procs 24
+//	mccio-sim -plan -workload ior -procs 24 -cores 4 -mem 8MB   # the plan only, no run
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/datatype"
 	"repro/internal/explain"
 	"repro/internal/faults"
 	"repro/internal/iolib"
@@ -54,50 +57,76 @@ func parseSize(s string) (int64, error) {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one invocation and returns the process exit code: 0
+// success, 1 operational failure, 2 usage error (unknown flags, stray
+// positional arguments, an unusable -procs/-cores pair, an unknown
+// workload or strategy).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mccio-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		stratName = flag.String("strategy", strategy.MCCIO, strategy.List())
-		op        = flag.String("op", "write", "write | read")
-		wlName    = flag.String("workload", "ior", "ior | collperf | tile2d | random | checkpoint")
-		procs     = flag.Int("procs", 120, "number of MPI processes")
-		cores     = flag.Int("cores", 12, "cores (ranks) per node")
-		memStr    = flag.String("mem", "8MB", "nominal aggregation memory per node")
-		sigmaMB   = flag.Int64("sigma", 50, "memory variance sigma in MB (0 = uniform)")
-		dim       = flag.Int64("dim", 512, "collperf cube dimension (elements)")
-		blockStr  = flag.String("block", "4MB", "ior block size")
-		segments  = flag.Int("segments", 8, "ior segments")
-		seed      = flag.Uint64("seed", 42, "simulation seed")
-		verify    = flag.Bool("verify", false, "use real data and verify every byte (small runs only)")
-		msgind    = flag.String("msgind", "", "override mccio Msgind (e.g. 4MB)")
-		nah       = flag.Int("nah", 0, "override mccio Nah")
-		calibrate = flag.Bool("calibrate", false, "measure Msgind/Nah/Memmin/Msggroup on the platform (paper §3) and use them")
-		combine   = flag.Bool("combine", false, "run mccio's exchange in two layers under lowest-rank node leaders (see -twolayer for elected ones)")
-		twoLayer  = flag.Bool("twolayer", false, "compose the full two-layer exchange (elected leaders) into mccio's groups")
-		hints     = flag.String("hints", "", "MPI_Info-style hints (overrides -strategy); 'help' lists keys")
-		tracePath = flag.String("trace", "", "record an event trace to FILE (.jsonl = JSON lines, otherwise Chrome trace_event JSON for Perfetto) and print the phase breakdown")
-		explPath  = flag.String("explain", "", "record the planner decision audit and memory timeline to FILE as JSONL (render with mccio-report explain/memtl)")
-		serveAddr = flag.String("serve", "", "serve Prometheus metrics on ADDR (e.g. :9090) at /metrics and keep serving after the run until interrupted")
-		metaPath  = flag.String("metrics", "", "write a one-shot JSON metrics dump to FILE after the run")
-		faultPath = flag.String("faults", "", "inject the deterministic fault schedule from this JSON FaultSpec (see examples/chaos.json)")
+		stratName = fs.String("strategy", strategy.MCCIO, strategy.List())
+		op        = fs.String("op", "write", "write | read")
+		wlName    = fs.String("workload", "ior", "ior | collperf | tile2d | random | checkpoint")
+		procs     = fs.Int("procs", 120, "number of MPI processes")
+		cores     = fs.Int("cores", 12, "cores (ranks) per node")
+		memStr    = fs.String("mem", "8MB", "nominal aggregation memory per node")
+		sigmaMB   = fs.Int64("sigma", 50, "memory variance sigma in MB (0 = uniform)")
+		dim       = fs.Int64("dim", 512, "collperf cube dimension (elements)")
+		blockStr  = fs.String("block", "4MB", "ior block size")
+		segments  = fs.Int("segments", 8, "ior segments")
+		seed      = fs.Uint64("seed", 42, "simulation seed")
+		verify    = fs.Bool("verify", false, "use real data and verify every byte (small runs only)")
+		msgind    = fs.String("msgind", "", "override mccio Msgind (e.g. 4MB)")
+		nah       = fs.Int("nah", 0, "override mccio Nah")
+		calibrate = fs.Bool("calibrate", false, "measure Msgind/Nah/Memmin/Msggroup on the platform (paper §3) and use them")
+		twoLayer  = fs.Bool("twolayer", false, "compose the full two-layer exchange (elected leaders) into mccio's groups")
+		hints     = fs.String("hints", "", "MPI_Info-style hints (overrides -strategy); 'help' lists keys")
+		planOnly  = fs.Bool("plan", false, "print the plan mccio computes for these flags — aggregation groups, partition trees, remerges, placements — on the machine, workload and options the run would use, and exit without running the collective")
+		tracePath = fs.String("trace", "", "record an event trace to FILE (.jsonl = JSON lines, otherwise Chrome trace_event JSON for Perfetto) and print the phase breakdown")
+		explPath  = fs.String("explain", "", "record the planner decision audit and memory timeline to FILE as JSONL (render with mccio-report explain/memtl)")
+		serveAddr = fs.String("serve", "", "serve Prometheus metrics on ADDR (e.g. :9090) at /metrics and keep serving after the run until interrupted")
+		metaPath  = fs.String("metrics", "", "write a one-shot JSON metrics dump to FILE after the run")
+		faultPath = fs.String("faults", "", "inject the deterministic fault schedule from this JSON FaultSpec (see examples/chaos.json)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "mccio-sim: "+format+"\nusage: mccio-sim [flags]; -h lists them\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "mccio-sim: %v\n", err)
+		return 1
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
 
 	if *hints == "help" {
 		for _, k := range adio.KnownKeys() {
-			fmt.Println(k)
+			fmt.Fprintln(stdout, k)
 		}
-		return
+		return 0
 	}
 
 	mem, err := parseSize(*memStr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	block, err := parseSize(*blockStr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *procs%*cores != 0 {
-		fatal(fmt.Errorf("procs %d not divisible by cores/node %d", *procs, *cores))
+	if *procs <= 0 || *cores <= 0 || *procs%*cores != 0 {
+		return usage("-procs %d and -cores %d: both must be positive and procs a multiple of cores", *procs, *cores)
+	}
+	if mem <= 0 {
+		return usage("-mem %s: must be positive", *memStr)
 	}
 	nodes := *procs / *cores
 
@@ -115,33 +144,55 @@ func main() {
 	case "checkpoint":
 		wl = workload.Checkpoint{Ranks: *procs, MeanBytes: 16 << 20, Sigma: 0.7, Seed: *seed, Align: 1 << 20}
 	default:
-		fatal(fmt.Errorf("unknown workload %q", *wlName))
+		return usage("unknown workload %q", *wlName)
 	}
 
-	mcfg := cluster.TestbedConfig(nodes)
+	mcfg := bench.TestbedMachine(nodes, mem, *sigmaMB*cluster.MB, *seed)
 	// -cores shapes rank placement too, not just the node count: the
 	// intra/inter traffic split and the two-layer election depend on
 	// which ranks share a node.
 	mcfg.CoresPerNode = *cores
-	mcfg.MemPerNode = mem
-	if *sigmaMB > 0 {
-		mcfg.MemSigma = float64(*sigmaMB*cluster.MB) / float64(mem)
-	}
-	mcfg.MemFloor = mem / 4
-	mcfg.Seed = *seed
-	fcfg := pfs.DefaultConfig()
-	fcfg.JitterMean = 12e-3
-	fcfg.Seed = *seed
+	fcfg := bench.TestbedFS(*seed)
 
-	s := buildStrategy(*hints, *stratName, *calibrate, *combine, *twoLayer, *msgind, *nah, mem, nodes, mcfg, fcfg, wl)
+	if *hints == "" && !strategy.Valid(*stratName) {
+		return usage("unknown strategy %q (want %s)", *stratName, strategy.List())
+	}
+	s, err := buildStrategy(stderr, *hints, *stratName, *calibrate, *twoLayer, *msgind, *nah, mem, mcfg, fcfg, wl)
+	if err != nil {
+		return fail(err)
+	}
+
+	var rec *explain.Recorder
+	if *explPath != "" || *planOnly {
+		rec = explain.NewRecorder()
+	}
+	saveExplain := func() error {
+		if *explPath == "" {
+			return nil
+		}
+		if err := writeExplain(*explPath, rec); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
+		return nil
+	}
+	if *planOnly {
+		mc, ok := s.(core.MCCIO)
+		if !ok {
+			return usage("-plan prints mccio's plan; strategy %s has none to inspect", s.Name())
+		}
+		if err := printPlan(stdout, mc, mcfg, wl, *memStr, *sigmaMB, rec); err != nil {
+			return fail(err)
+		}
+		if err := saveExplain(); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
 
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
-	}
-	var rec *explain.Recorder
-	if *explPath != "" {
-		rec = explain.NewRecorder()
 	}
 	var reg *metrics.Registry
 	if *serveAddr != "" || *metaPath != "" {
@@ -151,20 +202,18 @@ func main() {
 	// scraped while the simulation executes.
 	var expo *metrics.Exposition
 	if *serveAddr != "" {
-		var err error
-		expo, err = metrics.StartExposition(*serveAddr, reg, os.Stderr)
-		if err != nil {
-			fatal(err)
+		if expo, err = metrics.StartExposition(*serveAddr, reg, stderr); err != nil {
+			return fail(err)
 		}
 	}
 	var sched *faults.Schedule
 	if *faultPath != "" {
 		fspec, err := faults.LoadSpec(*faultPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if sched, err = faults.NewSchedule(fspec); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	res, err := bench.RunOnce(bench.Spec{
@@ -172,25 +221,22 @@ func main() {
 		Tracer: tracer, Metrics: reg, Faults: sched, Explain: rec,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	report(res, wl, nodes, *cores, *memStr, *sigmaMB, *verify)
+	report(stdout, res, wl, nodes, *cores, *memStr, *sigmaMB, *verify)
 	if sched != nil {
-		fmt.Printf("faults:          %d injected, %d failovers, %d unrecovered, %d drops\n",
+		fmt.Fprintf(stdout, "faults:          %d injected, %d failovers, %d unrecovered, %d drops\n",
 			sched.Injected(), sched.Failovers(), sched.Unrecovered(), sched.Dropped())
 	}
 	if tracer != nil {
 		if err := writeTrace(*tracePath, tracer); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", tracer.Len(), *tracePath)
-		obs.Summarize(tracer.Events()).WriteText(os.Stdout)
+		fmt.Fprintf(stderr, "wrote %d trace events to %s\n", tracer.Len(), *tracePath)
+		obs.Summarize(tracer.Events()).WriteText(stdout)
 	}
-	if rec != nil {
-		if err := writeExplain(*explPath, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
+	if err := saveExplain(); err != nil {
+		return fail(err)
 	}
 	// Anomaly scan: phase stragglers need the tracer, memory-ceiling
 	// checks need the decision log; run with whatever was recorded.
@@ -201,7 +247,7 @@ func main() {
 		}
 		anomalies := explain.DetectAnomalies(sum, rec.Events(), explain.AnomalyConfig{})
 		for _, a := range anomalies {
-			fmt.Fprintf(os.Stderr, "warning: %s: %s\n", a.Kind, a.Detail)
+			fmt.Fprintf(stderr, "warning: %s: %s\n", a.Kind, a.Detail)
 		}
 		if reg != nil {
 			explain.CountAnomalies(reg, anomalies)
@@ -209,13 +255,47 @@ func main() {
 	}
 	if *metaPath != "" {
 		if err := writeMetricsJSON(*metaPath, reg); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote metrics dump to %s\n", *metaPath)
+		fmt.Fprintf(stderr, "wrote metrics dump to %s\n", *metaPath)
 	}
 	if expo != nil {
-		expo.Block(os.Stderr, "run complete; still serving /metrics — interrupt to exit")
+		expo.Block(stderr, "run complete; still serving /metrics — interrupt to exit")
 	}
+	return 0
+}
+
+// printPlan is -plan: the plan mc computes for wl on a fresh machine
+// built from mcfg — the same three values a run is given — without
+// running the collective, closed by the decision-count summary.
+func printPlan(w io.Writer, mc core.MCCIO, mcfg cluster.Config, wl workload.Workload, memStr string, sigmaMB int64, rec *explain.Recorder) error {
+	machine, err := cluster.New(mcfg)
+	if err != nil {
+		return err
+	}
+	machine.SetExplain(rec)
+	fmt.Fprintf(w, "machine: %d nodes x %d cores; nominal %s/node (sigma %d MB)\n",
+		mcfg.Nodes, mcfg.CoresPerNode, memStr, sigmaMB)
+	fmt.Fprint(w, "node aggregation memory (MB):")
+	for _, c := range machine.MemCapacities() {
+		fmt.Fprintf(w, " %.1f", float64(c)/1e6)
+	}
+	opts := mc.Opts
+	fmt.Fprintf(w, "\nworkload: %s\n", wl.Name())
+	fmt.Fprintf(w, "options: Msgind=%.1fMB Msggroup=%.1fMB Nah=%d Memmin=%.1fMB\n\n",
+		float64(opts.Msgind)/1e6, float64(opts.Msggroup)/1e6, opts.Nah, float64(opts.Memmin)/1e6)
+	views := make([]datatype.List, wl.NumRanks())
+	for r := range views {
+		views[r] = wl.View(r)
+	}
+	res, err := mc.Inspect(machine, views)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Summary())
+	fmt.Fprintln(w)
+	explain.Summarize(rec.Events()).WriteText(w)
+	return nil
 }
 
 // writeMetricsJSON dumps the registry snapshot as indented JSON.
@@ -252,92 +332,76 @@ func writeTrace(path string, t *obs.Tracer) error {
 }
 
 // buildStrategy resolves the strategy from hints (when given) or the
-// individual flags. An unknown -strategy is a usage error: exit 2 with
-// the canonical allowed list.
-func buildStrategy(hints, name string, calibrate, combine, twoLayer bool, msgind string, nah int,
-	mem int64, nodes int, mcfg cluster.Config, fcfg pfs.Config, wl workload.Workload) iolib.Collective {
+// individual flags; name is already known to be valid. Progress notes
+// (the hint-selected strategy, the calibration report, mccio's
+// tunables) go to stderr.
+func buildStrategy(stderr io.Writer, hints, name string, calibrate, twoLayer bool, msgind string, nah int,
+	mem int64, mcfg cluster.Config, fcfg pfs.Config, wl workload.Workload) (iolib.Collective, error) {
 	if hints != "" {
 		h, err := adio.ParseHints(hints)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		s, err := h.BuildStrategy(mcfg, fcfg, wl.TotalBytes())
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "strategy from hints: %s\n", s.Name())
-		return s
-	}
-	if !strategy.Valid(name) {
-		fmt.Fprintf(os.Stderr, "mccio-sim: unknown strategy %q (want %s)\n", name, strategy.List())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "strategy from hints: %s\n", s.Name())
+		return s, nil
 	}
 	var opts core.Options
 	if name == strategy.MCCIO {
-		opts = core.DefaultOptions(mcfg, fcfg)
+		opts = bench.MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 		if calibrate {
 			rep, err := core.Calibrate(mcfg, fcfg)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "calibration:\n%s", rep.String())
+			fmt.Fprintf(stderr, "calibration:\n%s", rep.String())
+			rep.Result.Msggroup, rep.Result.Memmin = opts.Msggroup, opts.Memmin
 			opts = rep.Result
 		}
-		opts.NodeCombine = combine
 		opts.TwoLayer = twoLayer
-		opts.Msggroup = wl.TotalBytes() / int64(max(nodes/2, 1))
-		opts.Memmin = mem / 4
 		if msgind != "" {
 			v, err := parseSize(msgind)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			opts.Msgind = v
 		}
 		if nah > 0 {
 			opts.Nah = nah
 		}
-		fmt.Fprintf(os.Stderr, "mccio options: Msgind=%d Msggroup=%d Nah=%d Memmin=%d\n",
+		fmt.Fprintf(stderr, "mccio options: Msgind=%d Msggroup=%d Nah=%d Memmin=%d\n",
 			opts.Msgind, opts.Msggroup, opts.Nah, opts.Memmin)
 	}
-	s, err := adio.New(name, opts, mem)
-	if err != nil {
-		fatal(err)
-	}
-	return s
+	return adio.New(name, opts, mem)
 }
 
 // report prints the run summary.
-func report(res trace.Result, wl workload.Workload, nodes, cores int, memStr string, sigmaMB int64, verify bool) {
-	fmt.Printf("workload:        %s\n", wl.Name())
-	fmt.Printf("platform:        %d nodes x %d cores, %s/node aggregation memory (sigma %dMB)\n",
+func report(w io.Writer, res trace.Result, wl workload.Workload, nodes, cores int, memStr string, sigmaMB int64, verify bool) {
+	fmt.Fprintf(w, "workload:        %s\n", wl.Name())
+	fmt.Fprintf(w, "platform:        %d nodes x %d cores, %s/node aggregation memory (sigma %dMB)\n",
 		nodes, cores, memStr, sigmaMB)
-	fmt.Printf("result:          %s\n", res.String())
-	fmt.Printf("bandwidth:       %.1f MB/s\n", res.BandwidthMBps())
-	fmt.Printf("rounds:          %d\n", res.Rounds)
-	fmt.Printf("aggregators:     %d in %d groups (%d remerges)\n", res.Aggregators, res.Groups, res.Remerges)
+	fmt.Fprintf(w, "result:          %s\n", res.String())
+	fmt.Fprintf(w, "bandwidth:       %.1f MB/s\n", res.BandwidthMBps())
+	fmt.Fprintf(w, "rounds:          %d\n", res.Rounds)
+	fmt.Fprintf(w, "aggregators:     %d in %d groups (%d remerges)\n", res.Aggregators, res.Groups, res.Remerges)
 	if res.Leaders > 0 {
-		fmt.Printf("node leaders:    %d elected (two-layer exchange)\n", res.Leaders)
+		fmt.Fprintf(w, "node leaders:    %d elected (two-layer exchange)\n", res.Leaders)
 	}
-	fmt.Printf("file I/O:        %.1f MB in %d requests\n", float64(res.BytesIO)/1e6, res.IORequests)
-	fmt.Printf("shuffle traffic: %.1f MB intra-node, %.1f MB inter-node\n",
+	fmt.Fprintf(w, "file I/O:        %.1f MB in %d requests\n", float64(res.BytesIO)/1e6, res.IORequests)
+	fmt.Fprintf(w, "shuffle traffic: %.1f MB intra-node, %.1f MB inter-node\n",
 		float64(res.BytesShuffleIntra)/1e6, float64(res.BytesShuffleInter)/1e6)
-	fmt.Printf("phase time:      %.3f s exchange, %.3f s file I/O (summed over aggregators)\n",
+	fmt.Fprintf(w, "phase time:      %.3f s exchange, %.3f s file I/O (summed over aggregators)\n",
 		res.ExchangeSeconds, res.IOSeconds)
 	if st := res.AggBufferStats(); st.N > 0 {
-		fmt.Printf("agg buffers:     mean %.2f MB, min %.2f, max %.2f (cv %.3f)\n",
+		fmt.Fprintf(w, "agg buffers:     mean %.2f MB, min %.2f, max %.2f (cv %.3f)\n",
 			st.Mean/1e6, st.Min/1e6, st.Max/1e6, st.Std/maxf(st.Mean, 1))
 	}
 	if verify {
-		fmt.Println("verification:    every byte checked OK")
+		fmt.Fprintln(w, "verification:    every byte checked OK")
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxf(a, b float64) float64 {
@@ -345,9 +409,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "mccio-sim: %v\n", err)
-	os.Exit(1)
 }

@@ -1,0 +1,165 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/explain"
+)
+
+// TestPlanDefaults: -plan with every other flag at its default prints
+// the platform, the workload, the tunables and a plan.
+func TestPlanDefaults(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-plan"}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, errb.String())
+	}
+	for _, want := range []string{"machine: 10 nodes x 12 cores", "workload:", "options:", "aggregation groups:", "decision audit:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunUsageErrors: hostile or inconsistent flags exit 2 with a
+// diagnostic — never a panic, never a run.
+func TestRunUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"stray-positional"},
+		{"-cores", "0"},
+		{"-cores", "-3"},
+		{"-procs", "0"},
+		{"-procs", "-24"},
+		{"-procs", "25", "-cores", "4"}, // not divisible
+		{"-mem", "0"},
+		{"-workload", "nope"},
+		{"-strategy", "nope"},
+		{"-plan", "-strategy", "two-phase"},
+		{"-plan", "-hints", "romio_cb_write=disable"},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, errb.String())
+		}
+		if errb.Len() == 0 {
+			t.Errorf("run(%v): expected a diagnostic on stderr", args)
+		}
+		if strings.Contains(out.String(), "result:") {
+			t.Errorf("run(%v) ran a simulation:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestRunOperationalErrors: well-formed flags naming something
+// unusable exit 1.
+func TestRunOperationalErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mem", "lots"},
+		{"-hints", "mccio_node_combine=true", "-procs", "8", "-cores", "4"}, // removed key
+		{"-faults", filepath.Join(t.TempDir(), "missing.json"), "-procs", "8", "-cores", "4"},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 1 || errb.Len() == 0 {
+			t.Errorf("run(%v) = %d, want 1 with a diagnostic (stderr: %s)", args, code, errb.String())
+		}
+	}
+}
+
+// decisions reads a decision audit back and returns its planner events
+// (group division, bisections, trees, remerges, placements) with the
+// two fields that legitimately differ between a run and -plan blanked:
+// the virtual-time stamp and the operation label.
+func decisions(t *testing.T, path string) []explain.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := explain.ParseJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []explain.Event
+	for _, e := range events {
+		switch e.Kind {
+		case explain.KindGroups, explain.KindBisect, explain.KindTree, explain.KindRemerge, explain.KindPlace, explain.KindLeader:
+			e.T, e.Op = 0, ""
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestPlanIsExecutedPlan is the CLI's parity check, for IOR on 24
+// ranks x 4 per node, 8 MB, sigma 50 and variations: -plan's decision
+// audit is event for event the audit of the run with the same flags,
+// and what -plan prints is that audit — every group, and per placement
+// the domain start, aggregator, host and buffer; as many domains as the
+// run reports aggregators, and its remerge figure.
+func TestPlanIsExecutedPlan(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-twolayer"}, {"-mem", "2MB"}, {"-seed", "7", "-workload", "random"}, {"-hints", "collective=mccio,mccio_nah=2"}} {
+		flags := append([]string{"-workload", "ior", "-procs", "24", "-cores", "4", "-mem", "8MB", "-sigma", "50"}, extra...)
+		t.Run(strings.Join(extra, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			planAudit, runAudit := filepath.Join(dir, "plan.jsonl"), filepath.Join(dir, "run.jsonl")
+			var plan, out, errb strings.Builder
+			if code := run(append([]string{"-plan", "-explain", planAudit}, flags...), &plan, &errb); code != 0 {
+				t.Fatalf("-plan: exit %d: %s", code, errb.String())
+			}
+			if code := run(append([]string{"-explain", runAudit}, flags...), &out, &errb); code != 0 {
+				t.Fatalf("run: exit %d: %s", code, errb.String())
+			}
+			planned, executed := decisions(t, planAudit), decisions(t, runAudit)
+			if !reflect.DeepEqual(planned, executed) {
+				t.Fatalf("-plan decided differently from the run:\nplan %+v\nrun  %+v", planned, executed)
+			}
+			var groups, domains int
+			for _, e := range executed {
+				switch e.Kind {
+				case explain.KindGroups:
+					groups = len(e.Groups)
+					for gi, g := range e.Groups {
+						want := fmt.Sprintf("group %d: ranks [%d..%d] on %d node(s), %.2f MB requested",
+							gi, g.First, g.Last, g.Nodes, float64(g.Bytes)/1e6)
+						if !strings.Contains(plan.String(), want) {
+							t.Errorf("-plan lacks the executed group %q", want)
+						}
+					}
+				case explain.KindPlace:
+					// A later remerge may stretch the domain's end, never its
+					// start, aggregator, host or buffer.
+					domains++
+					want := regexp.MustCompile(fmt.Sprintf(`domain \[%d,\d+\) [\d.]+ MB -> group-rank %d \(node %d\), buffer %.2f MB`,
+						e.Lo, e.Rank, e.Node, float64(e.Buf)/1e6))
+					if !want.MatchString(plan.String()) {
+						t.Errorf("-plan lacks the executed placement %s (group %d)", want, e.Group)
+					}
+				}
+			}
+			if want := fmt.Sprintf("aggregation groups: %d\n", groups); groups == 0 || !strings.Contains(plan.String(), want) {
+				t.Errorf("-plan does not print %q", want)
+			}
+			if got := strings.Count(plan.String(), "    domain ["); domains == 0 || got != domains {
+				t.Errorf("-plan prints %d domains, the run placed %d", got, domains)
+			}
+			// trace.Metrics.Merge keeps the largest group's remerge count.
+			remerges := 0
+			for _, m := range regexp.MustCompile(`leaves, (\d+) remerges\)`).FindAllStringSubmatch(plan.String(), -1) {
+				if n, _ := strconv.Atoi(m[1]); n > remerges {
+					remerges = n
+				}
+			}
+			if want := fmt.Sprintf("aggregators:     %d in %d groups (%d remerges)", domains, groups, remerges); !strings.Contains(out.String(), want) {
+				t.Errorf("run summary lacks %q:\n%s", want, out.String())
+			}
+		})
+	}
+}

@@ -9,53 +9,71 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/adio"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/iotrace"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "gen":
-		cmdGen(os.Args[2:])
-	case "stat":
-		cmdStat(os.Args[2:])
-	case "run":
-		cmdRun(os.Args[2:])
-	default:
-		usage()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// cli carries one invocation's output streams; its methods are the
+// subcommands and return the process exit code: 0 success, 1
+// operational failure, 2 usage error.
+type cli struct {
+	stdout, stderr io.Writer
+}
+
+// run dispatches the subcommand.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli{stdout, stderr}
+	if len(args) == 0 {
+		return c.usage()
+	}
+	switch args[0] {
+	case "gen":
+		return c.gen(args[1:])
+	case "stat":
+		return c.stat(args[1:])
+	case "run":
+		return c.run(args[1:])
+	}
+	return c.usage()
+}
+
+func (c cli) usage() int {
+	fmt.Fprintln(c.stderr, `usage:
   mccio-trace gen  -workload ior|collperf|random|checkpoint [-procs N] [-out FILE]
   mccio-trace stat FILE
   mccio-trace run  [-strategy `+strategy.List()+`] [-op write|read] [-mem SIZE] [-trace OUT] FILE
                    (-trace records an event trace: .jsonl = JSON lines, else Chrome JSON)`)
-	os.Exit(2)
+	return 2
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "mccio-trace: %v\n", err)
-	os.Exit(1)
+func (c cli) fail(err error) int {
+	fmt.Fprintf(c.stderr, "mccio-trace: %v\n", err)
+	return 1
 }
 
-func cmdGen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+// badFlag reports an unusable flag value; exit code 2.
+func (c cli) badFlag(format string, a ...any) int {
+	fmt.Fprintf(c.stderr, "mccio-trace: "+format+"\n", a...)
+	return c.usage()
+}
+
+func (c cli) gen(args []string) int {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	wlName := fs.String("workload", "ior", "ior | collperf | tile2d | random | checkpoint")
 	procs := fs.Int("procs", 24, "ranks")
 	blockKB := fs.Int64("block", 256, "ior block size, KB")
@@ -63,7 +81,12 @@ func cmdGen(args []string) {
 	dim := fs.Int64("dim", 128, "collperf cube dimension")
 	out := fs.String("out", "", "output file (default stdout)")
 	seed := fs.Uint64("seed", 42, "seed for random workloads")
-	fs.Parse(args)
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if *procs <= 0 {
+		return c.badFlag("-procs %d: must be positive", *procs)
+	}
 
 	var wl workload.Workload
 	switch *wlName {
@@ -79,73 +102,88 @@ func cmdGen(args []string) {
 	case "checkpoint":
 		wl = workload.Checkpoint{Ranks: *procs, MeanBytes: 4 << 20, Sigma: 0.7, Seed: *seed, Align: 1 << 20}
 	default:
-		fatal(fmt.Errorf("unknown workload %q", *wlName))
+		return c.badFlag("unknown workload %q", *wlName)
 	}
 	tr := iotrace.FromWorkload(wl, iotrace.Write)
-	w := os.Stdout
+	w := c.stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := tr.Write(w); err != nil {
-		fatal(err)
+		return c.fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "generated %d requests from %s\n", len(tr.Requests), wl.Name())
+	fmt.Fprintf(c.stderr, "generated %d requests from %s\n", len(tr.Requests), wl.Name())
+	return 0
 }
 
-func loadTrace(path string) *iotrace.Trace {
+func loadTrace(path string) (*iotrace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := iotrace.Parse(f)
-	if err != nil {
-		fatal(err)
-	}
-	return tr
+	return iotrace.Parse(f)
 }
 
-func cmdStat(args []string) {
-	fs := flag.NewFlagSet("stat", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+func (c cli) stat(args []string) int {
+	if len(args) != 1 {
+		return c.usage()
 	}
-	s := iotrace.Analyze(loadTrace(fs.Arg(0)))
-	fmt.Printf("ranks:        %d\n", s.Ranks)
-	fmt.Printf("requests:     %d (%.0f%% writes)\n", s.Requests, s.WriteShare*100)
-	fmt.Printf("bytes:        %.2f MB over file extent %.2f MB\n", float64(s.Bytes)/1e6, float64(s.FileExtent)/1e6)
-	fmt.Printf("request size: min %d, mean %.0f, max %d bytes\n", s.MinLen, s.MeanLen, s.MaxLen)
-	fmt.Printf("interleave:   %.2f contiguous-ownership runs per rank\n", s.Interleave)
-	fmt.Println("size histogram:")
+	tr, err := loadTrace(args[0])
+	if err != nil {
+		return c.fail(err)
+	}
+	s := iotrace.Analyze(tr)
+	fmt.Fprintf(c.stdout, "ranks:        %d\n", s.Ranks)
+	fmt.Fprintf(c.stdout, "requests:     %d (%.0f%% writes)\n", s.Requests, s.WriteShare*100)
+	fmt.Fprintf(c.stdout, "bytes:        %.2f MB over file extent %.2f MB\n", float64(s.Bytes)/1e6, float64(s.FileExtent)/1e6)
+	fmt.Fprintf(c.stdout, "request size: min %d, mean %.0f, max %d bytes\n", s.MinLen, s.MeanLen, s.MaxLen)
+	fmt.Fprintf(c.stdout, "interleave:   %.2f contiguous-ownership runs per rank\n", s.Interleave)
+	fmt.Fprintln(c.stdout, "size histogram:")
 	keys := make([]string, 0, len(s.SizeBuckets))
 	for k := range s.SizeBuckets {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-8s %d\n", k, s.SizeBuckets[k])
+		fmt.Fprintf(c.stdout, "  %-8s %d\n", k, s.SizeBuckets[k])
 	}
+	return 0
 }
 
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func (c cli) run(args []string) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	stratName := fs.String("strategy", strategy.MCCIO, strategy.List())
 	op := fs.String("op", "write", "write | read")
 	memMB := fs.Int64("mem", 8, "nominal aggregation memory per node, MB")
 	cores := fs.Int("cores", 12, "cores per node")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	traceOut := fs.String("trace", "", "record an event trace to FILE (.jsonl = JSON lines, otherwise Chrome trace_event JSON)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+	if fs.Parse(args) != nil {
+		return 2
 	}
-	tr := loadTrace(fs.Arg(0))
+	if fs.NArg() != 1 {
+		return c.usage()
+	}
+	if *cores <= 0 {
+		return c.badFlag("-cores %d: must be positive", *cores)
+	}
+	if *memMB <= 0 {
+		return c.badFlag("-mem %d: must be positive", *memMB)
+	}
+	if !strategy.Valid(*stratName) {
+		return c.badFlag("unknown strategy %q (want %s)", *stratName, strategy.List())
+	}
+	tr, err := loadTrace(fs.Arg(0))
+	if err != nil {
+		return c.fail(err)
+	}
 	traceOp := iotrace.Write
 	if *op == "read" {
 		traceOp = iotrace.Read
@@ -158,7 +196,7 @@ func cmdRun(args []string) {
 			rp, err = iotrace.NewReplay(tr, iotrace.Write)
 		}
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
 	}
 	if rp.TotalBytes() == 0 {
@@ -166,35 +204,22 @@ func cmdRun(args []string) {
 		if err2 == nil && rp2.TotalBytes() > 0 && *op == "read" {
 			rp = rp2
 		} else {
-			fatal(fmt.Errorf("trace has no %s requests", *op))
+			return c.fail(fmt.Errorf("trace has no %s requests", *op))
 		}
 	}
 	nodes := (rp.NumRanks() + *cores - 1) / *cores
 
 	mem := *memMB << 20
-	mcfg := cluster.TestbedConfig(nodes)
+	mcfg := bench.TestbedMachine(nodes, mem, bench.SigmaBytes, *seed)
 	mcfg.CoresPerNode = *cores
-	mcfg.MemPerNode = mem
-	mcfg.MemSigma = float64(50*cluster.MB) / float64(mem)
-	mcfg.MemFloor = mem / 4
-	mcfg.Seed = *seed
-	fcfg := pfs.DefaultConfig()
-	fcfg.JitterMean = 12e-3
-	fcfg.Seed = *seed
-
-	if !strategy.Valid(*stratName) {
-		fmt.Fprintf(os.Stderr, "mccio-trace: unknown strategy %q (want %s)\n", *stratName, strategy.List())
-		os.Exit(2)
-	}
+	fcfg := bench.TestbedFS(*seed)
 	var opts core.Options
 	if *stratName == strategy.MCCIO {
-		opts = core.DefaultOptions(mcfg, fcfg)
-		opts.Msggroup = rp.TotalBytes() / int64(maxInt(nodes/2, 1))
-		opts.Memmin = mem / 4
+		opts = bench.MCCIOOptions(mcfg, fcfg, rp.TotalBytes(), mem)
 	}
 	s, err := adio.New(*stratName, opts, mem)
 	if err != nil {
-		fatal(err)
+		return c.fail(err)
 	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -202,15 +227,15 @@ func cmdRun(args []string) {
 	}
 	res, err := bench.RunOnce(bench.Spec{Strategy: s, Op: *op, Machine: mcfg, FS: fcfg, Workload: rp, Tracer: tracer})
 	if err != nil {
-		fatal(err)
+		return c.fail(err)
 	}
-	fmt.Printf("replayed %s with %s %s on %d nodes x %d cores\n",
+	fmt.Fprintf(c.stdout, "replayed %s with %s %s on %d nodes x %d cores\n",
 		fs.Arg(0), *stratName, *op, nodes, *cores)
-	fmt.Println(res.String())
+	fmt.Fprintln(c.stdout, res.String())
 	if tracer != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
 		if strings.HasSuffix(*traceOut, ".jsonl") {
 			err = tracer.WriteJSONL(f)
@@ -221,15 +246,9 @@ func cmdRun(args []string) {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", tracer.Len(), *traceOut)
+		fmt.Fprintf(c.stderr, "wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return 0
 }

@@ -55,7 +55,7 @@ func TestCrossStrategyInterop(t *testing.T) {
 		return map[string]iolib.Collective{
 			"two-phase":     collio.TwoPhase{CBBuffer: 256 << 10},
 			"mccio":         core.MCCIO{Opts: mccioOpts(mcfg, fcfg, wl.TotalBytes())},
-			"mccio-combine": core.MCCIO{Opts: func() core.Options { o := mccioOpts(mcfg, fcfg, wl.TotalBytes()); o.NodeCombine = true; return o }()},
+			"mccio-combine": core.MCCIO{Opts: func() core.Options { o := mccioOpts(mcfg, fcfg, wl.TotalBytes()); o.TwoLayer = true; return o }()},
 			"independent":   iolib.Naive{Opts: iolib.SieveOptions{}},
 		}
 	}
@@ -177,7 +177,7 @@ func TestHintsDrivenRun(t *testing.T) {
 	mcfg, fcfg := quietPlatform(2, 4)
 	wl := workload.IOR{Ranks: 8, BlockSize: 64 << 10, Segments: 4}
 	for _, hs := range []string{
-		"collective=mccio,mccio_node_combine=true",
+		"collective=mccio,mccio_two_layer=true",
 		"collective=two_phase,cb_buffer_size=262144",
 		"romio_cb_write=disable",
 	} {

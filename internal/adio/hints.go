@@ -36,7 +36,6 @@ var knownKeys = map[string]string{
 	"mccio_msggroup":     "aggregation-group data volume in bytes (0 = one group)",
 	"mccio_nah":          "max aggregators per node",
 	"mccio_memmin":       "minimum host memory to place an aggregator, bytes",
-	"mccio_node_combine": "true | false: two-layer exchange under lowest-rank node leaders",
 	"mccio_two_layer":    "true | false: full two-layer exchange (elected leaders) within each group",
 	"mccio_calibrate":    "true | false: measure Msgind/Nah/Memmin/Msggroup on the platform first",
 	"mccio_no_groups":    "true | false: ablation, disable group division",
@@ -155,7 +154,7 @@ func (h Hints) BuildStrategy(mcfg cluster.Config, fcfg pfs.Config, totalBytes in
 		}
 		return s, nil
 	case core.MCCIO:
-		opts, err := h.mccioOptions(mcfg, fcfg, totalBytes)
+		opts, err := h.MCCIOOptions(mcfg, fcfg, totalBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -171,10 +170,10 @@ func (h Hints) BuildStrategy(mcfg cluster.Config, fcfg pfs.Config, totalBytes in
 	return New(kind, core.Options{}, cb)
 }
 
-// mccioOptions resolves the MCCIO tunables: the platform's calibration
+// MCCIOOptions resolves the MCCIO tunables: the platform's calibration
 // (measured under mccio_calibrate, derived otherwise), group division
 // sized from totalBytes, then every mccio_* override.
-func (h Hints) mccioOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64) (core.Options, error) {
+func (h Hints) MCCIOOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64) (core.Options, error) {
 	var opts core.Options
 	calibrate, err := h.getBool("mccio_calibrate")
 	if err != nil {
@@ -226,7 +225,6 @@ func (h Hints) mccioOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int
 		dst *bool
 	}
 	for _, f := range []flags{
-		{"mccio_node_combine", &opts.NodeCombine},
 		{"mccio_two_layer", &opts.TwoLayer},
 		{"mccio_no_groups", &opts.DisableGroups},
 		{"mccio_no_mem_aware", &opts.DisableMemAware},

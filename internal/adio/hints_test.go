@@ -120,7 +120,7 @@ func TestRomioCbWriteDisableSelectsIndependent(t *testing.T) {
 
 func TestMccioOverrides(t *testing.T) {
 	mcfg, fcfg := platform()
-	h, _ := ParseHints("mccio_msgind=2097152,mccio_nah=2,mccio_memmin=524288,mccio_node_combine=true,mccio_no_groups=true")
+	h, _ := ParseHints("mccio_msgind=2097152,mccio_nah=2,mccio_memmin=524288,mccio_two_layer=true,mccio_no_groups=true")
 	s, err := h.BuildStrategy(mcfg, fcfg, 1<<30)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestMccioOverrides(t *testing.T) {
 	if mc.Opts.Msgind != 2<<20 || mc.Opts.Nah != 2 || mc.Opts.Memmin != 512<<10 {
 		t.Fatalf("%+v", mc.Opts)
 	}
-	if !mc.Opts.NodeCombine || !mc.Opts.DisableGroups {
+	if !mc.Opts.TwoLayer || !mc.Opts.DisableGroups {
 		t.Fatalf("%+v", mc.Opts)
 	}
 }
@@ -151,7 +151,8 @@ func TestBuildRejectsBadValues(t *testing.T) {
 	bad := []string{
 		"cb_buffer_size=potato",
 		"collective=two_phase,cb_buffer_size=-1",
-		"mccio_node_combine=maybe",
+		"mccio_two_layer=maybe",
+		"mccio_node_combine=true", // removed key: unknown, not silently ignored
 		"mccio_msgind=-5",
 		"mccio_nah=0",
 	}
@@ -190,4 +191,52 @@ func TestKnownKeysDocumented(t *testing.T) {
 			t.Fatalf("missing %s in %s", want, joined)
 		}
 	}
+}
+
+// FuzzParseHints feeds arbitrary hint strings through the parser and
+// the strategy builder — the path `mccio-sim -hints` takes. The result
+// is an error or a usable strategy, never a panic, whatever the keys
+// and values say.
+func FuzzParseHints(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"collective=mccio, cb_buffer_size=1048576,mccio_nah=2",
+		"collective=two_phase,cb_buffer_size=4194304",
+		"collective=two-layer",
+		"collective=independent",
+		"romio_cb_write=disable,ind_rd_buffer_size=65536",
+		"mccio_msgind=2097152,mccio_nah=2,mccio_memmin=524288,mccio_two_layer=true,mccio_no_groups=true",
+		"mccio_msggroup=12345678",
+		"mccio_calibrate=true",
+		"mccio_node_combine=true", // removed key
+		"collective", "=x", "no_such_key=1", "mccio_nah=1,mccio_nah=2",
+		"cb_buffer_size=potato", "collective=two_phase,cb_buffer_size=-1",
+		"mccio_two_layer=maybe", "mccio_msgind=-5", "mccio_nah=0",
+		"mccio_nah=9223372036854775807", "mccio_msggroup=-9223372036854775808",
+	} {
+		f.Add(s)
+	}
+	mcfg, fcfg := platform()
+	f.Fuzz(func(t *testing.T, in string) {
+		h, err := ParseHints(in)
+		if err != nil {
+			if h != nil {
+				t.Fatalf("ParseHints(%q) returned hints %v with error %v", in, h, err)
+			}
+			return
+		}
+		if _, removed := h["mccio_node_combine"]; removed {
+			t.Fatalf("ParseHints(%q) accepted the removed key mccio_node_combine", in)
+		}
+		// Calibration is a simulation, not parsing: keep the fuzzer on
+		// the parser.
+		delete(h, "mccio_calibrate")
+		s, err := h.BuildStrategy(mcfg, fcfg, 1<<30)
+		if (err == nil) == (s == nil) {
+			t.Fatalf("BuildStrategy(%q) = %v, %v: want exactly one", in, s, err)
+		}
+		if err == nil && !strategy.Valid(s.Name()) {
+			t.Fatalf("BuildStrategy(%q) built %q, not a known strategy", in, s.Name())
+		}
+	})
 }

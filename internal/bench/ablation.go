@@ -19,9 +19,9 @@ func Ablation(o Options) (*Table, error) {
 	const nodes = 10
 	const mem = 8 * cluster.MiB
 	wl := iorWorkload(120, o.Scale)
-	fcfg := testbedFS(o.Seed)
-	mccCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-	full := mccioOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
+	fcfg := TestbedFS(o.Seed)
+	mccCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+	full := MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
 
 	variant := func(name string, mutate func(*core.Options)) (string, iolib.Collective, cluster.Config) {
 		opts := full
@@ -41,7 +41,6 @@ func Ablation(o Options) (*Table, error) {
 		entries = append(entries, entry{name, s, mcfg})
 	}
 	add(variant("mccio (full)", nil))
-	add(variant("+ node combining", func(op *core.Options) { op.NodeCombine = true }))
 	add(variant("+ two-layer exchange", func(op *core.Options) { op.TwoLayer = true }))
 	add(variant("no group division", func(op *core.Options) { op.DisableGroups = true }))
 	add(variant("no memory-aware placement", func(op *core.Options) { op.DisableMemAware = true }))
@@ -97,9 +96,9 @@ func MemoryPressure(o Options) (*Table, error) {
 	const nodes = 10
 	const mem = 8 * cluster.MiB
 	wl := iorWorkload(120, o.Scale)
-	fcfg := testbedFS(o.Seed)
-	mccCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-	baseCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed) // same varied machine: fairness
+	fcfg := TestbedFS(o.Seed)
+	mccCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+	baseCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed) // same varied machine: fairness
 	t := &Table{
 		Title:   "Aggregator memory consumption under variance (IOR 120 procs, 8MB nominal)",
 		Headers: []string{"strategy", "aggs", "mean buf MB", "cv", "max buf MB", "remerges"},
@@ -110,7 +109,7 @@ func MemoryPressure(o Options) (*Table, error) {
 		cfg  cluster.Config
 	}{
 		{"two-phase", collio.TwoPhase{CBBuffer: mem}, baseCfg},
-		{"mccio", core.MCCIO{Opts: mccioOptions(mccCfg, fcfg, wl.TotalBytes(), mem)}, mccCfg},
+		{"mccio", core.MCCIO{Opts: MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)}, mccCfg},
 	}
 	var rows []specRow
 	for _, e := range entries {

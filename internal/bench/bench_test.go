@@ -70,12 +70,12 @@ func TestMbAndPct(t *testing.T) {
 
 func TestRunOnceVerifiedBothStrategiesBothOps(t *testing.T) {
 	// Small functional runs with real bytes verified end to end.
-	mcfg := testbedMachine(2, 4*cluster.MiB, SigmaBytes, 7)
+	mcfg := TestbedMachine(2, 4*cluster.MiB, SigmaBytes, 7)
 	mcfg.CoresPerNode = 2
-	fcfg := testbedFS(7)
+	fcfg := TestbedFS(7)
 	fcfg.JitterMean = 0
 	wl := workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 8}
-	opts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), 4*cluster.MiB)
+	opts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), 4*cluster.MiB)
 	for _, s := range []iolib.Collective{
 		collio.TwoPhase{CBBuffer: 4 * cluster.MiB},
 		core.MCCIO{Opts: opts},
@@ -95,11 +95,11 @@ func TestRunOnceVerifiedBothStrategiesBothOps(t *testing.T) {
 }
 
 func TestRunOnceRejectsOversizedWorkload(t *testing.T) {
-	mcfg := testbedMachine(1, 4*cluster.MiB, 0, 1)
+	mcfg := TestbedMachine(1, 4*cluster.MiB, 0, 1)
 	mcfg.CoresPerNode = 2
 	wl := workload.IOR{Ranks: 64, BlockSize: 1 << 10, Segments: 1}
 	_, err := RunOnce(Spec{Strategy: collio.TwoPhase{CBBuffer: 1 << 20}, Op: "write",
-		Machine: mcfg, FS: testbedFS(1), Workload: wl})
+		Machine: mcfg, FS: TestbedFS(1), Workload: wl})
 	if err == nil {
 		t.Fatal("oversized workload accepted")
 	}
@@ -149,14 +149,14 @@ func TestComparisonSweepSmoke(t *testing.T) {
 func TestChunkedCallsVerify(t *testing.T) {
 	// IOR's transfer-size axis: splitting one logical test into many
 	// collective calls must still move every byte correctly.
-	mcfg := testbedMachine(2, 4*cluster.MiB, SigmaBytes, 7)
+	mcfg := TestbedMachine(2, 4*cluster.MiB, SigmaBytes, 7)
 	mcfg.CoresPerNode = 2
-	fcfg := testbedFS(7)
+	fcfg := TestbedFS(7)
 	fcfg.JitterMean = 0
 	wl := workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 8}
 	for _, calls := range []int{1, 2, 4, 16} {
 		res, err := RunOnce(Spec{
-			Strategy: core.MCCIO{Opts: mccioOptions(mcfg, fcfg, wl.TotalBytes(), 4*cluster.MiB)},
+			Strategy: core.MCCIO{Opts: MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), 4*cluster.MiB)},
 			Op:       "write", Machine: mcfg, FS: fcfg, Workload: wl, Verify: true, Calls: calls,
 		})
 		if err != nil {
@@ -171,8 +171,8 @@ func TestChunkedCallsVerify(t *testing.T) {
 func TestMoreCallsMoreOverhead(t *testing.T) {
 	// Splitting the same data over more collective calls cannot be
 	// faster: each call pays its own planning and synchronization.
-	mcfg := testbedMachine(4, 8*cluster.MiB, SigmaBytes, 7)
-	fcfg := testbedFS(7)
+	mcfg := TestbedMachine(4, 8*cluster.MiB, SigmaBytes, 7)
+	fcfg := TestbedFS(7)
 	wl := workload.IOR{Ranks: 48, BlockSize: 256 << 10, Segments: 16}
 	run := func(calls int) float64 {
 		res, err := RunOnce(Spec{
@@ -201,8 +201,8 @@ func TestAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 10 {
-		t.Fatalf("%d ablation rows, want 10", len(tab.Rows))
+	if len(tab.Rows) != 9 {
+		t.Fatalf("%d ablation rows, want 9", len(tab.Rows))
 	}
 }
 
@@ -232,20 +232,46 @@ func TestStripesSmoke(t *testing.T) {
 	}
 }
 
+// TestFigureRunnersSmoke runs every mode of the experiment table at
+// toy scale: each must produce a non-empty table, and a trajectory
+// exactly when it is one of the -json modes.
 func TestFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-run experiment")
+		t.Skip("multi-run experiments")
 	}
 	old := MemSweep
 	MemSweep = []int64{4 << 20}
 	defer func() { MemSweep = old }()
-	for _, f := range []func(Options) (*Table, []SweepPoint, error){Fig6CollPerf, Fig7IOR120} {
-		tab, pts, err := f(tinyOptions())
+	trajectories := map[string]bool{"strategies": true, "regression": true, "sweep": true}
+	for _, name := range ExperimentNames() {
+		sel, err := SelectExperiments(name)
+		if err != nil || len(sel) != 1 || sel[0].Name != name {
+			t.Fatalf("SelectExperiments(%q) = %v, %v", name, sel, err)
+		}
+		tab, traj, err := sel[0].Run(tinyOptions(), nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if len(tab.Rows) != 1 || len(pts) != 1 {
-			t.Fatalf("rows=%d pts=%d", len(tab.Rows), len(pts))
+		if tab == nil || tab.Title == "" || len(tab.Rows) == 0 {
+			t.Errorf("%s: empty table %+v", name, tab)
 		}
+		if strings.HasPrefix(name, "fig") && len(tab.Rows) != len(MemSweep) {
+			t.Errorf("%s: %d rows for %d memory points", name, len(tab.Rows), len(MemSweep))
+		}
+		if (traj != nil) != trajectories[name] || (traj != nil && len(traj.Experiments) == 0) {
+			t.Errorf("%s: trajectory %+v, want one: %v", name, traj, trajectories[name])
+		}
+	}
+	all, err := SelectExperiments("all")
+	if err != nil || len(all) == 0 || len(all) >= len(ExperimentNames()) {
+		t.Fatalf("all selects %d of %d modes (%v)", len(all), len(ExperimentNames()), err)
+	}
+	for _, e := range all {
+		if !e.InAll || trajectories[e.Name] || e.Name == "chaos" {
+			t.Errorf("all includes %s", e.Name)
+		}
+	}
+	if _, err := SelectExperiments("profile"); err == nil || !strings.Contains(err.Error(), "regression") {
+		t.Errorf("unknown name: error %v does not list the modes", err)
 	}
 }

@@ -59,9 +59,9 @@ func Chaos(o Options, reg *metrics.Registry) (*Table, error) {
 	o = o.withDefaults()
 	mem := 4 * cluster.MiB
 	wl := iorWorkload(24, o.Scale)
-	fcfg := testbedFS(o.Seed)
-	mcfg := testbedMachine(2, mem, SigmaBytes, o.Seed)
-	mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	fcfg := TestbedFS(o.Seed)
+	mcfg := TestbedMachine(2, mem, SigmaBytes, o.Seed)
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 	strategies := []iolib.Collective{
 		collio.TwoPhase{CBBuffer: mem},
 		core.MCCIO{Opts: mccOpts},

@@ -19,7 +19,7 @@ import (
 func Exascale(o Options) (*Table, error) {
 	o = o.withDefaults()
 	const mem = 8 * cluster.MiB
-	fcfg := testbedFS(o.Seed)
+	fcfg := TestbedFS(o.Seed)
 	t := &Table{
 		Title: "Extreme-scale extrapolation: IOR, fixed 8MB/node memory, growing machine",
 		Headers: []string{"nodes", "ranks", "data GB",
@@ -33,8 +33,8 @@ func Exascale(o Options) (*Table, error) {
 		ranks := nodes * 12
 		wl := iorWorkload(ranks, o.Scale*0.5) // half Fig-7 volume per rank for tractable sweeps
 		workloads[ni] = wl
-		mccCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-		mccOpts := mccioOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
+		mccCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+		mccOpts := MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
 		for _, r := range []struct {
 			s  iolib.Collective
 			op string

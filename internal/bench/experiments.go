@@ -70,10 +70,10 @@ var MemSweep = []int64{
 	32 * cluster.MiB, 64 * cluster.MiB, 128 * cluster.MiB,
 }
 
-// testbedMachine builds the evaluation platform with a given per-node
+// TestbedMachine builds the evaluation platform with a given per-node
 // aggregation-memory budget. sigmaBytes > 0 adds the paper's normal
 // variance (clipped to [floor, 2×mem]).
-func testbedMachine(nodes int, memPerNode, sigmaBytes int64, seed uint64) cluster.Config {
+func TestbedMachine(nodes int, memPerNode, sigmaBytes int64, seed uint64) cluster.Config {
 	cfg := cluster.TestbedConfig(nodes)
 	cfg.MemPerNode = memPerNode
 	if sigmaBytes > 0 {
@@ -86,19 +86,19 @@ func testbedMachine(nodes int, memPerNode, sigmaBytes int64, seed uint64) cluste
 	return cfg
 }
 
-// testbedFS builds the storage system with shared-interference jitter.
-func testbedFS(seed uint64) pfs.Config {
+// TestbedFS builds the storage system with shared-interference jitter.
+func TestbedFS(seed uint64) pfs.Config {
 	cfg := pfs.DefaultConfig()
 	cfg.JitterMean = 12e-3
 	cfg.Seed = seed
 	return cfg
 }
 
-// mccioOptions derives the strategy tunables for one sweep point, as
+// MCCIOOptions derives the strategy tunables for one sweep point, as
 // §3's calibration would on this platform: Msgind/Nah from the
 // machine+storage configs, Msggroup sized for groups of a few nodes,
 // Memmin a quarter of the nominal buffer.
-func mccioOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64, memNominal int64) core.Options {
+func MCCIOOptions(mcfg cluster.Config, fcfg pfs.Config, totalBytes int64, memNominal int64) core.Options {
 	opts := core.DefaultOptions(mcfg, fcfg)
 	groups := mcfg.Nodes / 2
 	if groups < 1 {
@@ -127,7 +127,7 @@ func comparisonSweep(title string, wl workload.Workload, nodes int, o Options) (
 		Headers: []string{"mem/agg", "two-phase wr MB/s", "mccio wr MB/s", "wr gain",
 			"two-phase rd MB/s", "mccio rd MB/s", "rd gain"},
 	}
-	fcfg := testbedFS(o.Seed)
+	fcfg := TestbedFS(o.Seed)
 	// Build the whole grid up front — every row is a hermetic Spec —
 	// then fan it out through the sweep pool. Both strategies run on
 	// the SAME machine: per-node aggregation memory is normal around
@@ -136,8 +136,8 @@ func comparisonSweep(title string, wl workload.Workload, nodes int, o Options) (
 	// physically exists; MCCIO places around the variance.
 	var rows []specRow
 	for _, mem := range MemSweep {
-		mccCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-		mccOpts := mccioOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
+		mccCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+		mccOpts := MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
 		for _, r := range []struct {
 			s  iolib.Collective
 			op string

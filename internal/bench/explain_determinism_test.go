@@ -70,9 +70,9 @@ func TestExplainDeterminism(t *testing.T) {
 func TestExplainRemergeAudit(t *testing.T) {
 	const mem = 2 * 1 << 20 // 2 MiB: scarce enough that placements fail
 	wl := iorWorkload(24, 1.0)
-	fcfg := testbedFS(42)
-	mcfg := testbedMachine(2, mem, SigmaBytes, 42)
-	mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	fcfg := TestbedFS(42)
+	mcfg := TestbedMachine(2, mem, SigmaBytes, 42)
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 	rec := explain.NewRecorder()
 	res, err := RunOnce(Spec{Strategy: core.MCCIO{Opts: mccOpts}, Op: "write",
 		Machine: mcfg, FS: fcfg, Workload: wl, Explain: rec})

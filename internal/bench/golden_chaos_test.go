@@ -66,10 +66,10 @@ func runChaosGolden(t *testing.T, parallel int) []byte {
 		seed = 2
 	)
 	wl := iorWorkload(nodes*perNode, 1.0/16)
-	fcfg := testbedFS(seed)
-	mcfg := testbedMachine(nodes, mem, SigmaBytes, seed)
+	fcfg := TestbedFS(seed)
+	mcfg := TestbedMachine(nodes, mem, SigmaBytes, seed)
 	mcfg.CoresPerNode = perNode
-	mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 	mccTL := mccOpts
 	mccTL.TwoLayer = true
 

@@ -84,9 +84,15 @@ func TestGoldenStrategiesSeedEngine(t *testing.T) {
 }
 
 // TestStrategiesOneLeaderPerNode runs the strategies experiment afresh,
-// at the CLI's defaults, and checks the election invariant on its rows:
-// every two-layer row (standalone or composed into mccio) elects
-// exactly one leader per node, and no other row elects any.
+// at the CLI's defaults, and checks the two-layer claims on its rows.
+// The election invariant: every two-layer row (standalone or composed
+// into mccio) elects exactly one leader per node, and no other row
+// elects any. The traffic claims on the node-shared workload: a
+// two-layer read moves some but strictly fewer inter-node bytes than
+// its flat counterpart (the leader ships each node's shared range
+// across the fabric once and fans out locally), and the two-layer
+// write keeps more shuffle bytes on-node than off (the intra-node
+// funnel).
 func TestStrategiesOneLeaderPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
@@ -107,7 +113,19 @@ func TestStrategiesOneLeaderPerNode(t *testing.T) {
 		}
 	}
 	if twoLayer != 4 {
-		t.Errorf("%d two-layer rows, want 4 (two-layer and mccio+two-layer, write and read)", twoLayer)
+		t.Fatalf("%d two-layer rows, want 4 (two-layer and mccio+two-layer, write and read)", twoLayer)
+	}
+	for layered, flat := range map[string]string{
+		"strat=two-layer/read":       "strat=two-phase/read",
+		"strat=mccio+two-layer/read": "strat=mccio/read",
+	} {
+		l, f := got.Row(layered), got.Row(flat)
+		if l.ShuffleInter <= 0 || l.ShuffleInter >= f.ShuffleInter {
+			t.Errorf("%s moved %d inter-node bytes, want some but fewer than %s's %d", layered, l.ShuffleInter, flat, f.ShuffleInter)
+		}
+	}
+	if w := got.Row("strat=two-layer/write"); w.ShuffleIntra <= w.ShuffleInter {
+		t.Errorf("two-layer write kept %d shuffle bytes on-node, %d off: the funnel should dominate", w.ShuffleIntra, w.ShuffleInter)
 	}
 }
 

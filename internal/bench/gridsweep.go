@@ -43,11 +43,11 @@ func RunSweep(o Options, reg *metrics.Registry) (*BenchFile, error) {
 			for _, op := range []string{"write", "read"} {
 				for v := 0; v < SweepVariants; v++ {
 					seed := sweep.Seed(o.Seed, len(rows))
-					fcfg := testbedFS(seed)
-					mcfg := testbedMachine(2, mem, SigmaBytes, seed)
+					fcfg := TestbedFS(seed)
+					mcfg := TestbedMachine(2, mem, SigmaBytes, seed)
 					var s iolib.Collective
 					if strat == "mccio" {
-						s = core.MCCIO{Opts: mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)}
+						s = core.MCCIO{Opts: MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)}
 					} else {
 						s = collio.TwoPhase{CBBuffer: mem}
 					}

@@ -13,8 +13,8 @@ import (
 func BenchmarkFig8BaselineWritePoint(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 42}.withDefaults()
 	wl := iorWorkload(1080, 0.25)
-	fcfg := testbedFS(o.Seed)
-	mcfg := testbedMachine(90, 8<<20, SigmaBytes, o.Seed)
+	fcfg := TestbedFS(o.Seed)
+	mcfg := TestbedMachine(90, 8<<20, SigmaBytes, o.Seed)
 	for i := 0; i < b.N; i++ {
 		_, err := RunOnce(Spec{Strategy: collio.TwoPhase{CBBuffer: 8 << 20}, Op: "write", Machine: mcfg, FS: fcfg, Workload: wl})
 		if err != nil {

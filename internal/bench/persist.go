@@ -39,16 +39,6 @@ type BenchRow struct {
 	// before the field existed byte-identical.
 	Leaders int `json:"leaders,omitempty"`
 
-	// Serve-experiment fields (the plan-service benchmark); zero and
-	// omitted on simulation rows. Wall-clock latency percentiles are
-	// host-dependent, so the regression gate compares only the
-	// deterministic fields above.
-	ThroughputRPS float64 `json:"throughput_rps,omitempty"`
-	LatP50Ms      float64 `json:"lat_p50_ms,omitempty"`
-	LatP95Ms      float64 `json:"lat_p95_ms,omitempty"`
-	LatP99Ms      float64 `json:"lat_p99_ms,omitempty"`
-	HitRate       float64 `json:"hit_rate,omitempty"`
-
 	// Host-side cost columns, recorded only under Options.HostMetrics
 	// (mccio-bench -host): the wall-clock nanoseconds and heap
 	// allocations the host spent simulating this row. Host-dependent by

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"testing"
 
@@ -11,46 +10,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/iolib"
 	"repro/internal/obs"
+	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
-// tracedSpecs are the strategy/op matrix the acceptance tests run.
-func tracedSpecs(t *testing.T) []Spec {
+// tracedSpecs are the strategy/op matrix the acceptance tests run,
+// keyed by subtest name: the flat exchange of both planners and each
+// under the two-layer exchange ("+combine").
+func tracedSpecs(t *testing.T) map[string]Spec {
 	t.Helper()
-	mcfg := testbedMachine(4, 8*cluster.MiB, SigmaBytes, 11)
+	mcfg := TestbedMachine(4, 8*cluster.MiB, SigmaBytes, 11)
 	mcfg.CoresPerNode = 4
-	fcfg := testbedFS(11)
+	fcfg := TestbedFS(11)
 	wl := workload.IOR{Ranks: 16, BlockSize: 256 << 10, Segments: 8}
-	opts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), 8*cluster.MiB)
+	opts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), 8*cluster.MiB)
 	combineOpts := opts
-	combineOpts.NodeCombine = true
-	var specs []Spec
-	for _, s := range []iolib.Collective{
-		collio.TwoPhase{CBBuffer: 8 * cluster.MiB},
-		collio.TwoPhase{CBBuffer: 8 * cluster.MiB, NodeCombine: true},
-		core.MCCIO{Opts: opts},
-		core.MCCIO{Opts: combineOpts},
+	combineOpts.TwoLayer = true
+	specs := map[string]Spec{}
+	for name, s := range map[string]iolib.Collective{
+		"two-phase":         collio.TwoPhase{CBBuffer: 8 * cluster.MiB},
+		"two-phase+combine": twolayer.Strategy{CBBuffer: 8 * cluster.MiB},
+		"mccio":             core.MCCIO{Opts: opts},
+		"mccio+combine":     core.MCCIO{Opts: combineOpts},
 	} {
 		for _, op := range []string{"write", "read"} {
-			specs = append(specs, Spec{Strategy: s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl})
+			specs[name+"/"+op] = Spec{Strategy: s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl}
 		}
 	}
 	return specs
-}
-
-func specName(s Spec) string {
-	name := s.Strategy.Name()
-	switch v := s.Strategy.(type) {
-	case collio.TwoPhase:
-		if v.NodeCombine {
-			name += "+combine"
-		}
-	case core.MCCIO:
-		if v.Opts.NodeCombine {
-			name += "+combine"
-		}
-	}
-	return fmt.Sprintf("%s/%s", name, s.Op)
 }
 
 // TestTracedPhaseSumsMatchElapsed is the headline acceptance check:
@@ -58,9 +45,9 @@ func specName(s Spec) string {
 // top-level phase spans tile its timeline and their sum must equal the
 // operation's elapsed time within 5%.
 func TestTracedPhaseSumsMatchElapsed(t *testing.T) {
-	for _, spec := range tracedSpecs(t) {
+	for name, spec := range tracedSpecs(t) {
 		spec := spec
-		t.Run(specName(spec), func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			res, sum, err := RunOncePhases(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -71,8 +58,11 @@ func TestTracedPhaseSumsMatchElapsed(t *testing.T) {
 			if len(sum.PerRank) != spec.Workload.NumRanks() {
 				t.Fatalf("%d rank tracks, want %d", len(sum.PerRank), spec.Workload.NumRanks())
 			}
-			for rank := range sum.PerRank {
-				got := sum.RankSeconds(rank)
+			for rank, phases := range sum.PerRank {
+				var got float64
+				for _, sec := range phases {
+					got += sec
+				}
 				if diff := got - res.Elapsed; diff < -0.05*res.Elapsed || diff > 0.05*res.Elapsed {
 					t.Errorf("rank %d: phase sum %.6fs vs elapsed %.6fs (%.1f%% off)",
 						rank, got, res.Elapsed, (got/res.Elapsed-1)*100)
@@ -87,9 +77,9 @@ func TestTracedPhaseSumsMatchElapsed(t *testing.T) {
 // rank) track either nest or are disjoint, and track timelines are
 // monotone.
 func TestTracedChromeExport(t *testing.T) {
-	for _, spec := range tracedSpecs(t) {
+	for name, spec := range tracedSpecs(t) {
 		spec := spec
-		t.Run(specName(spec), func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			tr := obs.NewTracer()
 			spec.Tracer = tr
 			if _, err := RunOnce(spec); err != nil {
@@ -162,11 +152,11 @@ func TestTracedRunRecordsTaxonomy(t *testing.T) {
 	// Uniform memory (no variance) so the mem-aware rebalancer leaves
 	// the byte-guided groups alone, and a Msggroup of a quarter of the
 	// data: four aggregation groups, one per node.
-	mcfg := testbedMachine(4, 8*cluster.MiB, 0, 11)
+	mcfg := TestbedMachine(4, 8*cluster.MiB, 0, 11)
 	mcfg.CoresPerNode = 4
-	fcfg := testbedFS(11)
+	fcfg := TestbedFS(11)
 	wl := workload.IOR{Ranks: 16, BlockSize: 256 << 10, Segments: 8}
-	opts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), 8*cluster.MiB)
+	opts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), 8*cluster.MiB)
 	opts.Msggroup = wl.TotalBytes() / 4
 	spec := Spec{Strategy: core.MCCIO{Opts: opts}, Op: "write", Machine: mcfg, FS: fcfg, Workload: wl}
 	tr := obs.NewTracer()

@@ -30,9 +30,9 @@ func PhaseBreakdown(o Options) (*Table, error) {
 	wl := iorWorkload(24, o.Scale)
 	const nodes = 2
 	mem := int64(16 << 20)
-	fcfg := testbedFS(o.Seed)
-	mcfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-	mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	fcfg := TestbedFS(o.Seed)
+	mcfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 
 	t := &Table{
 		Title: "Phase breakdown: per-phase seconds summed over ranks (24 processes, 16MB/agg)",

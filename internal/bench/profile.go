@@ -10,26 +10,14 @@ import (
 	"repro/internal/prof"
 )
 
-// profileMinSeconds is how much wall time RunProfile keeps the CPU
-// profiler running: at the default 100 Hz sampling rate, one second
-// yields on the order of a hundred samples — enough for the hot
-// planner and engine functions to show up reliably.
-const profileMinSeconds = 1.0
-
-// profileMaxRounds caps the regression repeats so a pathologically
-// fast (or heavily downscaled) workload cannot loop unbounded.
-const profileMaxRounds = 64
-
-// ProfileReport is RunProfile's result: the top CPU and allocation
-// sites of the fixed-seed regression workload, decoded from the
-// runtime's own pprof output into a machine-readable table — the
-// "where does plan time go" answer without leaving the repo's tooling.
+// ProfileReport is a SiteCapture's result: the top CPU and allocation
+// sites of whatever ran under it, decoded from the runtime's own pprof
+// output into a machine-readable table — the "where does plan time go"
+// answer without leaving the repo's tooling.
 type ProfileReport struct {
 	// Scale and Seed echo the profiled workload.
 	Scale float64 `json:"scale"`
 	Seed  uint64  `json:"seed"`
-	// Rounds is how many regression sweeps ran under the profiler.
-	Rounds int `json:"rounds"`
 	// WallSeconds is the profiled wall-clock time.
 	WallSeconds float64 `json:"wall_seconds"`
 	// CPUSeconds is the total sampled CPU time across all sites.
@@ -46,10 +34,9 @@ type ProfileReport struct {
 // arbitrary work: StartSiteCapture turns the runtime's CPU profiler
 // on, the caller runs whatever it wants profiled, and Stop decodes
 // both profiles into a machine-readable ProfileReport. It is the
-// mechanism behind both `mccio-bench -experiment profile` (regression
-// rounds as the body) and `mccio-bench -sites` (any experiment sweep
-// as the body). Only one capture — and no other CPU profiler — can be
-// active per process.
+// mechanism behind `mccio-bench -sites` (any experiment as the body).
+// Only one capture — and no other CPU profiler — can be active per
+// process.
 type SiteCapture struct {
 	cpuBuf bytes.Buffer
 	start  time.Time
@@ -66,9 +53,8 @@ func StartSiteCapture() (*SiteCapture, error) {
 }
 
 // Stop ends the capture, snapshots the allocation profile, and decodes
-// both into the top n sites by cumulative value. Rounds is left for
-// the caller to fill (Stop cannot know how many workload repetitions
-// the body ran); WallSeconds covers start-to-stop.
+// both into the top n sites by cumulative value. Scale and Seed are
+// left for the caller to fill; WallSeconds covers start-to-stop.
 func (c *SiteCapture) Stop(n int) (*ProfileReport, error) {
 	if n <= 0 {
 		n = 15
@@ -104,41 +90,6 @@ func (c *SiteCapture) Stop(n int) (*ProfileReport, error) {
 	return rep, nil
 }
 
-// RunProfile runs the fixed-seed regression workload under the CPU
-// profiler (repeating it until profileMinSeconds of wall time has
-// accumulated), snapshots the allocation profile, and decodes both
-// into the top n sites by cumulative value. It is the engine behind
-// `mccio-bench -experiment profile`.
-func RunProfile(o Options, n int) (*ProfileReport, error) {
-	// Progress lines would interleave with the profiler's own work and
-	// the rounds are identical anyway; report rounds in the result.
-	o.Progress = nil
-
-	sc, err := StartSiteCapture()
-	if err != nil {
-		return nil, err
-	}
-	rounds := 0
-	var runErr error
-	for time.Since(sc.start).Seconds() < profileMinSeconds && rounds < profileMaxRounds {
-		if _, runErr = RunRegression(o, nil); runErr != nil {
-			break
-		}
-		rounds++
-	}
-	rep, err := sc.Stop(n)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep.Scale = o.withDefaults().Scale
-	rep.Seed = o.withDefaults().Seed
-	rep.Rounds = rounds
-	return rep, nil
-}
-
 // fmtSiteVal renders a profile value in its natural unit.
 func fmtSiteVal(v int64, unit string) string {
 	switch unit {
@@ -166,7 +117,7 @@ func siteTable(title string, sites []prof.Site) *Table {
 // allocation sites, cumulative-descending.
 func (r *ProfileReport) Tables() []*Table {
 	return []*Table{
-		siteTable(fmt.Sprintf("Top CPU sites (%d rounds, %.1fs sampled)", r.Rounds, r.CPUSeconds), r.CPU),
+		siteTable(fmt.Sprintf("Top CPU sites (%.1fs sampled)", r.CPUSeconds), r.CPU),
 		siteTable(fmt.Sprintf("Top allocation sites (%.1f MB total)", float64(r.AllocBytes)/1e6), r.Alloc),
 	}
 }

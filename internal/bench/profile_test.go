@@ -5,16 +5,18 @@ import (
 	"testing"
 )
 
+// TestRunProfileNamesEngineSites is `mccio-bench -experiment
+// regression -sites` in-process: a SiteCapture around RunRegression
+// must attribute work to the engine packages.
 func TestRunProfileNamesEngineSites(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the regression workload under the profiler for ~1s")
-	}
-	rep, err := RunProfile(Options{Scale: 0.1, Seed: 42, Parallel: 1}, 20)
+	sc, err := StartSiteCapture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds < 1 {
-		t.Fatalf("profiled %d rounds, want at least 1", rep.Rounds)
+	_, runErr := RunRegression(Options{Scale: 0.1, Seed: 42, Parallel: 1}, nil)
+	rep, err := sc.Stop(20)
+	if runErr != nil || err != nil {
+		t.Fatal(runErr, err)
 	}
 	if len(rep.Alloc) == 0 || rep.AllocBytes == 0 {
 		t.Fatalf("allocation profile empty: %+v", rep)

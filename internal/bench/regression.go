@@ -32,11 +32,11 @@ func RunRegression(o Options, reg *metrics.Registry) (*BenchFile, error) {
 	o = o.withDefaults()
 	out := &BenchFile{Schema: BenchSchemaVersion, Scale: o.Scale, Seed: o.Seed}
 	wl := iorWorkload(24, o.Scale)
-	fcfg := testbedFS(o.Seed)
+	fcfg := TestbedFS(o.Seed)
 	var rows []specRow
 	for _, mem := range RegressionMems {
-		mcfg := testbedMachine(2, mem, SigmaBytes, o.Seed)
-		mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+		mcfg := TestbedMachine(2, mem, SigmaBytes, o.Seed)
+		mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 		for _, r := range []struct {
 			s  iolib.Collective
 			op string

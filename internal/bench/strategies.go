@@ -82,10 +82,10 @@ func RunStrategies(o Options, reg *metrics.Registry) (*BenchFile, error) {
 	out := &BenchFile{Schema: BenchSchemaVersion, Scale: o.Scale, Seed: o.Seed}
 	const mem = 16 * cluster.MiB
 	wl := strategiesWorkload(o.Scale)
-	fcfg := testbedFS(o.Seed)
-	mcfg := testbedMachine(StrategiesNodes, mem, SigmaBytes, o.Seed)
+	fcfg := TestbedFS(o.Seed)
+	mcfg := TestbedMachine(StrategiesNodes, mem, SigmaBytes, o.Seed)
 	mcfg.CoresPerNode = StrategiesPerNode
-	mccOpts := mccioOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
 	mccTL := mccOpts
 	mccTL.TwoLayer = true
 

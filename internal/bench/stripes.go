@@ -26,10 +26,10 @@ func Stripes(o Options) (*Table, error) {
 	units := []int64{256 << 10, 1 << 20, 4 << 20}
 	var rows []specRow
 	for _, su := range units {
-		fcfg := testbedFS(o.Seed)
+		fcfg := TestbedFS(o.Seed)
 		fcfg.StripeUnit = su
-		mccCfg := testbedMachine(nodes, mem, SigmaBytes, o.Seed)
-		mccOpts := mccioOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
+		mccCfg := TestbedMachine(nodes, mem, SigmaBytes, o.Seed)
+		mccOpts := MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)
 		for _, s := range []iolib.Collective{
 			collio.TwoPhase{CBBuffer: mem},
 			core.MCCIO{Opts: mccOpts},

@@ -33,11 +33,6 @@ func NewReal(n int64) Buf {
 	return Buf{data: make([]byte, n), n: n}
 }
 
-// FromBytes wraps an existing slice without copying.
-func FromBytes(b []byte) Buf {
-	return Buf{data: b, n: int64(len(b))}
-}
-
 // NewPhantom returns a length-only Buf of n bytes.
 func NewPhantom(n int64) Buf {
 	if n < 0 {

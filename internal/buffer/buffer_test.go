@@ -120,15 +120,6 @@ func TestPatternDistinguishesStreamsAndOffsets(t *testing.T) {
 	}
 }
 
-func TestFromBytesNoCopy(t *testing.T) {
-	raw := []byte{1, 2, 3}
-	b := FromBytes(raw)
-	raw[0] = 9
-	if b.Bytes()[0] != 9 {
-		t.Fatal("FromBytes copied")
-	}
-}
-
 func TestNewModeSwitch(t *testing.T) {
 	if New(5, true).Phantom() != true || New(5, false).Phantom() != false {
 		t.Fatal("New mode switch broken")

@@ -276,9 +276,6 @@ func (m *Machine) Node(i int) *Node {
 // Bisection returns the shared fabric link.
 func (m *Machine) Bisection() *resource.Link { return m.bisection }
 
-// IONet returns the shared compute→storage link.
-func (m *Machine) IONet() *resource.Link { return m.ioNet }
-
 // NodeOfRank maps a rank to its node under block placement: ranks
 // 0..CoresPerNode-1 on node 0, and so on — MPI's default contiguous
 // mapping, which the paper assumes when it aligns aggregation groups to
@@ -288,37 +285,6 @@ func (m *Machine) NodeOfRank(rank int) int {
 		panic(fmt.Sprintf("cluster: rank %d out of %d", rank, m.ranks))
 	}
 	return rank / m.cfg.CoresPerNode
-}
-
-// RanksOnNode returns the rank range [first, last] on a node.
-func (m *Machine) RanksOnNode(node int) (first, last int) {
-	if node < 0 || node >= len(m.nodes) {
-		panic(fmt.Sprintf("cluster: node %d out of %d", node, len(m.nodes)))
-	}
-	first = node * m.cfg.CoresPerNode
-	last = first + m.cfg.CoresPerNode - 1
-	if last >= m.ranks {
-		last = m.ranks - 1
-	}
-	return first, last
-}
-
-// MessagePath returns the resource path for src→dst rank traffic.
-// Intra-node messages cross only the node's memory bus; inter-node
-// messages cross sender bus, sender NIC, the bisection, receiver NIC,
-// and receiver bus.
-func (m *Machine) MessagePath(srcRank, dstRank int) resource.Path {
-	sn, dn := m.NodeOfRank(srcRank), m.NodeOfRank(dstRank)
-	if sn == dn {
-		return resource.NewPath(m.nodes[sn].MemBus)
-	}
-	return resource.NewPath(
-		m.nodes[sn].MemBus,
-		m.nodes[sn].NICTx,
-		m.bisection,
-		m.nodes[dn].NICRx,
-		m.nodes[dn].MemBus,
-	)
 }
 
 // StoragePath returns the resource path from a rank to the storage
@@ -341,22 +307,4 @@ func (m *Machine) MemCapacities() []int64 {
 		out[i] = n.Capacity
 	}
 	return out
-}
-
-// MemHighWaters returns every node's peak allocation, for reporting.
-func (m *Machine) MemHighWaters() []int64 {
-	out := make([]int64, len(m.nodes))
-	for i, n := range m.nodes {
-		out[i] = n.highWater
-	}
-	return out
-}
-
-// ResetLedger zeroes all allocations and high-water marks; used between
-// benchmark repetitions on a shared machine.
-func (m *Machine) ResetLedger() {
-	for _, n := range m.nodes {
-		n.used = 0
-		n.highWater = 0
-	}
 }

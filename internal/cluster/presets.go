@@ -42,26 +42,3 @@ func TestbedConfig(nodes int) Config {
 		Seed:     1,
 	}
 }
-
-// ExascaleConfig scales Table 1's 2018 projection down to a given node
-// count while keeping its *ratios*: node concurrency grows 83×, node
-// memory bandwidth only 16×, interconnect 33× — so per-core memory and
-// per-core off-chip bandwidth shrink. Used by the Table 1 model and the
-// extreme-scale extrapolation benches.
-func ExascaleConfig(nodes int) Config {
-	return Config{
-		Nodes:        nodes,
-		CoresPerNode: 1000,
-		MemPerNode:   10 * GiB, // 10 PB / 1M nodes
-		MemSigma:     0.5,      // high variance is the projected regime
-		MemBusBW:     400 * float64(GB),
-		MemBusLat:    100e-9,
-		NICBW:        50 * float64(GB),
-		NICLat:       1e-6,
-		BisectionBW:  float64(nodes) * 50 * float64(GB) / 4,
-		BisectionLat: 1e-6,
-		IONetBW:      20e12 / 1e6 * float64(nodes), // 20 TB/s shared by 1M nodes, scaled
-		IONetLat:     20e-6,
-		Seed:         1,
-	}
-}

@@ -285,8 +285,8 @@ func TestTwoPhaseEffectiveBufferCappedByNodeMemory(t *testing.T) {
 			t.Fatalf("aggregator buffer %d exceeds node capacity", b)
 		}
 	}
-	for _, hw := range m.MemHighWaters() {
-		if hw > 1*cluster.MiB {
+	for n := 0; n < m.NumNodes(); n++ {
+		if hw := m.Node(n).HighWater(); hw > 1*cluster.MiB {
 			t.Fatalf("ledger high water %d exceeds capacity", hw)
 		}
 	}
@@ -364,7 +364,7 @@ func TestExecutePanicsOnInvalidPlan(t *testing.T) {
 			}
 		}()
 		bad := &Plan{Domains: []Domain{{Agg: 9}}, Exts: make([]Ext, 2)}
-		ExecuteWrite(f, c, iolib.NewViewIndex(nil), buffer.NewPhantom(0), bad, nil)
+		bad.Run("write", f, c, nil, buffer.NewPhantom(0), nil)
 	})
 	_ = e.Run()
 }
@@ -379,8 +379,8 @@ func TestEmptyPlanIsNoop(t *testing.T) {
 	w.Start(func(c *mpi.Comm) {
 		plan := &Plan{Exts: make([]Ext, 2)}
 		var mtr trace.Metrics
-		ExecuteWrite(f, c, iolib.NewViewIndex(nil), buffer.NewPhantom(0), plan, &mtr)
-		ExecuteRead(f, c, iolib.NewViewIndex(nil), buffer.NewPhantom(0), plan, &mtr)
+		plan.Run("write", f, c, nil, buffer.NewPhantom(0), &mtr)
+		plan.Run("read", f, c, nil, buffer.NewPhantom(0), &mtr)
 		if mtr.Rounds != 0 || mtr.BytesIO != 0 {
 			t.Errorf("empty plan moved data: %+v", mtr)
 		}

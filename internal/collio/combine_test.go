@@ -66,8 +66,9 @@ func TestMergePiecesSingleIsIdentity(t *testing.T) {
 	}
 }
 
-// TestLowestRankLeaders covers the election NodeCombine uses, including
-// its nil-when-no-node-is-shared case; with TestTopology it replaces the
+// TestLowestRankLeaders covers the reference leader topology the
+// combine tests stamp on their plans, including its
+// nil-when-no-node-is-shared case; with TestTopology it replaces the
 // deleted TestCombineStateTopology (lowest-rank leaders, who leads, who
 // the mates are).
 func TestLowestRankLeaders(t *testing.T) {
@@ -144,9 +145,9 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
-		tp := TwoPhase{CBBuffer: 32 << 10, NodeCombine: true}
-		if plan := tp.BuildPlan(c, view); !reflect.DeepEqual(plan.LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
-			t.Errorf("NodeCombine plan leader map %v", plan.LeaderOf)
+		tp := plannedStrategy{build: TwoPhase{CBBuffer: 32 << 10}.BuildPlan, leaders: lowestRankLeaders}
+		if plan := tp.plan(c, view); !reflect.DeepEqual(plan.LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
+			t.Errorf("lowest-rank plan leader map %v", plan.LeaderOf)
 		}
 		var mtr trace.Metrics
 		roundTrip(t, tp, f, c, view, &mtr)
@@ -160,7 +161,7 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	}
 }
 
-// TestCombinedSingleRankPerNode: with one rank per node NodeCombine has
+// TestCombinedSingleRankPerNode: with one rank per node there is
 // nobody to combine — the plan carries no leader map at all.
 func TestCombinedSingleRankPerNode(t *testing.T) {
 	e, m, fs := testRig(t, 4, 1, 64*cluster.MiB)
@@ -171,8 +172,8 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 4, 4<<10)
-		tp := TwoPhase{CBBuffer: 16 << 10, NodeCombine: true}
-		if plan := tp.BuildPlan(c, view); plan.LeaderOf != nil {
+		tp := plannedStrategy{build: TwoPhase{CBBuffer: 16 << 10}.BuildPlan, leaders: lowestRankLeaders}
+		if plan := tp.plan(c, view); plan.LeaderOf != nil {
 			t.Errorf("leader map %v on a one-rank-per-node machine", plan.LeaderOf)
 		}
 		roundTrip(t, tp, f, c, view, &trace.Metrics{})
@@ -183,23 +184,39 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 }
 
 // plannedStrategy runs a plan builder through the round engine,
-// optionally with the identity leader map stamped on the plan.
+// optionally with a leader map stamped on the plan.
 type plannedStrategy struct {
-	build    func(c *mpi.Comm, view datatype.List) *Plan
-	identity bool
+	build   func(c *mpi.Comm, view datatype.List) *Plan
+	leaders func(c *mpi.Comm) []int // nil: the flat exchange
 }
 
 func (s plannedStrategy) Name() string { return "planned" }
 
 func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) *Plan {
 	plan := s.build(c, view)
-	if s.identity {
-		plan.LeaderOf = make([]int, c.Size())
-		for r := range plan.LeaderOf {
-			plan.LeaderOf[r] = r
-		}
+	if s.leaders != nil {
+		plan.LeaderOf = s.leaders(c)
 	}
 	return plan
+}
+
+// lowestRankLeaders is the reference topology: every rank follows the
+// lowest rank on its node.
+func lowestRankLeaders(c *mpi.Comm) []int {
+	nodeOf := make([]int, c.Size())
+	for r := range nodeOf {
+		nodeOf[r] = c.NodeOf(r)
+	}
+	return LowestRankLeaders(nodeOf)
+}
+
+// identityLeaders is the degenerate topology: every rank leads itself.
+func identityLeaders(c *mpi.Comm) []int {
+	leaderOf := make([]int, c.Size())
+	for r := range leaderOf {
+		leaderOf[r] = r
+	}
+	return leaderOf
 }
 
 func (s plannedStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
@@ -245,8 +262,9 @@ func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
 					left -= s.Len
 				}
 			}
-			var dom datatype.List
-			dom, rest = rest.SplitAt(cut)
+			restLo, restHi := rest.Extent()
+			dom := rest.Clip(restLo, cut)
+			rest = rest.Clip(cut, restHi)
 			lo, hi := dom.Extent()
 			plan.Domains = append(plan.Domains, Domain{
 				Agg: p - 1 - 2*i, Lo: lo, Hi: hi, BufBytes: buf,
@@ -294,7 +312,7 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 			"grouped":   groupedPlan(buf),
 		} {
 			for _, op := range []string{"write", "read"} {
-				run := func(identity bool) (trace.Result, uint64) {
+				run := func(leaders func(*mpi.Comm) []int) (trace.Result, uint64) {
 					e, m, fs := testRig(t, nodes, cores, 64*cluster.MiB)
 					w, err := mpi.NewWorld(e, m, p)
 					if err != nil {
@@ -305,7 +323,7 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 					w.Start(func(c *mpi.Comm) {
 						view := views[c.Rank()]
 						data := fillViewBuffer(view, uint64(c.Rank()))
-						s := plannedStrategy{build: build, identity: identity}
+						s := plannedStrategy{build: build, leaders: leaders}
 						if r := iolib.Run(s, op, f, c, view, data, &trace.Metrics{}); c.Rank() == 0 {
 							res = r
 						}
@@ -315,8 +333,8 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 					}
 					return res, e.Stats().Scheduled
 				}
-				flat, flatSeq := run(false)
-				ident, identSeq := run(true)
+				flat, flatSeq := run(nil)
+				ident, identSeq := run(identityLeaders)
 				if !reflect.DeepEqual(flat, ident) || flatSeq != identSeq {
 					t.Fatalf("case %d (%dx%d) %s %s: identity leaders diverge from flat:\nflat  %+v seq %d\nident %+v seq %d",
 						i, nodes, cores, name, op, flat, flatSeq, ident, identSeq)

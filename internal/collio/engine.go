@@ -80,21 +80,6 @@ func localityOf(c *mpi.Comm, a, b int, n int64) (int64, int64) {
 	return 0, n
 }
 
-// ExecuteWrite runs the two-phase write rounds for plan. Every rank of
-// c must call it with its own view/data; the plan must be identical on
-// all ranks. Aggregation buffers must already be charged to the memory
-// ledger by the strategy; the engine only reports them.
-func ExecuteWrite(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics) {
-	execute(f, c, vi, data, plan, m, "write")
-}
-
-// ExecuteRead runs the two-phase read rounds for plan: aggregators read
-// their window's covered extent and ship each node leader its members'
-// pieces; ranks unpack into dst.
-func ExecuteRead(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, dst buffer.Buf, plan *Plan, m *trace.Metrics) {
-	execute(f, c, vi, dst, plan, m, "read")
-}
-
 // collective is one rank's state for one collective call: its routing
 // (aggregator state and leader topology, rebuilt together when a
 // failover changes the plan) and the scratch its rounds reuse —

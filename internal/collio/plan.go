@@ -2,12 +2,12 @@
 //
 // It has two layers:
 //
-//   - The round engine (ExecuteWrite / ExecuteRead): given a Plan — a
-//     set of file domains, each owned by one aggregator with a window
-//     schedule, and optionally a leader map — it performs the upfront
-//     request exchange, then the lock-step rounds of shuffle + file I/O
-//     that define two-phase collective I/O. Both entry points run one
-//     round driver (engine.go); the leader map adds an intra-node
+//   - The round engine (Plan.Run): given a Plan — a set of file
+//     domains, each owned by one aggregator with a window schedule,
+//     and optionally a leader map — it performs the upfront request
+//     exchange, then the lock-step rounds of shuffle + file I/O that
+//     define two-phase collective I/O. Writes and reads run one round
+//     driver (engine.go); the leader map adds an intra-node
 //     funnel / fan-out stage around the exchange (combine.go), and
 //     without one every rank leads itself and the stage is idle.
 //   - The TwoPhase strategy: ROMIO's classic plan — one aggregator per

@@ -26,10 +26,6 @@ type TwoPhase struct {
 	// available memory (a buffer cannot exceed the RAM that exists) and
 	// floored at BufFloor.
 	CBBuffer int64
-	// NodeCombine enables the intra/inter-node exchange for the
-	// baseline too (lowest-rank leaders), so the mechanism can be
-	// studied in isolation.
-	NodeCombine bool
 	// AlignStripe, when positive, rounds file-domain boundaries down to
 	// a multiple of this size — ROMIO's Lustre-aware domain alignment,
 	// which keeps each stripe's lock traffic on a single aggregator.
@@ -87,11 +83,7 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 			lastNode = n
 		}
 	}
-	plan := EvenSplit(exts, aggs, avail, tp.CBBuffer, tp.AlignStripe)
-	if tp.NodeCombine && len(plan.Domains) > 0 {
-		plan.LeaderOf = LowestRankLeaders(nodeOf)
-	}
-	return plan
+	return EvenSplit(exts, aggs, avail, tp.CBBuffer, tp.AlignStripe)
 }
 
 // EvenSplit is the even file-domain geometry of two-phase collective

@@ -17,7 +17,7 @@ import (
 func TestNodeCombineWriteReadRoundTrip(t *testing.T) {
 	m := testMachine(t, 3, 4, 64*cluster.MiB, 0)
 	opts := testOpts(128<<10, 512<<10)
-	opts.NodeCombine = true
+	opts.TwoLayer = true
 	res := runMCCIO(t, MCCIO{Opts: opts}, m, 12, 16, 4<<10)
 	if res.Bytes != 12*16*4<<10 {
 		t.Fatalf("bytes %d", res.Bytes)
@@ -29,7 +29,7 @@ func TestNodeCombineWriteReadRoundTrip(t *testing.T) {
 
 func TestNodeCombineUnderVariance(t *testing.T) {
 	m := testMachine(t, 4, 4, 4*cluster.MiB, 0.6)
-	opts := Options{Msgind: 1 << 20, Msggroup: 16 << 20, Nah: 2, Memmin: 256 << 10, NodeCombine: true}
+	opts := Options{Msgind: 1 << 20, Msggroup: 16 << 20, Nah: 2, Memmin: 256 << 10, TwoLayer: true}
 	res := runMCCIO(t, MCCIO{Opts: opts}, m, 16, 24, 8<<10)
 	if res.Bytes != 16*24*8<<10 {
 		t.Fatalf("bytes %d", res.Bytes)
@@ -39,7 +39,7 @@ func TestNodeCombineUnderVariance(t *testing.T) {
 // TestNodeCombineReducesFabricMessages checks the mechanism's purpose:
 // fewer NIC crossings than the flat exchange on the same workload.
 func TestNodeCombineReducesFabricMessages(t *testing.T) {
-	run := func(combine bool) mpi.TrafficStats {
+	run := func(combine bool) int64 {
 		m := testMachine(t, 4, 4, 64*cluster.MiB, 0)
 		e := simtime.NewEngine()
 		w, err := mpi.NewWorld(e, m, 16)
@@ -49,7 +49,7 @@ func TestNodeCombineReducesFabricMessages(t *testing.T) {
 		fs := testFS(t, m)
 		f := iolib.Open(fs, "x")
 		opts := testOpts(256<<10, 0) // one group: combining is the only difference
-		opts.NodeCombine = combine
+		opts.TwoLayer = combine
 		w.Start(func(c *mpi.Comm) {
 			view := interleavedView(c.Rank(), 16, 16, 4<<10)
 			data := fillViewBuffer(view, uint64(c.Rank()))
@@ -58,12 +58,13 @@ func TestNodeCombineReducesFabricMessages(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return w.Traffic()
+		// Every inter-node message crosses the bisection link once.
+		return m.Bisection().Stats().Transfers
 	}
 	flat := run(false)
 	combined := run(true)
-	if combined.MsgsInter >= flat.MsgsInter {
-		t.Fatalf("combining did not reduce fabric messages: %d vs %d", combined.MsgsInter, flat.MsgsInter)
+	if combined >= flat {
+		t.Fatalf("combining did not reduce fabric messages: %d vs %d", combined, flat)
 	}
 }
 
@@ -80,7 +81,7 @@ func TestNodeCombineMatchesFlatResults(t *testing.T) {
 	fs := testFS(t, m)
 	f := iolib.Open(fs, "x")
 	combineOpts := testOpts(128<<10, 0)
-	combineOpts.NodeCombine = true
+	combineOpts.TwoLayer = true
 	flatOpts := testOpts(128<<10, 0)
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
@@ -116,18 +117,22 @@ func TestNodeCombineWithTwoPhasePlan(t *testing.T) {
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
 		data := fillViewBuffer(view, uint64(c.Rank()))
-		tp := collio.TwoPhase{CBBuffer: 64 << 10, NodeCombine: true}
-		plan := tp.BuildPlan(c, view)
-		if plan.LeaderOf == nil {
-			t.Error("NodeCombine plan on a 3-rank-per-node machine carries no leader map")
+		nodeOf := make([]int, c.Size())
+		for r := range nodeOf {
+			nodeOf[r] = c.NodeOf(r)
 		}
-		vi := iolib.NewViewIndex(view)
+		build := func() *collio.Plan {
+			plan := collio.TwoPhase{CBBuffer: 64 << 10}.BuildPlan(c, view)
+			if plan.LeaderOf = collio.LowestRankLeaders(nodeOf); plan.LeaderOf == nil {
+				t.Error("lowest-rank leaders on a 3-rank-per-node machine gave no leader map")
+			}
+			return plan
+		}
 		var mtr trace.Metrics
-		collio.ExecuteWrite(f, c, vi, data, plan, &mtr)
+		build().Run("write", f, c, view, data, &mtr)
 		c.Barrier()
-		plan2 := tp.BuildPlan(c, view)
 		dst := fillViewBuffer(view, 999)
-		collio.ExecuteRead(f, c, vi, dst, plan2, &mtr)
+		build().Run("read", f, c, view, dst, &mtr)
 		var pos int64
 		for _, s := range view {
 			if i := dst.Slice(pos, s.Len).Verify(uint64(c.Rank()), s.Off); i != -1 {

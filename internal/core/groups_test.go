@@ -98,13 +98,19 @@ func TestDivideGroupsProperty(t *testing.T) {
 
 func TestAssignableAggregators(t *testing.T) {
 	nodeOfRank := []int{0, 0, 0, 1, 1, 2}
-	if got := AssignableAggregators(nodeOfRank, 1); got != 3 {
+	// Memmin 0: memory never limits, only Nah and the process count do.
+	avail := map[int]int64{0: 1, 1: 1, 2: 1}
+	if got := MemoryAssignableAggregators(nodeOfRank, avail, 1, 0); got != 3 {
 		t.Fatalf("nah=1: %d, want 3", got)
 	}
-	if got := AssignableAggregators(nodeOfRank, 2); got != 5 {
+	if got := MemoryAssignableAggregators(nodeOfRank, avail, 2, 0); got != 5 {
 		t.Fatalf("nah=2: %d, want 5", got)
 	}
-	if got := AssignableAggregators(nodeOfRank, 10); got != 6 {
+	if got := MemoryAssignableAggregators(nodeOfRank, avail, 10, 0); got != 6 {
 		t.Fatalf("nah=10: %d, want 6 (capped by processes)", got)
+	}
+	// Memmin 4 with 9 / 4 / 0 bytes available: 2 + 1 + 0 slots.
+	if got := MemoryAssignableAggregators(nodeOfRank, map[int]int64{0: 9, 1: 4, 2: 0}, 10, 4); got != 3 {
+		t.Fatalf("memory-limited: %d, want 3", got)
 	}
 }

@@ -37,18 +37,12 @@ type Options struct {
 	// remerged with its neighbour.
 	Memmin int64
 
-	// NodeCombine enables the two-layer exchange: within each node,
-	// ranks funnel shuffle pieces to a node leader over the memory bus
-	// and only leaders cross the fabric — the intra-node/inter-node
-	// coordination the paper's abstract describes. Leaders are the
-	// lowest rank per node, with no succession line.
-	NodeCombine bool
-
 	// TwoLayer runs the full two-layer aggregation (Kang et al.,
 	// arXiv:1907.12656) *within each aggregation group*: node leaders
 	// are elected by available memory per group, intra-node pieces are
 	// merged into file order, and read aggregators deduplicate
-	// node-shared data. Supersedes NodeCombine when both are set.
+	// node-shared data — the intra-node/inter-node coordination the
+	// paper's abstract describes.
 	TwoLayer bool
 
 	// Ablations.
@@ -279,9 +273,6 @@ func (mc MCCIO) executable(gp *GroupPlan, memberSegs []datatype.List, nodeAvail 
 	// the file, so an extent RMW in one group could overwrite another
 	// group's concurrent writes with stale bytes.
 	plan := &collio.Plan{Exts: make([]collio.Ext, len(memberSegs)), ExactWrite: true, MemMin: mc.Opts.Memmin}
-	if mc.Opts.NodeCombine {
-		plan.LeaderOf = collio.LowestRankLeaders(gp.NodeOfRank)
-	}
 	for i, segs := range memberSegs {
 		l, h := segs.Extent()
 		plan.Exts[i] = collio.Ext{Lo: l, Hi: h}

@@ -198,9 +198,9 @@ func TestMCCIOPlacesAggregatorsOnMemoryRichNodes(t *testing.T) {
 			minN = i
 		}
 	}
-	hw := m.MemHighWaters()
-	if caps[maxN] > 2*caps[minN] && hw[maxN] == 0 && hw[minN] > 0 {
-		t.Fatalf("placement ignored memory: caps=%v highwater=%v", caps, hw)
+	hwMax, hwMin := m.Node(maxN).HighWater(), m.Node(minN).HighWater()
+	if caps[maxN] > 2*caps[minN] && hwMax == 0 && hwMin > 0 {
+		t.Fatalf("placement ignored memory: caps=%v highwater of the largest node %d, of the smallest %d", caps, hwMax, hwMin)
 	}
 }
 

@@ -320,25 +320,12 @@ func (p *placer) pickRank(h *hostState) int {
 	return r
 }
 
-// AssignableAggregators returns how many distinct aggregator processes
-// a group can field: at most Nah per node and one per process.
-func AssignableAggregators(nodeOfRank []int, nah int) int {
-	perNode := make(map[int]int)
-	total := 0
-	for _, node := range nodeOfRank {
-		if perNode[node] < nah {
-			perNode[node]++
-			total++
-		}
-	}
-	return total
-}
-
-// MemoryAssignableAggregators additionally respects each node's
-// available memory: a node fields at most avail/memmin aggregator
-// slots, since anything beyond that could not be given Memmin bytes.
-// At least one slot overall is always reported so a fully starved
-// group still makes progress (with a floor-sized buffer).
+// MemoryAssignableAggregators returns how many distinct aggregator
+// processes a group can field: one per process, at most Nah per node,
+// and at most avail/memmin per node, since anything beyond that could
+// not be given Memmin bytes. At least one slot overall is always
+// reported so a fully starved group still makes progress (with a
+// floor-sized buffer).
 func MemoryAssignableAggregators(nodeOfRank []int, nodeAvail map[int]int64, nah int, memmin int64) int {
 	perNodeLimit := make(map[int]int)
 	for node, avail := range nodeAvail {

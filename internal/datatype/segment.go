@@ -121,38 +121,6 @@ func (l List) Intersects(lo, hi int64) bool {
 	return i < len(l) && l[i].Off < hi
 }
 
-// Shift returns l displaced by d bytes.
-func (l List) Shift(d int64) List {
-	out := make(List, len(l))
-	for i, s := range l {
-		out[i] = Segment{Off: s.Off + d, Len: s.Len}
-	}
-	return out
-}
-
-// Coalesce merges segments whose gap is at most maxGap, returning the
-// (possibly shorter) canonical list. Data sieving uses it to decide
-// which holes are cheaper to read through than to seek over. maxGap=0
-// merges only adjacent segments (a no-op on a canonical list).
-func (l List) Coalesce(maxGap int64) List {
-	if maxGap < 0 {
-		panic(fmt.Sprintf("datatype: negative maxGap %d", maxGap))
-	}
-	if len(l) == 0 {
-		return nil
-	}
-	out := List{l[0]}
-	for _, s := range l[1:] {
-		last := &out[len(out)-1]
-		if s.Off-last.End() <= maxGap {
-			last.Len = s.End() - last.Off
-		} else {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Holes returns the gaps between consecutive segments of l inside l's
 // own extent. A write pattern with holes forces read-modify-write on
 // the aggregator.
@@ -165,13 +133,6 @@ func (l List) Holes() List {
 		}
 	}
 	return out
-}
-
-// SplitAt cuts l into the parts before and from offset cut.
-func (l List) SplitAt(cut int64) (before, after List) {
-	_, hi := l.Extent()
-	lo, _ := l.Extent()
-	return l.Clip(lo, cut), l.Clip(cut, hi)
 }
 
 // Equal reports element-wise equality.

@@ -108,31 +108,6 @@ func TestClipPropertyPartition(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	l := List{{0, 5}, {10, 5}}
-	s := l.Shift(100)
-	if !s.Equal(List{{100, 5}, {110, 5}}) {
-		t.Fatalf("shifted %v", s)
-	}
-	if !l.Equal(List{{0, 5}, {10, 5}}) {
-		t.Fatal("shift mutated input")
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	l := List{{0, 10}, {15, 5}, {100, 5}}
-	got := l.Coalesce(5)
-	if !got.Equal(List{{0, 20}, {100, 5}}) {
-		t.Fatalf("coalesce(5) = %v", got)
-	}
-	if got := l.Coalesce(0); !got.Equal(l) {
-		t.Fatalf("coalesce(0) changed canonical list: %v", got)
-	}
-	if got := l.Coalesce(1 << 30); len(got) != 1 || got.TotalBytes() != 105 {
-		t.Fatalf("coalesce(inf) = %v", got)
-	}
-}
-
 func TestHoles(t *testing.T) {
 	l := List{{0, 10}, {15, 5}, {30, 5}}
 	h := l.Holes()
@@ -156,14 +131,6 @@ func TestHolesPlusDataEqualsExtent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitAt(t *testing.T) {
-	l := List{{0, 10}, {20, 10}}
-	a, b := l.SplitAt(5)
-	if !a.Equal(List{{0, 5}}) || !b.Equal(List{{5, 5}, {20, 10}}) {
-		t.Fatalf("split %v / %v", a, b)
 	}
 }
 

@@ -139,15 +139,3 @@ func (s Subarray3D) Size() int64 {
 func (s Subarray3D) Extent() int64 {
 	return s.Global[0] * s.Global[1] * s.Global[2] * s.Elem
 }
-
-// Tiled returns a pattern of reps instances of t laid end to end at
-// their extents starting at disp — MPI_FILE_SET_VIEW with a repeating
-// filetype. The result is normalized.
-func Tiled(t Type, disp int64, reps int64) List {
-	var out List
-	ext := t.Extent()
-	for i := int64(0); i < reps; i++ {
-		out = t.Segments(out, disp+i*ext)
-	}
-	return Normalize(out)
-}

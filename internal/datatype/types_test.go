@@ -126,18 +126,6 @@ func TestBlockDecompositionTiles(t *testing.T) {
 	}
 }
 
-func TestTiledVector(t *testing.T) {
-	v := Vector{Count: 2, BlockLen: 2, Stride: 4}
-	l := Tiled(v, 0, 3) // extent 6: instances at 0, 6, 12
-	want := List{{0, 2}, {4, 4}, {10, 4}, {16, 2}}
-	if !l.Equal(want) {
-		t.Fatalf("got %v, want %v", l, want)
-	}
-	if l.TotalBytes() != 3*v.Size() {
-		t.Fatalf("bytes %d", l.TotalBytes())
-	}
-}
-
 func TestTypeSizeMatchesSegments(t *testing.T) {
 	types := []Type{
 		Contig{N: 77},

@@ -144,7 +144,7 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 	const segLen = 1 << 10
 	w.Start(func(c *mpi.Comm) {
 		// Interleaved pattern: rank r owns blocks r, r+4, r+8, ...
-		view := datatype.Tiled(datatype.Vector{Count: 8, BlockLen: segLen, Stride: segLen * 4}, int64(c.Rank())*segLen, 1)
+		view := datatype.Normalize(datatype.Vector{Count: 8, BlockLen: segLen, Stride: segLen * 4}.Segments(nil, int64(c.Rank())*segLen))
 		data := fillViewBuffer(view, uint64(c.Rank()))
 		// Sieving is disabled for the concurrent write: read-modify-write
 		// extents from different ranks interleave and would clobber each

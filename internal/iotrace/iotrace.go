@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +49,12 @@ type Trace struct {
 
 // header identifies the format version.
 const header = "#mccio-trace v1"
+
+// maxRank bounds the ranks Parse accepts. A replay allocates one view
+// per rank up to the highest one named, so an unchecked rank in a
+// hostile or corrupt file is an allocation of that size; 2^20 is far
+// beyond any machine the simulator can run.
+const maxRank = 1 << 20
 
 // Add appends a request.
 func (t *Trace) Add(rank int, op Op, off, length int64) {
@@ -106,8 +113,8 @@ func Parse(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("iotrace: line %d: want 4 fields, got %d", line, len(fields))
 		}
 		rank, err := strconv.Atoi(fields[0])
-		if err != nil || rank < 0 {
-			return nil, fmt.Errorf("iotrace: line %d: bad rank %q", line, fields[0])
+		if err != nil || rank < 0 || rank > maxRank {
+			return nil, fmt.Errorf("iotrace: line %d: bad rank %q (want 0..%d)", line, fields[0], maxRank)
 		}
 		var op Op
 		switch fields[1] {
@@ -123,8 +130,8 @@ func Parse(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("iotrace: line %d: bad offset %q", line, fields[2])
 		}
 		length, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil || length <= 0 {
-			return nil, fmt.Errorf("iotrace: line %d: bad length %q", line, fields[3])
+		if err != nil || length <= 0 || off > math.MaxInt64-length {
+			return nil, fmt.Errorf("iotrace: line %d: bad length %q (want > 0, ending inside the int64 range)", line, fields[3])
 		}
 		t.Add(rank, op, off, length)
 	}

@@ -41,13 +41,15 @@ func TestRoundTripSerialization(t *testing.T) {
 
 func TestParseRejectsGarbage(t *testing.T) {
 	bad := []string{
-		"0 w 0 100\n",                       // no header
-		"#mccio-trace v1\n0 w 0\n",          // short line
-		"#mccio-trace v1\n-1 w 0 10\n",      // negative rank
-		"#mccio-trace v1\n0 x 0 10\n",       // bad op
-		"#mccio-trace v1\n0 w -5 10\n",      // negative offset
-		"#mccio-trace v1\n0 w 0 0\n",        // zero length
-		"#mccio-trace v1\n0 w 0 banana\n",   // non-numeric
+		"0 w 0 100\n",                                                    // no header
+		"#mccio-trace v1\n0 w 0\n",                                       // short line
+		"#mccio-trace v1\n-1 w 0 10\n",                                   // negative rank
+		"#mccio-trace v1\n0 x 0 10\n",                                    // bad op
+		"#mccio-trace v1\n0 w -5 10\n",                                   // negative offset
+		"#mccio-trace v1\n0 w 0 0\n",                                     // zero length
+		"#mccio-trace v1\n0 w 0 banana\n",                                // non-numeric
+		"#mccio-trace v1\n4000000000000 w 0 10\n",                        // a rank no machine has
+		"#mccio-trace v1\n0 r 9223372036854775807 9223372036854775807\n", // offset + length overflows
 		"",                                  // empty
 		"# a comment but no version line\n", // missing header
 	}
@@ -174,4 +176,55 @@ func TestSerializationPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzIotraceParse feeds arbitrary bytes through the trace reader and
+// the replay builder — the path `mccio-trace stat|run FILE` takes with
+// a file it did not write. Either step may reject the input; neither
+// may panic, and what is accepted must be usable: non-negative ranks,
+// canonical per-rank views whose bytes add up, and a serialization
+// that parses back to the same requests.
+func FuzzIotraceParse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sample().Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("#mccio-trace v1\n\n# hello\n0 w 10 20\n\n")
+	f.Add("#mccio-trace v1\n0 w 0 10\n1 w 5 10\n")                          // overlap across ranks
+	f.Add("#mccio-trace v1\n0 w 0\n")                                       // short line
+	f.Add("#mccio-trace v1\n-1 w 0 10\n")                                   // negative rank
+	f.Add("#mccio-trace v1\n4000000000000 w 0 10\n")                        // absurd rank
+	f.Add("#mccio-trace v1\n0 r 9223372036854775807 9223372036854775807\n") // offset + length overflows
+	f.Add("# a comment but no version line\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(&out)
+		if err != nil || len(back.Requests) != len(tr.Requests) {
+			t.Fatalf("accepted trace does not round-trip: %v (%d of %d requests)", err, len(back.Requests), len(tr.Requests))
+		}
+		for _, op := range []Op{Write, Read} {
+			rp, err := NewReplay(tr, op)
+			if err != nil {
+				continue
+			}
+			var sum int64
+			for r := 0; r < rp.NumRanks(); r++ {
+				if !rp.View(r).IsCanonical() {
+					t.Fatalf("rank %d view not canonical: %v", r, rp.View(r))
+				}
+				sum += rp.View(r).TotalBytes()
+			}
+			if sum != rp.TotalBytes() || sum < 0 {
+				t.Fatalf("views hold %d bytes, TotalBytes %d", sum, rp.TotalBytes())
+			}
+		}
+	})
 }

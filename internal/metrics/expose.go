@@ -159,9 +159,9 @@ func (s *Snapshot) Get(name string, want map[string]string) (float64, bool) {
 
 // QuantileBuckets estimates the q-th quantile (0–1) from snapshot
 // histogram buckets (non-cumulative counts, ascending bounds, +Inf
-// last), with linear interpolation inside the owning bucket — the same
-// estimate Histogram.Quantile computes on a live instrument, usable on
-// decoded /metrics.json payloads (mccio-top's latency panel). Returns
+// last), with linear interpolation inside the owning bucket — the
+// standard Prometheus estimate, usable on decoded /metrics.json
+// payloads (mccio-top's latency panel). Returns
 // 0 with no observations; values landing in the +Inf bucket report the
 // highest finite bound.
 func QuantileBuckets(buckets []Bucket, q float64) float64 {

@@ -186,43 +186,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.get()
 }
 
-// Quantile estimates the q-th quantile (0–1) by linear interpolation
-// inside the owning bucket, the standard Prometheus estimate. Returns
-// 0 with no observations; values in the +Inf bucket report the highest
-// finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExponentialBuckets returns n bounds starting at start, each factor
 // times the previous — the shape used for byte-size histograms.
 func ExponentialBuckets(start, factor float64, n int) []float64 {

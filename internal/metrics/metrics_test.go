@@ -63,17 +63,15 @@ func TestHistogram(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-106.5) > 1e-9 {
 		t.Fatalf("sum = %g, want 106.5", got)
 	}
+	buckets := r.Snapshot().Families[0].Samples[0].Buckets
 	// Median rank 2.5 lands in the (1,2] bucket holding observations
 	// 2..3 of 5; interpolation stays inside the bucket.
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
+	if q := QuantileBuckets(buckets, 0.5); q < 1 || q > 2 {
 		t.Fatalf("q50 = %g, want within (1,2]", q)
 	}
 	// Samples in the +Inf bucket report the highest finite bound.
-	if q := h.Quantile(1); q != 4 {
+	if q := QuantileBuckets(buckets, 1); q != 4 {
 		t.Fatalf("q100 = %g, want 4", q)
-	}
-	if q := (*Histogram)(nil).Quantile(0.5); q != 0 {
-		t.Fatalf("nil quantile = %g, want 0", q)
 	}
 }
 
@@ -207,31 +205,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if c.Value() != 4000 || h.Count() != 4000 {
 		t.Fatalf("counter=%g hist=%d, want 4000 each", c.Value(), h.Count())
-	}
-}
-
-func TestQuantileBucketsMatchesLiveHistogram(t *testing.T) {
-	r := New()
-	h := r.Histogram("qb_seconds", "", DefSecondsBuckets())
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) * 1e-5) // 0 .. 10ms
-	}
-	snap := r.Snapshot()
-	var buckets []Bucket
-	for _, f := range snap.Families {
-		if f.Name == "qb_seconds" {
-			buckets = f.Samples[0].Buckets
-		}
-	}
-	if buckets == nil {
-		t.Fatal("histogram missing from snapshot")
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		live := h.Quantile(q)
-		fromSnap := QuantileBuckets(buckets, q)
-		if live != fromSnap {
-			t.Fatalf("q=%.2f: snapshot %v, live %v", q, fromSnap, live)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/buffer"
 	"repro/internal/explain"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -101,22 +100,6 @@ func (c *Comm) checkTag(tag int) {
 	if tag < 0 || tag >= userTagSpace {
 		panic(fmt.Sprintf("mpi: user tag %d out of [0,%d)", tag, userTagSpace))
 	}
-}
-
-// Send transfers a payload buffer to dst. The caller blocks while
-// injecting through its node's memory bus and NIC; delivery completes
-// asynchronously.
-func (c *Comm) Send(dst, tag int, buf buffer.Buf) {
-	c.checkRank(dst, "send")
-	c.checkTag(tag)
-	c.w.deliver(c.p, c.group[c.rank], c.group[dst], c.ctx, tag, message{payload: buf, bytes: buf.Len()})
-}
-
-// Recv blocks until the matching buffer from src arrives and returns it.
-func (c *Comm) Recv(src, tag int) buffer.Buf {
-	c.checkRank(src, "recv")
-	c.checkTag(tag)
-	return c.recvAny(src, tag).(buffer.Buf)
 }
 
 // SendVal transfers an arbitrary metadata value charged at bytes.
@@ -285,53 +268,16 @@ func (c *Comm) Gather(root int, v any, bytes int64) []any {
 	return out
 }
 
-// Alltoall exchanges vals[i] (charged at bytes[i]) to member i and
-// returns the values received, using pairwise exchange. vals and bytes
-// must have length Size(). A nil payload with zero bytes costs nothing.
-func (c *Comm) Alltoall(vals []any, bytes []int64) []any {
-	p := len(c.group)
-	if len(vals) != p || len(bytes) != p {
-		panic(fmt.Sprintf("mpi: alltoall with %d vals, %d sizes for comm of %d", len(vals), len(bytes), p))
-	}
-	const tag = tagAlltoall
-	sp := c.Tracer().Begin(obs.PhaseMPIAlltoall, c.traceLoc())
-	var sent int64
-	out := make([]any, p)
-	out[c.rank] = vals[c.rank]
-	if bytes[c.rank] > 0 {
-		// Self-exchange still crosses the local memory bus.
-		c.w.intraPaths[c.NodeOf(c.rank)].Transfer(c.p, bytes[c.rank])
-		sent += bytes[c.rank]
-	}
-	for step := 1; step < p; step++ {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		c.isend(dst, tag, vals[dst], bytes[dst])
-		sent += bytes[dst]
-		out[src] = c.irecv(src, tag)
-	}
-	sp.EndBytes(sent, int64(p))
-	c.w.met.alltoalls.Inc()
-	c.w.met.alltoallBytes.Add(float64(sent))
-	return out
-}
-
-// AlltoallSparse exchanges only the non-nil entries. present[i] must be
-// true on the *receiver* side exactly when sender i has a non-nil value
-// for us; strategies compute it from the same global metadata on both
-// sides. This keeps sparse shuffles (the common collective-I/O case —
-// each rank talks to a few aggregators) from paying p² latency.
-func (c *Comm) AlltoallSparse(vals []any, bytes []int64, present []bool) []any {
-	out := make([]any, len(c.group))
-	c.AlltoallSparseInto(out, vals, bytes, present)
-	return out
-}
-
-// AlltoallSparseInto is AlltoallSparse writing received values into the
-// caller-owned out slice (length Size()), so a round loop can reuse one
-// result array instead of allocating p entries per exchange — the
-// single largest allocation site of a sweep before it was added. Every
-// entry of out is overwritten (non-present entries with nil).
+// AlltoallSparseInto exchanges vals[i] (charged at bytes[i]) to member
+// i by pairwise exchange, skipping nil entries, and writes what arrives
+// into the caller-owned out slice, so a round loop can reuse one result
+// array instead of allocating p entries per exchange. All four slices
+// have length Size(). present[i] must be true on the *receiver* side
+// exactly when sender i has a non-nil value for us; strategies compute
+// it from the same global metadata on both sides. This keeps sparse
+// shuffles (the common collective-I/O case — each rank talks to a few
+// aggregators) from paying p² latency. Every entry of out is
+// overwritten (non-present entries with nil).
 func (c *Comm) AlltoallSparseInto(out, vals []any, bytes []int64, present []bool) {
 	p := len(c.group)
 	if len(out) != p || len(vals) != p || len(bytes) != p || len(present) != p {
@@ -398,15 +344,7 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) int64 {
 	return c.Bcast(0, r, tokenBytes).(int64)
 }
 
-// MaxInt64 and SumInt64 are the common reduction operators.
-func MaxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SumInt64 returns a+b.
+// SumInt64 is the common reduction operator: a+b.
 func SumInt64(a, b int64) int64 { return a + b }
 
 // splitInfo is the record exchanged by Split.

@@ -115,7 +115,6 @@ type ringRun struct {
 	Returns [][]float64 // [rank][op] virtual time the op returned
 	Results [][][]any   // [rank][op] what it returned
 	Links   []resource.LinkStats
-	Traffic TrafficStats
 	Events  uint64 // the engine's final tie-break sequence
 	Delays  int64  // fault delays drawn
 }
@@ -190,7 +189,6 @@ func (k ringCase) run(t *testing.T, impl ringImpl) ringRun {
 		out.Links = append(out.Links, node.MemBus.Stats(), node.NICTx.Stats(), node.NICRx.Stats())
 	}
 	out.Links = append(out.Links, m.Bisection().Stats())
-	out.Traffic = w.Traffic()
 	out.Events = e.Stats().Scheduled
 	out.Delays = sched.Injected()
 	return out
@@ -253,8 +251,7 @@ func firstRingDiff(got, want ringRun) string {
 			return fmt.Sprintf("link %+v, want %+v", got.Links[i], want.Links[i])
 		}
 	}
-	return fmt.Sprintf("traffic %+v events %d delays %d, want %+v %d %d",
-		got.Traffic, got.Events, got.Delays, want.Traffic, want.Events, want.Delays)
+	return fmt.Sprintf("events %d delays %d, want %d %d", got.Events, got.Delays, want.Events, want.Delays)
 }
 
 // ringWorld runs body on p ranks of the paper's testbed (12 to a node)

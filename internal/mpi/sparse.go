@@ -7,7 +7,7 @@ import (
 )
 
 // SparseExchange is reusable per-communicator state for repeated
-// sparse alltoall rounds. The plain AlltoallSparse walks all p pairwise
+// sparse alltoall rounds. The plain AlltoallSparseInto walks all p pairwise
 // steps probing vals/present, which makes a k-partner exchange cost
 // O(p) host work per rank — O(p²) per round across the communicator —
 // even when k is tiny (the common collective-I/O case: each rank talks
@@ -15,7 +15,7 @@ import (
 // staged sends and expected receives, so one round costs O(p/64 + k)
 // and reuses every backing array.
 //
-// The virtual-time semantics are exactly AlltoallSparse's: the same
+// The virtual-time semantics are exactly AlltoallSparseInto's: the same
 // pairwise step order, the same send-before-receive interleaving
 // within a step, the same self-exchange bus charge. A staged value is
 // delivered at the identical virtual instant either way.
@@ -100,7 +100,7 @@ func (x *SparseExchange) Stage(dst int, v any, n int64) {
 }
 
 // Expect declares that comm rank src will stage a value for us this
-// round. Like AlltoallSparse's present slice it must mirror the
+// round. Like AlltoallSparseInto's present slice it must mirror the
 // sender's decision exactly; both sides compute it from the same global
 // metadata. Expecting one's own rank is a no-op (self-delivery is
 // implied by Stage).
@@ -120,7 +120,7 @@ func (x *SparseExchange) Expect(src int) {
 
 // Exchange runs the pairwise exchange over the staged/expected steps.
 // Step order and the send-then-receive interleaving within a step match
-// AlltoallSparse exactly, so virtual delivery times are identical.
+// AlltoallSparseInto exactly, so virtual delivery times are identical.
 func (x *SparseExchange) Exchange() {
 	c := x.c
 	p := len(x.vals)
@@ -171,7 +171,7 @@ func (x *SparseExchange) Exchange() {
 
 // Received calls f for every value delivered by the last Exchange, in
 // ascending source-rank order — the same order a scan over
-// AlltoallSparse's result slice visits.
+// AlltoallSparseInto's result slice visits.
 func (x *SparseExchange) Received(f func(src int, v any)) {
 	for w, word := range x.srcMask {
 		for word != 0 {
@@ -180,10 +180,4 @@ func (x *SparseExchange) Received(f func(src int, v any)) {
 			f(src, x.out[src])
 		}
 	}
-}
-
-// Out returns the value received from src in the last Exchange, or nil.
-func (x *SparseExchange) Out(src int) any {
-	x.c.checkRank(src, "out")
-	return x.out[src]
 }

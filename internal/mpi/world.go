@@ -89,11 +89,6 @@ type World struct {
 	// simulation context, which the engine serializes.
 	faults      *faults.Schedule
 	lastArrival map[msgKey]float64
-
-	bytesIntra int64
-	bytesInter int64
-	msgsIntra  int64
-	msgsInter  int64
 }
 
 // worldMetrics bundles the collective-layer instrument handles,
@@ -216,41 +211,20 @@ func (w *World) barrierFor(ctx uint64, parties int) *simtime.Barrier {
 	return b
 }
 
-// Traffic reports cumulative message traffic split by locality. The
-// paper's group-division argument is precisely about moving shuffle
-// bytes from the "inter" to the "intra" row.
-func (w *World) Traffic() TrafficStats {
-	return TrafficStats{
-		BytesIntra: w.bytesIntra, BytesInter: w.bytesInter,
-		MsgsIntra: w.msgsIntra, MsgsInter: w.msgsInter,
-	}
-}
-
-// TrafficStats is cumulative point-to-point traffic.
-type TrafficStats struct {
-	BytesIntra, BytesInter int64
-	MsgsIntra, MsgsInter   int64
-}
-
-// inject books one message's hops at the caller's current time and
-// counts its traffic, without blocking anyone: the sender is busy until
-// free; an inter-node payload (intra false) reaches dst's node at
-// arrival, while an intra-node one is handed over by the sender itself
-// once free has passed. It is the single copy of the reservation,
-// traffic-counter and fault arithmetic, shared by the blocking deliver
-// and the engine-driven ring (ring.go).
+// inject books one message's hops at the caller's current time
+// without blocking anyone: the sender is busy until free; an
+// inter-node payload (intra false) reaches dst's node at arrival, while an intra-node one is handed over by the sender itself
+// once free has passed. It is the single copy of the reservation and
+// fault arithmetic, shared by the blocking deliver and the
+// engine-driven ring (ring.go).
 func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, arrival float64, intra bool) {
 	sn, dn := w.machine.NodeOfRank(src), w.machine.NodeOfRank(dst)
 	now := w.engine.Now()
 	if sn == dn {
-		w.bytesIntra += bytes
-		w.msgsIntra++
 		// One memory-bus pass; sender is occupied for the whole copy.
 		free = w.intraPaths[sn].Reserve(now, bytes)
 		return free, free, true
 	}
-	w.bytesInter += bytes
-	w.msgsInter++
 	txDone := w.txPaths[sn].Reserve(now, bytes)
 	arrival = w.rxPaths[dn].Reserve(txDone, bytes)
 	if w.faults != nil {

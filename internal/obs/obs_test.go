@@ -233,8 +233,12 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("detail %+v", s.Detail)
 	}
 	// Rank 1's track: barrier + exchange + io.
-	if got := s.RankSeconds(1); !near(got, 0.6) {
-		t.Fatalf("rank seconds %v", got)
+	var rank1 float64
+	for _, sec := range s.PerRank[1] {
+		rank1 += sec
+	}
+	if !near(rank1, 0.6) {
+		t.Fatalf("rank seconds %v", rank1)
 	}
 
 	var text strings.Builder

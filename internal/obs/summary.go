@@ -152,17 +152,6 @@ func (s *Summary) PhaseSeconds(p Phase) float64 {
 	return 0
 }
 
-// RankSeconds returns the total top-level span time on one rank's
-// track — with full instrumentation it approximates the collective's
-// elapsed time on that rank.
-func (s *Summary) RankSeconds(rank int) float64 {
-	var total float64
-	for _, sec := range s.PerRank[rank] {
-		total += sec
-	}
-	return total
-}
-
 // Elapsed returns the trace's wall-clock (virtual) extent.
 func (s *Summary) Elapsed() float64 { return s.End - s.Start }
 

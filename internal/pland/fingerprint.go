@@ -68,7 +68,7 @@ func (c *canonRequest) Fingerprint() string {
 	wi(c.Options.Msggroup)
 	wi(int64(c.Options.Nah))
 	wi(c.Options.Memmin)
-	wb(c.Options.NodeCombine)
+	wb(false) // core.Options.NodeCombine's slot: the field is gone, the byte keeps every v2 fingerprint stable
 	wb(c.Options.TwoLayer)
 	wb(c.Options.DisableGroups)
 	wb(c.Options.DisableMemAware)

@@ -130,6 +130,11 @@ func TestPlanBodiesGolden(t *testing.T) {
 			if err := json.Unmarshal(body, &pr); err != nil {
 				t.Fatal(err)
 			}
+			// The golden's fingerprints are the parent's: the cache key of
+			// every request survives any change that keeps this file.
+			if fp := resp.Header.Get("X-Fingerprint"); fp == "" || fp != pr.Fingerprint {
+				t.Fatalf("%s/%s: X-Fingerprint %q, body fingerprint %q", l.name, cfg.name, fp, pr.Fingerprint)
+			}
 			if l.name == "starved" && cfg.strategy == strategy.MCCIO && pr.Remerges == 0 {
 				t.Fatalf("%s/%s: no remerges; the starved layout needs retuning", l.name, cfg.name)
 			}
@@ -157,6 +162,10 @@ func TestPlanBodiesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// core.Options lost its NodeCombine field: until the golden is
+	// regenerated (a commit of its own), the only admissible difference
+	// is that one key missing from each options object.
+	want = bytes.ReplaceAll(want, []byte(`\"NodeCombine\":false,`), nil)
 	if !bytes.Equal(have, want) {
 		t.Fatalf("/v1/plan bodies diverged from %s (rerun with -update only for an intended change):\n%s", path, have)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -413,33 +412,5 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 	if v, ok := snap.Get("mccio_pland_requests_total", map[string]string{"endpoint": "plan", "code": "200"}); !ok || v != 2 {
 		t.Fatalf("/metrics.json plan 200 count = %v %v, want 2", v, ok)
-	}
-}
-
-func TestServeBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serve bench issues hundreds of requests")
-	}
-	file, table, err := RunServeBench(bench.Options{Seed: 5}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One single-node row, one row per ring shard, one cluster row.
-	if table == nil || len(file.Experiments) != 2+ringShards {
-		t.Fatalf("bench file: %+v", file)
-	}
-	row := file.Experiments[0]
-	if row.ThroughputRPS <= 0 || row.HitRate <= 0 {
-		t.Fatalf("implausible serve row: %+v", row)
-	}
-	ringRow := file.Experiments[len(file.Experiments)-1]
-	if ringRow.HitRate < row.HitRate {
-		t.Fatalf("ring hit rate %.4f below single-node %.4f", ringRow.HitRate, row.HitRate)
-	}
-	if file.Metrics == nil {
-		t.Fatal("bench file has no metrics snapshot")
-	}
-	if hits, ok := file.Metrics.Get("mccio_pland_cache_hits_total", nil); !ok || hits <= 0 {
-		t.Fatalf("snapshot hits = %v %v", hits, ok)
 	}
 }

@@ -47,12 +47,6 @@ func NewLink(name string, bandwidth, latency float64) *Link {
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
 
-// Bandwidth returns the link's bandwidth in bytes/s.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
-// Latency returns the link's fixed per-transfer latency in seconds.
-func (l *Link) Latency() float64 { return l.latency }
-
 // serviceTime returns how long the link is occupied carrying n bytes.
 func (l *Link) serviceTime(n int64) float64 {
 	return float64(n) / l.bandwidth
@@ -205,33 +199,4 @@ func reserveSeq(a, b []*Link, now float64, n int64) float64 {
 		}
 	}
 	return start + float64(n)/bottleneck + latSum
-}
-
-// Extend returns a new path with extra hops appended.
-func (pa Path) Extend(links ...*Link) Path {
-	all := append(append([]*Link(nil), pa.links...), links...)
-	return NewPath(all...)
-}
-
-// Latency returns the sum of hop latencies.
-func (pa Path) Latency() float64 {
-	var sum float64
-	for _, l := range pa.links {
-		sum += l.latency
-	}
-	return sum
-}
-
-// Bottleneck returns the minimum hop bandwidth, or 0 for an empty path.
-func (pa Path) Bottleneck() float64 {
-	if len(pa.links) == 0 {
-		return 0
-	}
-	b := pa.links[0].bandwidth
-	for _, l := range pa.links[1:] {
-		if l.bandwidth < b {
-			b = l.bandwidth
-		}
-	}
-	return b
 }

@@ -110,9 +110,6 @@ func TestPathSkipsNilLinks(t *testing.T) {
 	if !almostEq(done, 1.5) {
 		t.Fatalf("done %g, want 1.5", done)
 	}
-	if pa.Bottleneck() != 100 || !almostEq(pa.Latency(), 0.5) {
-		t.Fatalf("bottleneck/latency wrong: %g %g", pa.Bottleneck(), pa.Latency())
-	}
 }
 
 func TestEmptyPathIsInstant(t *testing.T) {
@@ -203,18 +200,5 @@ func TestReserveDoesNotBlock(t *testing.T) {
 	}
 	if !almostEq(done, 2) {
 		t.Fatalf("done %g, want 2", done)
-	}
-}
-
-func TestExtendComposesPaths(t *testing.T) {
-	a := NewLink("a", 1000, 0.1)
-	b := NewLink("b", 500, 0.2)
-	c := NewLink("c", 100, 0.3)
-	p := NewPath(a).Extend(b, nil, c)
-	if len(p.Links()) != 3 {
-		t.Fatalf("links %v", p.Links())
-	}
-	if p.Bottleneck() != 100 || !almostEq(p.Latency(), 0.6) {
-		t.Fatalf("bottleneck %g latency %g", p.Bottleneck(), p.Latency())
 	}
 }

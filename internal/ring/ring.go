@@ -108,12 +108,6 @@ func (r *Ring) Len() int { return len(r.members) }
 // modify the returned slice.
 func (r *Ring) Members() []string { return r.members }
 
-// Has reports whether id is a ring member.
-func (r *Ring) Has(id string) bool {
-	i := sort.SearchStrings(r.members, id)
-	return i < len(r.members) && r.members[i] == id
-}
-
 // succ returns the index of the first point at or clockwise after h.
 func (r *Ring) succ(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -4,7 +4,7 @@
 // The engine owns a virtual clock and an event queue. Simulated
 // processes (Proc) are goroutines that run one at a time under the
 // engine's scheduler: a process runs until it blocks on a simulation
-// primitive (Sleep, Signal.Wait, Chan.Get, ...) and the scheduler then
+// primitive (Sleep, Chan.Get, Barrier.Await, ...) and the scheduler then
 // advances the clock to the next event. Because exactly one process is
 // runnable at any instant and ties are broken by sequence number, a
 // simulation is bit-reproducible across runs.

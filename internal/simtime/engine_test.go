@@ -63,8 +63,8 @@ func TestSpawnFromInsideProc(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e, "never")
-	e.Spawn("stuck", func(p *Proc) { s.Wait(p) })
+	never := NewChan[int](e, "never")
+	e.Spawn("stuck", func(p *Proc) { never.Get(p) })
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -72,53 +72,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	if len(de.Blocked) != 1 {
 		t.Fatalf("blocked %v, want 1 proc", de.Blocked)
-	}
-}
-
-func TestSignalBroadcastWakesAll(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e, "go")
-	woke := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Wait(p)
-			woke++
-		})
-	}
-	e.Spawn("broadcaster", func(p *Proc) {
-		p.Sleep(1)
-		s.Broadcast()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 5 {
-		t.Fatalf("woke %d, want 5", woke)
-	}
-}
-
-func TestSignalWakeOneIsFIFO(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e, "go")
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Wait(p)
-			order = append(order, i)
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		for s.WakeOne() {
-			p.Sleep(1)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(order) != "[0 1 2]" {
-		t.Fatalf("wake order %v, want [0 1 2]", order)
 	}
 }
 
@@ -240,8 +193,7 @@ func TestStopHaltsRun(t *testing.T) {
 		}
 	})
 	e.Spawn("forever", func(p *Proc) {
-		s := NewSignal(e, "never")
-		s.Wait(p)
+		NewChan[int](e, "never").Get(p)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run after Stop: %v", err)
@@ -295,39 +247,6 @@ func TestManyProcsScale(t *testing.T) {
 	}
 	if done != n {
 		t.Fatalf("done=%d, want %d", done, n)
-	}
-}
-
-func TestChanTryGet(t *testing.T) {
-	e := NewEngine()
-	c := NewChan[int](e, "c")
-	if _, ok := c.TryGet(); ok {
-		t.Fatal("TryGet on empty chan succeeded")
-	}
-	c.Put(5)
-	if v, ok := c.TryGet(); !ok || v != 5 {
-		t.Fatalf("TryGet = %d,%v", v, ok)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len %d", c.Len())
-	}
-}
-
-func TestSignalWaitersCount(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e, "s")
-	for i := 0; i < 3; i++ {
-		e.Spawn("w", func(p *Proc) { s.Wait(p) })
-	}
-	e.Spawn("check", func(p *Proc) {
-		p.Sleep(1)
-		if s.Waiters() != 3 {
-			t.Errorf("waiters %d, want 3", s.Waiters())
-		}
-		s.Broadcast()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,51 +2,6 @@ package simtime
 
 import "fmt"
 
-// Signal is a broadcast/wake-one condition for simulated processes.
-// The zero value is not usable; construct with NewSignal.
-type Signal struct {
-	e          *Engine
-	name       string
-	parkReason string // precomputed: concatenating per Wait allocates
-	waiters    []*Proc
-}
-
-// NewSignal returns a Signal bound to engine e.
-func NewSignal(e *Engine, name string) *Signal {
-	return &Signal{e: e, name: name, parkReason: "signal " + name}
-}
-
-// Wait parks p until another process calls Broadcast or WakeOne.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.park(s.parkReason)
-}
-
-// Broadcast wakes every waiter at the current virtual time.
-func (s *Signal) Broadcast() {
-	for _, w := range s.waiters {
-		w.wake()
-	}
-	s.waiters = s.waiters[:0]
-}
-
-// WakeOne wakes the longest-waiting process, if any. It reports whether
-// a process was woken.
-func (s *Signal) WakeOne() bool {
-	if len(s.waiters) == 0 {
-		return false
-	}
-	w := s.waiters[0]
-	copy(s.waiters, s.waiters[1:])
-	s.waiters[len(s.waiters)-1] = nil
-	s.waiters = s.waiters[:len(s.waiters)-1]
-	w.wake()
-	return true
-}
-
-// Waiters returns the number of parked processes.
-func (s *Signal) Waiters() int { return len(s.waiters) }
-
 // Chan is an unbounded FIFO mailbox between simulated processes. Put is
 // non-blocking; Get blocks the calling process until an item arrives.
 // It models an eager message channel: transfer cost is the sender's
@@ -98,18 +53,6 @@ func (c *Chan[T]) Get(p *Proc) T {
 	c.items[c.head] = zero
 	c.head++
 	return v
-}
-
-// TryGet removes and returns the oldest item without blocking.
-func (c *Chan[T]) TryGet() (T, bool) {
-	var zero T
-	if c.head == len(c.items) {
-		return zero, false
-	}
-	v := c.items[c.head]
-	c.items[c.head] = zero
-	c.head++
-	return v, true
 }
 
 // Len returns the number of queued items.

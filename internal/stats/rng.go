@@ -105,10 +105,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork returns an independent generator derived from this one; useful
-// for giving each simulated node its own stream without interleaving
-// artifacts.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a5deadbeef)
-}

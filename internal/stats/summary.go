@@ -73,14 +73,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// PercentileOf returns the p-th percentile of an unsorted sample: it
-// sorts a copy, leaving the input untouched. Empty samples yield 0.
-func PercentileOf(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Percentile(sorted, p)
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -116,33 +108,4 @@ func CV(xs []float64) float64 {
 		return 0
 	}
 	return Std(xs) / m
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Out-of-range samples clamp to the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram of xs with nbins bins over [lo, hi].
-func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		// Clamp in float space: converting an out-of-range float (e.g.
-		// +Inf) to int is undefined and would land +Inf in the LOW bin
-		// on amd64. NaN also falls through to the low edge.
-		i := 0
-		if f := (x - lo) / w; f >= float64(nbins) {
-			i = nbins - 1
-		} else if f > 0 {
-			i = int(f)
-		}
-		h.Counts[i]++
-	}
-	return h
 }
