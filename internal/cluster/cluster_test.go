@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/resource"
 )
 
 func testConfig(nodes, cores int) Config {
@@ -142,6 +144,19 @@ func TestZeroSigmaMeansUniform(t *testing.T) {
 		if c != cfg.MemPerNode {
 			t.Fatalf("node %d capacity %d, want %d", i, c, cfg.MemPerNode)
 		}
+	}
+}
+
+// TestInterNodeSlowerThanIntraNode: over the machine's own links, a
+// message that crosses both NICs and the bisection takes longer than
+// one that stays on a node's memory bus.
+func TestInterNodeSlowerThanIntraNode(t *testing.T) {
+	m, _ := New(testConfig(2, 2))
+	a, b := m.Node(0), m.Node(1)
+	intra := resource.NewPath(a.MemBus).Reserve(0, 1<<20)
+	inter := resource.NewPath(a.MemBus, a.NICTx, m.Bisection(), b.NICRx, b.MemBus).Reserve(0, 1<<20)
+	if inter <= intra {
+		t.Fatalf("inter-node %g not slower than intra-node %g", inter, intra)
 	}
 }
 

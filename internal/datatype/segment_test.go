@@ -134,6 +134,17 @@ func TestHolesPlusDataEqualsExtent(t *testing.T) {
 	}
 }
 
+// TestSplitAt cuts a list at an offset inside a segment with two Clips:
+// the segment straddling the cut is divided, nothing is lost.
+func TestSplitAt(t *testing.T) {
+	l := List{{0, 10}, {20, 10}}
+	lo, hi := l.Extent()
+	a, b := l.Clip(lo, 5), l.Clip(5, hi)
+	if !a.Equal(List{{0, 5}}) || !b.Equal(List{{5, 5}, {20, 10}}) {
+		t.Fatalf("split %v / %v", a, b)
+	}
+}
+
 func TestTotalBytesAndExtent(t *testing.T) {
 	l := List{{10, 5}, {30, 5}}
 	if l.TotalBytes() != 10 {

@@ -126,6 +126,25 @@ func TestBlockDecompositionTiles(t *testing.T) {
 	}
 }
 
+// TestTiledVector lays three instances of a vector end to end at its
+// extent — MPI_FILE_SET_VIEW with a repeating filetype — through
+// Segments' displacement argument.
+func TestTiledVector(t *testing.T) {
+	v := Vector{Count: 2, BlockLen: 2, Stride: 4}
+	var segs List
+	for i := int64(0); i < 3; i++ { // extent 6: instances at 0, 6, 12
+		segs = v.Segments(segs, i*v.Extent())
+	}
+	l := Normalize(segs)
+	want := List{{0, 2}, {4, 4}, {10, 4}, {16, 2}}
+	if !l.Equal(want) {
+		t.Fatalf("got %v, want %v", l, want)
+	}
+	if l.TotalBytes() != 3*v.Size() {
+		t.Fatalf("bytes %d", l.TotalBytes())
+	}
+}
+
 func TestTypeSizeMatchesSegments(t *testing.T) {
 	types := []Type{
 		Contig{N: 77},

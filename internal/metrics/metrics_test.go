@@ -208,6 +208,34 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestQuantileBucketsMatchesLiveHistogram: the estimate from a
+// snapshot's buckets lands within one bucket of the exact quantile of
+// what the live histogram observed.
+func TestQuantileBucketsMatchesLiveHistogram(t *testing.T) {
+	r := New()
+	h := r.Histogram("qb_seconds", "", DefSecondsBuckets())
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(i) * 1e-5) // 0 .. 10ms, uniform
+	}
+	buckets := r.Snapshot().Families[0].Samples[0].Buckets
+	if buckets == nil {
+		t.Fatal("histogram missing from snapshot")
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		exact := q * 1000 * 1e-5
+		var lo, hi float64 // the bucket holding the exact quantile
+		for _, b := range buckets {
+			if hi = b.UpperBound; hi >= exact {
+				break
+			}
+			lo = hi
+		}
+		if got := QuantileBuckets(buckets, q); got < lo || got > hi {
+			t.Fatalf("q=%.2f: snapshot estimate %v outside the bucket (%v, %v] of the exact %v", q, got, lo, hi, exact)
+		}
+	}
+}
+
 func TestQuantileBucketsEdges(t *testing.T) {
 	if got := QuantileBuckets(nil, 0.5); got != 0 {
 		t.Fatalf("empty buckets -> %v, want 0", got)

@@ -326,6 +326,32 @@ func TestSplitSubgroupsAreConcurrentlyUsable(t *testing.T) {
 	}
 }
 
+// TestTrafficStatsSeparateLocality: an intra-node message loads only
+// its node's memory bus; an inter-node one also crosses both NICs and
+// the bisection link, once.
+func TestTrafficStatsSeparateLocality(t *testing.T) {
+	w := run(t, 2, 2, 4, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.SendVal(1, 1, buffer.NewPhantom(100), 100) // intra
+			c.SendVal(2, 1, buffer.NewPhantom(200), 200) // inter
+		}
+		if c.Rank() == 1 || c.Rank() == 2 {
+			c.RecvVal(0, 1)
+		}
+	})
+	m := w.Machine()
+	bis, tx, rx := m.Bisection().Stats(), m.Node(0).NICTx.Stats(), m.Node(1).NICRx.Stats()
+	if bis.Bytes != 200 || bis.Transfers != 1 || tx.Bytes != 200 || rx.Bytes != 200 {
+		t.Fatalf("inter-node traffic: bisection %+v, sender NIC %+v, receiver NIC %+v", bis, tx, rx)
+	}
+	if bus := m.Node(0).MemBus.Stats(); bus.Bytes != 300 || bus.Transfers != 2 {
+		t.Fatalf("sender memory bus carried %+v, want both messages", bus)
+	}
+	if bus := m.Node(1).MemBus.Stats(); bus.Bytes != 200 || bus.Transfers != 1 {
+		t.Fatalf("receiver memory bus carried %+v, want the inter-node message only", bus)
+	}
+}
+
 func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 	e := simtime.NewEngine()
 	m := testMachine(t, 1, 2)

@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/pfs"
 	"repro/internal/strategy"
 	"repro/internal/workload"
@@ -38,32 +38,16 @@ var planConfigs = []planConfig{
 // σ = 50 MB variance clipped at a quarter of nominal, storage with
 // shared-interference jitter.
 func testbed(nodes, cores int, mem int64, seed uint64) (cluster.Config, pfs.Config) {
-	mc := cluster.TestbedConfig(nodes)
+	mc := bench.TestbedMachine(nodes, mem, bench.SigmaBytes, seed)
 	mc.CoresPerNode = cores
-	mc.MemPerNode = mem
-	mc.MemSigma = float64(50*cluster.MB) / float64(mem)
-	mc.MemFloor = mem / 4
-	mc.Seed = seed
-	fc := pfs.DefaultConfig()
-	fc.JitterMean = 12e-3
-	fc.Seed = seed
-	return mc, fc
+	return mc, bench.TestbedFS(seed)
 }
 
 // requestFor spells wl on (mc, fc) as a plan request under cfg, with
 // the tunables the bench sweeps derive for the platform: groups of a
 // couple of nodes, Memmin a quarter of the nominal budget.
 func requestFor(mc cluster.Config, fc pfs.Config, wl workload.Workload, cfg planConfig) PlanRequest {
-	opts := core.DefaultOptions(mc, fc)
-	groups := mc.Nodes / 2
-	if groups < 1 {
-		groups = 1
-	}
-	opts.Msggroup = wl.TotalBytes() / int64(groups)
-	opts.Memmin = mc.MemPerNode / 4
-	if opts.Memmin < 256<<10 {
-		opts.Memmin = 256 << 10
-	}
+	opts := bench.MCCIOOptions(mc, fc, wl.TotalBytes(), mc.MemPerNode)
 	opts.TwoLayer = cfg.twoLayer
 	ranks := make([][]Extent, wl.NumRanks())
 	for r := range ranks {
@@ -110,8 +94,10 @@ type goldenBody struct {
 
 // TestPlanBodiesGolden pins the exact /v1/plan response bytes for the
 // four plan-servable configurations on three layouts. The file was
-// generated before the planner paths were unified; a diff means a
-// refactor changed what the service answers, not just how.
+// generated before the planner paths were unified and has changed once
+// since, by the removal of the "NodeCombine" key from each options
+// object when core.Options lost that field; a diff means a refactor
+// changed what the service answers, not just how.
 func TestPlanBodiesGolden(t *testing.T) {
 	srv := startServer(t, Config{})
 	url := "http://" + srv.Addr() + "/v1/plan"
@@ -162,10 +148,6 @@ func TestPlanBodiesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// core.Options lost its NodeCombine field: until the golden is
-	// regenerated (a commit of its own), the only admissible difference
-	// is that one key missing from each options object.
-	want = bytes.ReplaceAll(want, []byte(`\"NodeCombine\":false,`), nil)
 	if !bytes.Equal(have, want) {
 		t.Fatalf("/v1/plan bodies diverged from %s (rerun with -update only for an intended change):\n%s", path, have)
 	}

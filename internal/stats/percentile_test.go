@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // TestPercentileEmpty documents the degraded behavior: an empty sample
 // yields 0 rather than a panic, so summaries of absent data render as
@@ -24,6 +27,19 @@ func TestPercentileOutOfRangePanics(t *testing.T) {
 			}()
 			Percentile([]float64{1, 2}, p)
 		}()
+	}
+}
+
+// TestPercentileOfUnsorted: Percentile wants sorted input; on a sorted
+// copy of an unsorted sample it finds the extremes and the median.
+func TestPercentileOfUnsorted(t *testing.T) {
+	xs := []float64{9, 1, 5, 3, 7}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, c := range []struct{ p, want float64 }{{50, 5}, {0, 1}, {100, 9}} {
+		if got := Percentile(sorted, c.p); got != c.want {
+			t.Errorf("Percentile(p%v) = %v, want %v", c.p, got, c.want)
+		}
 	}
 }
 
