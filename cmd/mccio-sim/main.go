@@ -397,16 +397,9 @@ func report(w io.Writer, res trace.Result, wl workload.Workload, nodes, cores in
 		res.ExchangeSeconds, res.IOSeconds)
 	if st := res.AggBufferStats(); st.N > 0 {
 		fmt.Fprintf(w, "agg buffers:     mean %.2f MB, min %.2f, max %.2f (cv %.3f)\n",
-			st.Mean/1e6, st.Min/1e6, st.Max/1e6, st.Std/maxf(st.Mean, 1))
+			st.Mean/1e6, st.Min/1e6, st.Max/1e6, st.Std/max(st.Mean, 1))
 	}
 	if verify {
 		fmt.Fprintln(w, "verification:    every byte checked OK")
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

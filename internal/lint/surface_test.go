@@ -39,8 +39,8 @@ var calledByStdlib = map[string]bool{"MarshalJSON": true, "UnmarshalJSON": true}
 
 // goFile is one parsed non-test source file of the module.
 type goFile struct {
-	pkgDir  string              // directory, relative to repoRoot
-	ast     *ast.File           //
+	pkgDir  string // directory, relative to repoRoot
+	ast     *ast.File
 	imports map[string]struct{} // repro/... import paths
 }
 

@@ -271,14 +271,9 @@ func TestReduceAndAllreduce(t *testing.T) {
 		if c.Rank() == 0 && sum != 45 {
 			t.Errorf("reduce sum %d, want 45", sum)
 		}
-		max := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if max != p-1 {
-			t.Errorf("rank %d allreduce max %d, want %d", c.Rank(), max, p-1)
+		top := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return max(a, b) })
+		if top != p-1 {
+			t.Errorf("rank %d allreduce max %d, want %d", c.Rank(), top, p-1)
 		}
 	})
 }
