@@ -2,12 +2,13 @@
 // engine with coroutine-style virtual processes.
 //
 // The engine owns a virtual clock and an event queue. Simulated
-// processes (Proc) are goroutines that run one at a time under the
-// engine's scheduler: a process runs until it blocks on a simulation
-// primitive (Sleep, Chan.Get, Barrier.Await, ...) and the scheduler then
-// advances the clock to the next event. Because exactly one process is
-// runnable at any instant and ties are broken by sequence number, a
-// simulation is bit-reproducible across runs.
+// processes (Proc) are runtime coroutines (iter.Pull) that Run's
+// goroutine resumes one at a time: a process runs until it blocks on a
+// simulation primitive (Sleep, Chan.Get, Barrier.Await, ...), and the
+// clock then advances to the next event. A hand-off is two coroswitches
+// on one thread, never a trip through the Go scheduler. Because exactly
+// one process is runnable at any instant and ties are broken by
+// sequence number, a simulation is bit-reproducible across runs.
 //
 // Time is a float64 in seconds. Durations must be non-negative; the
 // engine panics on attempts to schedule into the past, which always
@@ -15,7 +16,9 @@
 package simtime
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
@@ -102,11 +105,9 @@ type Engine struct {
 	now     float64
 	seq     uint64
 	events  eventQueue
-	yield   chan struct{} // handshake: running proc -> scheduler
 	running bool
-	cur     *Proc
 
-	procs   []*Proc // all spawned procs, for deadlock reporting
+	procs   []*Proc // all spawned procs, for deadlock reporting and reclaim
 	alive   int     // procs whose body has not returned
 	stopped bool    // Stop was called
 
@@ -114,14 +115,14 @@ type Engine struct {
 	// Resume; next returns it as soon as that callback returns.
 	resumed *Proc
 
-	// Park census (see Stats). Plain counters: one goroutine executes
+	// Park census (see Stats). Plain counters: one coroutine executes
 	// simulation code at a time.
 	parks, dispatches, callbacks, inline uint64
 }
 
 // Stats is the engine's park census: how often the simulation paid for
 // each kind of step since NewEngine. Parks and Dispatches are the
-// goroutine handoffs that dominate host time; Callbacks and Inline are
+// coroutine switches that dominate host time; Callbacks and Inline are
 // the steps that avoided one. Reading it changes nothing simulated.
 type Stats struct {
 	Parks      uint64 // times a process blocked on a primitive
@@ -138,9 +139,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -165,7 +164,7 @@ func (e *Engine) schedule(at float64, p *Proc, fn func()) {
 // advanceInline reports whether the running process (or callback) may
 // advance the clock to at without parking: no pending event precedes
 // at, so a park would be immediately followed by its own resumption.
-// Skipping the round trip elides two goroutine handshakes — the
+// Skipping the round trip elides the queue push and pop — the
 // dominant host cost of chained resource reservations (storage
 // batches, message injection). An event already queued AT at must
 // still win (its tie-break sequence predates the wake we would have
@@ -231,38 +230,41 @@ func (e *Engine) Resume(p *Proc) {
 	e.resumed = p
 }
 
+// errUnwound is the panic park raises in a process Run is reclaiming;
+// Spawn's wrapper recovers it, so it never leaves the process.
+var errUnwound = errors.New("simtime: process unwound by Run")
+
 // Spawn creates a simulated process executing body and schedules it to
 // start at the current virtual time. It is safe to call both before Run
-// and from inside a running process.
+// and from inside a running process. The process is a coroutine whose
+// yield hands Run the process to dispatch next; a panic in body crosses
+// the switch and surfaces at Run's caller with its original value.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		name:   name,
-		id:     len(e.procs),
-		resume: make(chan struct{}),
-		state:  stateReady,
-	}
+	p := &Proc{e: e, name: name, id: len(e.procs), state: stateReady}
 	e.procs = append(e.procs, p)
 	e.alive++
-	go func() {
-		<-p.resume // wait for first dispatch
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield, p.state = yield, stateRunning
+		defer func() {
+			p.state = stateDone
+			e.alive--
+			if r := recover(); r != nil && r != errUnwound {
+				panic(r)
+			}
+		}()
 		body(p)
-		p.state = stateDone
-		e.alive--
-		e.handoff(nil)
-	}()
+	})
 	e.schedule(e.now, p, nil)
 	return p
 }
 
-// next drains events on the caller's goroutine until one resumes a
-// process — its own wake event, or a callback that named it with
-// Resume — and returns that process (without dispatching it), or nil
-// when the queue is empty or Stop was called. Callback (timer) events
-// run inline here: exactly one goroutine executes simulation code at a
-// time, so a callback is safe on whichever goroutine holds the run
-// token, and running it in place saves the engine-goroutine round trip
-// that used to cost two context switches per timer.
+// next drains events on the caller's stack until one resumes a process
+// — its own wake event, or a callback that named it with Resume — and
+// returns that process (without dispatching it), or nil when the queue
+// is empty or Stop was called. Callback (timer) events run inline here:
+// exactly one coroutine executes simulation code at a time, so a
+// callback is safe on whichever stack holds the run token, and running
+// it in place saves a switch to Run and back per timer.
 func (e *Engine) next() *Proc {
 	for len(e.events.heap) > 0 && !e.stopped {
 		ev := e.events.pop()
@@ -290,72 +292,52 @@ func (e *Engine) next() *Proc {
 	return nil
 }
 
-// handoff passes the run token from the calling goroutine to the next
-// runnable process — directly, without waking the engine goroutine.
-// Chaining proc→proc halves the handshake cost of a context switch
-// (one channel send instead of park-engine-dispatch's two pairs),
-// which is the dominant host cost of a large simulation. Control
-// returns to the engine goroutine only when no event remains (finish,
-// deadlock, or Stop).
-//
-// It reports whether the next runnable process is self: sending on
-// one's own unbuffered resume channel would deadlock, so a parking
-// process whose own wake is next simply keeps the token — no channel
-// operation at all. (A finished process passes self=nil; its wakes are
-// skipped by next.)
-func (e *Engine) handoff(self *Proc) bool {
-	nxt := e.next()
-	if nxt == self && nxt != nil {
-		e.cur = nxt
-		return true
-	}
-	if nxt != nil {
-		nxt.state = stateRunning
-		e.cur = nxt
-		nxt.resume <- struct{}{}
-		return false
-	}
-	e.cur = nil
-	e.yield <- struct{}{}
-	return false
-}
-
-// Run executes events until none remain or Stop is called. It returns a
-// DeadlockError if processes are still parked when the event queue
-// drains, which indicates the simulated system wedged (for example a
-// Recv with no matching Send).
+// Run executes events until none remain or Stop is called. Its
+// goroutine is the hub: it resumes a process, which runs (draining
+// events itself when it parks, see Proc.park) until the next event is
+// another process's, and yields that process back here to be resumed.
+// It returns a DeadlockError if processes are still parked when the
+// event queue drains, which indicates the simulated system wedged (for
+// example a Recv with no matching Send). However Run ends — a panic
+// from a body or callback included — no process outlives it (reclaim).
 func (e *Engine) Run() error {
 	if e.running {
 		panic("simtime: Run reentered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
-
-	for {
-		nxt := e.next()
-		if nxt == nil {
-			break // queue drained or stopped
+	defer e.reclaim()
+	for p := e.next(); p != nil; {
+		nxt, parked := p.next()
+		if !parked {
+			nxt = e.next() // body returned; the hub finds its successor
 		}
-		nxt.state = stateRunning
-		e.cur = nxt
-		nxt.resume <- struct{}{}
-		// The run token now chains from process to process; it comes
-		// back here only when the simulation can make no further step.
-		<-e.yield
+		p = nxt
 	}
-	if e.stopped {
-		return nil
-	}
-	if e.alive > 0 {
-		return e.deadlock()
+	if e.alive > 0 && !e.stopped {
+		return e.deadlock() // built before reclaim: it reads process states
 	}
 	return nil
 }
 
-// Stop terminates Run after the current event completes. Parked
-// processes are abandoned (their goroutines leak until the test binary
-// exits), so Stop is intended for error paths and examples, not for the
-// steady state of a model.
+// reclaim unwinds every process Run is abandoning. stop makes the
+// process's pending (or first) yield report false; park turns that into
+// an errUnwound panic, which runs the body's deferred calls and is
+// recovered by Spawn's wrapper, and the coroutine's goroutine exits.
+// stopped is set first so a deferred call that parks advances nothing.
+func (e *Engine) reclaim() {
+	e.running = false
+	e.stopped = e.stopped || e.alive > 0
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			p.stop()
+		}
+	}
+}
+
+// Stop terminates Run after the current event completes. Run unwinds
+// the processes still parked before it returns, so nothing leaks; Stop
+// is still meant for error paths and examples, not for the steady state
+// of a model.
 func (e *Engine) Stop() { e.stopped = true }
 
 // deadlock builds the error describing all parked processes.
@@ -363,9 +345,9 @@ func (e *Engine) deadlock() error {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == stateParked || p.state == stateReady {
-			reason := p.waitingOn
-			if p.waitingFor != nil {
-				reason = p.waitingFor.String()
+			reason := ""
+			if p.waiting != nil {
+				reason = p.waiting.String()
 			}
 			blocked = append(blocked, fmt.Sprintf("%s (waiting: %s)", p.name, reason))
 		}

@@ -13,19 +13,28 @@ const (
 
 // Proc is a simulated process. All methods must be called from the
 // process's own body (the function passed to Spawn); calling them from
-// another goroutine corrupts the scheduler handshake.
+// anywhere else corrupts the coroutine hand-off.
 type Proc struct {
-	e         *Engine
-	name      string
-	id        int
-	resume    chan struct{}
-	state     procState
-	waitingOn string // human-readable reason, for deadlock reports
+	e     *Engine
+	name  string
+	id    int
+	state procState
 
-	// waitingFor, when non-nil, supersedes waitingOn: a reason rendered
-	// only if a deadlock report needs it (see Park).
-	waitingFor fmt.Stringer
+	// The process as a pulled coroutine (see Engine.Spawn): Run resumes
+	// it with next, park suspends it with yield, reclaim ends it with stop.
+	next  func() (*Proc, bool)
+	yield func(*Proc) bool
+	stop  func()
+
+	// waiting is why the process is parked, rendered only if a deadlock
+	// report needs it.
+	waiting fmt.Stringer
 }
+
+// reason is a fixed wait reason.
+type reason string
+
+func (r reason) String() string { return string(r) }
 
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -41,17 +50,19 @@ func (p *Proc) Engine() *Engine { return p.e }
 
 // park blocks the process until something reschedules it. The caller
 // must have arranged a future wake (an event or a waiter-list entry).
-// The run token is handed directly to the next runnable process; see
-// Engine.handoff.
-func (p *Proc) park(reason string) {
+// The process drains the event queue on its own stack first: callbacks
+// run here, and if its own wake comes up before another process's it
+// carries on with no switch at all. Otherwise it yields the process it
+// found (nil: nothing left to run) for Run to resume. A false yield
+// means Run is reclaiming this process: unwind the body.
+func (p *Proc) park(why fmt.Stringer) {
 	p.e.parks++
 	p.state = stateParked
-	p.waitingOn = reason
-	if !p.e.handoff(p) {
-		<-p.resume
+	p.waiting = why
+	if nxt := p.e.next(); nxt != p && !p.yield(nxt) {
+		panic(errUnwound)
 	}
 	p.state = stateRunning
-	p.waitingOn = ""
 }
 
 // Park blocks the process until a callback returns control to it with
@@ -60,11 +71,7 @@ func (p *Proc) park(reason string) {
 // many steps it takes, and is resumed by the step that finishes it.
 // why describes the wait for deadlock reports and is rendered only
 // then, so it may report progress made while the process was parked.
-func (p *Proc) Park(why fmt.Stringer) {
-	p.waitingFor = why
-	p.park("")
-	p.waitingFor = nil
-}
+func (p *Proc) Park(why fmt.Stringer) { p.park(why) }
 
 // wake schedules the process to resume at the current virtual time.
 func (p *Proc) wake() {
@@ -80,7 +87,7 @@ func (p *Proc) Sleep(d float64) {
 		// Still go through the queue so simultaneous events interleave
 		// fairly rather than one proc monopolising the step.
 		p.e.schedule(p.e.now, p, nil)
-		p.park("sleep 0")
+		p.park(reason("sleep 0"))
 		return
 	}
 	at := p.e.now + d
@@ -88,7 +95,7 @@ func (p *Proc) Sleep(d float64) {
 		return
 	}
 	p.e.schedule(at, p, nil)
-	p.park("sleep")
+	p.park(reason("sleep"))
 }
 
 // WaitUntil blocks until virtual time t. If t is in the past it is a
@@ -102,12 +109,12 @@ func (p *Proc) WaitUntil(t float64) {
 		return
 	}
 	p.e.schedule(t, p, nil)
-	p.park("waituntil")
+	p.park(reason("waituntil"))
 }
 
 // Yield reschedules the process at the current time, letting other
 // ready processes run first.
 func (p *Proc) Yield() {
 	p.e.schedule(p.e.now, p, nil)
-	p.park("yield")
+	p.park(reason("yield"))
 }

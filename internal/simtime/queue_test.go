@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -208,4 +209,64 @@ func BenchmarkSleepChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-done
+}
+
+// steadyState runs a benchmark whose processes each execute step b.N
+// times after one untimed warm-up step (which grows the event heap and
+// the waiter lists to their working size), and fails it if the timed
+// part allocates: a park, a dispatch and a wake are all free of garbage.
+func steadyState(b *testing.B, e *Engine, procs int, step func(p *Proc, id int)) {
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	var parks uint64
+	for id := 0; id < procs; id++ {
+		e.Spawn(fmt.Sprint("p", id), func(p *Proc) {
+			step(p, id)
+			if id == 0 {
+				runtime.ReadMemStats(&m0)
+				parks = e.Stats().Parks
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				step(p, id)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if per := (m1.Mallocs - m0.Mallocs) / uint64(b.N); per != 0 {
+		b.Fatalf("%d allocs/op in steady state", per)
+	}
+	b.ReportMetric(float64(e.Stats().Parks-parks)/float64(b.N), "parks/op")
+}
+
+// BenchmarkBarrierHandoff measures the hand-off itself: 120 processes
+// meet at a barrier and every one of them parks and is dispatched again
+// (AwaitDelay parks the releaser too), which is what a lock-step round
+// costs the host per rank. One op is one barrier generation — 120
+// parks — so ns/op ÷ 120 is the price of a park.
+func BenchmarkBarrierHandoff(b *testing.B) {
+	const procs = 120
+	e := NewEngine()
+	bar := NewBarrier(e, "b", procs)
+	steadyState(b, e, procs, func(p *Proc, _ int) { bar.AwaitDelay(p, 1e-6) })
+}
+
+// BenchmarkChanPingPong measures a strictly alternating pair: each Get
+// parks until the peer's Put, so one op (a round trip) is two parks and
+// two dispatches with nothing else in the queue.
+func BenchmarkChanPingPong(b *testing.B) {
+	e := NewEngine()
+	ping, pong := NewChan[int](e, "ping"), NewChan[int](e, "pong")
+	steadyState(b, e, 2, func(p *Proc, id int) {
+		if id == 0 {
+			ping.Put(1)
+			pong.Get(p)
+		} else {
+			pong.Put(ping.Get(p))
+		}
+	})
 }

@@ -7,18 +7,23 @@ import "fmt"
 // It models an eager message channel: transfer cost is the sender's
 // concern (charge time before Put), not the channel's.
 type Chan[T any] struct {
-	e          *Engine
-	name       string
-	parkReason string // precomputed: park reasons are built per blocking call otherwise
-	items      []T
-	head       int // index of the oldest live item; items[:head] are consumed
-	waiters    []*Proc
+	e       *Engine
+	name    fmt.Stringer // rendered only by a deadlock report
+	items   []T
+	head    int // index of the oldest live item; items[:head] are consumed
+	waiters []*Proc
 }
 
 // NewChan returns an empty mailbox bound to engine e.
-func NewChan[T any](e *Engine, name string) *Chan[T] {
-	return &Chan[T]{e: e, name: name, parkReason: "chan " + name}
-}
+func NewChan[T any](e *Engine, name string) *Chan[T] { return NewChanFor[T](e, reason(name)) }
+
+// NewChanFor is NewChan for a creator of many mailboxes: the name is
+// rendered only if a deadlock report needs it, so none is formatted —
+// or allocated, when name is a pointer — up front.
+func NewChanFor[T any](e *Engine, name fmt.Stringer) *Chan[T] { return &Chan[T]{e: e, name: name} }
+
+// String is the mailbox as a wait reason.
+func (c *Chan[T]) String() string { return "chan " + c.name.String() }
 
 // Put appends v and wakes the longest-waiting receiver, if any.
 func (c *Chan[T]) Put(v T) {
@@ -45,7 +50,7 @@ func (c *Chan[T]) Put(v T) {
 func (c *Chan[T]) Get(p *Proc) T {
 	for c.head == len(c.items) {
 		c.waiters = append(c.waiters, p)
-		p.park(c.parkReason)
+		p.park(c)
 	}
 	v := c.items[c.head]
 	// Avoid retaining a reference in the backing array.
@@ -62,13 +67,12 @@ func (c *Chan[T]) Len() int { return len(c.items) - c.head }
 // arrived. It is reusable: generation counting lets the same Barrier
 // synchronise successive phases.
 type Barrier struct {
-	e          *Engine
-	name       string
-	parkReason string // precomputed: a barrier parks every rank every round
-	parties    int
-	arrived    int
-	gen        int
-	waiters    []*Proc
+	e       *Engine
+	name    string
+	parties int
+	arrived int
+	gen     int
+	waiters []*Proc
 }
 
 // NewBarrier returns a barrier for the given party size.
@@ -76,8 +80,11 @@ func NewBarrier(e *Engine, name string, parties int) *Barrier {
 	if parties <= 0 {
 		panic(fmt.Sprintf("simtime: barrier %q with parties=%d", name, parties))
 	}
-	return &Barrier{e: e, name: name, parkReason: "barrier " + name, parties: parties}
+	return &Barrier{e: e, name: name, parties: parties}
 }
+
+// String is the barrier as a wait reason.
+func (b *Barrier) String() string { return "barrier " + b.name }
 
 // Await blocks p until parties processes have called Await in the
 // current generation. The last arriver releases everyone without
@@ -96,7 +103,7 @@ func (b *Barrier) Await(p *Proc) {
 	gen := b.gen
 	b.waiters = append(b.waiters, p)
 	for gen == b.gen {
-		p.park(b.parkReason)
+		p.park(b)
 	}
 }
 
@@ -125,12 +132,12 @@ func (b *Barrier) AwaitDelay(p *Proc, delay float64) {
 			b.e.schedule(at, w, nil)
 		}
 		b.waiters = b.waiters[:0]
-		p.park(b.parkReason)
+		p.park(b)
 		return
 	}
 	gen := b.gen
 	b.waiters = append(b.waiters, p)
 	for gen == b.gen {
-		p.park(b.parkReason)
+		p.park(b)
 	}
 }

@@ -130,7 +130,7 @@ func TestResumeRunsProcessInTheCallbackSlot(t *testing.T) {
 			e.Resume(p)
 		})
 		e.After(1, func() { order = append(order, "later event") })
-		p.Park(stringer("test"))
+		p.Park(reason("test"))
 		order = append(order, fmt.Sprintf("p@%g", p.Now()))
 	})
 	if err := e.Run(); err != nil {
@@ -154,7 +154,7 @@ func TestResumeMisusePanics(t *testing.T) {
 	var parked *Proc
 	e.Spawn("parked", func(p *Proc) {
 		parked = p
-		p.Park(stringer("test"))
+		p.Park(reason("test"))
 	})
 	e.Spawn("runner", func(p *Proc) {
 		mustPanic("running process", func() { e.Resume(p) })
@@ -167,10 +167,6 @@ func TestResumeMisusePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-type stringer string
-
-func (s stringer) String() string { return string(s) }
 
 // TestParkReasonIsRenderedAtReportTime: Park's reason is a Stringer so
 // a task can describe the progress it made while its process slept.
