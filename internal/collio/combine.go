@@ -181,7 +181,7 @@ func (x *collective) funnel(r int, packed int64) {
 	if tp.leads() {
 		x.bundles = x.bundles[:0]
 		for _, mate := range tp.mates {
-			x.bundles = append(x.bundles, c.RecvVal(mate, bundleTag).([]shufflePiece))
+			x.bundles = append(x.bundles, *c.RecvVal(mate, bundleTag).(*[]shufflePiece))
 		}
 		return
 	}
@@ -191,7 +191,10 @@ func (x *collective) funnel(r int, packed int64) {
 			wire += x.pieces[di].wireBytes()
 		}
 	}
-	c.SendVal(tp.of(tp.me), bundleTag, x.pieces, wire)
+	// A pointer to the field, not the slice: boxing the header would
+	// allocate every round, and the leader reads it within this round,
+	// before the lock-step barrier lets x.pieces be refilled.
+	c.SendVal(tp.of(tp.me), bundleTag, &x.pieces, wire)
 	x.m.AddExchange(packed, 0, 0)
 	x.em.shuffle(packed, 0)
 }

@@ -346,3 +346,41 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestFunnelSendDoesNotAllocate: the write round's intra-node hand-over
+// — a mate's c.SendVal of its pieces and the leader's matching receive —
+// is free of garbage once the mailbox exists. The payload is a pointer
+// to the collective's own pieces field; the slice itself would be boxed
+// (one object per rank per round, the largest allocation site of a
+// two-layer run before it was removed).
+func TestFunnelSendDoesNotAllocate(t *testing.T) {
+	e, m, _ := testRig(t, 1, 2, 64*cluster.MiB)
+	w, err := mpi.NewWorld(e, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 100
+	plan := &Plan{
+		LeaderOf: []int{0, 0},
+		Domains:  []Domain{{Agg: 0, Windows: []datatype.Segment{{Off: 0, Len: 64}}}},
+	}
+	w.Start(func(c *mpi.Comm) {
+		x := &collective{c: c, plan: plan, m: &trace.Metrics{}, topo: newTopology(c.Rank(), plan.LeaderOf)}
+		x.pieces = []shufflePiece{{segs: datatype.List{{Off: 0, Len: 64}}, data: buffer.NewPhantom(64)}}
+		if x.topo.leads() {
+			for i := 0; i <= rounds; i++ { // AllocsPerRun warms up with one extra call
+				x.funnel(0, 64)
+				if got := x.bundles[0][0].data.Len(); got != 64 {
+					t.Fatalf("leader received a %d-byte piece, want 64", got)
+				}
+			}
+			return
+		}
+		if n := testing.AllocsPerRun(rounds, func() { x.funnel(0, 64) }); n != 0 {
+			t.Errorf("a funnel round allocates %v objects, want 0", n)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

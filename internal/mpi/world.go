@@ -53,8 +53,11 @@ type msgKey struct {
 // (src,dst,tag) stream reserves the same paths in send order, and the
 // fault path clamps explicitly), so pending is a FIFO and one reusable
 // flush closure replaces the per-message closure deliver used to
-// allocate.
+// allocate. key names the mailbox in a deadlock report (String) and is
+// formatted only there: a run creates one mailbox per (src, dst, tag)
+// stream it ever uses and reads almost none of the names.
 type mailbox struct {
+	key     msgKey
 	ch      *simtime.Chan[message]
 	pending []message
 	head    int
@@ -184,7 +187,8 @@ func (w *World) Start(body func(*Comm)) {
 func (w *World) box(k msgKey) *mailbox {
 	b := w.boxes[k]
 	if b == nil {
-		b = &mailbox{ch: simtime.NewChan[message](w.engine, fmt.Sprintf("mbox %d->%d ctx%x tag%d", k.src, k.dst, k.ctx, k.tag))}
+		b = &mailbox{key: k}
+		b.ch = simtime.NewChanFor[message](w.engine, b)
 		b.flush = func() {
 			msg := b.pending[b.head]
 			b.pending[b.head] = message{}
@@ -198,6 +202,10 @@ func (w *World) box(k msgKey) *mailbox {
 		w.boxes[k] = b
 	}
 	return b
+}
+
+func (b *mailbox) String() string {
+	return fmt.Sprintf("mbox %d->%d ctx%x tag%d", b.key.src, b.key.dst, b.key.ctx, b.key.tag)
 }
 
 // barrierFor returns (lazily creating) the native barrier backing a
