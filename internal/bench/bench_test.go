@@ -1,13 +1,18 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/core"
+	"repro/internal/datatype"
 	"repro/internal/iolib"
+	"repro/internal/mpi"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -102,6 +107,42 @@ func TestRunOnceRejectsOversizedWorkload(t *testing.T) {
 		Machine: mcfg, FS: TestbedFS(1), Workload: wl})
 	if err == nil {
 		t.Fatal("oversized workload accepted")
+	}
+}
+
+// buggyStrategy is two-phase with a bug: rank 2 panics in the middle of
+// its write, after the other ranks have entered the collective.
+type buggyStrategy struct{ collio.TwoPhase }
+
+func (s buggyStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+	if c.Rank() == 2 {
+		c.Proc().Sleep(1e-3)
+		panic("strategy bug in rank 2")
+	}
+	s.TwoPhase.WriteAll(f, c, view, data, m)
+}
+
+// TestRunOnceStrategyPanicIsRecoverable: a strategy that panics inside
+// one rank makes RunOnce panic on its caller's goroutine with the
+// strategy's own value — so a server's recover() can answer the request
+// (see pland.runSimulation) — and the ranks it strands mid-collective
+// are unwound, not leaked.
+func TestRunOnceStrategyPanicIsRecoverable(t *testing.T) {
+	mcfg := TestbedMachine(2, 4*cluster.MiB, 0, 1)
+	mcfg.CoresPerNode = 2
+	spec := Spec{Strategy: buggyStrategy{collio.TwoPhase{CBBuffer: 1 << 20}}, Op: "write",
+		Machine: mcfg, FS: TestbedFS(1), Workload: workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 2}}
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		RunOnce(spec)
+	}()
+	if got != "strategy bug in rank 2" {
+		t.Fatalf("recovered %v from RunOnce, want the strategy's panic", got)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before RunOnce, %d after its panic", before, after)
 	}
 }
 

@@ -26,6 +26,11 @@ func startServer(t *testing.T, cfg Config) *Server {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 	t.Cleanup(func() {
+		// Concurrent posts can leave the default transport holding a
+		// speculative connection that never carried a request; the server
+		// sees it as StateNew, which Shutdown counts as busy for 5 s —
+		// this cleanup's whole deadline. Drop the client's idle side first.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

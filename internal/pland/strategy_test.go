@@ -3,11 +3,13 @@ package pland
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/datatype"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/strategy"
@@ -116,6 +118,37 @@ func TestPlannerPanicIsCounted(t *testing.T) {
 	}
 	if got := panics.Value(); got != 1 {
 		t.Fatalf("one recovered panic counted %v times", got)
+	}
+}
+
+// TestSimulatorPanicIsCounted reaches runSimulation's recover() the way
+// TestPlannerPanicIsCounted reaches the planner's, with the panic raised
+// inside one simulated rank: a view canonicalization would have refused
+// (a negative-length extent on rank 2) makes that rank's body panic
+// while ranks 0 and 1 are already parked in the collective's entry
+// barrier. Rank bodies are coroutines resumed from Engine.Run, so the
+// panic arrives on the worker's own goroutine: the request gets an
+// error, the panic is counted, and the stranded ranks are unwound — a
+// panicking rank used to end the daemon from a goroutine no recover()
+// could guard.
+func TestSimulatorPanicIsCounted(t *testing.T) {
+	req := multiRankRequest()
+	c, err := req.canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Views[2] = datatype.List{{Off: 2 << 20, Len: -1}}
+	panics := metrics.New().Counter("panics", "")
+	before := runtime.NumGoroutine()
+	_, err = runSimulation(c, "fp", "write", panics)
+	if err == nil || !strings.Contains(err.Error(), "simulation failed") || !strings.Contains(err.Error(), "negative size") {
+		t.Fatalf("simulating a rank that panics: err = %v, want the recovered rank panic", err)
+	}
+	if got := panics.Value(); got != 1 {
+		t.Fatalf("one recovered panic counted %v times", got)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the run, %d after its panic", before, after)
 	}
 }
 
