@@ -237,7 +237,9 @@ func steadyState(b *testing.B, e *Engine, procs int, step func(p *Proc, id int))
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	if per := (m1.Mallocs - m0.Mallocs) / uint64(b.N); per != 0 {
+	// Averaged like testing.AllocsPerRun, and only over a real run: one
+	// stray runtime allocation is a whole alloc/op at b.N = 1.
+	if per := (m1.Mallocs - m0.Mallocs) / uint64(b.N); per != 0 && b.N >= 100 {
 		b.Fatalf("%d allocs/op in steady state", per)
 	}
 	b.ReportMetric(float64(e.Stats().Parks-parks)/float64(b.N), "parks/op")
