@@ -30,18 +30,16 @@ import (
 //     views are gathered once up front.
 
 // topology is the calling rank's place in the collective's leader map.
-// It is rebuilt after a leader failover changes Plan.LeaderOf.
+// It is rebuilt after a leader failover changes the overlay's map.
 type topology struct {
 	me       int
-	leaderOf []int           // Plan.LeaderOf; nil: every rank leads itself
+	leaderOf []int           // the overlay's leader map; nil: every rank leads itself
 	mates    []int           // the other ranks I lead, ascending
 	views    []datatype.List // reads: my mates' full views, parallel to mates
-	domOf    []int           // reads, with mates: comm rank -> index of the domain it aggregates
 }
 
-// newTopology places rank me in leaderOf. The map is referenced, not
-// copied: a leader failover mutates it right after a round barrier and
-// every rank rebuilds its topology in that same round before using it.
+// newTopology places rank me in leaderOf, which nobody writes: a leader
+// failover hands the overlay a fresh map and route() rebuilds from it.
 func newTopology(me int, leaderOf []int) topology {
 	tp := topology{me: me, leaderOf: leaderOf}
 	if tp.leads() {
@@ -110,24 +108,16 @@ const (
 // gatherViews is the intra-node layer of the upfront request exchange
 // (read path): every non-leader sends its view to its leader, charged
 // at segment-metadata size, so leaders can compute mate expectations
-// and carve mate pieces; a leader with mates also indexes the domains
-// by aggregator, to find the window a received piece was cut from.
-func (tp *topology) gatherViews(c *mpi.Comm, vi *iolib.ViewIndex, plan *Plan) {
+// and carve mate pieces.
+func (tp *topology) gatherViews(c *mpi.Comm, vi *iolib.ViewIndex) {
 	if !tp.leads() {
 		view := vi.View()
 		c.SendVal(tp.of(tp.me), viewTag, segsVal{view}, int64(len(view))*extBytes+8)
 		return
 	}
-	if len(tp.mates) == 0 {
-		return
-	}
 	tp.views = make([]datatype.List, len(tp.mates))
 	for i, mate := range tp.mates {
 		tp.views[i] = c.RecvVal(mate, viewTag).(segsVal).segs
-	}
-	tp.domOf = make([]int, c.Size())
-	for di, d := range plan.Domains {
-		tp.domOf[d.Agg] = di
 	}
 }
 
@@ -174,9 +164,9 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 }
 
 // funnel is the write round's intra-node stage: a non-leader hands its
-// packed pieces (packed payload bytes in all) to its leader; a leader
-// collects its mates' bundles.
-func (x *collective) funnel(r int, packed int64) {
+// packed pieces (wire bytes on the bus, packed payload bytes of them)
+// to its leader; a leader collects its mates' bundles.
+func (x *collective) funnel(wire, packed int64) {
 	c, tp := x.c, &x.topo
 	if tp.leads() {
 		x.bundles = x.bundles[:0]
@@ -185,16 +175,10 @@ func (x *collective) funnel(r int, packed int64) {
 		}
 		return
 	}
-	wire := int64(8)
-	for di := range x.plan.Domains {
-		if r < len(x.plan.Domains[di].Windows) {
-			wire += x.pieces[di].wireBytes()
-		}
-	}
 	// A pointer to the field, not the slice: boxing the header would
 	// allocate every round, and the leader reads it within this round,
 	// before the lock-step barrier lets x.pieces be refilled.
-	c.SendVal(tp.of(tp.me), bundleTag, &x.pieces, wire)
+	c.SendVal(tp.of(tp.me), bundleTag, &x.pieces, 8+wire)
 	x.m.AddExchange(packed, 0, 0)
 	x.em.shuffle(packed, 0)
 }
@@ -209,9 +193,8 @@ func (x *collective) funnel(r int, packed int64) {
 func (x *collective) fanOut(r int) {
 	c, tp := x.c, &x.topo
 	if !tp.leads() {
-		for di := range x.plan.Domains {
-			d := &x.plan.Domains[di]
-			if r < len(d.Windows) && x.vi.Intersects(d.Windows[r].Off, d.Windows[r].End()) {
+		for di := range x.ov.doms {
+			if w, ok := x.ov.window(di, r); ok && x.vi.Intersects(w.Off, w.End()) {
 				piece := c.RecvVal(tp.of(tp.me), pieceTag).(shufflePiece)
 				x.vi.Unpack(x.data, piece.segs, piece.data)
 			}
@@ -221,7 +204,7 @@ func (x *collective) fanOut(r int) {
 	var fanned int64
 	x.ex.Received(func(agg int, v any) {
 		piece := v.(*shufflePiece)
-		w := x.plan.Domains[tp.domOf[agg]].Windows[r]
+		w, _ := x.ov.window(domainOf(x.ov.doms, agg), r)
 		lo, hi := piece.segs.Extent()
 		region := buffer.New(hi-lo, x.data.Phantom())
 		iolib.ScatterIntoRegion(region, lo, piece.segs, piece.data)

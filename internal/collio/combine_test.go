@@ -271,7 +271,6 @@ func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
 				Windows: CoverageWindows(dom, buf), Sibling: -1,
 			})
 		}
-		plan.Rounds = plan.MaxRounds()
 		return plan
 	}
 }

@@ -32,7 +32,7 @@ func (s shufflePiece) wireBytes() int64 {
 
 // aggState is what an aggregator accumulates during one collective.
 type aggState struct {
-	domain Domain
+	di int // my domain's index in the plan
 	// reqOrder holds each requesting rank's segments in my domain,
 	// grouped by the rank's leader and ascending by rank within a group
 	// (plain ascending rank when every rank leads itself).
@@ -81,21 +81,22 @@ func localityOf(c *mpi.Comm, a, b int, n int64) (int64, int64) {
 }
 
 // collective is one rank's state for one collective call: its routing
-// (aggregator state and leader topology, rebuilt together when a
-// failover changes the plan) and the scratch its rounds reuse —
-// allocating per round dominated GC time at 1080 ranks. pieces backs
-// the boxed *shufflePiece payloads: boxing the struct by value
+// (the overlay on the plan, and the aggregator state and leader topology
+// rebuilt from it when a failover changes it) and the scratch its rounds
+// reuse — allocating per round dominated GC time at 1080 ranks. pieces
+// backs the boxed *shufflePiece payloads: boxing the struct by value
 // allocated on every send, a pointer into a reused array does not. The
 // arena recycles every per-round clipped list; it resets at the round
-// barrier, by which point the previous round's pieces (ours, our
-// mates' and our peers') are all consumed. See DESIGN.md §14 for the
-// ownership rules.
+// barrier, by which point the previous round's pieces (ours, our mates'
+// and our peers') are all consumed. See DESIGN.md §14 for the ownership
+// rules.
 type collective struct {
 	f     *iolib.File
 	c     *mpi.Comm
 	vi    *iolib.ViewIndex
 	data  buffer.Buf // source of a write, destination of a read
-	plan  *Plan
+	plan  *Plan      // read-only; what a fault changes is in ov
+	ov    overlay    // current domains, owners, leaders and round count
 	m     *trace.Metrics
 	em    engineMetrics
 	write bool
@@ -121,13 +122,14 @@ type collective struct {
 // assemble and write; read: leaders carve and fan out, ranks unpack).
 // When every rank leads only itself the funnel and fan-out stages have
 // nothing to do and the round is the classic flat two-phase exchange.
-func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) {
+// It returns the finished collective, whose overlay tests inspect.
+func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) *collective {
 	if err := plan.Validate(c.Size()); err != nil {
 		panic(err)
 	}
 	write := op == "write"
 	x := &collective{
-		f: f, c: c, vi: vi, data: data, plan: plan, m: m, write: write,
+		f: f, c: c, vi: vi, data: data, plan: plan, ov: newOverlay(plan), m: m, write: write,
 		em: newEngineMetrics(c, op),
 		ex: c.SparseScratch(),
 	}
@@ -143,10 +145,10 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 	x.route()
 	sp.End()
 	if x.mine != nil {
-		m.AddAggregator(x.mine.domain.BufBytes)
+		m.AddAggregator(plan.Domains[x.mine.di].BufBytes)
 	}
 
-	for r := 0; r < plan.Rounds; r++ {
+	for r := 0; r < x.ov.rounds; r++ {
 		rloc := loc
 		rloc.Round = r
 		// ROMIO's per-round alltoallv of counts synchronizes the whole
@@ -162,7 +164,7 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 		if x.mine != nil {
 			sampleMem(c, r)
 		}
-		if sched != nil && injectRoundFaults(c, sched, plan, r, m, rloc) {
+		if sched != nil && x.injectRoundFaults(sched, r, rloc) {
 			// A remerge or leadership handoff changed routing: redo the
 			// request exchange and the topology, then resume this round.
 			// Collective — every rank takes this branch for the same
@@ -188,8 +190,14 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 		m.AddExchange(intra, inter, c.Now()-tExch)
 		x.em.shuffle(intra, inter)
 		x.em.exchangeSeconds.Add(c.Now() - tExch)
-		if sched != nil {
-			dropPenalty(c, sched, plan, r, rloc)
+		// Retransmissions: a deterministic per-(group, round, rank) draw
+		// says how many of this rank's sends were dropped, and the rank
+		// sits out their capped exponential backoff in virtual time. Retry
+		// exhaustion still delivers, so the collective always completes.
+		if drops := sched.ExchangeDrops(plan.Group, r, loc.Rank); drops > 0 {
+			pen := sched.RetryPenalty(drops)
+			sched.RecordDrops(rloc, drops, pen)
+			c.Proc().Sleep(pen)
 		}
 
 		if write {
@@ -198,32 +206,34 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 			x.deliver(r, rloc)
 		}
 	}
+	return x
 }
 
-// route performs the upfront metadata exchange under the plan's current
-// domains and leader map: this rank's topology, its aggregator state
-// (nil if it owns no domain) and, for reads, the mate views a leader
-// fans out by.
+// route performs the upfront metadata exchange under the overlay's
+// current domains and leader map: this rank's topology, its aggregator
+// state (nil if it owns no domain) and, for reads, the mate views a
+// leader fans out by.
 func (x *collective) route() {
-	c, plan := x.c, x.plan
-	x.topo = newTopology(c.Rank(), plan.LeaderOf)
+	c, doms := x.c, x.ov.doms
+	x.topo = newTopology(c.Rank(), x.ov.leaderOf)
 	x.mine = nil
-	if d := plan.domainOf(c.Rank()); d != nil {
-		x.mine = &aggState{domain: *d}
+	if di := domainOf(doms, c.Rank()); di >= 0 {
+		x.mine = &aggState{di: di}
 	}
 	mine := x.mine
-	myExt := plan.Exts[c.Rank()]
+	myExt := x.plan.Exts[c.Rank()]
 
 	x.ex.Reset()
-	for _, d := range plan.Domains {
+	for _, d := range doms {
 		if !myExt.Empty() && myExt.Lo < d.Hi && myExt.Hi > d.Lo {
 			segs := x.vi.Clip(d.Lo, d.Hi)
 			x.ex.Stage(d.Agg, segsVal{segs}, int64(len(segs))*extBytes+8)
 		}
 	}
 	if mine != nil {
-		for src, e := range plan.Exts {
-			if !e.Empty() && e.Lo < mine.domain.Hi && e.Hi > mine.domain.Lo {
+		d := &doms[mine.di]
+		for src, e := range x.plan.Exts {
+			if !e.Empty() && e.Lo < d.Hi && e.Hi > d.Lo {
 				x.ex.Expect(src)
 			}
 		}
@@ -245,7 +255,7 @@ func (x *collective) route() {
 		}
 	}
 	if !x.write {
-		x.topo.gatherViews(c, x.vi, plan)
+		x.topo.gatherViews(c, x.vi)
 	}
 }
 
@@ -254,25 +264,25 @@ func (x *collective) route() {
 // and — as a leader — stage one merged piece per domain. It returns
 // the staged payload split by locality.
 func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64) {
-	c, plan, tp := x.c, x.plan, &x.topo
+	c, doms, tp := x.c, x.ov.doms, &x.topo
 	t := c.Tracer()
-	var packed int64
+	var packed, wire int64
 	sp := t.Begin(obs.PhasePack, rloc)
-	for di := range plan.Domains {
-		d := &plan.Domains[di]
-		if r >= len(d.Windows) {
+	for di := range doms {
+		w, ok := x.ov.window(di, r)
+		if !ok {
 			continue
 		}
-		w := d.Windows[r]
 		segs, data := x.vi.PackArena(&x.arena, x.data, w.Off, w.End())
 		x.pieces[di] = shufflePiece{segs: segs, data: data}
 		packed += data.Len()
+		wire += x.pieces[di].wireBytes()
 	}
 	sp.EndBytes(packed, 0)
 
 	if !tp.solo() {
 		sp = t.Begin(obs.PhaseIntra, rloc)
-		x.funnel(r, packed)
+		x.funnel(wire, packed)
 		sp.EndBytes(packed, 0)
 	}
 	if !tp.leads() {
@@ -283,9 +293,8 @@ func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64)
 	// the reorder pass on the node's memory bus when there was anything
 	// to merge.
 	phantom := x.data.Phantom()
-	for di := range plan.Domains {
-		d := &plan.Domains[di]
-		if r >= len(d.Windows) {
+	for di := range doms {
+		if _, ok := x.ov.window(di, r); !ok {
 			continue
 		}
 		x.group = x.group[:0]
@@ -305,23 +314,30 @@ func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64)
 			chargeAssembly(c, merged.data.Len())
 		}
 		x.pieces[di] = merged
-		x.ex.Stage(d.Agg, &x.pieces[di], merged.wireBytes())
-		i, e := localityOf(c, c.Rank(), d.Agg, merged.data.Len())
+		x.ex.Stage(doms[di].Agg, &x.pieces[di], merged.wireBytes())
+		i, e := localityOf(c, c.Rank(), doms[di].Agg, merged.data.Len())
 		intra += i
 		inter += e
 	}
 	return intra, inter
 }
 
+// myWindow returns the window this rank aggregates in round r, if any.
+func (x *collective) myWindow(r int) (w datatype.Segment, ok bool) {
+	if x.mine == nil {
+		return w, false
+	}
+	return x.ov.window(x.mine.di, r)
+}
+
 // expectLeaders declares the write round's receives: the leader of
 // every rank whose requests intersect my current window.
 func (x *collective) expectLeaders(r int) {
-	mine := x.mine
-	if mine == nil || r >= len(mine.domain.Windows) {
+	w, ok := x.myWindow(r)
+	if !ok {
 		return
 	}
-	w := mine.domain.Windows[r]
-	for _, en := range mine.reqOrder {
+	for _, en := range x.mine.reqOrder {
 		if en.segs.Intersects(w.Off, w.End()) {
 			x.ex.Expect(x.topo.of(en.src))
 		}
@@ -331,13 +347,12 @@ func (x *collective) expectLeaders(r int) {
 // writeWindow is the write round's receiving side: the aggregator
 // assembles the received pieces and writes this window.
 func (x *collective) writeWindow(r int, rloc obs.Loc) {
-	mine := x.mine
-	if mine == nil || r >= len(mine.domain.Windows) {
+	w, ok := x.myWindow(r)
+	if !ok {
 		return
 	}
-	c, f, m, plan := x.c, x.f, x.m, x.plan
+	c, f, m, plan, mine := x.c, x.f, x.m, x.plan, x.mine
 	t := c.Tracer()
-	w := mine.domain.Windows[r]
 	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
 	if len(cov) > 0 {
 		covLo, covHi := cov.Extent()
@@ -394,13 +409,12 @@ func (x *collective) writeWindow(r int, rloc obs.Loc) {
 // (halo reads, replicated blocks) cross the fabric once. It returns the
 // staged payload split by locality.
 func (x *collective) readWindow(r int, rloc obs.Loc) (intra, inter int64) {
-	mine := x.mine
-	if mine == nil || r >= len(mine.domain.Windows) {
+	w, ok := x.myWindow(r)
+	if !ok {
 		return 0, 0
 	}
-	c, m, tp := x.c, x.m, &x.topo
+	c, m, tp, mine := x.c, x.m, &x.topo, x.mine
 	t := c.Tracer()
-	w := mine.domain.Windows[r]
 	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
 	if len(cov) > 0 {
 		covLo, covHi := cov.Extent()
@@ -464,14 +478,10 @@ func (x *collective) expectAggregators(r int) {
 	if !x.topo.leads() {
 		return
 	}
-	for di := range x.plan.Domains {
-		d := &x.plan.Domains[di]
-		if r >= len(d.Windows) {
-			continue
-		}
-		w := d.Windows[r]
-		if x.vi.Intersects(w.Off, w.End()) || x.topo.mateIntersects(w.Off, w.End()) {
-			x.ex.Expect(d.Agg)
+	for di := range x.ov.doms {
+		w, ok := x.ov.window(di, r)
+		if ok && (x.vi.Intersects(w.Off, w.End()) || x.topo.mateIntersects(w.Off, w.End())) {
+			x.ex.Expect(x.ov.doms[di].Agg)
 		}
 	}
 }

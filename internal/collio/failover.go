@@ -1,296 +1,329 @@
 package collio
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/datatype"
 	"repro/internal/faults"
-	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
-// Runtime failover-by-remerge: when fault injection kills an
-// aggregator's node (or drains it below Plan.MemMin) mid-collective,
-// the domain's remaining window schedule is absorbed by its sibling
-// domain — the paper's workload-portion remerging (Fig 5a/5b) invoked
-// dynamically — and the collective resumes from the failed round with
-// no bytes lost or duplicated: the failed domain's already-served
-// windows stay served, only the unserved remainder moves.
-//
-// The mutated plan intentionally violates Validate's window ordering
-// (absorbed windows land behind the survivor's own schedule, padded
-// with inert zero-length windows); Validate runs only on the pristine
-// plan, and every engine site treats an empty window as a no-op.
+// Runtime failover. When fault injection kills an aggregator's node (or
+// drains it below Plan.MemMin) mid-collective, the domain's unserved
+// windows are absorbed by its sibling domain — the paper's
+// workload-portion remerging (Fig 5a/5b) invoked dynamically — and the
+// collective resumes from the failed round with no bytes lost or
+// duplicated; a failed elected leader's role moves down its node's
+// succession line. The Plan is never written: what a fault changes
+// lives in the overlay each rank's collective owns.
+
+// run is a stretch of absorbed windows: ws[k] plays at round at+k.
+type run struct {
+	at int
+	ws []datatype.Segment
+}
+
+// overlay is a collective's current routing. It aliases the plan's
+// slices until a fault changes something and holds private copies from
+// then on, so a fault-free collective allocates nothing for it.
+type overlay struct {
+	// doms parallels Plan.Domains: Agg is the current owner, Lo/Hi the
+	// current extent (a failed domain's collapses, its taker's grows),
+	// Windows those of the domain's own that it still serves itself.
+	doms     []Domain
+	absorbed [][]run // per domain, what it took over, by round; nil until the first remerge
+	leaderOf []int   // rank -> current leader; nil: every rank leads itself
+	rounds   int
+}
+
+// newOverlay is the routing as planned; the collective runs as many
+// rounds as the longest window schedule has.
+func newOverlay(p *Plan) overlay {
+	o := overlay{doms: p.Domains, leaderOf: p.LeaderOf}
+	for di := range o.doms {
+		o.rounds = max(o.rounds, o.end(di))
+	}
+	return o
+}
+
+// window returns the file window domain di serves in round r, if any: a
+// finished domain has none, nor has a taker idling until what it
+// absorbed is due.
+func (o *overlay) window(di, r int) (w datatype.Segment, ok bool) {
+	if ws := o.doms[di].Windows; r < len(ws) {
+		return ws[r], true
+	}
+	if o.absorbed != nil {
+		for _, ru := range o.absorbed[di] {
+			if k := r - ru.at; k >= 0 && k < len(ru.ws) {
+				return ru.ws[k], true
+			}
+		}
+	}
+	return w, false
+}
+
+// end returns the round after domain di's last window.
+func (o *overlay) end(di int) int {
+	if o.absorbed != nil {
+		if rs := o.absorbed[di]; len(rs) > 0 {
+			return rs[len(rs)-1].at + len(rs[len(rs)-1].ws)
+		}
+	}
+	return len(o.doms[di].Windows)
+}
+
+// take removes what domain di has scheduled from round r on and returns
+// it in round order. No round in that stretch is idle: a taker only
+// idles before the check that hands it windows, and checks come in order.
+func (o *overlay) take(di, r int) (moved []datatype.Segment) {
+	if d := &o.doms[di]; r < len(d.Windows) {
+		moved, d.Windows = slices.Clone(d.Windows[r:]), d.Windows[:r]
+	}
+	var kept []run
+	for _, ru := range o.absorbed[di] {
+		k := min(max(r-ru.at, 0), len(ru.ws))
+		moved = append(moved, ru.ws[k:]...)
+		if k > 0 {
+			kept = append(kept, run{ru.at, ru.ws[:k]})
+		}
+	}
+	o.absorbed[di] = kept
+	return moved
+}
+
+// foKind is what a failover event answers.
+type foKind uint8
+
+const (
+	foNodeDeath foKind = iota // the aggregator's node died
+	foMemory                  // the aggregator's node fell below Plan.MemMin
+	foLeader                  // an elected leader's rank failed
+)
 
 // FoEvent records one failover decision of a round's check.
 type FoEvent struct {
-	Round         int
-	Failed        int  // domain index whose aggregator was lost
-	Taker         int  // domain index that absorbed it; -1 when no survivor existed
-	ByNodeFailure bool // node death (vs memory exhaustion)
-	Bytes         int64
+	Kind  foKind
+	Round int
+	// Failed and Taker are domain indices, or comm ranks for foLeader.
+	// Taker is -1 when nothing survives to take over: Failed keeps
+	// serving — degraded, but no data is lost.
+	Failed, Taker int
+	Bytes         int64 // window extent a remerge moved
+	By            int   // comm rank that records the event, fixed when it is decided
 }
 
-// maybeFailover runs the round-r failover check, mutating the plan when
-// a domain's aggregator is lost. It returns the events of the check —
-// non-empty means the plan changed and callers must redo the request
-// exchange. The decision is a pure function of (schedule, plan, round),
-// so every rank — whether it shares the plan pointer or owns a copy —
-// computes the identical post-failover plan; on shared plans only the
-// first arrival mutates (see Plan.foRound).
-func maybeFailover(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int) []FoEvent {
-	if sched == nil || len(plan.Domains) == 0 {
-		return nil
-	}
-	if plan.foRound > r {
-		return plan.foLast
-	}
-	plan.foRound = r + 1
-	down := func(d *Domain) (dead, byNode bool) {
-		node := c.NodeOf(d.Agg)
+// failover is the round-r fault check: the one transition from a
+// collective's routing to its routing after whatever failed by round r.
+// It is a pure function of its arguments (nodeOf and worldOf place comm
+// ranks where the schedule speaks of them), so every rank computes the
+// identical result for itself. Non-empty events mean routing changed —
+// the caller redoes its request exchange and topology — and passed
+// validate.
+func failover(sched *faults.Schedule, nodeOf, worldOf func(rank int) int, plan *Plan, prev overlay, r int) (overlay, []FoEvent) {
+	down := func(d *Domain) (bool, foKind) {
+		node := nodeOf(d.Agg)
 		if sched.NodeFailedBy(node, r) {
-			return true, true
+			return true, foNodeDeath
 		}
-		if plan.MemMin > 0 && d.NodeAvail > 0 &&
-			d.NodeAvail-sched.PressureBy(node, r) < plan.MemMin {
-			return true, false
-		}
-		return false, false
+		return plan.MemMin > 0 && d.NodeAvail > 0 &&
+			d.NodeAvail-sched.PressureBy(node, r) < plan.MemMin, foMemory
 	}
-	plan.foLast = applyFailover(plan, r, down)
-	return plan.foLast
-}
-
-// applyFailover evaluates the down predicate for every domain and
-// remerges the failed ones into takers. Factored from maybeFailover so
-// the mutation logic is unit-testable without a communicator.
-func applyFailover(plan *Plan, r int, down func(d *Domain) (dead, byNode bool)) []FoEvent {
-	n := len(plan.Domains)
-	alive := make([]bool, n)
-	byNode := make([]bool, n)
-	var failed []int
-	for i := range plan.Domains {
-		d := &plan.Domains[i]
-		dead, cause := down(d)
-		alive[i] = !dead
-		byNode[i] = cause
-		if dead && len(d.Windows) > r {
-			failed = append(failed, i)
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
+	failed := func(rank int) bool { return sched.RankFailedBy(worldOf(rank), r) }
+	o := prev
 	var evs []FoEvent
-	for _, fi := range failed {
-		ti := pickTakeover(plan, fi, alive)
-		ev := FoEvent{Round: r, Failed: fi, Taker: ti, ByNodeFailure: byNode[fi]}
-		if ti < 0 {
-			// No survivor anywhere: the domain keeps serving on its
-			// failed aggregator — degraded, but no data is lost.
+
+	// Aggregators first: every domain whose aggregator is down and that
+	// still has windows to serve moves into a surviving taker, behind the
+	// taker's own schedule and never before round r.
+	alive := make([]bool, len(o.doms))
+	var lost []int
+	for i := range o.doms {
+		dead, _ := down(&o.doms[i])
+		alive[i] = !dead
+		if dead && o.end(i) > r {
+			lost = append(lost, i)
+		}
+	}
+	if len(lost) > 0 {
+		o.doms = slices.Clone(o.doms)
+		o.absorbed = make([][]run, len(o.doms))
+		copy(o.absorbed, prev.absorbed)
+		for _, fi := range lost {
+			f := &o.doms[fi]
+			_, kind := down(f)
+			ti := pickTakeover(o.doms, fi, alive)
+			ev := FoEvent{Kind: kind, Round: r, Failed: fi, Taker: ti, By: f.Agg}
+			if ti >= 0 {
+				tk := &o.doms[ti]
+				ev.By = tk.Agg
+				moved := run{max(o.end(ti), r), o.take(fi, r)}
+				for _, w := range moved.ws {
+					ev.Bytes += w.Len
+				}
+				o.absorbed[ti] = append(slices.Clip(o.absorbed[ti]), moved)
+				o.rounds = max(o.rounds, o.end(ti))
+				// The taker's extent grows over the failed domain's, which
+				// collapses so the re-exchange routes no requests to it. The
+				// slot stays: domain indices (Sibling, aggState) remain valid.
+				tk.Lo, tk.Hi = min(tk.Lo, f.Lo), max(tk.Hi, f.Hi)
+				f.Hi = f.Lo
+			}
 			evs = append(evs, ev)
+		}
+	}
+
+	// Then leaders: a current leader (a fixed point of the map — a demoted
+	// ex-leader's failure is old news) whose rank has failed hands its
+	// role to the next survivor in its node's election order.
+	for l := 0; l < len(o.leaderOf); l++ {
+		if o.leaderOf[l] != l || !failed(l) {
 			continue
 		}
-		f := &plan.Domains[fi]
-		tk := &plan.Domains[ti]
-		absorbed := f.Windows[r:]
-		for _, w := range absorbed {
-			ev.Bytes += w.Len
+		taker, free := -1, -1 // first surviving successor; first that aggregates no domain
+		if plan.LeaderSucc != nil {
+			for _, s := range plan.LeaderSucc[l] {
+				if s == l || failed(s) {
+					continue
+				}
+				if taker < 0 {
+					taker = s
+				}
+				if free < 0 && domainOf(o.doms, s) < 0 {
+					free = s
+				}
+			}
 		}
-		// The absorbed windows must land at round indices >= r so they
-		// play after the takeover; pad the survivor's schedule with
-		// inert zero-length windows if it is already past r.
-		for len(tk.Windows) < r {
-			tk.Windows = append(tk.Windows, datatype.Segment{Off: tk.Hi, Len: 0})
+		if taker < 0 { // single-rank node, or every mate failed too
+			evs = append(evs, FoEvent{Kind: foLeader, Round: r, Failed: l, Taker: -1, By: l})
+			continue
 		}
-		tk.Windows = append(tk.Windows, absorbed...)
-		if f.Lo < tk.Lo {
-			tk.Lo = f.Lo
+		evs = append(evs, FoEvent{Kind: foLeader, Round: r, Failed: l, Taker: taker, By: taker})
+		o.leaderOf = slices.Clone(o.leaderOf)
+		for x, lx := range o.leaderOf {
+			if lx == l {
+				o.leaderOf[x] = taker
+			}
 		}
-		if f.Hi > tk.Hi {
-			tk.Hi = f.Hi
+		// A file domain the failed leader aggregated goes to a successor
+		// that owns none (one domain per aggregator is an engine
+		// invariant) — same node, so the charged buffer and NodeAvail
+		// snapshot remain valid — or stays where it is.
+		if di := domainOf(o.doms, l); di >= 0 && free >= 0 {
+			o.doms = slices.Clone(o.doms)
+			o.doms[di].Agg = free
 		}
-		// Tombstone the failed domain: truncate its schedule at the
-		// failed round and collapse its extent so the re-exchange routes
-		// no requests to it. The slot stays so domain indices (Sibling,
-		// aggState) remain valid.
-		f.Windows = f.Windows[:r]
-		f.Hi = f.Lo
-		evs = append(evs, ev)
 	}
-	plan.Rounds = plan.MaxRounds()
-	if plan.Rounds < r {
-		plan.Rounds = r
+	if len(evs) > 0 {
+		if err := o.validate(plan, prev, r, evs, down, failed); err != nil {
+			panic(err)
+		}
 	}
-	return evs
+	return o, evs
 }
 
 // pickTakeover chooses the surviving domain that absorbs fi: the
 // planner-designated sibling when alive, else the nearest surviving
 // domain by index (file order), lower index on ties.
-func pickTakeover(plan *Plan, fi int, alive []bool) int {
-	if s := plan.Domains[fi].Sibling; s >= 0 && s < len(plan.Domains) && s != fi && alive[s] {
+func pickTakeover(doms []Domain, fi int, alive []bool) int {
+	if s := doms[fi].Sibling; s >= 0 && s < len(doms) && s != fi && alive[s] {
 		return s
 	}
-	for dist := 1; dist < len(plan.Domains); dist++ {
+	for dist := 1; dist < len(doms); dist++ {
 		if i := fi - dist; i >= 0 && alive[i] {
 			return i
 		}
-		if i := fi + dist; i < len(plan.Domains) && alive[i] {
+		if i := fi + dist; i < len(doms) && alive[i] {
 			return i
 		}
 	}
 	return -1
 }
 
-// recordFailovers attributes a check's events to the calling rank:
-// exactly one rank (the taker's aggregator, or the failed aggregator
-// for unrecovered domains) records each event's metrics and trace
-// instants, so shared-plan and per-rank-plan strategies account alike.
-func recordFailovers(c *mpi.Comm, sched *faults.Schedule, plan *Plan, evs []FoEvent, m *trace.Metrics, loc obs.Loc) {
-	for _, ev := range evs {
-		if ev.Taker < 0 {
-			if plan.Domains[ev.Failed].Agg == c.Rank() {
-				sched.RecordUnrecovered(loc, ev.Failed)
-			}
-			continue
-		}
-		if plan.Domains[ev.Taker].Agg == c.Rank() {
-			sched.RecordFailover(loc, ev.ByNodeFailure, ev.Bytes, ev.Failed)
-			m.AddRemerge()
+// validate states what holds after the round-r transition prev -> o that
+// decided evs: every window of the plan is scheduled exactly once, none
+// invented; rounds before r are as they were (served stays served, so
+// whatever moved plays at r or later); no aggregator owns two domains
+// with windows left, and none of those is down; every leader leads
+// itself and has not failed — unless an event says nothing survived.
+func (o overlay) validate(plan *Plan, prev overlay, r int, evs []FoEvent, down func(*Domain) (bool, foKind), failed func(rank int) bool) error {
+	stranded := func(leader bool, who int) bool {
+		return slices.ContainsFunc(evs, func(ev FoEvent) bool {
+			return ev.Taker < 0 && ev.Failed == who && (ev.Kind == foLeader) == leader
+		})
+	}
+	left := make(map[datatype.Segment]int)
+	for _, d := range plan.Domains {
+		for _, w := range d.Windows {
+			left[w]++
 		}
 	}
+	owns := make(map[int]bool)
+	for di := range o.doms {
+		for q := 0; q < max(o.end(di), prev.end(di)); q++ {
+			w, ok := o.window(di, q)
+			if pw, pok := prev.window(di, q); q < r && (ok != pok || w != pw) {
+				return fmt.Errorf("collio: failover at round %d rewrote domain %d's served round %d", r, di, q)
+			}
+			if ok {
+				if left[w]--; left[w] < 0 {
+					return fmt.Errorf("collio: failover at round %d schedules window %v twice or invents it", r, w)
+				}
+			}
+		}
+		if d := &o.doms[di]; o.end(di) > r {
+			if owns[d.Agg] {
+				return fmt.Errorf("collio: failover at round %d leaves aggregator %d two live domains", r, d.Agg)
+			}
+			owns[d.Agg] = true
+			if dead, _ := down(d); dead && !stranded(false, di) {
+				return fmt.Errorf("collio: failover at round %d leaves domain %d on its lost aggregator %d", r, di, d.Agg)
+			}
+		}
+	}
+	for w, n := range left {
+		if n > 0 {
+			return fmt.Errorf("collio: failover at round %d lost window %v", r, w)
+		}
+	}
+	for x, l := range o.leaderOf {
+		if o.leaderOf[l] != l {
+			return fmt.Errorf("collio: failover at round %d: rank %d follows %d, which does not lead", r, x, l)
+		}
+		if failed(l) && !stranded(true, l) {
+			return fmt.Errorf("collio: failover at round %d: rank %d follows failed leader %d", r, x, l)
+		}
+	}
+	return nil
 }
 
 // injectRoundFaults runs the per-round fault hooks after the entry
-// barrier: ledger pressure application, the aggregator failover check
-// and the leader failover check. It returns true when the plan changed
-// and the caller must redo its routing (request exchange and leader
-// topology). Callers guard with sched != nil so the fault-free path
-// stays allocation-free.
-func injectRoundFaults(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int, m *trace.Metrics, loc obs.Loc) bool {
+// barrier: ledger pressure application, then the failover check, each
+// of whose events the one rank it names records. It returns true when
+// routing changed and the caller must redo its request exchange and
+// topology. Callers guard with sched != nil: the fault-free path stays
+// allocation-free.
+func (x *collective) injectRoundFaults(sched *faults.Schedule, r int, loc obs.Loc) bool {
+	c := x.c
 	sched.ApplyPressure(r, func(node int, bytes int64) {
 		c.World().Machine().Node(node).InjectPressure(bytes)
 	})
-	evs := maybeFailover(c, sched, plan, r)
-	recordFailovers(c, sched, plan, evs, m, loc)
-	lf := maybeLeaderFailover(c, sched, plan, r)
-	recordLeaderFailovers(c, sched, lf, loc)
-	return len(evs) > 0 || len(lf) > 0
-}
-
-// LeaderFoEvent records one leadership-handoff decision of a round's
-// leader check (plans with a leader map only).
-type LeaderFoEvent struct {
-	Round  int
-	Node   int // comm node of the failed leader
-	Failed int // comm rank of the failed leader
-	Taker  int // successor comm rank; -1 when no survivor exists on the node
-}
-
-// maybeLeaderFailover runs the round-r leadership check for plans with
-// an elected leader map: a leader whose world rank is failed by this
-// round hands its role — the intra-node funnel plus any file domain it
-// aggregates — to the next surviving rank in its node's election
-// order. Like maybeFailover the decision is a pure function of
-// (schedule, plan, round), guarded by Plan.lfRound so shared plans
-// mutate once; non-empty events mean the caller must redo the request
-// exchange and rebuild its topology.
-func maybeLeaderFailover(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int) []LeaderFoEvent {
-	if sched == nil || plan.LeaderOf == nil {
-		return nil
-	}
-	if plan.lfRound > r {
-		return plan.lfLast
-	}
-	plan.lfRound = r + 1
-	var evs []LeaderFoEvent
-	for rank := 0; rank < len(plan.LeaderOf); rank++ {
-		l := plan.LeaderOf[rank]
-		if l != rank || !sched.RankFailedBy(c.WorldRank(l), r) {
-			// Only current leaders (fixed points of the map) are checked;
-			// a demoted ex-leader's failure is old news.
-			continue
-		}
-		taker := -1
-		if plan.LeaderSucc != nil {
-			for _, s := range plan.LeaderSucc[l] {
-				if s != l && !sched.RankFailedBy(c.WorldRank(s), r) {
-					taker = s
-					break
-				}
-			}
-		}
-		evs = append(evs, LeaderFoEvent{Round: r, Node: c.NodeOf(l), Failed: l, Taker: taker})
-		if taker < 0 {
-			// Single-rank node or every mate failed too: the leader keeps
-			// serving degraded — the role has nowhere to go, data still flows.
-			continue
-		}
-		for x := range plan.LeaderOf {
-			if plan.LeaderOf[x] == l {
-				plan.LeaderOf[x] = taker
-			}
-		}
-		// A file domain the failed leader aggregated moves to the first
-		// successor that owns none (one domain per aggregator is an engine
-		// invariant) — same node either way, so the charged buffer and
-		// NodeAvail snapshot remain valid. With no free survivor the
-		// domain stays with the failed rank: degraded, nothing lost.
-		owned := make(map[int]bool, len(plan.Domains))
-		for di := range plan.Domains {
-			if a := plan.Domains[di].Agg; a != l {
-				owned[a] = true
-			}
-		}
-		domTaker := -1
-		if plan.LeaderSucc != nil {
-			for _, s := range plan.LeaderSucc[l] {
-				if s != l && !owned[s] && !sched.RankFailedBy(c.WorldRank(s), r) {
-					domTaker = s
-					break
-				}
-			}
-		}
-		if domTaker >= 0 {
-			for di := range plan.Domains {
-				if plan.Domains[di].Agg == l {
-					plan.Domains[di].Agg = domTaker
-				}
-			}
-		}
-	}
-	plan.lfLast = evs
-	return evs
-}
-
-// recordLeaderFailovers attributes a leader check's events: the taker
-// rank records recovered handoffs, the failed leader records
-// unrecoverable ones — exactly one recorder per event.
-func recordLeaderFailovers(c *mpi.Comm, sched *faults.Schedule, evs []LeaderFoEvent, loc obs.Loc) {
+	var evs []FoEvent
+	x.ov, evs = failover(sched, c.NodeOf, c.WorldRank, x.plan, x.ov, r)
 	for _, ev := range evs {
-		if ev.Taker < 0 {
-			if ev.Failed == c.Rank() {
-				sched.RecordUnrecovered(loc, -1)
-			}
-			continue
-		}
-		if ev.Taker == c.Rank() {
+		switch {
+		case ev.By != c.Rank():
+		case ev.Kind == foLeader && ev.Taker < 0:
+			sched.RecordUnrecovered(loc, -1)
+		case ev.Kind == foLeader:
 			sched.RecordLeaderFailover(loc, c.WorldRank(ev.Failed), c.WorldRank(ev.Taker))
+		case ev.Taker < 0:
+			sched.RecordUnrecovered(loc, ev.Failed)
+		default:
+			sched.RecordFailover(loc, ev.Kind == foNodeDeath, ev.Bytes, ev.Failed)
+			x.m.AddRemerge()
 		}
 	}
-}
-
-// dropPenalty models this rank's retransmissions for a round's shuffle
-// exchange: a deterministic per-(group,round,rank) draw decides how
-// many sends were dropped, and the rank sits out the capped
-// exponential-backoff penalty in virtual time. Retry exhaustion still
-// delivers, so the collective always completes.
-func dropPenalty(c *mpi.Comm, sched *faults.Schedule, plan *Plan, r int, loc obs.Loc) {
-	drops := sched.ExchangeDrops(plan.Group, r, c.WorldRank(c.Rank()))
-	if drops == 0 {
-		return
-	}
-	pen := sched.RetryPenalty(drops)
-	sched.RecordDrops(loc, drops, pen)
-	c.Proc().Sleep(pen)
+	return len(evs) > 0
 }

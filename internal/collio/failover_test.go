@@ -1,10 +1,18 @@
 package collio
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/datatype"
+	"repro/internal/faults"
+	"repro/internal/iolib"
+	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // failPlan builds a three-domain plan with two windows each, the shape
@@ -16,90 +24,130 @@ func failPlan() *Plan {
 			Windows: []datatype.Segment{{Off: lo, Len: 100}, {Off: lo + 100, Len: 100}},
 		}
 	}
-	p := &Plan{Domains: []Domain{mk(0, 0), mk(1, 200), mk(2, 400)}}
-	p.Rounds = p.MaxRounds()
-	return p
+	return &Plan{Domains: []Domain{mk(0, 0), mk(1, 200), mk(2, 400)}, Exts: make([]Ext, 3)}
 }
 
-func killOnly(idx int) func(d *Domain) (bool, bool) {
-	return func(d *Domain) (bool, bool) { return d.Agg == idx, true }
+// clonePlan deep-copies everything reachable from p, so a test can hold
+// the plan to its state before a run.
+func clonePlan(p *Plan) *Plan {
+	q := *p
+	q.Domains = slices.Clone(p.Domains)
+	for i := range q.Domains {
+		q.Domains[i].Windows = slices.Clone(p.Domains[i].Windows)
+	}
+	q.Exts = slices.Clone(p.Exts)
+	q.LeaderOf = slices.Clone(p.LeaderOf)
+	q.LeaderSucc = slices.Clone(p.LeaderSucc)
+	for i := range q.LeaderSucc {
+		q.LeaderSucc[i] = slices.Clone(p.LeaderSucc[i])
+	}
+	return &q
+}
+
+func ident(r int) int { return r }
+
+func mustSchedule(t testing.TB, spec faults.Spec) *faults.Schedule {
+	t.Helper()
+	s, err := faults.NewSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// deadNodes is a schedule under which the given nodes are dead from
+// round 0. The failover tests place rank i on node i (ident), so it
+// kills the aggregators of those ranks.
+func deadNodes(t testing.TB, nodes ...int) *faults.Schedule {
+	var spec faults.Spec
+	for _, n := range nodes {
+		spec.NodeFailures = append(spec.NodeFailures, faults.NodeFailure{Node: n})
+	}
+	return mustSchedule(t, spec)
+}
+
+// schedule lists domain di's windows by round up to the overlay's round
+// count; a round without a window is the zero Segment.
+func schedule(o *overlay, di int) []datatype.Segment {
+	out := make([]datatype.Segment, o.rounds)
+	for r := range out {
+		out[r], _ = o.window(di, r)
+	}
+	return out
 }
 
 func TestApplyFailoverRemerge(t *testing.T) {
 	p := failPlan()
 	p.Domains[0].Sibling = 1
-	evs := applyFailover(p, 1, killOnly(0))
+	ov, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v, want 1", evs)
 	}
 	ev := evs[0]
-	if ev.Failed != 0 || ev.Taker != 1 || ev.Round != 1 || !ev.ByNodeFailure || ev.Bytes != 100 {
-		t.Errorf("event %+v, want failed=0 taker=1 round=1 byNode bytes=100", ev)
+	if ev.Failed != 0 || ev.Taker != 1 || ev.Round != 1 || ev.Kind != foNodeDeath || ev.Bytes != 100 || ev.By != 1 {
+		t.Errorf("event %+v, want failed=0 taker=1 round=1 node death bytes=100 recorded by 1", ev)
 	}
-	f, tk := &p.Domains[0], &p.Domains[1]
-	// Tombstone: schedule truncated at the failed round, extent collapsed.
-	if len(f.Windows) != 1 || f.Hi != f.Lo {
-		t.Errorf("failed domain not tombstoned: windows=%v extent=[%d,%d)", f.Windows, f.Lo, f.Hi)
+	// The failed domain keeps its served round, loses the rest, and its
+	// extent collapses.
+	want := []datatype.Segment{{Off: 0, Len: 100}, {}, {}}
+	if f := ov.doms[0]; !reflect.DeepEqual(schedule(&ov, 0), want) || f.Hi != f.Lo {
+		t.Errorf("failed domain keeps %v extent=[%d,%d), want %v and an empty extent", schedule(&ov, 0), f.Lo, f.Hi, want)
 	}
 	// Taker: own round-0/1 windows, then the absorbed round-1 window.
-	want := []datatype.Segment{{Off: 200, Len: 100}, {Off: 300, Len: 100}, {Off: 100, Len: 100}}
-	if !reflect.DeepEqual(tk.Windows, want) {
-		t.Errorf("taker windows = %v, want %v", tk.Windows, want)
+	want = []datatype.Segment{{Off: 200, Len: 100}, {Off: 300, Len: 100}, {Off: 100, Len: 100}}
+	if !reflect.DeepEqual(schedule(&ov, 1), want) {
+		t.Errorf("taker windows = %v, want %v", schedule(&ov, 1), want)
 	}
-	if tk.Lo != 0 || tk.Hi != 400 {
+	if tk := ov.doms[1]; tk.Lo != 0 || tk.Hi != 400 {
 		t.Errorf("taker extent = [%d,%d), want union [0,400)", tk.Lo, tk.Hi)
 	}
-	if p.Rounds != 3 {
-		t.Errorf("rounds = %d, want 3 (taker grew a round)", p.Rounds)
+	if ov.rounds != 3 {
+		t.Errorf("rounds = %d, want 3 (taker grew a round)", ov.rounds)
 	}
 }
 
 // TestApplyFailoverPadding: a taker already finished with its own
-// schedule gets inert zero-length windows up to the failed round, so
-// the absorbed windows keep their round indices.
+// schedule serves nothing up to the failed round, so the absorbed
+// windows keep their round indices.
 func TestApplyFailoverPadding(t *testing.T) {
 	p := failPlan()
 	p.Domains[1].Windows = p.Domains[1].Windows[:1] // taker has 1 round only
 	p.Domains[0].Sibling = 1
-	evs := applyFailover(p, 1, killOnly(0))
+	ov, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	if len(evs) != 1 || evs[0].Taker != 1 {
 		t.Fatalf("events = %+v", evs)
 	}
-	tk := p.Domains[1]
-	if len(tk.Windows) != 2 {
-		t.Fatalf("taker windows = %v, want 2 (1 own + 1 absorbed)", tk.Windows)
-	}
-	if tk.Windows[1].Len != 100 || tk.Windows[1].Off != 100 {
-		t.Errorf("absorbed window landed wrong: %v", tk.Windows)
+	want := []datatype.Segment{{Off: 200, Len: 100}, {Off: 100, Len: 100}}
+	if got := schedule(&ov, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("taker windows = %v, want %v (1 own + 1 absorbed)", got, want)
 	}
 
-	// Same shape but failing at round 2: the taker needs a zero-length
-	// pad at index 1 before the (empty) absorption point.
+	// Same shape but failing at round 2: the taker sits out round 1
+	// before the absorbed window plays at round 2.
 	p2 := failPlan()
 	p2.Domains[0].Windows = append(p2.Domains[0].Windows, datatype.Segment{Off: 250, Len: 50})
 	p2.Domains[0].Hi = 300
 	p2.Domains[1].Windows = p2.Domains[1].Windows[:1]
 	p2.Domains[0].Sibling = 1
-	evs = applyFailover(p2, 2, killOnly(0))
+	ov, evs = failover(deadNodes(t, 0), ident, ident, p2, newOverlay(p2), 2)
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v", evs)
 	}
-	tk2 := p2.Domains[1]
-	if len(tk2.Windows) != 3 {
-		t.Fatalf("taker windows = %v, want 3 (own, pad, absorbed)", tk2.Windows)
+	if ov.end(1) != 3 {
+		t.Fatalf("taker schedule ends at round %d, want 3 (own, gap, absorbed)", ov.end(1))
 	}
-	if tk2.Windows[1].Len != 0 {
-		t.Errorf("pad window not zero-length: %v", tk2.Windows[1])
+	if w, ok := ov.window(1, 1); ok {
+		t.Errorf("taker serves %v in the gap round", w)
 	}
-	if tk2.Windows[2].Len != 50 {
-		t.Errorf("absorbed window = %v, want the round-2 remainder", tk2.Windows[2])
+	if w, ok := ov.window(1, 2); !ok || w.Len != 50 {
+		t.Errorf("absorbed window = %v %v, want the round-2 remainder", w, ok)
 	}
 }
 
 func TestApplyFailoverSiblingPreference(t *testing.T) {
 	p := failPlan()
 	p.Domains[0].Sibling = 2 // planner says 2, even though 1 is nearer
-	evs := applyFailover(p, 0, killOnly(0))
+	_, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 0)
 	if evs[0].Taker != 2 {
 		t.Errorf("taker = %d, want the designated sibling 2", evs[0].Taker)
 	}
@@ -107,8 +155,7 @@ func TestApplyFailoverSiblingPreference(t *testing.T) {
 	// Dead sibling: fall back to the nearest survivor.
 	p = failPlan()
 	p.Domains[0].Sibling = 1
-	dead := func(d *Domain) (bool, bool) { return d.Agg == 0 || d.Agg == 1, true }
-	evs = applyFailover(p, 0, dead)
+	_, evs = failover(deadNodes(t, 0, 1), ident, ident, p, newOverlay(p), 0)
 	for _, ev := range evs {
 		if ev.Failed == 0 && ev.Taker != 2 {
 			t.Errorf("taker = %d, want fallback survivor 2", ev.Taker)
@@ -118,51 +165,360 @@ func TestApplyFailoverSiblingPreference(t *testing.T) {
 
 // TestApplyFailoverNoSurvivor: every aggregator lost. The domains keep
 // their schedules (degraded service on the failed nodes — no data can
-// move anywhere) and each failure is reported with Taker -1.
+// move anywhere) and each failure is reported with Taker -1, recorded by
+// the failed aggregator itself.
 func TestApplyFailoverNoSurvivor(t *testing.T) {
 	p := failPlan()
-	before := append([]Domain(nil), p.Domains...)
-	evs := applyFailover(p, 0, func(d *Domain) (bool, bool) { return true, true })
+	ov, evs := failover(deadNodes(t, 0, 1, 2), ident, ident, p, newOverlay(p), 0)
 	if len(evs) != 3 {
 		t.Fatalf("events = %+v, want 3", evs)
 	}
 	for _, ev := range evs {
-		if ev.Taker != -1 {
-			t.Errorf("event %+v: want Taker -1", ev)
+		if ev.Taker != -1 || ev.By != p.Domains[ev.Failed].Agg {
+			t.Errorf("event %+v: want Taker -1, recorded by the failed aggregator", ev)
 		}
 	}
-	for i := range before {
-		if !reflect.DeepEqual(before[i].Windows, p.Domains[i].Windows) {
-			t.Errorf("domain %d mutated with no survivor: %v", i, p.Domains[i].Windows)
+	for i, d := range p.Domains {
+		if !reflect.DeepEqual(d.Windows, schedule(&ov, i)) {
+			t.Errorf("domain %d rescheduled with no survivor: %v", i, schedule(&ov, i))
 		}
 	}
 }
 
 // TestApplyFailoverPastSchedule: a dead aggregator whose domain already
-// finished its windows needs no remerge.
+// finished its windows needs no remerge — at its last round or any
+// round past the plan's.
 func TestApplyFailoverPastSchedule(t *testing.T) {
 	p := failPlan()
-	if evs := applyFailover(p, 2, killOnly(0)); evs != nil {
-		t.Errorf("events = %+v, want none (schedule exhausted at round 2)", evs)
+	for _, r := range []int{2, 3, 40} {
+		if _, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), r); evs != nil {
+			t.Errorf("round %d: events = %+v, want none (schedule exhausted at round 2)", r, evs)
+		}
 	}
 }
 
-// TestApplyFailoverDeterministic: identical plans and predicates yield
-// deep-equal mutations and event lists — the property that lets every
-// rank run the check independently on its plan copy.
+// TestApplyFailoverDeterministic: identical plans and schedules yield
+// deep-equal overlays and event lists — the property that lets every
+// rank run the check for itself — and leave the plan as it was.
 func TestApplyFailoverDeterministic(t *testing.T) {
-	mk := func() *Plan {
-		p := failPlan()
-		p.Domains[0].Sibling = 1
-		return p
-	}
-	a, b := mk(), mk()
-	ea := applyFailover(a, 1, killOnly(0))
-	eb := applyFailover(b, 1, killOnly(0))
+	p := failPlan()
+	p.Domains[0].Sibling = 1
+	before := clonePlan(p)
+	a, ea := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
+	b, eb := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	if !reflect.DeepEqual(ea, eb) {
 		t.Errorf("events differ: %+v vs %+v", ea, eb)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("plans diverged:\n%+v\n%+v", a, b)
+		t.Errorf("overlays diverged:\n%+v\n%+v", a, b)
+	}
+	if !reflect.DeepEqual(p, before) {
+		t.Errorf("the transition wrote the plan:\n%+v\n%+v", p, before)
+	}
+}
+
+// TestFailoverChains covers what a single check cannot: routing that has
+// already moved once moving again, and several decisions in one round.
+func TestFailoverChains(t *testing.T) {
+	t.Run("taker dies a round after absorbing", func(t *testing.T) {
+		p := failPlan()
+		p.Domains[0].Sibling, p.Domains[1].Sibling = 1, 2
+		sched := mustSchedule(t, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 0}, {Node: 1, Round: 1}}})
+		ov, evs := failover(sched, ident, ident, p, newOverlay(p), 0)
+		if len(evs) != 1 || evs[0].Taker != 1 || evs[0].Bytes != 200 {
+			t.Fatalf("round 0 events = %+v, want domain 0 -> 1, 200 bytes", evs)
+		}
+		ov, evs = failover(sched, ident, ident, p, ov, 1)
+		// Domain 0 is finished, so only domain 1 fails: its own round-1
+		// window and both windows it absorbed move on, once each.
+		if len(evs) != 1 || evs[0].Failed != 1 || evs[0].Taker != 2 || evs[0].Bytes != 300 {
+			t.Fatalf("round 1 events = %+v, want domain 1 -> 2, 300 bytes", evs)
+		}
+		want := []datatype.Segment{{Off: 400, Len: 100}, {Off: 500, Len: 100}, {Off: 300, Len: 100}, {Off: 0, Len: 100}, {Off: 100, Len: 100}}
+		if got := schedule(&ov, 2); !reflect.DeepEqual(got, want) {
+			t.Errorf("last survivor serves %v, want %v", got, want)
+		}
+		if got := schedule(&ov, 1)[1:]; !reflect.DeepEqual(got, make([]datatype.Segment, 4)) {
+			t.Errorf("twice-failed domain still serves %v after round 0", got)
+		}
+	})
+	t.Run("two domains fail into one taker in one round", func(t *testing.T) {
+		p := failPlan()
+		ov, evs := failover(deadNodes(t, 0, 1), ident, ident, p, newOverlay(p), 1)
+		if len(evs) != 2 || evs[0].Taker != 2 || evs[1].Taker != 2 || evs[0].By != 2 || evs[1].By != 2 {
+			t.Fatalf("events = %+v, want both domains into 2, recorded by its aggregator", evs)
+		}
+		want := []datatype.Segment{{Off: 400, Len: 100}, {Off: 500, Len: 100}, {Off: 100, Len: 100}, {Off: 300, Len: 100}}
+		if got := schedule(&ov, 2); !reflect.DeepEqual(got, want) {
+			t.Errorf("taker serves %v, want %v", got, want)
+		}
+	})
+	t.Run("node death and leader death in one round", func(t *testing.T) {
+		// Two nodes of two ranks: domains on ranks 0 and 2, each its
+		// node's leader. Node 0 dies and leader 2 fails, both at round 1.
+		p := failPlan()
+		p.Domains = p.Domains[:2]
+		p.Domains[1].Agg = 2
+		p.Exts = make([]Ext, 4)
+		p.LeaderOf = []int{0, 0, 2, 2}
+		p.LeaderSucc = [][]int{{0, 1}, {0, 1}, {2, 3}, {2, 3}}
+		before := clonePlan(p)
+		sched := mustSchedule(t, faults.Spec{
+			NodeFailures: []faults.NodeFailure{{Node: 0, Round: 1}},
+			RankFailures: []faults.RankFailure{{Rank: 2, Round: 1}},
+		})
+		nodeOf := func(r int) int { return r / 2 }
+		ov, evs := failover(sched, nodeOf, ident, p, newOverlay(p), 1)
+		// Aggregators first, then leaders. The remerge is recorded by the
+		// rank that owned the taker when it was decided — rank 2, though
+		// the handoff right after gives the domain to rank 3.
+		want := []FoEvent{
+			{Kind: foNodeDeath, Round: 1, Failed: 0, Taker: 1, Bytes: 100, By: 2},
+			{Kind: foLeader, Round: 1, Failed: 2, Taker: 3, By: 3},
+		}
+		if !reflect.DeepEqual(evs, want) {
+			t.Fatalf("events = %+v, want %+v", evs, want)
+		}
+		if !reflect.DeepEqual(ov.leaderOf, []int{0, 0, 3, 3}) || ov.doms[1].Agg != 3 {
+			t.Errorf("leaders %v, taker domain on rank %d; want [0 0 3 3] and 3", ov.leaderOf, ov.doms[1].Agg)
+		}
+		if !reflect.DeepEqual(p, before) {
+			t.Errorf("the transition wrote the plan")
+		}
+	})
+}
+
+// randomFailoverCase draws a valid plan of 1–8 domains with 0–6 windows
+// each on a nodes x cores layout (rank r on node r/cores) — siblings
+// anywhere, in range or not; with and without an elected leader map and
+// its succession lines — and a fault schedule over it.
+func randomFailoverCase(rng *rand.Rand) (p *Plan, cores int, spec faults.Spec) {
+	nodes := 1 + rng.Intn(4)
+	cores = 1 + rng.Intn(4)
+	n := nodes * cores
+	p = &Plan{Exts: make([]Ext, n)}
+	aggs := rng.Perm(n)[:1+rng.Intn(min(8, n))]
+	var off int64
+	for _, agg := range aggs {
+		d := Domain{Agg: agg, Lo: off, BufBytes: 64, Sibling: rng.Intn(len(aggs)+3) - 2, NodeAvail: int64(rng.Intn(4)) << 10}
+		for w := rng.Intn(7); w > 0; w-- {
+			off += int64(rng.Intn(2)) * 8 // sometimes a hole before the window
+			l := int64(1 + rng.Intn(64))
+			d.Windows = append(d.Windows, datatype.Segment{Off: off, Len: l})
+			off += l
+		}
+		d.Hi = off
+		p.Domains = append(p.Domains, d)
+	}
+	if rng.Intn(2) == 0 {
+		p.MemMin = 1 << 10
+	}
+	if rng.Intn(3) > 0 {
+		p.LeaderOf = make([]int, n)
+		succ := make([][]int, n)
+		for node := 0; node < nodes; node++ {
+			line := rng.Perm(cores)
+			for i := range line {
+				line[i] += node * cores
+			}
+			for _, r := range line {
+				p.LeaderOf[r], succ[r] = line[0], line
+			}
+		}
+		if rng.Intn(4) > 0 {
+			p.LeaderSucc = succ
+		}
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		spec.NodeFailures = append(spec.NodeFailures, faults.NodeFailure{Node: rng.Intn(nodes), Round: rng.Intn(8)})
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		spec.MemPressure = append(spec.MemPressure, faults.MemPressure{Node: rng.Intn(nodes), Round: rng.Intn(8), Bytes: int64(1+rng.Intn(3)) << 10})
+	}
+	for k := rng.Intn(5); k > 0; k-- {
+		spec.RankFailures = append(spec.RankFailures, faults.RankFailure{Rank: rng.Intn(n), Round: rng.Intn(8)})
+	}
+	return p, cores, spec
+}
+
+// TestFailoverProperty steps the transition through every round of
+// random plans under random fault schedules (monotone by construction:
+// what is dead stays dead, pressure only accumulates). failover runs
+// overlay.validate on every step that decided anything and panics when
+// it does not hold; on top of that, two independent evaluations agree
+// step by step, and the plan is never written.
+func TestFailoverProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	decided := 0
+	for i := 0; i < 2000; i++ {
+		p, cores, spec := randomFailoverCase(rng)
+		if err := p.Validate(len(p.Exts)); err != nil {
+			t.Fatalf("case %d: generator built an invalid plan: %v", i, err)
+		}
+		before := clonePlan(p)
+		nodeOf := func(r int) int { return r / cores }
+		func() {
+			defer func() {
+				if err := recover(); err != nil {
+					t.Fatalf("case %d: %v\nplan %+v\nfaults %+v", i, err, before, spec)
+				}
+			}()
+			sa, sb := mustSchedule(t, spec), mustSchedule(t, spec)
+			a, b := newOverlay(p), newOverlay(p)
+			for r := 0; r < a.rounds; r++ {
+				var ea, eb []FoEvent
+				a, ea = failover(sa, nodeOf, ident, p, a, r)
+				b, eb = failover(sb, nodeOf, ident, p, b, r)
+				if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(ea, eb) {
+					panic(fmt.Sprintf("round %d: two evaluations diverge:\n%+v %+v\n%+v %+v", r, a, ea, b, eb))
+				}
+				decided += len(ea)
+			}
+		}()
+		if !reflect.DeepEqual(p, before) {
+			t.Fatalf("case %d: the transition wrote the plan:\n%+v\n%+v", i, p, before)
+		}
+	}
+	if decided < 1000 {
+		t.Errorf("only %d failover decisions in 2000 cases: the generator no longer reaches the transition", decided)
+	}
+}
+
+// sharedPlan wraps a plan builder so that every rank of the world gets
+// one and the same *Plan — the first built — for every collective of the
+// test, and remembers what it looked like before anyone ran it.
+type sharedPlan struct {
+	build  func(c *mpi.Comm, view datatype.List) *Plan
+	plan   *Plan
+	before *Plan
+}
+
+func (s *sharedPlan) get(c *mpi.Comm, view datatype.List) *Plan {
+	if s.plan == nil {
+		// Collective: every rank is in here before the first one returns.
+		if p := s.build(c, view); s.plan == nil {
+			s.plan, s.before = p, clonePlan(p)
+		}
+	}
+	return s.plan
+}
+
+// withElection stamps the reference election on a built plan: lowest
+// rank per node leads, the node's ranks ascending are its succession.
+func withElection(build func(*mpi.Comm, datatype.List) *Plan) func(*mpi.Comm, datatype.List) *Plan {
+	return func(c *mpi.Comm, view datatype.List) *Plan {
+		p := build(c, view)
+		p.LeaderOf = lowestRankLeaders(c)
+		p.LeaderSucc = make([][]int, c.Size())
+		for r, l := range p.LeaderOf {
+			p.LeaderSucc[l] = append(p.LeaderSucc[l], r)
+		}
+		for r, l := range p.LeaderOf {
+			p.LeaderSucc[r] = p.LeaderSucc[l]
+		}
+		return p
+	}
+}
+
+// withMemMin arms the memory-exhaustion predicate on a built plan.
+func withMemMin(build func(*mpi.Comm, datatype.List) *Plan, avail, memMin int64) func(*mpi.Comm, datatype.List) *Plan {
+	return func(c *mpi.Comm, view datatype.List) *Plan {
+		p := build(c, view)
+		p.MemMin = memMin
+		for i := range p.Domains {
+			p.Domains[i].NodeAvail = avail
+		}
+		return p
+	}
+}
+
+// TestPlanUnchangedByRun hands one *Plan pointer to every rank — the
+// case the old in-place failover needed guards for — and to the write
+// and the read after it, under schedules that make the collective fail
+// over: every byte verifies, failovers happened, and the plan is
+// deep-equal to its clone from before the first run.
+func TestPlanUnchangedByRun(t *testing.T) {
+	even := TwoPhase{CBBuffer: BufFloor}.BuildPlan
+	for _, tc := range []struct {
+		name  string
+		build func(*mpi.Comm, datatype.List) *Plan
+		spec  faults.Spec
+	}{
+		{"even split, node failure", even,
+			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 1, Round: 2}}}},
+		{"elected leaders, rank failure", withElection(even),
+			faults.Spec{RankFailures: []faults.RankFailure{{Rank: 0, Round: 1}, {Rank: 2, Round: 3}}}},
+		{"elected leaders, node and rank failure in one round", withElection(even),
+			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 2}}, RankFailures: []faults.RankFailure{{Rank: 2, Round: 2}}}},
+		{"grouped exact-write, memory pressure", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20),
+			faults.Spec{MemPressure: []faults.MemPressure{{Node: 2, Round: 1, Bytes: 6 << 20}}}},
+		{"grouped exact-write, node failure then its taker's", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20),
+			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 1}, {Node: 1, Round: 3}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, m, fs := testRig(t, 3, 2, 64*cluster.MiB)
+			w, err := mpi.NewWorld(e, m, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := mustSchedule(t, tc.spec)
+			w.SetFaults(sched)
+			f := iolib.Open(fs, "x")
+			shared := &sharedPlan{build: tc.build}
+			w.Start(func(c *mpi.Comm) {
+				view := interleavedView(c.Rank(), 6, 8, 64<<10)
+				roundTrip(t, plannedStrategy{build: shared.get}, f, c, view, &trace.Metrics{})
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if sched.Failovers() == 0 {
+				t.Errorf("no failover happened: the schedule no longer reaches the plan (unrecovered %d)", sched.Unrecovered())
+			}
+			if !reflect.DeepEqual(shared.plan, shared.before) {
+				t.Errorf("the run wrote the shared plan:\n%+v\n%+v", shared.plan, shared.before)
+			}
+		})
+	}
+}
+
+// aliased reports whether a and b are the same slice of the same array.
+func aliased[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestFaultFreeRunKeepsOverlayAliased pins the fault-free path: with no
+// schedule attached a collective never materialises its overlay — when
+// execute returns, the overlay's slices are still the plan's own — for
+// flat and led plans, writes and reads.
+func TestFaultFreeRunKeepsOverlayAliased(t *testing.T) {
+	for _, leaders := range []func(*mpi.Comm) []int{nil, lowestRankLeaders} {
+		e, m, fs := testRig(t, 2, 2, 64*cluster.MiB)
+		w, err := mpi.NewWorld(e, m, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := iolib.Open(fs, "x")
+		w.Start(func(c *mpi.Comm) {
+			view := interleavedView(c.Rank(), 4, 4, 64<<10)
+			s := plannedStrategy{build: TwoPhase{CBBuffer: BufFloor}.BuildPlan, leaders: leaders}
+			for _, op := range []string{"write", "read"} {
+				plan := s.plan(c, view)
+				x := execute(f, c, iolib.NewViewIndex(view), fillViewBuffer(view, 1), plan, &trace.Metrics{}, op)
+				if x.ov.rounds < 2 {
+					t.Fatalf("%s ran %d rounds, want several", op, x.ov.rounds)
+				}
+				if !aliased(x.ov.doms, plan.Domains) || x.ov.absorbed != nil {
+					t.Errorf("%s: fault-free collective copied its domains", op)
+				}
+				if !aliased(x.ov.leaderOf, plan.LeaderOf) || (leaders != nil) != (x.ov.leaderOf != nil) {
+					t.Errorf("%s: fault-free collective copied its leader map", op)
+				}
+				c.Barrier()
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -65,19 +65,17 @@ type Domain struct {
 	NodeAvail int64
 }
 
-// Rounds returns the number of rounds this domain needs.
-func (d Domain) Rounds() int { return len(d.Windows) }
-
 // Plan is a complete collective schedule, computed identically by every
-// rank from allgathered metadata.
+// rank from allgathered metadata, or once per group and shared by
+// pointer: constructors fill it and nobody writes it afterwards (what a
+// runtime fault changes lives in each rank's overlay, failover.go).
 type Plan struct {
 	Domains []Domain
 	Exts    []Ext // per comm rank, from the strategy's allgather
-	Rounds  int   // max over domains
 
 	// Group is the aggregation-group index this plan executes for —
 	// the trace/observability identity of the schedule. Single-group
-	// strategies leave it 0; the memory-conscious strategy stamps each
+	// strategies leave it 0; the memory-conscious strategy builds each
 	// group's plan with its color.
 	Group int
 
@@ -113,19 +111,6 @@ type Plan struct {
 	// injected fault pressure falls below MemMin loses its aggregator
 	// mid-run (the planner's Mem_min constraint enforced dynamically).
 	MemMin int64
-
-	// Failover guard state (see maybeFailover): rounds checked so far
-	// and the last check's events. On plans shared by pointer across a
-	// group the first rank to reach a round runs the check and mutates;
-	// the rest read foLast. The per-round barrier guarantees every rank
-	// finished round r's check before any rank reaches round r+1's.
-	foRound int
-	foLast  []FoEvent
-
-	// Leader-failover guard state, same protocol as foRound/foLast but
-	// for the per-round leadership check (see maybeLeaderFailover).
-	lfRound int
-	lfLast  []LeaderFoEvent
 }
 
 // Validate checks the invariants the engine relies on: one domain per
@@ -186,26 +171,14 @@ func (p *Plan) Validate(commSize int) error {
 	return nil
 }
 
-// MaxRounds recomputes Rounds from the domains: the longest window
-// schedule.
-func (p *Plan) MaxRounds() int {
-	r := 0
-	for _, d := range p.Domains {
-		if d.Rounds() > r {
-			r = d.Rounds()
+// domainOf returns the index of the domain rank aggregates, or -1.
+func domainOf(doms []Domain, rank int) int {
+	for i := range doms {
+		if doms[i].Agg == rank {
+			return i
 		}
 	}
-	return r
-}
-
-// domainOf returns the domain rank aggregates, or nil.
-func (p *Plan) domainOf(rank int) *Domain {
-	for i := range p.Domains {
-		if p.Domains[i].Agg == rank {
-			return &p.Domains[i]
-		}
-	}
-	return nil
+	return -1
 }
 
 // Run is the tail every strategy shares once its plan exists: if the
@@ -217,8 +190,8 @@ func (p *Plan) domainOf(rank int) *Domain {
 // the high-water reports rather than failing. Every rank of c calls it
 // with the identical plan.
 func (p *Plan) Run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	if d := p.domainOf(c.Rank()); d != nil {
-		buf := d.BufBytes
+	if di := domainOf(p.Domains, c.Rank()); di >= 0 {
+		buf := p.Domains[di].BufBytes
 		node := c.World().Machine().Node(c.NodeOf(c.Rank()))
 		if !node.Alloc(buf) {
 			node.MustAlloc(buf)
@@ -237,11 +210,7 @@ func OffsetWindows(lo, hi, buf int64) []datatype.Segment {
 	}
 	var out []datatype.Segment
 	for off := lo; off < hi; off += buf {
-		n := buf
-		if off+n > hi {
-			n = hi - off
-		}
-		out = append(out, datatype.Segment{Off: off, Len: n})
+		out = append(out, datatype.Segment{Off: off, Len: min(buf, hi-off)})
 	}
 	return out
 }
@@ -259,30 +228,24 @@ func CoverageWindows(coverage datatype.List, buf int64) []datatype.Segment {
 	var out []datatype.Segment
 	var cur datatype.Segment
 	var curData int64
-	flush := func() {
-		if curData > 0 {
-			out = append(out, cur)
-			curData = 0
-		}
-	}
 	for _, s := range coverage {
 		for s.Len > 0 {
 			if curData == 0 {
-				cur = datatype.Segment{Off: s.Off, Len: 0}
+				cur.Off = s.Off
 			}
-			take := buf - curData
-			if take > s.Len {
-				take = s.Len
-			}
+			take := min(buf-curData, s.Len)
 			cur.Len = s.Off + take - cur.Off
 			curData += take
 			s.Off += take
 			s.Len -= take
 			if curData == buf {
-				flush()
+				out = append(out, cur)
+				curData = 0
 			}
 		}
 	}
-	flush()
+	if curData > 0 {
+		out = append(out, cur)
+	}
 	return out
 }

@@ -142,7 +142,6 @@ func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 			Windows:  OffsetWindows(dLo, dHi, buf),
 		})
 	}
-	plan.Rounds = plan.MaxRounds()
 	// Pair consecutive domains for runtime failover: even absorbs odd and
 	// vice versa; a trailing unpaired domain leans on its left neighbour.
 	for i := range plan.Domains {

@@ -140,6 +140,14 @@ func (mc MCCIO) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buff
 }
 
 func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+	sub, plan, _ := mc.plan(op, c, view, m)
+	plan.Run(op, f, sub, view, data, m)
+}
+
+// plan is the planning half of a collective call: the caller's
+// aggregation-group communicator, the executable plan the whole group
+// shares and, on the group root only, the record it was built from.
+func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, *collio.Plan, *GroupPlan) {
 	if err := mc.Opts.Validate(); err != nil {
 		panic(err)
 	}
@@ -212,6 +220,7 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 	// of once per process.
 	segsRaw := sub.Gather(0, segsMsg{segs: view}, int64(len(view))*16+8)
 	var plan *collio.Plan
+	var record *GroupPlan
 	remerges := 0
 	if sub.Rank() == 0 {
 		g := groups[gi]
@@ -228,8 +237,8 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 			nodeAvail[mt.Node] = mt.NodeAvail
 		}
 		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, machine.Explain())
-		remerges = gp.Remerges
-		plan = mc.executable(&gp, memberSegs, nodeAvail)
+		record, remerges = &gp, gp.Remerges
+		plan = mc.executable(gi, &gp, memberSegs, nodeAvail)
 		if gp.Tree != nil {
 			reg := c.Metrics()
 			reg.Counter("mccio_plan_remerges_total",
@@ -251,28 +260,25 @@ func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, d
 		}
 	}
 	plan = sub.Bcast(0, plan, planWireBytes(plan)).(*collio.Plan)
-	// Stamp the group identity so engine spans carry it. All ranks of a
-	// group share the plan pointer and the same color, so this is stable.
-	plan.Group = gi
 	psp.End()
 	for i := 0; i < remerges; i++ {
 		m.AddRemerge()
 	}
-	plan.Run(op, f, sub, view, data, m)
+	return sub, plan, record
 }
 
-// executable converts a group's planning record into the schedule the
+// executable converts group gi's planning record into the schedule the
 // round engine runs: one domain per placement with coverage windows
 // sized by its buffer, the partition tree's adjacent leaf as failover
 // sibling, the snapshot availability arming the memory-exhaustion
 // predicate, and the leader map of the chosen exchange layering. Only
 // the live collective pays for it; the offline planner stops at the
 // record.
-func (mc MCCIO) executable(gp *GroupPlan, memberSegs []datatype.List, nodeAvail map[int]int64) *collio.Plan {
+func (mc MCCIO) executable(gi int, gp *GroupPlan, memberSegs []datatype.List, nodeAvail map[int]int64) *collio.Plan {
 	// Exact writes: groups aggregate disjoint data that interleaves in
 	// the file, so an extent RMW in one group could overwrite another
 	// group's concurrent writes with stale bytes.
-	plan := &collio.Plan{Exts: make([]collio.Ext, len(memberSegs)), ExactWrite: true, MemMin: mc.Opts.Memmin}
+	plan := &collio.Plan{Group: gi, Exts: make([]collio.Ext, len(memberSegs)), ExactWrite: true, MemMin: mc.Opts.Memmin}
 	for i, segs := range memberSegs {
 		l, h := segs.Extent()
 		plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
@@ -286,7 +292,6 @@ func (mc MCCIO) executable(gp *GroupPlan, memberSegs []datatype.List, nodeAvail 
 			NodeAvail: nodeAvail[gp.NodeOfRank[pl.Agg]],
 		})
 	}
-	plan.Rounds = plan.MaxRounds()
 	if el := gp.election; el != nil {
 		plan.LeaderOf = el.LeaderOf
 		plan.LeaderSucc = el.Succ

@@ -6,16 +6,21 @@ package twolayer_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/datatype"
 	"repro/internal/explain"
 	"repro/internal/faults"
 	"repro/internal/iolib"
+	"repro/internal/mpi"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
+	"repro/internal/trace"
 	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
@@ -235,5 +240,59 @@ func TestLeaderFailover(t *testing.T) {
 	}
 	if sched.Unrecovered() != 0 {
 		t.Fatalf("unrecovered = %d, want 0 (three surviving mates on the node)", sched.Unrecovered())
+	}
+}
+
+// TestLeaderFailoverLeavesElectionAlone: the plan's leader map is the
+// election's own slice, and a runtime handoff used to be written through
+// it into the record Audit, Explain and /v1/plan read. Under the leader
+// fault schedule (ranks 0 and 4, two elected leaders, die mid-collective)
+// every rank's election must come back from the run deep-equal to a
+// clone taken before it.
+func TestLeaderFailoverLeavesElectionAlone(t *testing.T) {
+	spec, err := faults.LoadSpec("../../examples/chaos-leader.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.NewSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := cluster.New(testMachine(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := pfs.New(testFS(), machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := simtime.NewEngine()
+	world, err := mpi.NewWorld(engine, machine, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world.SetFaults(sched)
+	file := iolib.Open(fs, "x")
+	wl := workload.IOR{Ranks: 16, BlockSize: 32 << 10, Segments: 3}
+	world.Start(func(c *mpi.Comm) {
+		view := wl.View(c.Rank())
+		plan, el := twolayer.Strategy{CBBuffer: collio.BufFloor}.BuildPlan(c, view)
+		before := *el
+		before.Leaders = slices.Clone(el.Leaders)
+		before.LeaderOf = slices.Clone(el.LeaderOf)
+		before.Succ = slices.Clone(el.Succ)
+		for i := range before.Succ {
+			before.Succ[i] = slices.Clone(el.Succ[i])
+		}
+		plan.Run("write", file, c, view, buffer.NewPhantom(view.TotalBytes()), &trace.Metrics{})
+		if !reflect.DeepEqual(*el, before) {
+			t.Errorf("rank %d: the run rewrote the election: leader map %v, elected %v", c.Rank(), el.LeaderOf, before.LeaderOf)
+		}
+	})
+	if err := engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sched.Failovers() < 2 || sched.Unrecovered() != 0 {
+		t.Errorf("failovers %d unrecovered %d, want both leaders handed off", sched.Failovers(), sched.Unrecovered())
 	}
 }
