@@ -307,6 +307,37 @@ func TestTwoPhaseEmptyViewsEverywhere(t *testing.T) {
 	}
 }
 
+// TestTwoPhaseBuildPlanSharedByEveryRank: the plan is built once per
+// call and every rank holds the same pointer, as it does the metadata
+// it was built from — with data and without.
+func TestTwoPhaseBuildPlanSharedByEveryRank(t *testing.T) {
+	const p = 6
+	e, m, _ := testRig(t, 2, 3, 64*cluster.MiB)
+	w, err := mpi.NewWorld(e, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([][2]*Plan, p)
+	w.Start(func(c *mpi.Comm) {
+		for call, view := range []datatype.List{interleavedView(c.Rank(), p, 4, 4<<10), nil} {
+			plans[c.Rank()][call] = TwoPhase{CBBuffer: 16 << 10}.BuildPlan(c, view)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if plans[0][0] == plans[0][1] {
+		t.Fatal("two calls returned one plan")
+	}
+	for r := range plans {
+		for call, plan := range plans[r] {
+			if plan != plans[0][call] || &plan.Exts[0] != &plans[0][call].Exts[0] {
+				t.Errorf("call %d: rank %d holds its own plan or extents", call, r)
+			}
+		}
+	}
+}
+
 func TestTwoPhaseOneRankHasAllData(t *testing.T) {
 	e, m, fs := testRig(t, 2, 2, 64*cluster.MiB)
 	w, err := mpi.NewWorld(e, m, 4)

@@ -184,7 +184,8 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 }
 
 // plannedStrategy runs a plan builder through the round engine,
-// optionally with a leader map stamped on the plan.
+// optionally with a leader map stamped on a copy of the plan (the built
+// one is shared by every rank and nobody writes it).
 type plannedStrategy struct {
 	build   func(c *mpi.Comm, view datatype.List) *Plan
 	leaders func(c *mpi.Comm) []int // nil: the flat exchange
@@ -194,10 +195,12 @@ func (s plannedStrategy) Name() string { return "planned" }
 
 func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) *Plan {
 	plan := s.build(c, view)
-	if s.leaders != nil {
-		plan.LeaderOf = s.leaders(c)
+	if s.leaders == nil {
+		return plan
 	}
-	return plan
+	p := *plan
+	p.LeaderOf = s.leaders(c)
+	return &p
 }
 
 // lowestRankLeaders is the reference topology: every rank follows the

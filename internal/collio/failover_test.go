@@ -386,11 +386,14 @@ func TestFailoverProperty(t *testing.T) {
 
 // sharedPlan wraps a plan builder so that every rank of the world gets
 // one and the same *Plan — the first built — for every collective of the
-// test, and remembers what it looked like before anyone ran it.
+// test, and remembers what it looked like before anyone ran it. own
+// counts the ranks whose builder handed them a plan of their own, which
+// a builder that shares its plan itself (BuildPlan) never does.
 type sharedPlan struct {
 	build  func(c *mpi.Comm, view datatype.List) *Plan
 	plan   *Plan
 	before *Plan
+	own    int
 }
 
 func (s *sharedPlan) get(c *mpi.Comm, view datatype.List) *Plan {
@@ -398,16 +401,19 @@ func (s *sharedPlan) get(c *mpi.Comm, view datatype.List) *Plan {
 		// Collective: every rank is in here before the first one returns.
 		if p := s.build(c, view); s.plan == nil {
 			s.plan, s.before = p, clonePlan(p)
+		} else if p != s.plan {
+			s.own++
 		}
 	}
 	return s.plan
 }
 
-// withElection stamps the reference election on a built plan: lowest
-// rank per node leads, the node's ranks ascending are its succession.
+// withElection stamps the reference election on a copy of a built plan:
+// lowest rank per node leads, the node's ranks ascending are its
+// succession.
 func withElection(build func(*mpi.Comm, datatype.List) *Plan) func(*mpi.Comm, datatype.List) *Plan {
 	return func(c *mpi.Comm, view datatype.List) *Plan {
-		p := build(c, view)
+		p := *build(c, view)
 		p.LeaderOf = lowestRankLeaders(c)
 		p.LeaderSucc = make([][]int, c.Size())
 		for r, l := range p.LeaderOf {
@@ -416,43 +422,50 @@ func withElection(build func(*mpi.Comm, datatype.List) *Plan) func(*mpi.Comm, da
 		for r, l := range p.LeaderOf {
 			p.LeaderSucc[r] = p.LeaderSucc[l]
 		}
-		return p
+		return &p
 	}
 }
 
-// withMemMin arms the memory-exhaustion predicate on a built plan.
+// withMemMin arms the memory-exhaustion predicate on a copy of a built
+// plan.
 func withMemMin(build func(*mpi.Comm, datatype.List) *Plan, avail, memMin int64) func(*mpi.Comm, datatype.List) *Plan {
 	return func(c *mpi.Comm, view datatype.List) *Plan {
-		p := build(c, view)
+		p := *build(c, view)
 		p.MemMin = memMin
+		p.Domains = slices.Clone(p.Domains)
 		for i := range p.Domains {
 			p.Domains[i].NodeAvail = avail
 		}
-		return p
+		return &p
 	}
 }
 
 // TestPlanUnchangedByRun hands one *Plan pointer to every rank — the
-// case the old in-place failover needed guards for — and to the write
-// and the read after it, under schedules that make the collective fail
-// over: every byte verifies, failovers happened, and the plan is
-// deep-equal to its clone from before the first run.
+// case the old in-place failover needed guards for, and what BuildPlan
+// itself does now — and to the write and the read after it, under
+// schedules that make the collective fail over: every byte verifies,
+// failovers happened, and the plan is deep-equal to its clone from
+// before the first run. (The two-layer strategy's shared plan is held to
+// the same under its leader and node schedules in package twolayer.)
 func TestPlanUnchangedByRun(t *testing.T) {
 	even := TwoPhase{CBBuffer: BufFloor}.BuildPlan
 	for _, tc := range []struct {
-		name  string
-		build func(*mpi.Comm, datatype.List) *Plan
-		spec  faults.Spec
+		name   string
+		build  func(*mpi.Comm, datatype.List) *Plan
+		shares bool // the builder hands every rank one plan itself
+		spec   faults.Spec
 	}{
-		{"even split, node failure", even,
+		{"even split, node failure", even, true,
 			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 1, Round: 2}}}},
-		{"elected leaders, rank failure", withElection(even),
+		{"even split, two node failures", even, true,
+			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 1}, {Node: 2, Round: 3}}}},
+		{"elected leaders, rank failure", withElection(even), false,
 			faults.Spec{RankFailures: []faults.RankFailure{{Rank: 0, Round: 1}, {Rank: 2, Round: 3}}}},
-		{"elected leaders, node and rank failure in one round", withElection(even),
+		{"elected leaders, node and rank failure in one round", withElection(even), false,
 			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 2}}, RankFailures: []faults.RankFailure{{Rank: 2, Round: 2}}}},
-		{"grouped exact-write, memory pressure", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20),
+		{"grouped exact-write, memory pressure", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20), false,
 			faults.Spec{MemPressure: []faults.MemPressure{{Node: 2, Round: 1, Bytes: 6 << 20}}}},
-		{"grouped exact-write, node failure then its taker's", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20),
+		{"grouped exact-write, node failure then its taker's", withMemMin(groupedPlan(32<<10), 8<<20, 4<<20), false,
 			faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 1}, {Node: 1, Round: 3}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -477,6 +490,9 @@ func TestPlanUnchangedByRun(t *testing.T) {
 			}
 			if !reflect.DeepEqual(shared.plan, shared.before) {
 				t.Errorf("the run wrote the shared plan:\n%+v\n%+v", shared.plan, shared.before)
+			}
+			if tc.shares && shared.own != 0 {
+				t.Errorf("%d ranks were built a plan of their own", shared.own)
 			}
 		})
 	}

@@ -65,10 +65,10 @@ type Domain struct {
 	NodeAvail int64
 }
 
-// Plan is a complete collective schedule, computed identically by every
-// rank from allgathered metadata, or once per group and shared by
-// pointer: constructors fill it and nobody writes it afterwards (what a
-// runtime fault changes lives in each rank's overlay, failover.go).
+// Plan is a complete collective schedule, computed once per collective
+// call (or per group) and shared by pointer with every rank:
+// constructors fill it and nobody writes it afterwards (what a runtime
+// fault changes lives in each rank's overlay, failover.go).
 type Plan struct {
 	Domains []Domain
 	Exts    []Ext // per comm rank, from the strategy's allgather

@@ -35,38 +35,54 @@ type TwoPhase struct {
 // Name implements iolib.Collective.
 func (tp TwoPhase) Name() string { return "two-phase" }
 
+// gathered is GatherMeta's decode of one collective call, shared by
+// every member.
+type gathered struct {
+	exts   []Ext
+	nodeOf []int
+	avail  []int64
+	empty  bool
+}
+
 // GatherMeta is the planning prelude of the single-group strategies:
 // every rank contributes its access extent and, unless nobody has
-// data, its node's physically available memory, so every rank can size
-// every aggregator's effective buffer identically. nodeOf and avail
-// are nil when nobody has data (the availability gather is skipped).
+// data, its node's physically available memory, so every aggregator's
+// effective buffer can be sized from one snapshot. The decode runs once
+// per call and every rank gets the same slices (mpi.Shared), which
+// nobody may write. nodeOf and avail are nil when nobody has data (the
+// availability gather is skipped).
 func GatherMeta(c *mpi.Comm, view datatype.List) (exts []Ext, nodeOf []int, avail []int64) {
 	lo, hi := view.Extent()
 	raw := c.Allgather(Ext{Lo: lo, Hi: hi}, extBytes)
-	exts = make([]Ext, len(raw))
-	empty := true
-	for i, v := range raw {
-		exts[i] = v.(Ext)
-		empty = empty && exts[i].Empty()
-	}
-	if empty { // nobody has data; skip the availability gather
-		return exts, nil, nil
+	g := mpi.Shared(c, func() *gathered {
+		g := &gathered{exts: make([]Ext, len(raw)), empty: true}
+		for i, v := range raw {
+			g.exts[i] = v.(Ext)
+			g.empty = g.empty && g.exts[i].Empty()
+		}
+		return g
+	})
+	if g.empty { // nobody has data; skip the availability gather
+		return g.exts, nil, nil
 	}
 	availRaw := c.Allgather(c.World().Machine().Node(c.NodeOf(c.Rank())).Available(), 8)
-	nodeOf = make([]int, c.Size())
-	avail = make([]int64, c.Size())
-	for r := range nodeOf {
-		nodeOf[r] = c.NodeOf(r)
-		avail[r] = availRaw[r].(int64)
-	}
-	return exts, nodeOf, avail
+	g = mpi.Shared(c, func() *gathered {
+		full := &gathered{exts: g.exts, nodeOf: make([]int, len(raw)), avail: make([]int64, len(raw))}
+		for r := range full.nodeOf {
+			full.nodeOf[r] = c.NodeOf(r)
+			full.avail[r] = availRaw[r].(int64)
+		}
+		return full
+	})
+	return g.exts, g.nodeOf, g.avail
 }
 
 // BuildPlan computes the baseline schedule. Every rank calls it inside
-// the collective; the result is identical everywhere because it is a
-// pure function of allgathered metadata.
+// the collective; the plan is a pure function of allgathered metadata,
+// built once per call and shared by pointer (mpi.Shared).
 func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
-	return tp.PlanFromMeta(GatherMeta(c, view))
+	exts, nodeOf, avail := GatherMeta(c, view)
+	return mpi.Shared(c, func() *Plan { return tp.PlanFromMeta(exts, nodeOf, avail) })
 }
 
 // PlanFromMeta builds the baseline schedule from already-gathered

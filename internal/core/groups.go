@@ -65,8 +65,9 @@ func DivideGroups(nodeOf func(rank int) int, bytes []int64, msggroup int64) []Gr
 // better-provisioned neighbour. Without this, an unlucky run of
 // memory-poor nodes becomes a group whose single aggregator grinds
 // through hundreds of rounds while the rest of the machine idles.
+// nodeAvail is indexed by node.
 func DivideGroupsMemAware(nodeOf func(rank int) int, bytes []int64, msggroup int64,
-	nodeAvail func(node int) int64, minAvail int64) []Group {
+	nodeAvail []int64, minAvail int64) []Group {
 	groups := DivideGroups(nodeOf, bytes, msggroup)
 	if len(groups) <= 1 {
 		return groups
@@ -76,14 +77,14 @@ func DivideGroupsMemAware(nodeOf func(rank int) int, bytes []int64, msggroup int
 	availOf := func(g Group) int64 {
 		var sum int64
 		for node := nodeOf(g.First); node <= nodeOf(g.Last); node++ {
-			sum += nodeAvail(node)
+			sum += nodeAvail[node]
 		}
 		return sum
 	}
 	maxAvailOf := func(g Group) int64 {
 		var max int64
 		for node := nodeOf(g.First); node <= nodeOf(g.Last); node++ {
-			if a := nodeAvail(node); a > max {
+			if a := nodeAvail[node]; a > max {
 				max = a
 			}
 		}

@@ -17,9 +17,10 @@ type InspectResult struct {
 
 // Inspect runs MCCIO's planning pipeline (group division, workload
 // partition, remerging, aggregator location) outside the simulator:
-// the same divideGroups and planGroup the live collective runs, fed
-// from the machine instead of an allgather. views[r] is rank r's file
-// view; ranks map to nodes block-wise on the machine.
+// the same group division and planGroup the live collective runs, fed
+// from the machine instead of an allgather — one availability snapshot
+// per node for both. views[r] is rank r's file view; ranks map to nodes
+// block-wise on the machine.
 func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*InspectResult, error) {
 	if err := mc.Opts.Validate(); err != nil {
 		return nil, err
@@ -29,24 +30,27 @@ func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*Inspe
 		return nil, fmt.Errorf("core: %d views for machine of %d ranks", n, machine.NumRanks())
 	}
 	bytesPer := make([]int64, n)
+	var total int64
 	for r, v := range views {
 		bytesPer[r] = v.TotalBytes()
+		total += bytesPer[r]
 	}
 	nodeOf := machine.NodeOfRank
-	availOf := func(node int) int64 { return machine.Node(node).Available() }
+	avail := make([]int64, machine.NumNodes())
+	for node := range avail {
+		avail[node] = machine.Node(node).Available()
+	}
 	rec := machine.Explain()
-	groups, _ := mc.Opts.divideGroups("inspect", nodeOf, bytesPer, availOf, rec)
+	groups := DivideGroupsMemAware(nodeOf, bytesPer, mc.Opts.msggroup(), avail, mc.Opts.Memmin)
+	auditGroups(rec, "inspect", total, mc.Opts.msggroup(), groups)
 
 	res := &InspectResult{Groups: groups, Plans: make([]GroupPlan, 0, len(groups))}
 	for gi, g := range groups {
 		nodeOfRank := make([]int, 0, g.Last-g.First+1)
-		nodeAvail := make(map[int]int64)
 		for r := g.First; r <= g.Last; r++ {
-			node := nodeOf(r)
-			nodeOfRank = append(nodeOfRank, node)
-			nodeAvail[node] = availOf(node)
+			nodeOfRank = append(nodeOfRank, nodeOf(r))
 		}
-		gp := mc.Opts.planGroup(gi, g, views[g.First:g.Last+1], nodeOfRank, nodeAvail, rec)
+		gp := mc.Opts.planGroup(gi, g, views[g.First:g.Last+1], nodeOfRank, groupAvail(nodeOfRank, avail), rec)
 		gp.election.Explain(rec, gi)
 		res.Plans = append(res.Plans, gp)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/datatype"
-	"repro/internal/explain"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -158,40 +157,14 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 	t := c.Tracer()
 	psp := t.Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: -1, Round: -1})
 	machine := c.World().Machine()
-	lo, hi := view.Extent()
-	meta := rankMeta{
-		Ext:       collio.Ext{Lo: lo, Hi: hi},
-		Bytes:     view.TotalBytes(),
-		Node:      c.NodeOf(c.Rank()),
-		NodeAvail: machine.Node(c.NodeOf(c.Rank())).Available(),
-		NumSegs:   len(view),
-	}
-	raw := c.Allgather(meta, rankMetaBytes)
-	metas := make([]rankMeta, len(raw))
-	bytesPer := make([]int64, len(raw))
-	for i, v := range raw {
-		metas[i] = v.(rankMeta)
-		bytesPer[i] = metas[i].Bytes
-	}
 
-	// Aggregation Group Division: every rank divides identically; rank 0
-	// alone records the outcome.
-	nodeAvailOf := func(node int) int64 {
-		for _, mt := range metas {
-			if mt.Node == node {
-				return mt.NodeAvail
-			}
-		}
-		return 0
-	}
-	var rec *explain.Recorder
+	// Aggregation Group Division: derived once for the whole call and
+	// shared; rank 0 alone records the outcome.
+	d := mc.divide(c, view)
+	groups := d.groups
 	if c.Rank() == 0 {
-		rec = machine.Explain()
-	}
-	groups, total := mc.Opts.divideGroups(op, func(r int) int { return metas[r].Node }, bytesPer, nodeAvailOf, rec)
-	colors := ColorOf(groups, c.Size())
-	if c.Rank() == 0 {
-		t.Instant(obs.EventGroupDivision, obs.Loc{Rank: c.WorldRank(0), Node: c.NodeOf(0), Group: -1, Round: -1}, total, int64(len(groups)))
+		auditGroups(machine.Explain(), op, d.total, mc.Opts.msggroup(), groups)
+		t.Instant(obs.EventGroupDivision, obs.Loc{Rank: c.WorldRank(0), Node: c.NodeOf(0), Group: -1, Round: -1}, d.total, int64(len(groups)))
 		// Planner metrics: one rank records the group count and the
 		// memory-availability snapshot the whole plan worked from, so the
 		// exposition reflects exactly what placement saw.
@@ -199,18 +172,17 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 		reg.Counter("mccio_plan_groups_total",
 			"Aggregation groups formed by group division.", "op", op).Add(float64(len(groups)))
 		seen := make(map[int]bool)
-		for _, mt := range metas {
-			if seen[mt.Node] {
-				continue
+		for r := 0; r < c.Size(); r++ {
+			if node := c.NodeOf(r); !seen[node] {
+				seen[node] = true
+				reg.Gauge("mccio_plan_node_mem_avail_bytes",
+					"Aggregation-memory headroom per node in the planner's consistent snapshot.",
+					"node", strconv.Itoa(node)).Set(float64(d.avail[node]))
 			}
-			seen[mt.Node] = true
-			reg.Gauge("mccio_plan_node_mem_avail_bytes",
-				"Aggregation-memory headroom per node in the planner's consistent snapshot.",
-				"node", strconv.Itoa(mt.Node)).Set(float64(mt.NodeAvail))
 		}
 	}
 	m.SetGroups(len(groups))
-	gi := colors[c.Rank()]
+	gi := d.colors[c.Rank()]
 	sub := c.Split(gi, 0)
 
 	// In-group exchange of full request lists: the group root learns
@@ -230,12 +202,8 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 			memberSegs[i] = v.(segsMsg).segs
 			nodeOfRank[i] = sub.NodeOf(i)
 		}
-		// Aggregator Location works from the consistent availability
-		// snapshot of the global allgather.
-		nodeAvail := make(map[int]int64)
-		for _, mt := range metas[g.First : g.Last+1] {
-			nodeAvail[mt.Node] = mt.NodeAvail
-		}
+		// Aggregator Location works from the snapshot group division used.
+		nodeAvail := groupAvail(nodeOfRank, d.avail)
 		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, machine.Explain())
 		record, remerges = &gp, gp.Remerges
 		plan = mc.executable(gi, &gp, memberSegs, nodeAvail)
@@ -265,6 +233,42 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 		m.AddRemerge()
 	}
 	return sub, plan, record
+}
+
+// division is one collective call's group-division outcome, a pure
+// function of the allgathered metas that every member shares.
+type division struct {
+	groups []Group
+	colors []int   // comm rank -> group index
+	avail  []int64 // node -> the availability its first rank reported
+	total  int64   // requested bytes over all ranks
+}
+
+// divide allgathers every rank's metadata and divides the communicator
+// into aggregation groups, deriving the division once for all members
+// (mpi.Shared).
+func (mc MCCIO) divide(c *mpi.Comm, view datatype.List) *division {
+	machine := c.World().Machine()
+	lo, hi := view.Extent()
+	node := c.NodeOf(c.Rank())
+	raw := c.Allgather(rankMeta{
+		Ext: collio.Ext{Lo: lo, Hi: hi}, Bytes: view.TotalBytes(),
+		Node: node, NodeAvail: machine.Node(node).Available(), NumSegs: len(view),
+	}, rankMetaBytes)
+	return mpi.Shared(c, func() *division {
+		nodeOf := make([]int, len(raw))
+		bytesPer := make([]int64, len(raw))
+		d := &division{avail: make([]int64, machine.NumNodes())}
+		// Backwards, so each node's entry ends as its first rank's report.
+		for r := len(raw) - 1; r >= 0; r-- {
+			mt := raw[r].(rankMeta)
+			nodeOf[r], bytesPer[r], d.avail[mt.Node] = mt.Node, mt.Bytes, mt.NodeAvail
+			d.total += mt.Bytes
+		}
+		d.groups = DivideGroupsMemAware(func(r int) int { return nodeOf[r] }, bytesPer, mc.Opts.msggroup(), d.avail, mc.Opts.Memmin)
+		d.colors = ColorOf(d.groups, len(raw))
+		return d
+	})
 }
 
 // executable converts group gi's planning record into the schedule the

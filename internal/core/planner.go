@@ -29,23 +29,23 @@ type GroupPlan struct {
 	election *twolayer.Election // Leaders' full outcome (leader map, succession)
 }
 
-// divideGroups is the Aggregation Group Division prelude shared by the
-// live collective and Inspect: the memory-aware division under the
-// effective Msggroup, recorded in the decision audit as op. It returns
-// the groups and the total requested bytes.
-func (o Options) divideGroups(op string, nodeOf func(rank int) int, bytesPer []int64,
-	nodeAvail func(node int) int64, rec *explain.Recorder) ([]Group, int64) {
-	msggroup := o.Msggroup
+// msggroup is the effective Msggroup group division works from (live and
+// Inspect alike): 0, one group, under DisableGroups.
+func (o Options) msggroup() int64 {
 	if o.DisableGroups {
-		msggroup = 0
+		return 0
 	}
-	groups := DivideGroupsMemAware(nodeOf, bytesPer, msggroup, nodeAvail, o.Memmin)
-	var total int64
-	for _, b := range bytesPer {
-		total += b
+	return o.Msggroup
+}
+
+// groupAvail is one group's view of the per-node availability snapshot
+// division used: the map planGroup works from.
+func groupAvail(nodeOfRank []int, avail []int64) map[int]int64 {
+	m := make(map[int]int64)
+	for _, node := range nodeOfRank {
+		m[node] = avail[node]
 	}
-	auditGroups(rec, op, total, msggroup, groups)
-	return groups, total
+	return m
 }
 
 // planGroup plans aggregation group gi: I/O Workload Partition,

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 
 	"repro/internal/explain"
 	"repro/internal/faults"
@@ -28,6 +30,7 @@ type Comm struct {
 	rank     int   // my rank within this communicator
 	group    []int // comm rank -> world rank
 	splitSeq int   // lockstep counter deriving split contexts
+	shares   int   // lockstep counter naming shared slots (Shared)
 
 	sparse *SparseExchange // cached SparseScratch result, lazily built
 	ag     *ringTask       // allgather state, lazily built (ring.go)
@@ -225,21 +228,60 @@ func (c *Comm) Bcast(root int, v any, bytes int64) any {
 	return v
 }
 
+// sharedKey names one shared slot: a communicator and a call number.
+type sharedKey struct {
+	ctx uint64
+	seq int
+}
+
+// sharedSlot holds one call's value until every member has taken it.
+type sharedSlot struct {
+	kind string // the value's type, which every member's call must match
+	v    any
+	left int // members yet to take it
+}
+
+// Shared returns f's value to every member of c: the first member to
+// call it runs f, the others receive that same value, and the slot is
+// dropped once the last member has taken it. It schedules no event and
+// charges no simulated time. Every member must call it at the same point
+// of its collective sequence, and nobody may write the value afterwards;
+// a member whose call does not match the slot's kind panics.
+func Shared[T any](c *Comm, f func() T) T {
+	c.shares++
+	k, kind := sharedKey{ctx: c.ctx, seq: c.shares}, reflect.TypeFor[T]().String()
+	s := c.w.shared[k]
+	if s == nil {
+		s = &sharedSlot{kind: kind, v: f(), left: len(c.group)}
+		c.w.shared[k] = s
+	} else if s.kind != kind {
+		panic(fmt.Sprintf("mpi: comm%x shared call #%d: rank %d calls %s, the slot holds %s", c.ctx, k.seq, c.rank, kind, s.kind))
+	}
+	if s.left--; s.left == 0 {
+		delete(c.w.shared, k)
+	}
+	return s.v.(T)
+}
+
+// allgathered is an Allgather result: a shared slot's value of its own
+// kind.
+type allgathered []any
+
 // Allgather collects one value from every member on every member, via
 // the ring algorithm (p−1 steps, each carrying one block). bytes is the
-// charged size of each member's value. Result is indexed by comm rank.
+// charged size of each member's value. Result is indexed by comm rank;
+// it is one slice for all members (Shared), so nobody may write it.
 //
 // The ring runs as an engine-driven task (ring.go): the caller starts
 // it, parks at most once, and is resumed by the step that completes it.
+// Each member fills in its own entry; the ring carries no values, only
+// the waits that order them.
 func (c *Comm) Allgather(v any, bytes int64) []any {
-	out := make([]any, len(c.group))
+	out := Shared(c, func() allgathered { return make(allgathered, len(c.group)) })
 	out[c.rank] = v
-	if len(out) == 1 {
-		return out
-	}
-	if t := c.ringTask(); !t.start(out, bytes) {
-		t.parked = true
-		c.p.Park(t)
+	if len(out) > 1 && !c.ringTask().start(bytes) {
+		c.ag.parked = true
+		c.p.Park(c.ag)
 	}
 	return out
 }
@@ -363,33 +405,37 @@ func (c *Comm) Split(color, key int) *Comm {
 // splitInfoBytes is the charged size of one splitInfo record.
 const splitInfoBytes = 12
 
+// splitTable is one Split's outcome for all members: each color's group
+// (shared like the world identity) and each old rank's new rank.
+type splitTable struct {
+	groups map[int][]int
+	rank   []int
+}
+
 // splitFrom builds the caller's new communicator from every member's
-// allgathered splitInfo.
+// allgathered splitInfo, sorted once into a table all members share.
 func (c *Comm) splitFrom(infos []any, color int) *Comm {
-	var mine []splitInfo
-	for _, v := range infos {
-		si := v.(splitInfo)
-		if si.color == color {
-			mine = append(mine, si)
+	t := Shared(c, func() *splitTable {
+		all := make([]splitInfo, len(infos))
+		for i, v := range infos {
+			all[i] = v.(splitInfo)
 		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
+		slices.SortFunc(all, func(a, b splitInfo) int {
+			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.rank, b.rank))
+		})
+		t := &splitTable{groups: make(map[int][]int), rank: make([]int, len(all))}
+		world := make([]int, len(all))
+		for i, j := 0, 0; i < len(all); i = j {
+			for ; j < len(all) && all[j].color == all[i].color; j++ {
+				world[j], t.rank[all[j].rank] = c.group[all[j].rank], j-i
+			}
+			t.groups[all[i].color] = world[i:j:j]
 		}
-		return mine[i].rank < mine[j].rank
+		return t
 	})
-	group := make([]int, len(mine))
-	newRank := -1
-	for i, si := range mine {
-		group[i] = c.group[si.rank]
-		if si.rank == c.rank {
-			newRank = i
-		}
-	}
 	// All members derive the same context deterministically; the split
 	// counter advances in lockstep under the SPMD contract.
 	c.splitSeq++
 	ctx := c.ctx*0x100000001b3 ^ uint64(c.splitSeq)<<20 ^ uint64(color+1)
-	return &Comm{w: c.w, p: c.p, ctx: ctx, rank: newRank, group: group}
+	return &Comm{w: c.w, p: c.p, ctx: ctx, rank: t.rank[c.rank], group: t.groups[color]}
 }

@@ -38,13 +38,14 @@ type ringKey struct {
 }
 
 // ringMsg is one ring block on its way from a member to its right
-// neighbour.
+// neighbour. It carries no value: every member reads the blocks from the
+// one shared result slice, filled in by their owners before they sent
+// them, so the ring only has to reproduce when each member may proceed.
 type ringMsg struct {
-	at      float64 // inter-node: the instant its arrival event fires
-	landed  bool    // arrived; the owner may take it
-	seq     int     // the sender's allgather sequence number on the comm
-	step    int
-	payload any
+	at     float64 // inter-node: the instant its arrival event fires
+	landed bool    // arrived; the owner may take it
+	seq    int     // the sender's allgather sequence number on the comm
+	step   int
 }
 
 // ringInbox holds the blocks a member's left neighbour has sent it and
@@ -76,17 +77,17 @@ func (w *World) ring(ctx uint64, rank int) *ringInbox {
 
 // put appends a block that has already arrived (intra-node: the sender
 // hands it over itself once its bus pass is done).
-func (in *ringInbox) put(seq, step int, v any) {
-	in.q = append(in.q, ringMsg{seq: seq, step: step, payload: v})
+func (in *ringInbox) put(seq, step int) {
+	in.q = append(in.q, ringMsg{seq: seq, step: step})
 	in.arrived(len(in.q) - 1)
 }
 
 // fly appends a block in flight and schedules its arrival. The event
 // time is spelled now+(arrival−now), as World.deliver spells it, so the
 // two agree to the last bit.
-func (in *ringInbox) fly(arrival float64, seq, step int, v any) {
+func (in *ringInbox) fly(arrival float64, seq, step int) {
 	d := arrival - in.e.Now()
-	in.q = append(in.q, ringMsg{at: in.e.Now() + d, seq: seq, step: step, payload: v})
+	in.q = append(in.q, ringMsg{at: in.e.Now() + d, seq: seq, step: step})
 	in.e.After(d, in.land)
 }
 
@@ -118,24 +119,23 @@ func (in *ringInbox) arrived(i int) {
 	}
 }
 
-// take removes and returns the head block if it has landed. The owner
-// names the (sequence, step) it expects; anything else at the head
-// means the members did not issue their allgathers in the same order.
-func (in *ringInbox) take(seq, step int) (any, bool) {
+// take removes the head block if it has landed and reports whether it
+// did. The owner names the (sequence, step) it expects; anything else at
+// the head means the members did not issue their allgathers in the same
+// order.
+func (in *ringInbox) take(seq, step int) bool {
 	if in.head == len(in.q) || !in.q[in.head].landed {
-		return nil, false
+		return false
 	}
-	m := in.q[in.head]
-	if m.seq != seq || m.step != step {
+	if m := in.q[in.head]; m.seq != seq || m.step != step {
 		panic(fmt.Sprintf("mpi: ring inbox holds allgather #%d step %d, receiver expects #%d step %d", m.seq, m.step, seq, step))
 	}
-	in.q[in.head] = ringMsg{} // release the payload reference
 	in.head++
 	if in.head == len(in.q) {
 		in.q = in.q[:0]
 		in.head, in.next = 0, 0
 	}
-	return m.payload, true
+	return true
 }
 
 // ringTask is one member's allgather state: where a coroutine's program
@@ -148,8 +148,7 @@ type ringTask struct {
 	rightRank int        // world rank of the right neighbour
 	resume    func()     // t.advance, bound once
 
-	seq    int   // allgathers started on this comm, this one included
-	out    []any // the running call's result
+	seq    int // allgathers started on this comm, this one included
 	bytes  int64
 	step   int
 	phase  ringPhase
@@ -182,13 +181,13 @@ func (c *Comm) ringTask() *ringTask {
 	return c.ag
 }
 
-// start begins an allgather into out, which already holds the caller's
-// own block, and reports whether it ran to completion without waiting.
-func (t *ringTask) start(out []any, bytes int64) bool {
+// start begins an allgather and reports whether it ran to completion
+// without waiting.
+func (t *ringTask) start(bytes int64) bool {
 	t.seq++
-	t.out, t.bytes, t.step, t.phase = out, bytes, 0, ringSend
+	t.bytes, t.step, t.phase = bytes, 0, ringSend
 	t.advance()
-	return t.out == nil
+	return t.step == len(t.c.group)-1
 }
 
 // advance runs the ring from wherever it stopped until it must wait
@@ -200,18 +199,12 @@ func (t *ringTask) advance() {
 	w := c.w
 	p := len(c.group)
 	for {
-		// The block sent at step s is the one received at step s−1 (my
-		// own at step 0); the block received sits one slot to its left.
-		idx := c.rank - t.step
-		if idx < 0 {
-			idx += p
-		}
 		switch t.phase {
 		case ringSend:
 			var free, arrival float64
 			free, arrival, t.intra = w.inject(c.group[c.rank], t.rightRank, c.ctx, tagAllgather+stepTag(t.step), t.bytes)
 			if !t.intra {
-				t.right.fly(arrival, t.seq, t.step, t.out[idx])
+				t.right.fly(arrival, t.seq, t.step)
 			}
 			t.phase = ringSent
 			if !w.engine.ContinueAt(free, t.resume) {
@@ -219,23 +212,17 @@ func (t *ringTask) advance() {
 			}
 		case ringSent:
 			if t.intra {
-				t.right.put(t.seq, t.step, t.out[idx])
+				t.right.put(t.seq, t.step)
 			}
 			t.phase = ringRecv
 		case ringRecv:
-			v, ok := t.in.take(t.seq, t.step)
-			if !ok {
+			if !t.in.take(t.seq, t.step) {
 				t.in.waiter = t
 				return
 			}
-			if idx--; idx < 0 {
-				idx += p
-			}
-			t.out[idx] = v
 			t.step++
 			t.phase = ringSend
 			if t.step == p-1 {
-				t.out = nil
 				if t.parked {
 					t.parked = false
 					w.engine.Resume(c.p)

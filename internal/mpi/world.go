@@ -72,6 +72,7 @@ type World struct {
 	boxes    map[msgKey]*mailbox
 	barriers map[uint64]*simtime.Barrier // per communicator context
 	rings    map[ringKey]*ringInbox      // per (context, member), see ring.go
+	shared   map[sharedKey]*sharedSlot   // per (context, call), see Shared
 	identity []int                       // the world group, shared by every world communicator
 
 	met worldMetrics
@@ -127,6 +128,7 @@ func NewWorld(e *simtime.Engine, m *cluster.Machine, size int) (*World, error) {
 		boxes:    make(map[msgKey]*mailbox),
 		barriers: make(map[uint64]*simtime.Barrier),
 		rings:    make(map[ringKey]*ringInbox),
+		shared:   make(map[sharedKey]*sharedSlot),
 		identity: make([]int, size),
 		met:      newWorldMetrics(m.Metrics()),
 	}

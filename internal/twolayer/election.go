@@ -44,8 +44,8 @@ type Election struct {
 // Avail - Span on its node and the highest score wins (ties to the
 // lowest rank), so the funnel endpoint lands on the mate with the most
 // memory headroom relative to the data it already stages. A pure
-// function of allgathered metadata — every rank computes the identical
-// outcome, the SPMD contract all plan building relies on.
+// function of allgathered metadata: the live strategy runs it once per
+// collective call and shares the outcome with every rank (mpi.Shared).
 func Elect(nodeOf []int, avail, span []int64) *Election {
 	n := len(nodeOf)
 	el := &Election{LeaderOf: make([]int, n), Succ: make([][]int, n)}

@@ -53,11 +53,20 @@ func (tl Strategy) Name() string { return strategy.TwoLayer }
 // metadata gather, so the degenerate case matches two-phase
 // byte-for-byte on the wire; the availability snapshot feeds both
 // buffer sizing and the election. Every rank calls it inside the
-// collective; the result is identical everywhere (pure function of
-// allgathered metadata). The returned Election is nil when nobody has
-// data.
+// collective; plan and election are a pure function of allgathered
+// metadata, built once per call and shared by pointer (mpi.Shared). The
+// returned Election is nil when nobody has data.
 func (tl Strategy) BuildPlan(c *mpi.Comm, view datatype.List) (*collio.Plan, *Election) {
-	return tl.PlanFromMeta(collio.GatherMeta(c, view))
+	exts, nodeOf, avail := collio.GatherMeta(c, view)
+	type built struct {
+		plan *collio.Plan
+		el   *Election
+	}
+	b := mpi.Shared(c, func() built {
+		plan, el := tl.PlanFromMeta(exts, nodeOf, avail)
+		return built{plan, el}
+	})
+	return b.plan, b.el
 }
 
 // PlanFromMeta builds the two-layer schedule from already-gathered

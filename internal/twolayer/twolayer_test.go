@@ -243,56 +243,101 @@ func TestLeaderFailover(t *testing.T) {
 	}
 }
 
+// clonePlan deep-copies everything reachable from a plan.
+func clonePlan(p *collio.Plan) *collio.Plan {
+	q := *p
+	q.Domains = slices.Clone(p.Domains)
+	for i := range q.Domains {
+		q.Domains[i].Windows = slices.Clone(p.Domains[i].Windows)
+	}
+	q.Exts = slices.Clone(p.Exts)
+	q.LeaderOf = slices.Clone(p.LeaderOf)
+	q.LeaderSucc = slices.Clone(p.LeaderSucc)
+	for i := range q.LeaderSucc {
+		q.LeaderSucc[i] = slices.Clone(p.LeaderSucc[i])
+	}
+	return &q
+}
+
+// cloneElection deep-copies everything reachable from an election.
+func cloneElection(el *twolayer.Election) *twolayer.Election {
+	q := *el
+	q.Leaders = slices.Clone(el.Leaders)
+	for i := range q.Leaders {
+		q.Leaders[i].RunnersUp = slices.Clone(el.Leaders[i].RunnersUp)
+	}
+	q.LeaderOf = slices.Clone(el.LeaderOf)
+	q.Succ = slices.Clone(el.Succ)
+	for i := range q.Succ {
+		q.Succ[i] = slices.Clone(el.Succ[i])
+	}
+	return &q
+}
+
 // TestLeaderFailoverLeavesElectionAlone: the plan's leader map is the
 // election's own slice, and a runtime handoff used to be written through
-// it into the record Audit, Explain and /v1/plan read. Under the leader
-// fault schedule (ranks 0 and 4, two elected leaders, die mid-collective)
-// every rank's election must come back from the run deep-equal to a
-// clone taken before it.
+// it into the record Audit, Explain and /v1/plan read. BuildPlan hands
+// every rank the same plan and election, so under the leader fault
+// schedule (ranks 0 and 4, two elected leaders, die mid-collective) and
+// under node failures, every rank must hold that one pair and both must
+// come back from the run deep-equal to clones taken before it.
 func TestLeaderFailoverLeavesElectionAlone(t *testing.T) {
-	spec, err := faults.LoadSpec("../../examples/chaos-leader.json")
+	leaders, err := faults.LoadSpec("../../examples/chaos-leader.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := faults.NewSchedule(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, err := cluster.New(testMachine(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := pfs.New(testFS(), machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := simtime.NewEngine()
-	world, err := mpi.NewWorld(engine, machine, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.SetFaults(sched)
-	file := iolib.Open(fs, "x")
-	wl := workload.IOR{Ranks: 16, BlockSize: 32 << 10, Segments: 3}
-	world.Start(func(c *mpi.Comm) {
-		view := wl.View(c.Rank())
-		plan, el := twolayer.Strategy{CBBuffer: collio.BufFloor}.BuildPlan(c, view)
-		before := *el
-		before.Leaders = slices.Clone(el.Leaders)
-		before.LeaderOf = slices.Clone(el.LeaderOf)
-		before.Succ = slices.Clone(el.Succ)
-		for i := range before.Succ {
-			before.Succ[i] = slices.Clone(el.Succ[i])
-		}
-		plan.Run("write", file, c, view, buffer.NewPhantom(view.TotalBytes()), &trace.Metrics{})
-		if !reflect.DeepEqual(*el, before) {
-			t.Errorf("rank %d: the run rewrote the election: leader map %v, elected %v", c.Rank(), el.LeaderOf, before.LeaderOf)
-		}
-	})
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sched.Failovers() < 2 || sched.Unrecovered() != 0 {
-		t.Errorf("failovers %d unrecovered %d, want both leaders handed off", sched.Failovers(), sched.Unrecovered())
+	for _, tc := range []struct {
+		name string
+		spec faults.Spec
+	}{
+		{"leader failures", leaders},
+		{"node failures", faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 1, Round: 1}, {Node: 3, Round: 2}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, err := faults.NewSchedule(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine, err := cluster.New(testMachine(4, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := pfs.New(testFS(), machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := simtime.NewEngine()
+			world, err := mpi.NewWorld(engine, machine, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			world.SetFaults(sched)
+			file := iolib.Open(fs, "x")
+			wl := workload.IOR{Ranks: 16, BlockSize: 32 << 10, Segments: 3}
+			var plan, planBefore *collio.Plan
+			var el, elBefore *twolayer.Election
+			world.Start(func(c *mpi.Comm) {
+				view := wl.View(c.Rank())
+				p, e := twolayer.Strategy{CBBuffer: collio.BufFloor}.BuildPlan(c, view)
+				if plan == nil {
+					plan, el, planBefore, elBefore = p, e, clonePlan(p), cloneElection(e)
+				} else if p != plan || e != el {
+					t.Errorf("rank %d was built a plan or election of its own", c.Rank())
+				}
+				p.Run("write", file, c, view, buffer.NewPhantom(view.TotalBytes()), &trace.Metrics{})
+			})
+			if err := engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plan, planBefore) {
+				t.Errorf("the run wrote the shared plan:\n%+v\n%+v", plan, planBefore)
+			}
+			if !reflect.DeepEqual(el, elBefore) {
+				t.Errorf("the run rewrote the election: leader map %v, elected %v", el.LeaderOf, elBefore.LeaderOf)
+			}
+			if sched.Failovers() < 2 || sched.Unrecovered() != 0 {
+				t.Errorf("failovers %d unrecovered %d, want both failures handed off", sched.Failovers(), sched.Unrecovered())
+			}
+		})
 	}
 }
