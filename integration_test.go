@@ -20,6 +20,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/stats"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -46,21 +47,26 @@ func mccioOpts(mcfg cluster.Config, fcfg pfs.Config, total int64) core.Options {
 
 // TestCrossStrategyInterop writes with one strategy and reads with
 // another in every combination; the file contents are strategy-
-// independent, so every combination must verify.
+// independent, so every combination must verify. The set is every
+// selectable strategy (strategy.Names through adio.New) plus
+// "mccio-combine", mccio with two-layer composed into its groups.
 func TestCrossStrategyInterop(t *testing.T) {
 	mcfg, fcfg := quietPlatform(3, 4)
 	const nprocs = 12
 	wl := workload.IOR{Ranks: nprocs, BlockSize: 32 << 10, Segments: 8}
-	strategies := func() map[string]iolib.Collective {
-		return map[string]iolib.Collective{
-			"two-phase":     collio.TwoPhase{CBBuffer: 256 << 10},
-			"mccio":         core.MCCIO{Opts: mccioOpts(mcfg, fcfg, wl.TotalBytes())},
-			"mccio-combine": core.MCCIO{Opts: func() core.Options { o := mccioOpts(mcfg, fcfg, wl.TotalBytes()); o.TwoLayer = true; return o }()},
-			"independent":   iolib.Naive{Opts: iolib.SieveOptions{}},
+	opts := mccioOpts(mcfg, fcfg, wl.TotalBytes())
+	strategies := map[string]iolib.Collective{}
+	for _, name := range strategy.Names() {
+		s, err := adio.New(name, opts, 256<<10)
+		if err != nil {
+			t.Fatal(err)
 		}
+		strategies[name] = s
 	}
-	for wName, w := range strategies() {
-		for rName, r := range strategies() {
+	opts.TwoLayer = true
+	strategies["mccio-combine"] = core.MCCIO{Opts: opts}
+	for wName, w := range strategies {
+		for rName, r := range strategies {
 			t.Run(wName+"->"+rName, func(t *testing.T) {
 				engine := simtime.NewEngine()
 				machine, err := cluster.New(mcfg)

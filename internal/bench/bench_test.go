@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/core"
@@ -110,16 +109,16 @@ func TestRunOnceRejectsOversizedWorkload(t *testing.T) {
 	}
 }
 
-// buggyStrategy is two-phase with a bug: rank 2 panics in the middle of
+// buggyStrategy is two-phase with a bug: rank 2 panics while planning
 // its write, after the other ranks have entered the collective.
 type buggyStrategy struct{ collio.TwoPhase }
 
-func (s buggyStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+func (s buggyStrategy) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	if c.Rank() == 2 {
 		c.Proc().Sleep(1e-3)
 		panic("strategy bug in rank 2")
 	}
-	s.TwoPhase.WriteAll(f, c, view, data, m)
+	return s.TwoPhase.Plan(op, c, view, m)
 }
 
 // TestRunOnceStrategyPanicIsRecoverable: a strategy that panics inside

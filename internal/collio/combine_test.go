@@ -120,11 +120,9 @@ func TestTopology(t *testing.T) {
 
 // roundTrip writes and reads back view through s, checking every byte.
 func roundTrip(t *testing.T, s iolib.Collective, f *iolib.File, c *mpi.Comm, view datatype.List, mtr *trace.Metrics) {
-	data := fillViewBuffer(view, uint64(c.Rank()))
-	s.WriteAll(f, c, view, data, mtr)
-	c.Barrier()
+	iolib.Run(s, "write", f, c, view, fillViewBuffer(view, uint64(c.Rank())), mtr)
 	dst := fillViewBuffer(view, 999)
-	s.ReadAll(f, c, view, dst, mtr)
+	iolib.Run(s, "read", f, c, view, dst, mtr)
 	var pos int64
 	for _, seg := range view {
 		if i := dst.Slice(pos, seg.Len).Verify(uint64(c.Rank()), seg.Off); i != -1 {
@@ -146,8 +144,8 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
 		tp := plannedStrategy{build: TwoPhase{CBBuffer: 32 << 10}.BuildPlan, leaders: lowestRankLeaders}
-		if plan := tp.plan(c, view); !reflect.DeepEqual(plan.LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
-			t.Errorf("lowest-rank plan leader map %v", plan.LeaderOf)
+		if _, plan := tp.Plan("write", c, view, nil); !reflect.DeepEqual(plan.(*Plan).LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
+			t.Errorf("lowest-rank plan leader map %v", plan.(*Plan).LeaderOf)
 		}
 		var mtr trace.Metrics
 		roundTrip(t, tp, f, c, view, &mtr)
@@ -173,8 +171,8 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 4, 4<<10)
 		tp := plannedStrategy{build: TwoPhase{CBBuffer: 16 << 10}.BuildPlan, leaders: lowestRankLeaders}
-		if plan := tp.plan(c, view); plan.LeaderOf != nil {
-			t.Errorf("leader map %v on a one-rank-per-node machine", plan.LeaderOf)
+		if _, plan := tp.Plan("write", c, view, nil); plan.(*Plan).LeaderOf != nil {
+			t.Errorf("leader map %v on a one-rank-per-node machine", plan.(*Plan).LeaderOf)
 		}
 		roundTrip(t, tp, f, c, view, &trace.Metrics{})
 	})
@@ -183,9 +181,9 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	}
 }
 
-// plannedStrategy runs a plan builder through the round engine,
-// optionally with a leader map stamped on a copy of the plan (the built
-// one is shared by every rank and nobody writes it).
+// plannedStrategy plans with a plan builder, optionally stamping a
+// leader map on a copy of the plan (the built one is shared by every
+// rank and nobody writes it).
 type plannedStrategy struct {
 	build   func(c *mpi.Comm, view datatype.List) *Plan
 	leaders func(c *mpi.Comm) []int // nil: the flat exchange
@@ -193,14 +191,14 @@ type plannedStrategy struct {
 
 func (s plannedStrategy) Name() string { return "planned" }
 
-func (s plannedStrategy) plan(c *mpi.Comm, view datatype.List) *Plan {
+func (s plannedStrategy) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	plan := s.build(c, view)
-	if s.leaders == nil {
-		return plan
+	if s.leaders != nil {
+		p := *plan
+		p.LeaderOf = s.leaders(c)
+		plan = &p
 	}
-	p := *plan
-	p.LeaderOf = s.leaders(c)
-	return &p
+	return c, plan
 }
 
 // lowestRankLeaders is the reference topology: every rank follows the
@@ -220,14 +218,6 @@ func identityLeaders(c *mpi.Comm) []int {
 		leaderOf[r] = r
 	}
 	return leaderOf
-}
-
-func (s plannedStrategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	s.plan(c, view).Run("write", f, c, view, data, m)
-}
-
-func (s plannedStrategy) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	s.plan(c, view).Run("read", f, c, view, dst, m)
 }
 
 // groupedPlan builds a plan of the memory-conscious shape from the

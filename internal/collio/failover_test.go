@@ -519,7 +519,8 @@ func TestFaultFreeRunKeepsOverlayAliased(t *testing.T) {
 			view := interleavedView(c.Rank(), 4, 4, 64<<10)
 			s := plannedStrategy{build: TwoPhase{CBBuffer: BufFloor}.BuildPlan, leaders: leaders}
 			for _, op := range []string{"write", "read"} {
-				plan := s.plan(c, view)
+				_, sched := s.Plan(op, c, view, nil)
+				plan := sched.(*Plan)
 				x := execute(f, c, iolib.NewViewIndex(view), fillViewBuffer(view, 1), plan, &trace.Metrics{}, op)
 				if x.ov.rounds < 2 {
 					t.Fatalf("%s ran %d rounds, want several", op, x.ov.rounds)

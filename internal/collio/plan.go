@@ -17,10 +17,12 @@
 // The two-layer strategy (internal/twolayer) is the same even split
 // over elected leaders; the memory-conscious strategy (internal/core)
 // builds different plans — aggregation groups, partition-tree domains,
-// memory-aware aggregator placement. All of them hand their plan to
-// Plan.Run, which charges the caller's aggregation buffer and runs the
-// rounds on the same engine — how the paper positions MCCIO: an
-// enhancement of two-phase rather than a replacement.
+// memory-aware aggregator placement. Each strategy only plans: its
+// iolib.Collective Plan method returns a *Plan as the iolib.Schedule,
+// and iolib.Run calls Plan.Run, which charges the caller's aggregation
+// buffer and runs the rounds on the same engine — how the paper
+// positions MCCIO: an enhancement of two-phase rather than a
+// replacement.
 package collio
 
 import (
@@ -181,14 +183,14 @@ func domainOf(doms []Domain, rank int) int {
 	return -1
 }
 
-// Run is the tail every strategy shares once its plan exists: if the
-// caller aggregates a domain, reserve that domain's buffer on its
-// node's ledger; run the rounds in direction op ("write" or "read");
-// release. The planner sized the buffer within the node's snapshot
-// availability, but another aggregator (or strategy layer) may have
-// claimed memory meanwhile; MustAlloc keeps the overcommit visible in
-// the high-water reports rather than failing. Every rank of c calls it
-// with the identical plan.
+// Run implements iolib.Schedule, the tail every collective strategy
+// shares once its plan exists: if the caller aggregates a domain,
+// reserve that domain's buffer on its node's ledger; run the rounds in
+// direction op ("write" or "read"); release. The planner sized the
+// buffer within the node's snapshot availability, but another
+// aggregator (or strategy layer) may have claimed memory meanwhile;
+// MustAlloc keeps the overcommit visible in the high-water reports
+// rather than failing. Every rank of c calls it with the identical plan.
 func (p *Plan) Run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	if di := domainOf(p.Domains, c.Rank()); di >= 0 {
 		buf := p.Domains[di].BufBytes

@@ -1,11 +1,11 @@
 package collio
 
 import (
-	"repro/internal/buffer"
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -33,7 +33,7 @@ type TwoPhase struct {
 }
 
 // Name implements iolib.Collective.
-func (tp TwoPhase) Name() string { return "two-phase" }
+func (tp TwoPhase) Name() string { return strategy.TwoPhase }
 
 // gathered is GatherMeta's decode of one collective call, shared by
 // every member.
@@ -170,21 +170,12 @@ func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 	return plan
 }
 
-// WriteAll implements iolib.Collective.
-func (tp TwoPhase) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	tp.run("write", f, c, view, data, m)
-}
-
-// ReadAll implements iolib.Collective.
-func (tp TwoPhase) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	tp.run("read", f, c, view, dst, m)
-}
-
-// run plans under the plan span and runs the rounds in direction op.
-func (tp TwoPhase) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+// Plan implements iolib.Collective: the baseline schedule, built under
+// the plan span on the caller's communicator.
+func (tp TwoPhase) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
 	plan := tp.BuildPlan(c, view)
 	sp.End()
 	m.SetGroups(1)
-	plan.Run(op, f, c, view, data, m)
+	return c, plan
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/datatype"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/pfs"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 	"repro/internal/twolayer"
 )
@@ -107,7 +107,7 @@ type MCCIO struct {
 }
 
 // Name implements iolib.Collective.
-func (mc MCCIO) Name() string { return "mccio" }
+func (mc MCCIO) Name() string { return strategy.MCCIO }
 
 // rankMeta is the global metadata each rank contributes before group
 // division: its extent, request volume, node, and the node's available
@@ -128,24 +128,15 @@ type segsMsg struct {
 	segs datatype.List
 }
 
-// WriteAll implements iolib.Collective.
-func (mc MCCIO) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	mc.run("write", f, c, view, data, m)
-}
-
-// ReadAll implements iolib.Collective.
-func (mc MCCIO) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	mc.run("read", f, c, view, dst, m)
-}
-
-func (mc MCCIO) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+// Plan implements iolib.Collective: the caller's aggregation-group
+// communicator and the plan its group shares.
+func (mc MCCIO) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	sub, plan, _ := mc.plan(op, c, view, m)
-	plan.Run(op, f, sub, view, data, m)
+	return sub, plan
 }
 
-// plan is the planning half of a collective call: the caller's
-// aggregation-group communicator, the executable plan the whole group
-// shares and, on the group root only, the record it was built from.
+// plan is Plan plus, on the group root only, the record the plan was
+// built from.
 func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, *collio.Plan, *GroupPlan) {
 	if err := mc.Opts.Validate(); err != nil {
 		panic(err)

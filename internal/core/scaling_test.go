@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/datatype"
+	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
@@ -15,12 +16,12 @@ import (
 	"repro/internal/twolayer"
 )
 
-// preludeAllocs runs prelude on every rank of a p-rank world of the
+// planAllocs runs s.Plan on every rank of a p-rank world of the
 // paper's testbed (12 ranks per node) over an IOR layout of 256 KiB × 2
 // segments, and returns the heap allocations and bytes made between the
 // first rank entering it and the last one leaving. It measures the
 // second of two runs, so one-time initialisation is not counted.
-func preludeAllocs(t *testing.T, p int, prelude func(c *mpi.Comm, view datatype.List)) (mallocs, bytes uint64) {
+func planAllocs(t *testing.T, p int, s iolib.Collective) (mallocs, bytes uint64) {
 	t.Helper()
 	views := make([]datatype.List, p)
 	for r := range views {
@@ -42,7 +43,7 @@ func preludeAllocs(t *testing.T, p int, prelude func(c *mpi.Comm, view datatype.
 			if entered++; entered == 1 {
 				runtime.ReadMemStats(&before)
 			}
-			prelude(c, views[c.Rank()])
+			s.Plan("write", c, views[c.Rank()], &trace.Metrics{})
 			if left++; left == p {
 				runtime.ReadMemStats(&after)
 			}
@@ -57,27 +58,24 @@ func preludeAllocs(t *testing.T, p int, prelude func(c *mpi.Comm, view datatype.
 }
 
 // TestPlanningAllocationsScaleLinearly is the scaling gate of the
-// planning prelude: what every rank would derive identically from the
-// allgathered metadata is derived once per call, so allocations grow
-// like p — at most 2.2× per doubling of the rank count. A per-rank
-// re-derivation of anything O(p) makes them grow like p² and fails it.
-// Bytes are logged, not gated: the ring's in-flight inbox queues are
-// genuinely O(p²).
+// planning prelude — each strategy's Plan, exactly what iolib.Run calls
+// before it runs the schedule: what every rank would derive identically
+// from the allgathered metadata is derived once per call, so
+// allocations grow like p — at most 2.2× per doubling of the rank
+// count. A per-rank re-derivation of anything O(p) makes them grow like
+// p² and fails it. Bytes are logged, not gated: the ring's in-flight
+// inbox queues are genuinely O(p²).
 func TestPlanningAllocationsScaleLinearly(t *testing.T) {
 	const cb = 8 * cluster.MiB
-	mc := MCCIO{Opts: DefaultOptions(cluster.TestbedConfig(20), pfs.DefaultConfig())}
-	for _, s := range []struct {
-		name    string
-		prelude func(c *mpi.Comm, view datatype.List)
-	}{
-		{"two-phase", func(c *mpi.Comm, view datatype.List) { collio.TwoPhase{CBBuffer: cb}.BuildPlan(c, view) }},
-		{"two-layer", func(c *mpi.Comm, view datatype.List) { twolayer.Strategy{CBBuffer: cb}.BuildPlan(c, view) }},
-		{"mccio", func(c *mpi.Comm, view datatype.List) { mc.plan("write", c, view, &trace.Metrics{}) }},
+	for _, s := range []iolib.Collective{
+		collio.TwoPhase{CBBuffer: cb},
+		twolayer.Strategy{CBBuffer: cb},
+		MCCIO{Opts: DefaultOptions(cluster.TestbedConfig(20), pfs.DefaultConfig())},
 	} {
-		t.Run(s.name, func(t *testing.T) {
+		t.Run(s.Name(), func(t *testing.T) {
 			var prevAllocs, prevBytes uint64
 			for _, p := range []int{240, 480, 960} {
-				allocs, bytes := preludeAllocs(t, p, s.prelude)
+				allocs, bytes := planAllocs(t, p, s)
 				msg := fmt.Sprintf("p=%d: %d allocs, %.1f MB", p, allocs, float64(bytes)/1e6)
 				ratio := 0.0
 				if prevAllocs > 0 {

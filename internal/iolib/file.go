@@ -1,9 +1,11 @@
 // Package iolib is the MPI-IO-like middleware layer: file handles over
 // the simulated parallel file system, file views (noncontiguous access
 // patterns bound to a flat local buffer), independent I/O with data
-// sieving, and the Collective strategy interface that the baseline
-// two-phase implementation and the memory-conscious implementation both
-// satisfy.
+// sieving, and the seam between planning and execution: a Collective
+// strategy only plans, returning a Schedule, and Run is the one place
+// that executes it. The collective strategies (two-phase, two-layer,
+// memory-conscious) all plan a collio.Plan, which runs the shared
+// aggregation rounds; Naive is independent I/O and its own Schedule.
 package iolib
 
 import (
@@ -56,15 +58,24 @@ func (f *File) ReadVec(p *simtime.Proc, rank int, offs []int64, bufs []buffer.Bu
 	return f.pf.ReadVec(p, rank, offs, bufs)
 }
 
-// Collective is a collective I/O strategy. view is the calling rank's
-// file access pattern (canonical segment list); data is the rank's flat
-// local buffer laid out as the concatenation of view's segments in file
-// order. All ranks of c must call the same method with consistent
-// arguments (the SPMD contract). Implementations fill m when non-nil.
+// Collective is a collective I/O strategy, and a strategy only plans:
+// Plan turns the calling rank's view into the communicator the
+// operation runs on and the Schedule every rank of it shares; Run
+// executes that schedule. op is "write" or "read"; view is the calling
+// rank's file access pattern (canonical segment list). All ranks of c
+// must call Plan with consistent arguments (the SPMD contract).
+// Implementations fill m when non-nil.
 type Collective interface {
 	Name() string
-	WriteAll(f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics)
-	ReadAll(f *File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics)
+	Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, Schedule)
+}
+
+// Schedule is a planned collective operation. Run moves data between
+// f and the calling rank's flat local buffer data, laid out as the
+// concatenation of view's segments in file order, in direction op.
+// Every rank of c, the communicator Plan returned, calls it.
+type Schedule interface {
+	Run(op string, f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics)
 }
 
 // Run executes one collective operation under barriers and returns the
@@ -73,16 +84,13 @@ type Collective interface {
 // "read". Exactly one rank (rank 0) receives the filled Result; other
 // ranks receive a zero Result.
 func Run(s Collective, op string, f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) trace.Result {
-	c.Barrier()
-	start := c.Now()
-	switch op {
-	case "write":
-		s.WriteAll(f, c, view, data, m)
-	case "read":
-		s.ReadAll(f, c, view, data, m)
-	default:
+	if op != "write" && op != "read" {
 		panic("iolib: op must be \"write\" or \"read\"")
 	}
+	c.Barrier()
+	start := c.Now()
+	sub, sched := s.Plan(op, c, view, m)
+	sched.Run(op, f, sub, view, data, m)
 	// The closing barrier is inside the measured window, so trace it as a
 	// top-level phase; the opening one above is not (start is taken after).
 	sp := c.Tracer().Begin(obs.PhaseBarrier, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: -1, Round: -1})

@@ -4,6 +4,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -17,18 +18,21 @@ type Naive struct {
 }
 
 // Name implements Collective.
-func (n Naive) Name() string { return "independent" }
+func (n Naive) Name() string { return strategy.Independent }
 
-// WriteAll implements Collective.
-func (n Naive) WriteAll(f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	t0 := c.Now()
-	f.WriteIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
-	m.AddIO(view.TotalBytes(), 0, c.Now()-t0)
+// Plan implements Collective: there is nothing to coordinate, so the
+// schedule is n itself on the caller's communicator.
+func (n Naive) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, Schedule) {
+	return c, n
 }
 
-// ReadAll implements Collective.
-func (n Naive) ReadAll(f *File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
+// Run implements Schedule: the rank's own sieved I/O.
+func (n Naive) Run(op string, f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	t0 := c.Now()
-	f.ReadIndependent(c.Proc(), c.WorldRank(c.Rank()), view, dst, n.Opts)
+	if op == "write" {
+		f.WriteIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
+	} else {
+		f.ReadIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
+	}
 	m.AddIO(view.TotalBytes(), 0, c.Now()-t0)
 }

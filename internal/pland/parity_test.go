@@ -131,8 +131,8 @@ func executedFromExplain(events []explain.Event) (groups []explain.GroupInfo, do
 	return groups, doms, leaders
 }
 
-// executedFlat runs the strategy's own BuildPlan — what its WriteAll
-// and ReadAll execute — inside a world on the request's machine.
+// executedFlat runs the strategy's own BuildPlan — the schedule its
+// Plan hands iolib.Run — inside a world on the request's machine.
 func executedFlat(t *testing.T, c *canonRequest) (groups []explain.GroupInfo, doms []executedDomain, leaders []PlanLeader) {
 	t.Helper()
 	engine := simtime.NewEngine()

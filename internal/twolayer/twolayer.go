@@ -24,7 +24,6 @@ package twolayer
 import (
 	"strconv"
 
-	"repro/internal/buffer"
 	"repro/internal/collio"
 	"repro/internal/datatype"
 	"repro/internal/explain"
@@ -147,7 +146,10 @@ func Audit(c *mpi.Comm, op string, group int, el *Election) {
 	}
 }
 
-func (tl Strategy) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+// Plan implements iolib.Collective: the two-layer schedule, built under
+// the plan span on the caller's communicator, with the election audited
+// by the plan's root.
+func (tl Strategy) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
 	plan, el := tl.BuildPlan(c, view)
 	if el != nil && c.Rank() == 0 {
@@ -161,15 +163,5 @@ func (tl Strategy) run(op string, f *iolib.File, c *mpi.Comm, view datatype.List
 	}
 	sp.End()
 	m.SetGroups(1)
-	plan.Run(op, f, c, view, data, m)
-}
-
-// WriteAll implements iolib.Collective.
-func (tl Strategy) WriteAll(f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
-	tl.run("write", f, c, view, data, m)
-}
-
-// ReadAll implements iolib.Collective.
-func (tl Strategy) ReadAll(f *iolib.File, c *mpi.Comm, view datatype.List, dst buffer.Buf, m *trace.Metrics) {
-	tl.run("read", f, c, view, dst, m)
+	return c, plan
 }
