@@ -47,7 +47,15 @@ type chaosGoldenRow struct {
 	Events      []chaosGoldenEvent `json:"events"`
 }
 
-// runChaosGolden runs every round-engine strategy, write and read, with
+// chaosRow is one faulted run of the chaos grid: its key, the fault
+// schedule's example file, and the run without its schedule (each run
+// loads a fresh one).
+type chaosRow struct {
+	key, fault string
+	spec       Spec
+}
+
+// chaosGrid is every round-engine strategy, write and read, with
 // verified bytes under both example fault schedules: examples/chaos.json
 // (node failure, memory pressure, slow OST and link, drops and delays —
 // the failover-by-remerge path) and examples/chaos-leader.json (two
@@ -55,8 +63,7 @@ type chaosGoldenRow struct {
 // nodes x 4 ranks and a nominal 1 MiB buffer (less where the memory
 // variance bites) give every domain eight or more rounds, so each
 // scheduled fault lands while windows remain.
-func runChaosGolden(t *testing.T, parallel int) []byte {
-	t.Helper()
+func chaosGrid() []chaosRow {
 	const (
 		nodes, perNode = 4, 4
 		mem            = 1 * cluster.MiB
@@ -73,13 +80,7 @@ func runChaosGolden(t *testing.T, parallel int) []byte {
 	mccTL := mccOpts
 	mccTL.TwoLayer = true
 
-	type gridRow struct {
-		key   string
-		fault string
-		s     iolib.Collective
-		op    string
-	}
-	var grid []gridRow
+	var grid []chaosRow
 	for _, fault := range []string{"chaos", "chaos-leader"} {
 		for _, e := range []struct {
 			name string
@@ -91,29 +92,42 @@ func runChaosGolden(t *testing.T, parallel int) []byte {
 			{"mccio+two-layer", core.MCCIO{Opts: mccTL}},
 		} {
 			for _, op := range []string{"write", "read"} {
-				grid = append(grid, gridRow{
+				grid = append(grid, chaosRow{
 					key:   fmt.Sprintf("%s/%s/%s", fault, e.name, op),
-					fault: fault, s: e.s, op: op,
+					fault: fault,
+					spec:  Spec{Strategy: e.s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl, Verify: true},
 				})
 			}
 		}
 	}
+	return grid
+}
+
+// loadSchedule is a fresh schedule of the named example fault file.
+func loadSchedule(fault string) (*faults.Schedule, error) {
+	fspec, err := faults.LoadSpec(filepath.Join("..", "..", "examples", fault+".json"))
+	if err != nil {
+		return nil, err
+	}
+	return faults.NewSchedule(fspec)
+}
+
+// runChaosGolden runs the chaos grid and encodes each row's result,
+// the schedule's tallies and its fault/failover events.
+func runChaosGolden(t *testing.T, parallel int) []byte {
+	t.Helper()
+	grid := chaosGrid()
 	runner := sweep.Sweep[chaosGoldenRow]{Workers: parallel, Label: "chaos-golden"}
 	rows, err := runner.Run(context.Background(), len(grid), func(_ context.Context, i int) (chaosGoldenRow, error) {
 		g := grid[i]
-		fspec, err := faults.LoadSpec(filepath.Join("..", "..", "examples", g.fault+".json"))
-		if err != nil {
-			return chaosGoldenRow{}, err
-		}
-		sched, err := faults.NewSchedule(fspec)
+		sched, err := loadSchedule(g.fault)
 		if err != nil {
 			return chaosGoldenRow{}, err
 		}
 		tr := obs.NewTracer()
-		res, err := RunOnce(Spec{
-			Strategy: g.s, Op: g.op, Machine: mcfg, FS: fcfg, Workload: wl,
-			Verify: true, Tracer: tr, Faults: sched,
-		})
+		spec := g.spec
+		spec.Tracer, spec.Faults = tr, sched
+		res, err := RunOnce(spec)
 		if err != nil {
 			return chaosGoldenRow{}, fmt.Errorf("%s: %w", g.key, err)
 		}

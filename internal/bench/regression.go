@@ -31,27 +31,7 @@ var RegressionMems = []int64{4 * cluster.MiB, 16 * cluster.MiB}
 func RunRegression(o Options, reg *metrics.Registry) (*BenchFile, error) {
 	o = o.withDefaults()
 	out := &BenchFile{Schema: BenchSchemaVersion, Scale: o.Scale, Seed: o.Seed}
-	wl := iorWorkload(24, o.Scale)
-	fcfg := TestbedFS(o.Seed)
-	var rows []specRow
-	for _, mem := range RegressionMems {
-		mcfg := TestbedMachine(2, mem, SigmaBytes, o.Seed)
-		mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
-		for _, r := range []struct {
-			s  iolib.Collective
-			op string
-		}{
-			{collio.TwoPhase{CBBuffer: mem}, "write"},
-			{core.MCCIO{Opts: mccOpts}, "write"},
-			{collio.TwoPhase{CBBuffer: mem}, "read"},
-			{core.MCCIO{Opts: mccOpts}, "read"},
-		} {
-			rows = append(rows, specRow{
-				key:  fmt.Sprintf("mem=%s/%s/%s", mb(mem), r.s.Name(), r.op),
-				spec: Spec{Strategy: r.s, Op: r.op, Machine: mcfg, FS: fcfg, Workload: wl},
-			})
-		}
-	}
+	rows := regressionRows(o)
 	// One registry per row: concurrent runs never share atomic cells,
 	// and merging the snapshots in row order reproduces exactly what a
 	// single registry fed by a serial sweep would hold.
@@ -101,4 +81,30 @@ func RunRegression(o Options, reg *metrics.Registry) (*BenchFile, error) {
 		o.Explain.Append(r.Events())
 	}
 	return out, nil
+}
+
+// regressionRows is the regression bench's grid at o's scale and seed.
+func regressionRows(o Options) []specRow {
+	wl := iorWorkload(24, o.Scale)
+	fcfg := TestbedFS(o.Seed)
+	var rows []specRow
+	for _, mem := range RegressionMems {
+		mcfg := TestbedMachine(2, mem, SigmaBytes, o.Seed)
+		mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+		for _, r := range []struct {
+			s  iolib.Collective
+			op string
+		}{
+			{collio.TwoPhase{CBBuffer: mem}, "write"},
+			{core.MCCIO{Opts: mccOpts}, "write"},
+			{collio.TwoPhase{CBBuffer: mem}, "read"},
+			{core.MCCIO{Opts: mccOpts}, "read"},
+		} {
+			rows = append(rows, specRow{
+				key:  fmt.Sprintf("mem=%s/%s/%s", mb(mem), r.s.Name(), r.op),
+				spec: Spec{Strategy: r.s, Op: r.op, Machine: mcfg, FS: fcfg, Workload: wl},
+			})
+		}
+	}
+	return rows
 }

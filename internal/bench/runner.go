@@ -151,9 +151,6 @@ func RunOnce(spec Spec) (trace.Result, error) {
 	if verifyErr != nil {
 		return trace.Result{}, verifyErr
 	}
-	// Bridge the run's final counter values into the trace so the
-	// timeline and the aggregates land in one artifact.
-	spec.Tracer.FlushMetrics(spec.Metrics)
 	return res, nil
 }
 

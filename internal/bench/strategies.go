@@ -80,34 +80,7 @@ func strategiesWorkload(scale float64) workload.Explicit {
 func RunStrategies(o Options, reg *metrics.Registry) (*BenchFile, error) {
 	o = o.withDefaults()
 	out := &BenchFile{Schema: BenchSchemaVersion, Scale: o.Scale, Seed: o.Seed}
-	const mem = 16 * cluster.MiB
-	wl := strategiesWorkload(o.Scale)
-	fcfg := TestbedFS(o.Seed)
-	mcfg := TestbedMachine(StrategiesNodes, mem, SigmaBytes, o.Seed)
-	mcfg.CoresPerNode = StrategiesPerNode
-	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
-	mccTL := mccOpts
-	mccTL.TwoLayer = true
-
-	entries := []struct {
-		name string
-		s    iolib.Collective
-	}{
-		{"independent", iolib.Naive{Opts: iolib.DefaultSieve()}},
-		{"two-phase", collio.TwoPhase{CBBuffer: mem}},
-		{"two-layer", twolayer.Strategy{CBBuffer: mem}},
-		{"mccio", core.MCCIO{Opts: mccOpts}},
-		{"mccio+two-layer", core.MCCIO{Opts: mccTL}},
-	}
-	var rows []specRow
-	for _, e := range entries {
-		for _, op := range []string{"write", "read"} {
-			rows = append(rows, specRow{
-				key:  fmt.Sprintf("strat=%s/%s", e.name, op),
-				spec: Spec{Strategy: e.s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl},
-			})
-		}
-	}
+	rows := strategiesRows(o)
 	var regs []*metrics.Registry
 	if reg != nil {
 		regs = make([]*metrics.Registry, len(rows))
@@ -138,6 +111,39 @@ func RunStrategies(o Options, reg *metrics.Registry) (*BenchFile, error) {
 		reg.Absorb(merged)
 	}
 	return out, nil
+}
+
+// strategiesRows is the strategies bench's grid at o's scale and seed.
+func strategiesRows(o Options) []specRow {
+	const mem = 16 * cluster.MiB
+	wl := strategiesWorkload(o.Scale)
+	fcfg := TestbedFS(o.Seed)
+	mcfg := TestbedMachine(StrategiesNodes, mem, SigmaBytes, o.Seed)
+	mcfg.CoresPerNode = StrategiesPerNode
+	mccOpts := MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)
+	mccTL := mccOpts
+	mccTL.TwoLayer = true
+
+	entries := []struct {
+		name string
+		s    iolib.Collective
+	}{
+		{"independent", iolib.Naive{Opts: iolib.DefaultSieve()}},
+		{"two-phase", collio.TwoPhase{CBBuffer: mem}},
+		{"two-layer", twolayer.Strategy{CBBuffer: mem}},
+		{"mccio", core.MCCIO{Opts: mccOpts}},
+		{"mccio+two-layer", core.MCCIO{Opts: mccTL}},
+	}
+	var rows []specRow
+	for _, e := range entries {
+		for _, op := range []string{"write", "read"} {
+			rows = append(rows, specRow{
+				key:  fmt.Sprintf("strat=%s/%s", e.name, op),
+				spec: Spec{Strategy: e.s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl},
+			})
+		}
+	}
+	return rows
 }
 
 // StrategiesTable renders a strategies trajectory with the columns the

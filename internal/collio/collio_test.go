@@ -15,7 +15,7 @@ import (
 	"repro/internal/trace"
 )
 
-func testRig(t *testing.T, nodes, cores int, memPerNode int64) (*simtime.Engine, *cluster.Machine, *pfs.FS) {
+func testRig(t testing.TB, nodes, cores int, memPerNode int64) (*simtime.Engine, *cluster.Machine, *pfs.FS) {
 	t.Helper()
 	e := simtime.NewEngine()
 	m, err := cluster.New(cluster.Config{

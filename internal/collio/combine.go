@@ -165,22 +165,22 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 
 // funnel is the write round's intra-node stage: a non-leader hands its
 // packed pieces (wire bytes on the bus, packed payload bytes of them)
-// to its leader; a leader collects its mates' bundles.
-func (x *collective) funnel(wire, packed int64) {
+// to its leader; a leader collects its mates' bundles. It returns the
+// payload bytes this rank sent.
+func (x *collective) funnel(wire, packed int64) (moved int64) {
 	c, tp := x.c, &x.topo
 	if tp.leads() {
 		x.bundles = x.bundles[:0]
 		for _, mate := range tp.mates {
 			x.bundles = append(x.bundles, *c.RecvVal(mate, bundleTag).(*[]shufflePiece))
 		}
-		return
+		return 0
 	}
 	// A pointer to the field, not the slice: boxing the header would
 	// allocate every round, and the leader reads it within this round,
 	// before the lock-step barrier lets x.pieces be refilled.
 	c.SendVal(tp.of(tp.me), bundleTag, &x.pieces, 8+wire)
-	x.m.AddExchange(packed, 0, 0)
-	x.em.shuffle(packed, 0)
+	return packed
 }
 
 // fanOut is the read round's intra-node stage. Each piece a leader
@@ -189,8 +189,9 @@ func (x *collective) funnel(wire, packed int64) {
 // carve the per-rank pieces — exactly what the aggregator would have
 // sent each rank directly — paying the scatter/gather pass on the
 // node's memory bus. Every mate knows how many pieces to expect: one
-// per active domain its view hits.
-func (x *collective) fanOut(r int) {
+// per active domain its view hits. It returns the payload bytes this
+// rank sent its mates.
+func (x *collective) fanOut(r int) (moved int64) {
 	c, tp := x.c, &x.topo
 	if !tp.leads() {
 		for di := range x.ov.doms {
@@ -199,9 +200,8 @@ func (x *collective) fanOut(r int) {
 				x.vi.Unpack(x.data, piece.segs, piece.data)
 			}
 		}
-		return
+		return 0
 	}
-	var fanned int64
 	x.ex.Received(func(agg int, v any) {
 		piece := v.(*shufflePiece)
 		w, _ := x.ov.window(domainOf(x.ov.doms, agg), r)
@@ -219,11 +219,8 @@ func (x *collective) fanOut(r int) {
 			}
 			mp := shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, lo, clip)}
 			c.SendVal(mate, pieceTag, mp, mp.wireBytes())
-			fanned += mp.data.Len()
+			moved += mp.data.Len()
 		}
 	})
-	if fanned > 0 {
-		x.m.AddExchange(fanned, 0, 0)
-		x.em.shuffle(fanned, 0)
-	}
+	return moved
 }

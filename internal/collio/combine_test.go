@@ -357,7 +357,7 @@ func TestFunnelSendDoesNotAllocate(t *testing.T) {
 		Domains:  []Domain{{Agg: 0, Windows: []datatype.Segment{{Off: 0, Len: 64}}}},
 	}
 	w.Start(func(c *mpi.Comm) {
-		x := &collective{c: c, plan: plan, m: &trace.Metrics{}, topo: newTopology(c.Rank(), plan.LeaderOf)}
+		x := &collective{c: c, plan: plan, topo: newTopology(c.Rank(), plan.LeaderOf)}
 		x.pieces = []shufflePiece{{segs: datatype.List{{Off: 0, Len: 64}}, data: buffer.NewPhantom(64)}}
 		if x.topo.leads() {
 			for i := 0; i <= rounds; i++ { // AllocsPerRun warms up with one extra call

@@ -47,19 +47,6 @@ type reqEntry struct {
 	segs datatype.List
 }
 
-// sampleMem records the calling aggregator's node-ledger state (used,
-// high-water, capacity) into the decision audit at a round boundary,
-// stamped with the caller's virtual time. Nil-recorder safe and
-// allocation-free when the audit trail is disabled.
-func sampleMem(c *mpi.Comm, round int) {
-	rec := c.Explain()
-	if !rec.Enabled() {
-		return
-	}
-	node := c.World().Machine().Node(c.NodeOf(c.Rank()))
-	rec.MemSample(node.ID, round, node.Used(), node.HighWater(), node.Capacity)
-}
-
 // chargeAssembly models the extra off-chip pass a rank pays to
 // scatter/gather between a staging buffer and shuffle payloads — the
 // memory-bandwidth pressure the paper is about.
@@ -97,8 +84,7 @@ type collective struct {
 	data  buffer.Buf // source of a write, destination of a read
 	plan  *Plan      // read-only; what a fault changes is in ov
 	ov    overlay    // current domains, owners, leaders and round count
-	m     *trace.Metrics
-	em    engineMetrics
+	p     probe      // where every fact of the call is recorded
 	write bool
 
 	mine *aggState // nil unless this rank aggregates a domain
@@ -129,28 +115,22 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 	}
 	write := op == "write"
 	x := &collective{
-		f: f, c: c, vi: vi, data: data, plan: plan, ov: newOverlay(plan), m: m, write: write,
-		em: newEngineMetrics(c, op),
+		f: f, c: c, vi: vi, data: data, plan: plan, ov: newOverlay(plan), write: write,
+		p:  newProbe(c, op, plan.Group, m),
 		ex: c.SparseScratch(),
 	}
 	if write {
 		x.pieces = make([]shufflePiece, len(plan.Domains))
 	}
-	t := c.Tracer()
 	sched := c.Faults()
-	// The rank's track identity for engine spans; per-round spans
-	// override Round.
-	loc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: plan.Group, Round: -1}
-	sp := t.Begin(obs.PhaseReqExchange, loc)
+	ph := x.p.begin(obs.PhaseReqExchange, -1)
 	x.route()
-	sp.End()
+	x.p.end(ph, 0)
 	if x.mine != nil {
-		m.AddAggregator(plan.Domains[x.mine.di].BufBytes)
+		x.p.aggregator(plan.Domains[x.mine.di].BufBytes)
 	}
 
 	for r := 0; r < x.ov.rounds; r++ {
-		rloc := loc
-		rloc.Round = r
 		// ROMIO's per-round alltoallv of counts synchronizes the whole
 		// communicator: nobody starts round r+1 until the slowest
 		// aggregator finishes round r. The barrier reproduces that
@@ -158,13 +138,13 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 		// group-local) communicator, subgroup strategies pay it only
 		// across their group, which is the decoupling the paper's group
 		// division buys.
-		sp = t.Begin(obs.PhaseBarrier, rloc)
+		ph = x.p.begin(obs.PhaseBarrier, r)
 		c.Barrier()
-		sp.End()
+		x.p.end(ph, 0)
 		if x.mine != nil {
-			sampleMem(c, r)
+			x.p.memSample(r)
 		}
-		if sched != nil && x.injectRoundFaults(sched, r, rloc) {
+		if sched != nil && x.injectRoundFaults(sched, r) {
 			// A remerge or leadership handoff changed routing: redo the
 			// request exchange and the topology, then resume this round.
 			// Collective — every rank takes this branch for the same
@@ -176,34 +156,30 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 
 		var intra, inter int64
 		if write {
-			intra, inter = x.sendToAggregators(r, rloc)
+			intra, inter = x.sendToAggregators(r)
 			x.expectLeaders(r)
 		} else {
-			intra, inter = x.readWindow(r, rloc)
+			intra, inter = x.readWindow(r)
 			x.expectAggregators(r)
 		}
 
-		tExch := c.Now()
-		sp = t.Begin(obs.PhaseExchange, rloc)
+		ph = x.p.begin(obs.PhaseExchange, r)
 		x.ex.Exchange()
-		sp.EndBytes(intra+inter, 0)
-		m.AddExchange(intra, inter, c.Now()-tExch)
-		x.em.shuffle(intra, inter)
-		x.em.exchangeSeconds.Add(c.Now() - tExch)
+		x.p.exchange(ph, intra, inter)
 		// Retransmissions: a deterministic per-(group, round, rank) draw
 		// says how many of this rank's sends were dropped, and the rank
 		// sits out their capped exponential backoff in virtual time. Retry
 		// exhaustion still delivers, so the collective always completes.
-		if drops := sched.ExchangeDrops(plan.Group, r, loc.Rank); drops > 0 {
+		if drops := sched.ExchangeDrops(plan.Group, r, x.p.loc.Rank); drops > 0 {
 			pen := sched.RetryPenalty(drops)
-			sched.RecordDrops(rloc, drops, pen)
+			sched.RecordDrops(x.p.at(r), drops, pen)
 			c.Proc().Sleep(pen)
 		}
 
 		if write {
-			x.writeWindow(r, rloc)
+			x.writeWindow(r)
 		} else {
-			x.deliver(r, rloc)
+			x.deliver(r)
 		}
 	}
 	return x
@@ -263,11 +239,10 @@ func (x *collective) route() {
 // for every domain active this round, funnel the pieces to my leader,
 // and — as a leader — stage one merged piece per domain. It returns
 // the staged payload split by locality.
-func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64) {
+func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 	c, doms, tp := x.c, x.ov.doms, &x.topo
-	t := c.Tracer()
 	var packed, wire int64
-	sp := t.Begin(obs.PhasePack, rloc)
+	ph := x.p.begin(obs.PhasePack, r)
 	for di := range doms {
 		w, ok := x.ov.window(di, r)
 		if !ok {
@@ -278,12 +253,12 @@ func (x *collective) sendToAggregators(r int, rloc obs.Loc) (intra, inter int64)
 		packed += data.Len()
 		wire += x.pieces[di].wireBytes()
 	}
-	sp.EndBytes(packed, 0)
+	x.p.end(ph, packed)
 
 	if !tp.solo() {
-		sp = t.Begin(obs.PhaseIntra, rloc)
-		x.funnel(wire, packed)
-		sp.EndBytes(packed, 0)
+		ph = x.p.begin(obs.PhaseIntra, r)
+		moved := x.funnel(wire, packed)
+		x.p.intra(ph, packed, moved)
 	}
 	if !tp.leads() {
 		return 0, 0
@@ -346,39 +321,36 @@ func (x *collective) expectLeaders(r int) {
 
 // writeWindow is the write round's receiving side: the aggregator
 // assembles the received pieces and writes this window.
-func (x *collective) writeWindow(r int, rloc obs.Loc) {
+func (x *collective) writeWindow(r int) {
 	w, ok := x.myWindow(r)
 	if !ok {
 		return
 	}
-	c, f, m, plan, mine := x.c, x.f, x.m, x.plan, x.mine
-	t := c.Tracer()
+	c, f, plan, mine := x.c, x.f, x.plan, x.mine
 	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
 	if len(cov) > 0 {
 		covLo, covHi := cov.Extent()
 		region := buffer.New(covHi-covLo, x.data.Phantom())
 		var reqs, ioBytes int64
-		tIO := c.Now()
+		start := c.Now()
 		if !plan.ExactWrite && len(cov.Holes()) > 0 {
 			// Read-modify-write: fetch the extent so the bytes
 			// between requests survive. Safe only for a single
 			// global collective (see Plan.ExactWrite).
-			sp := t.Begin(obs.PhaseRMW, rloc)
+			ph := x.p.begin(obs.PhaseRMW, r)
 			f.ReadAt(c.Proc(), c.WorldRank(c.Rank()), covLo, region)
-			sp.EndBytes(covHi-covLo, 1)
+			x.p.rmw(ph, covHi-covLo)
 			reqs++
 			ioBytes += covHi - covLo
 		}
-		tAsm := c.Now()
-		sp := t.Begin(obs.PhaseAssembly, rloc)
+		ph := x.p.begin(obs.PhaseAssembly, r)
 		x.ex.Received(func(_ int, v any) {
 			piece := v.(*shufflePiece)
 			iolib.ScatterIntoRegion(region, covLo, piece.segs, piece.data)
 		})
 		chargeAssembly(c, cov.TotalBytes())
-		sp.EndBytes(cov.TotalBytes(), 0)
-		m.AddExchange(0, 0, c.Now()-tAsm)
-		sp = t.Begin(obs.PhaseIO, rloc)
+		x.p.assembly(ph, cov.TotalBytes())
+		ph = x.p.begin(obs.PhaseIO, r)
 		if plan.ExactWrite {
 			// One request per covered run, issued as a pipelined
 			// batch: never touches bytes between requests, so
@@ -396,11 +368,9 @@ func (x *collective) writeWindow(r int, rloc obs.Loc) {
 			reqs++
 			ioBytes += covHi - covLo
 		}
-		sp.EndBytes(ioBytes, reqs)
-		m.AddIO(ioBytes, reqs, c.Now()-tIO)
-		x.em.aggRound(ioBytes, c.Now()-tIO)
+		x.p.io(ph, start, ioBytes, reqs)
 	}
-	m.AddRound(r + 1)
+	x.p.roundEnd(r)
 }
 
 // readWindow is the read round's sending side: the aggregator reads its
@@ -408,18 +378,16 @@ func (x *collective) writeWindow(r int, rloc obs.Loc) {
 // the clips of the ranks it leads, so file ranges a node's mates share
 // (halo reads, replicated blocks) cross the fabric once. It returns the
 // staged payload split by locality.
-func (x *collective) readWindow(r int, rloc obs.Loc) (intra, inter int64) {
+func (x *collective) readWindow(r int) (intra, inter int64) {
 	w, ok := x.myWindow(r)
 	if !ok {
 		return 0, 0
 	}
-	c, m, tp, mine := x.c, x.m, &x.topo, x.mine
-	t := c.Tracer()
+	c, tp, mine := x.c, &x.topo, x.mine
 	cov := x.arena.Clip(mine.coverage, w.Off, w.End())
 	if len(cov) > 0 {
 		covLo, covHi := cov.Extent()
 		region := buffer.New(covHi-covLo, x.data.Phantom())
-		tIO := c.Now()
 		// Read exactly the covered runs as one pipelined batch —
 		// a sparse window (grouped strategies) would otherwise
 		// fetch more hole bytes than data.
@@ -428,12 +396,10 @@ func (x *collective) readWindow(r int, rloc obs.Loc) (intra, inter int64) {
 			x.offs = append(x.offs, run.Off)
 			x.bufs = append(x.bufs, region.Slice(run.Off-covLo, run.Len))
 		}
-		sp := t.Begin(obs.PhaseIO, rloc)
+		ph := x.p.begin(obs.PhaseIO, r)
 		x.f.ReadVec(c.Proc(), c.WorldRank(c.Rank()), x.offs, x.bufs)
-		sp.EndBytes(cov.TotalBytes(), int64(len(cov)))
-		m.AddIO(cov.TotalBytes(), int64(len(cov)), c.Now()-tIO)
-		x.em.aggRound(cov.TotalBytes(), c.Now()-tIO)
-		sp = t.Begin(obs.PhaseAssembly, rloc)
+		x.p.io(ph, ph.t0, cov.TotalBytes(), int64(len(cov)))
+		ph = x.p.begin(obs.PhaseAssembly, r)
 		chargeAssembly(c, cov.TotalBytes())
 		if x.pieces == nil { // only aggregators stage read pieces
 			x.pieces = make([]shufflePiece, c.Size())
@@ -466,9 +432,9 @@ func (x *collective) readWindow(r int, rloc obs.Loc) (intra, inter int64) {
 			intra += i
 			inter += e
 		}
-		sp.EndBytes(cov.TotalBytes(), 0)
+		x.p.assembly(ph, cov.TotalBytes())
 	}
-	m.AddRound(r + 1)
+	x.p.roundEnd(r)
 	return intra, inter
 }
 
@@ -489,17 +455,17 @@ func (x *collective) expectAggregators(r int) {
 // deliver is the read round's receiving side. A rank that leads only
 // itself unpacks what the aggregators sent it; otherwise the pieces are
 // node unions and travel the intra-node layer (see fanOut).
-func (x *collective) deliver(r int, rloc obs.Loc) {
+func (x *collective) deliver(r int) {
 	if x.topo.solo() {
-		sp := x.c.Tracer().Begin(obs.PhasePack, rloc)
+		ph := x.p.begin(obs.PhasePack, r)
 		x.ex.Received(func(_ int, v any) {
 			piece := v.(*shufflePiece)
 			x.vi.Unpack(x.data, piece.segs, piece.data)
 		})
-		sp.End()
+		x.p.end(ph, 0)
 		return
 	}
-	sp := x.c.Tracer().Begin(obs.PhaseIntra, rloc)
-	x.fanOut(r)
-	sp.End()
+	ph := x.p.begin(obs.PhaseIntra, r)
+	moved := x.fanOut(r)
+	x.p.intra(ph, 0, moved)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // Runtime failover. When fault injection kills an aggregator's node (or
@@ -304,13 +303,14 @@ func (o overlay) validate(plan *Plan, prev overlay, r int, evs []FoEvent, down f
 // routing changed and the caller must redo its request exchange and
 // topology. Callers guard with sched != nil: the fault-free path stays
 // allocation-free.
-func (x *collective) injectRoundFaults(sched *faults.Schedule, r int, loc obs.Loc) bool {
+func (x *collective) injectRoundFaults(sched *faults.Schedule, r int) bool {
 	c := x.c
 	sched.ApplyPressure(r, func(node int, bytes int64) {
 		c.World().Machine().Node(node).InjectPressure(bytes)
 	})
 	var evs []FoEvent
 	x.ov, evs = failover(sched, c.NodeOf, c.WorldRank, x.plan, x.ov, r)
+	loc := x.p.at(r)
 	for _, ev := range evs {
 		switch {
 		case ev.By != c.Rank():
@@ -321,8 +321,7 @@ func (x *collective) injectRoundFaults(sched *faults.Schedule, r int, loc obs.Lo
 		case ev.Taker < 0:
 			sched.RecordUnrecovered(loc, ev.Failed)
 		default:
-			sched.RecordFailover(loc, ev.Kind == foNodeDeath, ev.Bytes, ev.Failed)
-			x.m.AddRemerge()
+			x.p.remerge(sched, r, ev)
 		}
 	}
 	return len(evs) > 0

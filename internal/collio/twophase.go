@@ -4,7 +4,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -170,12 +169,8 @@ func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 	return plan
 }
 
-// Plan implements iolib.Collective: the baseline schedule, built under
-// the plan span on the caller's communicator.
+// Plan implements iolib.Collective: the baseline schedule, one group
+// on the caller's communicator.
 func (tp TwoPhase) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
-	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
-	plan := tp.BuildPlan(c, view)
-	sp.End()
-	m.SetGroups(1)
-	return c, plan
+	return c, PlanOneGroup(c, m, func() *Plan { return tp.BuildPlan(c, view) })
 }

@@ -1,6 +1,70 @@
 package core
 
-import "repro/internal/explain"
+import (
+	"strconv"
+
+	"repro/internal/explain"
+	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/twolayer"
+)
+
+// recordDivision records group division's outcome d on rank 0 of the
+// call, writing every sink it reaches: the decision audit, the
+// group-division instant, the group counter, the availability snapshot
+// placement works from (so the exposition shows exactly what placement
+// saw), and the group count in m.
+func recordDivision(c *mpi.Comm, op string, msggroup int64, d *division, m *trace.Metrics) {
+	auditGroups(c.Explain(), op, d.total, msggroup, d.groups)
+	c.Tracer().Instant(obs.EventGroupDivision, obs.Loc{Rank: c.WorldRank(0), Node: c.NodeOf(0), Group: -1, Round: -1}, d.total, int64(len(d.groups)))
+	reg := c.Metrics()
+	reg.Counter("mccio_plan_groups_total",
+		"Aggregation groups formed by group division.", "op", op).Add(float64(len(d.groups)))
+	seen := make(map[int]bool)
+	for r := 0; r < c.Size(); r++ {
+		if node := c.NodeOf(r); !seen[node] {
+			seen[node] = true
+			reg.Gauge("mccio_plan_node_mem_avail_bytes",
+				"Aggregation-memory headroom per node in the planner's consistent snapshot.",
+				"node", strconv.Itoa(node)).Set(float64(d.avail[node]))
+		}
+	}
+	if m != nil {
+		m.Groups = len(d.groups)
+	}
+}
+
+// recordGroupPlan records group gi's plan gp on the group's root c,
+// writing every sink it reaches: the remerge and placement-retry
+// counters, the partition, remerge and placement instants, the
+// election's audit (twolayer.Audit), and the group's remerges in m. A
+// group that requests no data has nothing to record.
+func recordGroupPlan(c *mpi.Comm, op string, gi int, gp *GroupPlan, m *trace.Metrics) {
+	if gp.Tree == nil {
+		return
+	}
+	reg := c.Metrics()
+	reg.Counter("mccio_plan_remerges_total",
+		"Workload-portion remerges performed during placement.", "op", op).Add(float64(gp.Remerges))
+	reg.Counter("mccio_plan_placement_retries_total",
+		"Aggregator placements that fell back past the data-owning hosts.", "op", op).Add(float64(gp.Retries))
+	t := c.Tracer()
+	loc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: gi, Round: -1}
+	t.Instant(obs.EventPartition, loc, gp.Coverage.TotalBytes(), int64(len(gp.Placements)))
+	if gp.Remerges > 0 {
+		t.Instant(obs.EventRemerge, loc, 0, int64(gp.Remerges))
+	}
+	for _, pl := range gp.Placements {
+		t.Instant(obs.EventPlace, loc, pl.Buf, int64(pl.Agg))
+	}
+	if gp.election != nil {
+		twolayer.Audit(c, op, gi, gp.election, m)
+	}
+	if m != nil {
+		m.Remerges += gp.Remerges
+	}
+}
 
 // auditGroups records the group-division outcome in the decision audit:
 // the total requested bytes, the Msg_group threshold the division

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/collio"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/strategy"
 	"repro/internal/trace"
-	"repro/internal/twolayer"
 )
 
 // Options are MCCIO's tunables. The paper determines the first three
@@ -145,34 +143,14 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 	// in-group view exchange, partition tree, placement, plan broadcast —
 	// is one top-level plan span. Groups do not exist yet when it opens,
 	// so its location carries no group.
-	t := c.Tracer()
-	psp := t.Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: -1, Round: -1})
-	machine := c.World().Machine()
+	psp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: -1, Round: -1})
 
 	// Aggregation Group Division: derived once for the whole call and
 	// shared; rank 0 alone records the outcome.
 	d := mc.divide(c, view)
-	groups := d.groups
 	if c.Rank() == 0 {
-		auditGroups(machine.Explain(), op, d.total, mc.Opts.msggroup(), groups)
-		t.Instant(obs.EventGroupDivision, obs.Loc{Rank: c.WorldRank(0), Node: c.NodeOf(0), Group: -1, Round: -1}, d.total, int64(len(groups)))
-		// Planner metrics: one rank records the group count and the
-		// memory-availability snapshot the whole plan worked from, so the
-		// exposition reflects exactly what placement saw.
-		reg := c.Metrics()
-		reg.Counter("mccio_plan_groups_total",
-			"Aggregation groups formed by group division.", "op", op).Add(float64(len(groups)))
-		seen := make(map[int]bool)
-		for r := 0; r < c.Size(); r++ {
-			if node := c.NodeOf(r); !seen[node] {
-				seen[node] = true
-				reg.Gauge("mccio_plan_node_mem_avail_bytes",
-					"Aggregation-memory headroom per node in the planner's consistent snapshot.",
-					"node", strconv.Itoa(node)).Set(float64(d.avail[node]))
-			}
-		}
+		recordDivision(c, op, mc.Opts.msggroup(), d, m)
 	}
-	m.SetGroups(len(groups))
 	gi := d.colors[c.Rank()]
 	sub := c.Split(gi, 0)
 
@@ -184,9 +162,8 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 	segsRaw := sub.Gather(0, segsMsg{segs: view}, int64(len(view))*16+8)
 	var plan *collio.Plan
 	var record *GroupPlan
-	remerges := 0
 	if sub.Rank() == 0 {
-		g := groups[gi]
+		g := d.groups[gi]
 		memberSegs := make([]datatype.List, sub.Size())
 		nodeOfRank := make([]int, sub.Size())
 		for i, v := range segsRaw {
@@ -195,34 +172,13 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 		}
 		// Aggregator Location works from the snapshot group division used.
 		nodeAvail := groupAvail(nodeOfRank, d.avail)
-		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, machine.Explain())
-		record, remerges = &gp, gp.Remerges
+		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, c.Explain())
+		record = &gp
 		plan = mc.executable(gi, &gp, memberSegs, nodeAvail)
-		if gp.Tree != nil {
-			reg := c.Metrics()
-			reg.Counter("mccio_plan_remerges_total",
-				"Workload-portion remerges performed during placement.", "op", op).Add(float64(gp.Remerges))
-			reg.Counter("mccio_plan_placement_retries_total",
-				"Aggregator placements that fell back past the data-owning hosts.", "op", op).Add(float64(gp.Retries))
-			gloc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: gi, Round: -1}
-			t.Instant(obs.EventPartition, gloc, gp.Coverage.TotalBytes(), int64(len(gp.Placements)))
-			if remerges > 0 {
-				t.Instant(obs.EventRemerge, gloc, 0, int64(remerges))
-			}
-			for _, pl := range gp.Placements {
-				t.Instant(obs.EventPlace, gloc, pl.Buf, int64(pl.Agg))
-			}
-			if el := gp.election; el != nil {
-				twolayer.Audit(sub, op, gi, el)
-				m.AddLeaders(len(el.Leaders))
-			}
-		}
+		recordGroupPlan(sub, op, gi, &gp, m)
 	}
 	plan = sub.Bcast(0, plan, planWireBytes(plan)).(*collio.Plan)
 	psp.End()
-	for i := 0; i < remerges; i++ {
-		m.AddRemerge()
-	}
 	return sub, plan, record
 }
 

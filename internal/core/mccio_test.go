@@ -151,8 +151,7 @@ func placerScenario(t *testing.T, disableRemerge bool) *placer {
 	}
 	opts := Options{Msgind: 1 << 20, Nah: 2, Memmin: 6 << 10, DisableRemerge: disableRemerge}
 	nodeAvail := map[int]int64{0: 64 << 10, 1: 8 << 10}
-	var pm trace.Metrics
-	return newPlacer(tree, memberSegs, []int{0, 0, 1, 1}, nodeAvail, opts, &pm, nil, -1)
+	return newPlacer(tree, memberSegs, []int{0, 0, 1, 1}, nodeAvail, opts, nil, -1)
 }
 
 func TestPlacerRemergesWhenSharesRunOut(t *testing.T) {
@@ -160,7 +159,7 @@ func TestPlacerRemergesWhenSharesRunOut(t *testing.T) {
 	placements := p.Place()
 	// Host 1 (8 KiB) can host at most one Memmin=6KiB aggregator; host
 	// 0 two (Nah). 4 leaves cannot all be placed: at least one remerge.
-	if p.metrics.Remerges == 0 {
+	if p.remerges == 0 {
 		t.Fatalf("no remerges; placements: %d", len(placements))
 	}
 	if len(placements) >= 4 {
@@ -174,8 +173,8 @@ func TestPlacerRemergesWhenSharesRunOut(t *testing.T) {
 func TestPlacerNoRemergeWhenDisabled(t *testing.T) {
 	p := placerScenario(t, true)
 	placements := p.Place()
-	if p.metrics.Remerges != 0 {
-		t.Fatalf("remerges %d with remerge disabled", p.metrics.Remerges)
+	if p.remerges != 0 {
+		t.Fatalf("remerges %d with remerge disabled", p.remerges)
 	}
 	if len(placements) != 4 {
 		t.Fatalf("%d placements, want all 4 leaves kept", len(placements))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/collio"
 	"repro/internal/datatype"
 	"repro/internal/explain"
-	"repro/internal/trace"
 )
 
 // Placement binds one file domain (a partition-tree leaf) to its
@@ -37,8 +36,8 @@ type placer struct {
 	hosts      map[int]*hostState
 	hostOrder  []int // deterministic iteration order of hosts
 	opts       Options
-	metrics    *trace.Metrics
 	effSlots   int // expected aggregators per node this group will field
+	remerges   int // leaves remerged for lack of Memmin
 	retries    int // placements that fell back past the data-owning hosts
 
 	rec   *explain.Recorder // decision audit; nil disables
@@ -52,14 +51,13 @@ type placer struct {
 // when enabled, receives one audit event per remerge (candidates,
 // their Mem_avl, the threshold that failed, takeover variant) and per
 // placement (winner, runners-up, headroom), stamped with group.
-func newPlacer(tree *Tree, memberSegs []datatype.List, nodeOfRank []int, nodeAvail map[int]int64, opts Options, m *trace.Metrics, rec *explain.Recorder, group int) *placer {
+func newPlacer(tree *Tree, memberSegs []datatype.List, nodeOfRank []int, nodeAvail map[int]int64, opts Options, rec *explain.Recorder, group int) *placer {
 	p := &placer{
 		tree:       tree,
 		memberSegs: memberSegs,
 		nodeOfRank: nodeOfRank,
 		hosts:      make(map[int]*hostState),
 		opts:       opts,
-		metrics:    m,
 		rec:        rec,
 		group:      group,
 		placed:     make(map[*TreeNode]*Placement),
@@ -192,7 +190,7 @@ func (p *placer) Place() []*Placement {
 				variant = explain.VariantSibling
 			}
 			taker := p.tree.RemoveLeaf(leaf)
-			p.metrics.AddRemerge()
+			p.remerges++
 			if p.rec.Enabled() {
 				p.rec.Record(explain.Event{
 					Kind: explain.KindRemerge, Group: p.group,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/collio"
 	"repro/internal/datatype"
-	"repro/internal/trace"
 )
 
 func seg(off, ln int64) datatype.Segment { return datatype.Segment{Off: off, Len: ln} }
@@ -28,8 +27,7 @@ func TestPlaceFallbackRetryOncePerDomain(t *testing.T) {
 	if n := len(tree.Leaves()); n != 2 {
 		t.Fatalf("leaves = %d, want 2", n)
 	}
-	var m trace.Metrics
-	p := newPlacer(tree, memberSegs, nodeOfRank, nodeAvail, Options{Nah: 1, Msgind: 100}, &m, nil, -1)
+	p := newPlacer(tree, memberSegs, nodeOfRank, nodeAvail, Options{Nah: 1, Msgind: 100}, nil, -1)
 	placements := p.Place()
 	if len(placements) != 2 {
 		t.Fatalf("placements = %d, want 2", len(placements))
@@ -37,8 +35,8 @@ func TestPlaceFallbackRetryOncePerDomain(t *testing.T) {
 	if p.retries != 1 {
 		t.Errorf("retries = %d, want 1 (second domain fell back once)", p.retries)
 	}
-	if m.Remerges != 0 {
-		t.Errorf("remerges = %d, want 0 (fallback is not a remerge)", m.Remerges)
+	if p.remerges != 0 {
+		t.Errorf("remerges = %d, want 0 (fallback is not a remerge)", p.remerges)
 	}
 	if node := nodeOfRank[placements[1].Agg]; node != 1 {
 		t.Errorf("fallen-back domain placed on node %d, want the non-owning node 1", node)
@@ -50,8 +48,7 @@ func TestPlaceFallbackRetryOncePerDomain(t *testing.T) {
 	if n := len(tree3.Leaves()); n != 3 {
 		t.Fatalf("leaves = %d, want 3", n)
 	}
-	var m3 trace.Metrics
-	p3 := newPlacer(tree3, memberSegs, nodeOfRank, nodeAvail, Options{Nah: 1, Msgind: 1}, &m3, nil, -1)
+	p3 := newPlacer(tree3, memberSegs, nodeOfRank, nodeAvail, Options{Nah: 1, Msgind: 1}, nil, -1)
 	placements = p3.Place()
 	if len(placements) != 3 {
 		t.Fatalf("placements = %d, want 3", len(placements))
@@ -73,9 +70,8 @@ func TestPlaceSingleLeafBelowMemminNoPanic(t *testing.T) {
 		if n := len(tree.Leaves()); n != 1 {
 			t.Fatalf("leaves = %d, want 1", n)
 		}
-		var m trace.Metrics
 		p := newPlacer(tree, memberSegs, []int{0}, map[int]int64{0: 100},
-			Options{Nah: 1, Msgind: 1 << 20, Memmin: 1 << 20, DisableRemerge: disable}, &m, nil, -1)
+			Options{Nah: 1, Msgind: 1 << 20, Memmin: 1 << 20, DisableRemerge: disable}, nil, -1)
 		placements := p.Place()
 		if len(placements) != 1 {
 			t.Fatalf("DisableRemerge=%v: placements = %d, want 1", disable, len(placements))
@@ -83,8 +79,8 @@ func TestPlaceSingleLeafBelowMemminNoPanic(t *testing.T) {
 		if placements[0].Buf != collio.BufFloor {
 			t.Errorf("DisableRemerge=%v: buf = %d, want floor %d", disable, placements[0].Buf, collio.BufFloor)
 		}
-		if m.Remerges != 0 {
-			t.Errorf("DisableRemerge=%v: remerges = %d, want 0", disable, m.Remerges)
+		if p.remerges != 0 {
+			t.Errorf("DisableRemerge=%v: remerges = %d, want 0", disable, p.remerges)
 		}
 	}
 }
@@ -103,15 +99,14 @@ func TestPlaceDisableRemergeAllBelowMemmin(t *testing.T) {
 	if nLeaves < 2 {
 		t.Fatalf("leaves = %d, want a multi-leaf tree", nLeaves)
 	}
-	var m trace.Metrics
 	p := newPlacer(tree, memberSegs, nodeOfRank, map[int]int64{0: 64, 1: 64},
-		Options{Nah: 2, Msgind: 400, Memmin: 1 << 20, DisableRemerge: true}, &m, nil, -1)
+		Options{Nah: 2, Msgind: 400, Memmin: 1 << 20, DisableRemerge: true}, nil, -1)
 	placements := p.Place()
 	if len(placements) != nLeaves {
 		t.Fatalf("placements = %d, want %d (every leaf served)", len(placements), nLeaves)
 	}
-	if m.Remerges != 0 {
-		t.Errorf("remerges = %d, want 0 with DisableRemerge", m.Remerges)
+	if p.remerges != 0 {
+		t.Errorf("remerges = %d, want 0 with DisableRemerge", p.remerges)
 	}
 	if len(tree.Leaves()) != nLeaves {
 		t.Errorf("tree mutated: %d leaves, started with %d", len(tree.Leaves()), nLeaves)

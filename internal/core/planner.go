@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/datatype"
 	"repro/internal/explain"
-	"repro/internal/trace"
 	"repro/internal/twolayer"
 )
 
@@ -79,10 +78,9 @@ func (o Options) planGroup(gi int, g Group, memberSegs []datatype.List, nodeOfRa
 	}
 	gp.Tree = BuildTreeExplained(gp.Coverage, msgind, maxAggs, rec, gi)
 	auditTree(rec, gi, gp.Tree, msgind, maxAggs)
-	var pm trace.Metrics
-	pl := newPlacer(gp.Tree, memberSegs, nodeOfRank, nodeAvail, o, &pm, rec, gi)
+	pl := newPlacer(gp.Tree, memberSegs, nodeOfRank, nodeAvail, o, rec, gi)
 	gp.Placements = pl.Place()
-	gp.Remerges, gp.Retries = pm.Remerges, pl.retries
+	gp.Remerges, gp.Retries = pl.remerges, pl.retries
 
 	// Two-layer composition: elect node leaders within the group from
 	// the same snapshot the placement used, so the group's exchange

@@ -34,5 +34,8 @@ func (n Naive) Run(op string, f *File, c *mpi.Comm, view datatype.List, data buf
 	} else {
 		f.ReadIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
 	}
-	m.AddIO(view.TotalBytes(), 0, c.Now()-t0)
+	if m != nil {
+		m.BytesIO += view.TotalBytes()
+		m.IOSeconds += c.Now() - t0
+	}
 }

@@ -112,9 +112,6 @@ func (p Phase) Category() string {
 	case CounterMem:
 		return "mem"
 	}
-	if len(p) > len(metricPhasePrefix) && string(p[:len(metricPhasePrefix)]) == metricPhasePrefix {
-		return "metric"
-	}
 	return "phase"
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 const validLine = `{"kind":"span","phase":"io","t0":0,"t1":1,"rank":0,"node":0,"group":-1,"round":0,"bytes":10,"extra":1}`
@@ -83,51 +81,5 @@ func TestSummarizeHostileInput(t *testing.T) {
 	}
 	if got := len(Summarize(edge).Rounds); got != maxSummaryRounds {
 		t.Errorf("rounds = %d, want %d", got, maxSummaryRounds)
-	}
-}
-
-// TestFlushMetrics checks the registry→trace bridge: counter events
-// appear with the metric: phase prefix, deterministic label rendering,
-// and micro-unit extras for fractional values.
-func TestFlushMetrics(t *testing.T) {
-	reg := metrics.New()
-	reg.Counter("widgets_total", "Widgets.", "kind", "round").Add(3)
-	reg.Gauge("level", "Level.").Set(1.5)
-	reg.Histogram("sizes", "Sizes.", []float64{10, 100}).Observe(42)
-
-	tr := NewTracer()
-	tr.FlushMetrics(reg)
-	events := tr.Events()
-	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
-	}
-	byPhase := map[Phase]Event{}
-	for _, e := range events {
-		if e.Kind != KindCounter {
-			t.Errorf("kind = %v, want counter", e.Kind)
-		}
-		if e.Phase.Category() != "metric" {
-			t.Errorf("%s: category %q, want metric", e.Phase, e.Phase.Category())
-		}
-		byPhase[e.Phase] = e
-	}
-	w, ok := byPhase[`metric:widgets_total{kind="round"}`]
-	if !ok || w.Bytes != 3 {
-		t.Errorf("widgets event missing or wrong: %+v (have %v)", w, byPhase)
-	}
-	if g := byPhase["metric:level"]; g.Bytes != 1 || g.Extra != 1_500_000 {
-		t.Errorf("gauge event = %+v, want Bytes 1 Extra 1500000", g)
-	}
-	if h := byPhase["metric:sizes"]; h.Bytes != 42 || h.Extra != 1 {
-		t.Errorf("histogram event = %+v, want Bytes 42 (sum) Extra 1 (count)", h)
-	}
-
-	// Nil tracer and nil registry are both inert.
-	var nilT *Tracer
-	nilT.FlushMetrics(reg)
-	tr2 := NewTracer()
-	tr2.FlushMetrics(nil)
-	if tr2.Len() != 0 {
-		t.Errorf("nil registry recorded %d events", tr2.Len())
 	}
 }

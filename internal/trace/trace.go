@@ -12,9 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Metrics accumulates strategy-internal counters for one collective
-// operation. Strategies fill it; a nil *Metrics disables collection, so
-// every recording method is nil-safe.
+// Metrics accumulates strategy-internal counters for one rank's part of
+// a collective operation. Each fact is written by the one function that
+// records it on every sink (collio's probe, core's group-division and
+// group-plan records, twolayer.Audit, iolib.Naive); a nil *Metrics
+// records nothing.
 type Metrics struct {
 	Strategy string
 	Op       string // "write" or "read"
@@ -23,7 +25,7 @@ type Metrics struct {
 	Aggregators int   // distinct aggregator processes
 	Groups      int   // aggregation groups (1 for the baseline)
 	Leaders     int   // elected node leaders (two-layer exchange; 0 otherwise)
-	Remerges    int   // file domains remerged for lack of memory
+	Remerges    int   // workload-portion remerges: planned for lack of memory, or a failover
 	BytesIO     int64 // bytes moved to/from the file system
 	IORequests  int64 // requests issued to the file system
 
@@ -34,73 +36,6 @@ type Metrics struct {
 	IOSeconds       float64 // summed aggregator time in the I/O phase
 
 	AggBufferBytes []int64 // per-aggregator buffer allocation (high-water)
-}
-
-// AddRound records that an aggregator completed its round r (1-based);
-// the operation's round count is the max over aggregators.
-func (m *Metrics) AddRound(r int) {
-	if m == nil {
-		return
-	}
-	if r > m.Rounds {
-		m.Rounds = r
-	}
-}
-
-// AddIO accounts bytes and one request batch against the I/O phase.
-func (m *Metrics) AddIO(bytes int64, requests int64, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.BytesIO += bytes
-	m.IORequests += requests
-	m.IOSeconds += seconds
-}
-
-// AddExchange accounts shuffle traffic against the exchange phase.
-func (m *Metrics) AddExchange(bytesIntra, bytesInter int64, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.BytesShuffleIntra += bytesIntra
-	m.BytesShuffleInter += bytesInter
-	m.ExchangeSeconds += seconds
-}
-
-// AddAggregator records one aggregator and its buffer high-water mark.
-func (m *Metrics) AddAggregator(bufBytes int64) {
-	if m == nil {
-		return
-	}
-	m.Aggregators++
-	m.AggBufferBytes = append(m.AggBufferBytes, bufBytes)
-}
-
-// AddRemerge records a file-domain remerge.
-func (m *Metrics) AddRemerge() {
-	if m == nil {
-		return
-	}
-	m.Remerges++
-}
-
-// SetGroups records the aggregation group count.
-func (m *Metrics) SetGroups(n int) {
-	if m == nil {
-		return
-	}
-	m.Groups = n
-}
-
-// AddLeaders records a plan's elected node-leader count (two-layer
-// exchange). Exactly one rank per plan — its root — calls this, so the
-// sum across ranks (see Merge) is the operation's total leader count
-// even when several group plans run concurrently.
-func (m *Metrics) AddLeaders(n int) {
-	if m == nil {
-		return
-	}
-	m.Leaders += n
 }
 
 // AggBufferStats summarises per-aggregator buffer sizes; the paper's
@@ -117,21 +52,16 @@ func (m *Metrics) AggBufferStats() stats.Summary {
 	return stats.Summarize(xs)
 }
 
-// Merge folds another rank's metrics into m. Per-rank counters
-// (traffic, I/O bytes, phase seconds, aggregator buffers) add up;
-// values every rank computes identically from the shared plan (rounds,
-// groups, remerges) take the max so redundant computation is not
-// double-counted.
+// Merge folds another rank's metrics into m. Counts that exactly one
+// rank records per event add up: traffic, I/O, phase seconds,
+// aggregators and their buffers, leaders (each plan's root) and
+// remerges (each group's root for the planner's, the taker for a
+// failover's). Rounds and groups, which several ranks may record with
+// the same value, take the max.
 func (m *Metrics) Merge(o Metrics) {
-	if o.Rounds > m.Rounds {
-		m.Rounds = o.Rounds
-	}
-	if o.Groups > m.Groups {
-		m.Groups = o.Groups
-	}
-	if o.Remerges > m.Remerges {
-		m.Remerges = o.Remerges
-	}
+	m.Rounds = max(m.Rounds, o.Rounds)
+	m.Groups = max(m.Groups, o.Groups)
+	m.Remerges += o.Remerges
 	m.Aggregators += o.Aggregators
 	m.Leaders += o.Leaders
 	m.BytesIO += o.BytesIO

@@ -123,13 +123,14 @@ func (el *Election) Explain(rec *explain.Recorder, group int) {
 	}
 }
 
-// Audit records an election's decision trail on the calling rank: obs
-// instants, explain events, and registry metrics, all stamped with the
-// aggregation group the plan serves (0 for the standalone strategy).
-// Call it from exactly one rank per plan — the plan's root — so
-// counters aggregate correctly. The memory-conscious strategy calls it
-// per group when composing (core.Options.TwoLayer).
-func Audit(c *mpi.Comm, op string, group int, el *Election) {
+// Audit records an election on the calling rank: obs instants, explain
+// events, registry metrics and, when a node hosts several ranks (the
+// plan then carries the leader map), the leader count in m — all
+// stamped with the aggregation group the plan serves (0 for the
+// standalone strategy). Call it from exactly one rank per plan — the
+// plan's root — so counts add up across ranks. The memory-conscious
+// strategy calls it per group when composing (core.Options.TwoLayer).
+func Audit(c *mpi.Comm, op string, group int, el *Election, m *trace.Metrics) {
 	t := c.Tracer()
 	loc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: group, Round: -1}
 	for _, l := range el.Leaders {
@@ -144,24 +145,22 @@ func Audit(c *mpi.Comm, op string, group int, el *Election) {
 			"Elected leader node's available memory at election time.",
 			"node", strconv.Itoa(l.Node)).Set(float64(l.Avail))
 	}
+	// With one rank per node the plan runs the flat exchange and elects
+	// nobody, so the row stays byte-identical to the baseline's.
+	if el.MultiRank && m != nil {
+		m.Leaders += len(el.Leaders)
+	}
 }
 
-// Plan implements iolib.Collective: the two-layer schedule, built under
-// the plan span on the caller's communicator, with the election audited
-// by the plan's root.
+// Plan implements iolib.Collective: the two-layer schedule, one group
+// on the caller's communicator, with the election audited by the plan's
+// root.
 func (tl Strategy) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
-	sp := c.Tracer().Begin(obs.PhasePlan, obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: 0, Round: -1})
-	plan, el := tl.BuildPlan(c, view)
-	if el != nil && c.Rank() == 0 {
-		Audit(c, op, 0, el)
-		if el.MultiRank {
-			// One recorder per plan: the sum across ranks (trace.Metrics
-			// merge) is the total leader count. Zero in degenerate mode so
-			// the row stays byte-identical to the baseline's.
-			m.AddLeaders(len(el.Leaders))
+	return c, collio.PlanOneGroup(c, m, func() *collio.Plan {
+		plan, el := tl.BuildPlan(c, view)
+		if el != nil && c.Rank() == 0 {
+			Audit(c, op, 0, el, m)
 		}
-	}
-	sp.End()
-	m.SetGroups(1)
-	return c, plan
+		return plan
+	})
 }
