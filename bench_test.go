@@ -232,19 +232,6 @@ func BenchmarkNormalize(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionTree measures building and fully remerging a tree.
-func BenchmarkPartitionTree(b *testing.B) {
-	cov := datatype.List{{Off: 0, Len: 1 << 30}}
-	r := stats.NewRNG(1)
-	for i := 0; i < b.N; i++ {
-		tr := core.BuildTree(cov, 1<<22, 256)
-		for len(tr.Leaves()) > 1 {
-			leaves := tr.Leaves()
-			tr.RemoveLeaf(leaves[r.Intn(len(leaves))])
-		}
-	}
-}
-
 // BenchmarkDataSieving measures the independent-I/O comparator.
 func BenchmarkDataSieving(b *testing.B) {
 	mcfg, fcfg := benchPlatform(1, 1, 64*cluster.MiB)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/collio"
 	"repro/internal/core"
 	"repro/internal/iolib"
+	"repro/internal/strategy"
 	"repro/internal/twolayer"
 )
 
@@ -105,17 +106,17 @@ func MemoryPressure(o Options) (*Table, error) {
 	}
 	entries := []struct {
 		name string
-		s    iolib.Collective
 		cfg  cluster.Config
 	}{
-		{"two-phase", collio.TwoPhase{CBBuffer: mem}, baseCfg},
-		{"mccio", core.MCCIO{Opts: MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem)}, mccCfg},
+		{strategy.TwoPhase, baseCfg},
+		{strategy.MCCIO, mccCfg},
 	}
 	var rows []specRow
 	for _, e := range entries {
+		s := collective(e.name, MCCIOOptions(mccCfg, fcfg, wl.TotalBytes(), mem), mem)
 		rows = append(rows, specRow{
 			key:  "memory " + e.name,
-			spec: Spec{Strategy: e.s, Op: "write", Machine: e.cfg, FS: fcfg, Workload: wl},
+			spec: Spec{Strategy: s, Op: "write", Machine: e.cfg, FS: fcfg, Workload: wl},
 		})
 	}
 	results, _, err := runSpecs(o, "memory", rows)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/adio"
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/core"
@@ -92,6 +93,16 @@ func TestbedFS(seed uint64) pfs.Config {
 	cfg.JitterMean = 12e-3
 	cfg.Seed = seed
 	return cfg
+}
+
+// collective is the strategy adio.New names, for a name the grid
+// spells with the strategy constants (so it cannot be unknown).
+func collective(name string, opts core.Options, cb int64) iolib.Collective {
+	s, err := adio.New(name, opts, cb)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // MCCIOOptions derives the strategy tunables for one sweep point, as

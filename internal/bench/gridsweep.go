@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/collio"
-	"repro/internal/core"
-	"repro/internal/iolib"
 	"repro/internal/metrics"
+	"repro/internal/strategy"
 	"repro/internal/sweep"
 )
 
@@ -39,18 +37,13 @@ func RunSweep(o Options, reg *metrics.Registry) (*BenchFile, error) {
 	wl := iorWorkload(24, o.Scale)
 	var rows []specRow
 	for _, mem := range SweepMems {
-		for _, strat := range []string{"two-phase", "mccio"} {
+		for _, strat := range []string{strategy.TwoPhase, strategy.MCCIO} {
 			for _, op := range []string{"write", "read"} {
 				for v := 0; v < SweepVariants; v++ {
 					seed := sweep.Seed(o.Seed, len(rows))
 					fcfg := TestbedFS(seed)
 					mcfg := TestbedMachine(2, mem, SigmaBytes, seed)
-					var s iolib.Collective
-					if strat == "mccio" {
-						s = core.MCCIO{Opts: MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem)}
-					} else {
-						s = collio.TwoPhase{CBBuffer: mem}
-					}
+					s := collective(strat, MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), mem), mem)
 					rows = append(rows, specRow{
 						key:  fmt.Sprintf("mem=%s/%s/%s/v%d", mb(mem), strat, op, v),
 						spec: Spec{Strategy: s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl},

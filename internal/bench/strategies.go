@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/collio"
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/metrics"
-	"repro/internal/twolayer"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -124,22 +123,22 @@ func strategiesRows(o Options) []specRow {
 	mccTL := mccOpts
 	mccTL.TwoLayer = true
 
-	entries := []struct {
-		name string
-		s    iolib.Collective
-	}{
-		{"independent", iolib.Naive{Opts: iolib.DefaultSieve()}},
-		{"two-phase", collio.TwoPhase{CBBuffer: mem}},
-		{"two-layer", twolayer.Strategy{CBBuffer: mem}},
-		{"mccio", core.MCCIO{Opts: mccOpts}},
-		{"mccio+two-layer", core.MCCIO{Opts: mccTL}},
-	}
 	var rows []specRow
-	for _, e := range entries {
+	for _, s := range []iolib.Collective{
+		collective(strategy.Independent, mccOpts, mem),
+		collective(strategy.TwoPhase, mccOpts, mem),
+		collective(strategy.TwoLayer, mccOpts, mem),
+		collective(strategy.MCCIO, mccOpts, mem),
+		collective(strategy.MCCIO, mccTL, mem),
+	} {
+		name := s.Name()
+		if mc, ok := s.(core.MCCIO); ok && mc.Opts.TwoLayer {
+			name += "+" + strategy.TwoLayer
+		}
 		for _, op := range []string{"write", "read"} {
 			rows = append(rows, specRow{
-				key:  fmt.Sprintf("strat=%s/%s", e.name, op),
-				spec: Spec{Strategy: e.s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl},
+				key:  fmt.Sprintf("strat=%s/%s", name, op),
+				spec: Spec{Strategy: s, Op: op, Machine: mcfg, FS: fcfg, Workload: wl},
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package collio
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,7 @@ func TestPlanValidate(t *testing.T) {
 	good := &Plan{
 		Domains: []Domain{{Agg: 0, Lo: 0, Hi: 100, BufBytes: 10, Windows: OffsetWindows(0, 100, 10)}},
 		Exts:    make([]Ext, 2),
+		Tree:    RemergeTree{-1},
 	}
 	if err := good.Validate(2); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
@@ -126,11 +128,39 @@ func TestPlanValidate(t *testing.T) {
 	withLeaders := func(leaderOf []int, succ [][]int) *Plan {
 		return &Plan{Exts: make([]Ext, 2), LeaderOf: leaderOf, LeaderSucc: succ}
 	}
+	// Three domains of three ranks, and a remerge tree over them.
+	withTree := func(tree RemergeTree) *Plan {
+		p := &Plan{Exts: make([]Ext, 3), Tree: tree}
+		for i := range 3 {
+			lo := int64(i) * 10
+			p.Domains = append(p.Domains, Domain{Agg: i, Lo: lo, Hi: lo + 10, BufBytes: 4, Windows: OffsetWindows(lo, lo+10, 4)})
+		}
+		return p
+	}
+	for _, tree := range []RemergeTree{balancedTree(3), {4, 3, 3, 4, -1}} {
+		if err := withTree(tree).Validate(3); err != nil {
+			t.Errorf("good remerge tree %v rejected: %v", tree, err)
+		}
+	}
+	badTrees := []struct {
+		tree RemergeTree
+		want string
+	}{
+		{RemergeTree{3, 3, 4, 4}, "vertices for 3 domains"},                   // leaves: not one per domain
+		{RemergeTree{3, 3, 4, -1, -1}, "has parent -1"},                       // well formed: two roots
+		{RemergeTree{3, 4, 4, 4, -1}, "vertex 3 has 1 children"},              // two children: vertex 3 has one
+		{RemergeTree{3, 4, 3, 4, -1}, "vertex 3's children are not adjacent"}, // adjacent ranges: (0,2) then 1
+	}
+	for _, tc := range badTrees {
+		if err := withTree(tc.tree).Validate(3); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("remerge tree %v: error %v, want one saying %q", tc.tree, err, tc.want)
+		}
+	}
 	bad := []*Plan{
-		{Domains: []Domain{{Agg: 5}}, Exts: make([]Ext, 2)},
-		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: OffsetWindows(0, 10, 4)}, {Agg: 0, Lo: 10, Hi: 20, BufBytes: 4, Windows: OffsetWindows(10, 20, 4)}}, Exts: make([]Ext, 2)},
-		{Domains: []Domain{{Agg: 0, Lo: 10, Hi: 5}}, Exts: make([]Ext, 2)},
-		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: []datatype.Segment{{Off: 0, Len: 20}}}}, Exts: make([]Ext, 2)},
+		{Domains: []Domain{{Agg: 5}}, Exts: make([]Ext, 2), Tree: RemergeTree{-1}},
+		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: OffsetWindows(0, 10, 4)}, {Agg: 0, Lo: 10, Hi: 20, BufBytes: 4, Windows: OffsetWindows(10, 20, 4)}}, Exts: make([]Ext, 2), Tree: balancedTree(2)},
+		{Domains: []Domain{{Agg: 0, Lo: 10, Hi: 5}}, Exts: make([]Ext, 2), Tree: RemergeTree{-1}},
+		{Domains: []Domain{{Agg: 0, Lo: 0, Hi: 10, BufBytes: 4, Windows: []datatype.Segment{{Off: 0, Len: 20}}}}, Exts: make([]Ext, 2), Tree: RemergeTree{-1}},
 		{Exts: make([]Ext, 1)},
 		withLeaders([]int{0}, nil),                      // wrong length
 		withLeaders([]int{0, 2}, nil),                   // leader out of range

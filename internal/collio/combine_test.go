@@ -261,9 +261,10 @@ func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
 			lo, hi := dom.Extent()
 			plan.Domains = append(plan.Domains, Domain{
 				Agg: p - 1 - 2*i, Lo: lo, Hi: hi, BufBytes: buf,
-				Windows: CoverageWindows(dom, buf), Sibling: -1,
+				Windows: CoverageWindows(dom, buf),
 			})
 		}
+		plan.Tree = balancedTree(len(plan.Domains))
 		return plan
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 // Runtime failover. When fault injection kills an aggregator's node (or
 // drains it below Plan.MemMin) mid-collective, the domain's unserved
-// windows are absorbed by its sibling domain — the paper's
-// workload-portion remerging (Fig 5a/5b) invoked dynamically — and the
-// collective resumes from the failed round with no bytes lost or
-// duplicated; a failed elected leader's role moves down its node's
-// succession line. The Plan is never written: what a fault changes
-// lives in the overlay each rank's collective owns.
+// windows are absorbed by its Plan.Tree taker — the paper's
+// workload-portion remerging (Fig 5a/5b) invoked dynamically, by the
+// rule the planner remerges with — and the collective resumes from the
+// failed round with no bytes lost or duplicated; a failed elected
+// leader's role moves down its node's succession line. The Plan is never
+// written: what a fault changes lives in the overlay each rank's
+// collective owns.
 
 // run is a stretch of absorbed windows: ws[k] plays at round at+k.
 type run struct {
@@ -134,14 +135,14 @@ func failover(sched *faults.Schedule, nodeOf, worldOf func(rank int) int, plan *
 	var evs []FoEvent
 
 	// Aggregators first: every domain whose aggregator is down and that
-	// still has windows to serve moves into a surviving taker, behind the
-	// taker's own schedule and never before round r.
-	alive := make([]bool, len(o.doms))
+	// still has windows to serve moves into its taker, behind the taker's
+	// own schedule and never before round r. Node death and pressure only
+	// accumulate, so a domain once down is gone from the tree for good.
+	gone := make([]bool, len(o.doms))
 	var lost []int
 	for i := range o.doms {
-		dead, _ := down(&o.doms[i])
-		alive[i] = !dead
-		if dead && o.end(i) > r {
+		gone[i], _ = down(&o.doms[i])
+		if gone[i] && o.end(i) > r {
 			lost = append(lost, i)
 		}
 	}
@@ -152,7 +153,7 @@ func failover(sched *faults.Schedule, nodeOf, worldOf func(rank int) int, plan *
 		for _, fi := range lost {
 			f := &o.doms[fi]
 			_, kind := down(f)
-			ti := pickTakeover(o.doms, fi, alive)
+			ti, _ := plan.Tree.Taker(fi, gone)
 			ev := FoEvent{Kind: kind, Round: r, Failed: fi, Taker: ti, By: f.Agg}
 			if ti >= 0 {
 				tk := &o.doms[ti]
@@ -165,7 +166,7 @@ func failover(sched *faults.Schedule, nodeOf, worldOf func(rank int) int, plan *
 				o.rounds = max(o.rounds, o.end(ti))
 				// The taker's extent grows over the failed domain's, which
 				// collapses so the re-exchange routes no requests to it. The
-				// slot stays: domain indices (Sibling, aggState) remain valid.
+				// slot stays: domain indices (Plan.Tree, aggState) remain valid.
 				tk.Lo, tk.Hi = min(tk.Lo, f.Lo), max(tk.Hi, f.Hi)
 				f.Hi = f.Lo
 			}
@@ -222,30 +223,14 @@ func failover(sched *faults.Schedule, nodeOf, worldOf func(rank int) int, plan *
 	return o, evs
 }
 
-// pickTakeover chooses the surviving domain that absorbs fi: the
-// planner-designated sibling when alive, else the nearest surviving
-// domain by index (file order), lower index on ties.
-func pickTakeover(doms []Domain, fi int, alive []bool) int {
-	if s := doms[fi].Sibling; s >= 0 && s < len(doms) && s != fi && alive[s] {
-		return s
-	}
-	for dist := 1; dist < len(doms); dist++ {
-		if i := fi - dist; i >= 0 && alive[i] {
-			return i
-		}
-		if i := fi + dist; i < len(doms) && alive[i] {
-			return i
-		}
-	}
-	return -1
-}
-
 // validate states what holds after the round-r transition prev -> o that
 // decided evs: every window of the plan is scheduled exactly once, none
 // invented; rounds before r are as they were (served stays served, so
 // whatever moved plays at r or later); no aggregator owns two domains
-// with windows left, and none of those is down; every leader leads
-// itself and has not failed — unless an event says nothing survived.
+// with windows left, and none of those is down, overlaps another or lies
+// between a failed domain and its taker in file order; every leader
+// leads itself and has not failed — unless an event says nothing
+// survived.
 func (o overlay) validate(plan *Plan, prev overlay, r int, evs []FoEvent, down func(*Domain) (bool, foKind), failed func(rank int) bool) error {
 	stranded := func(leader bool, who int) bool {
 		return slices.ContainsFunc(evs, func(ev FoEvent) bool {
@@ -278,6 +263,19 @@ func (o overlay) validate(plan *Plan, prev overlay, r int, evs []FoEvent, down f
 			owns[d.Agg] = true
 			if dead, _ := down(d); dead && !stranded(false, di) {
 				return fmt.Errorf("collio: failover at round %d leaves domain %d on its lost aggregator %d", r, di, d.Agg)
+			}
+			for _, ev := range evs {
+				if ev.Kind == foLeader || ev.Taker < 0 || ev.Taker == di {
+					continue
+				}
+				if f, t := prev.doms[ev.Failed], prev.doms[ev.Taker]; d.Lo >= min(f.Hi, t.Hi) && d.Hi <= max(f.Lo, t.Lo) {
+					return fmt.Errorf("collio: failover at round %d hands domain %d to %d across live domain %d", r, ev.Failed, ev.Taker, di)
+				}
+			}
+			for dj := range di {
+				if e := &o.doms[dj]; o.end(dj) > r && d.Lo < e.Hi && e.Lo < d.Hi {
+					return fmt.Errorf("collio: failover at round %d leaves live domains %d and %d overlapping", r, dj, di)
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,16 +16,49 @@ import (
 	"repro/internal/trace"
 )
 
-// failPlan builds a three-domain plan with two windows each, the shape
-// the failover tests carve up.
-func failPlan() *Plan {
-	mk := func(agg int, lo int64) Domain {
-		return Domain{
-			Agg: agg, Lo: lo, Hi: lo + 200, BufBytes: 100, Sibling: -1,
+// linePlan builds a plan of n consecutive 200-byte domains of two
+// windows each, domain i aggregated by rank i, under the given remerge
+// tree.
+func linePlan(n int, tree RemergeTree) *Plan {
+	p := &Plan{Exts: make([]Ext, n), Tree: tree}
+	for i := range n {
+		lo := int64(i) * 200
+		p.Domains = append(p.Domains, Domain{
+			Agg: i, Lo: lo, Hi: lo + 200, BufBytes: 100,
 			Windows: []datatype.Segment{{Off: lo, Len: 100}, {Off: lo + 100, Len: 100}},
+		})
+	}
+	return p
+}
+
+// failPlan is the three-domain even-split shape the failover tests carve
+// up: domains 0 and 1 are siblings, domain 2 joins them above.
+func failPlan() *Plan { return linePlan(3, balancedTree(3)) }
+
+// randomTree draws a remerge tree over n leaves by random bisection.
+func randomTree(rng *rand.Rand, n int) RemergeTree {
+	return bisectTree(n, func(lo, hi int) int { return lo + 1 + rng.Intn(hi-lo-1) })
+}
+
+// TestBalancedTreePairsNeighbours: the even split's remerge tree sends
+// every domain's first failure where the pairing it replaced did — to
+// i^1, or to i-1 for a trailing odd domain — and is a valid tree.
+func TestBalancedTreePairsNeighbours(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		tree := balancedTree(n)
+		if _, err := tree.spans(n, nil); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, s := range siblingSnapshot(tree) {
+			want := i ^ 1
+			if want >= n {
+				want = i - 1
+			}
+			if s != want {
+				t.Errorf("n=%d: domain %d's first failure goes to %d, want %d", n, i, s, want)
+			}
 		}
 	}
-	return &Plan{Domains: []Domain{mk(0, 0), mk(1, 200), mk(2, 400)}, Exts: make([]Ext, 3)}
 }
 
 // clonePlan deep-copies everything reachable from p, so a test can hold
@@ -36,6 +70,7 @@ func clonePlan(p *Plan) *Plan {
 		q.Domains[i].Windows = slices.Clone(p.Domains[i].Windows)
 	}
 	q.Exts = slices.Clone(p.Exts)
+	q.Tree = slices.Clone(p.Tree)
 	q.LeaderOf = slices.Clone(p.LeaderOf)
 	q.LeaderSucc = slices.Clone(p.LeaderSucc)
 	for i := range q.LeaderSucc {
@@ -78,7 +113,6 @@ func schedule(o *overlay, di int) []datatype.Segment {
 
 func TestApplyFailoverRemerge(t *testing.T) {
 	p := failPlan()
-	p.Domains[0].Sibling = 1
 	ov, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v, want 1", evs)
@@ -112,7 +146,6 @@ func TestApplyFailoverRemerge(t *testing.T) {
 func TestApplyFailoverPadding(t *testing.T) {
 	p := failPlan()
 	p.Domains[1].Windows = p.Domains[1].Windows[:1] // taker has 1 round only
-	p.Domains[0].Sibling = 1
 	ov, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	if len(evs) != 1 || evs[0].Taker != 1 {
 		t.Fatalf("events = %+v", evs)
@@ -128,7 +161,6 @@ func TestApplyFailoverPadding(t *testing.T) {
 	p2.Domains[0].Windows = append(p2.Domains[0].Windows, datatype.Segment{Off: 250, Len: 50})
 	p2.Domains[0].Hi = 300
 	p2.Domains[1].Windows = p2.Domains[1].Windows[:1]
-	p2.Domains[0].Sibling = 1
 	ov, evs = failover(deadNodes(t, 0), ident, ident, p2, newOverlay(p2), 2)
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v", evs)
@@ -144,21 +176,32 @@ func TestApplyFailoverPadding(t *testing.T) {
 	}
 }
 
+// TestApplyFailoverSiblingPreference: a lost domain goes into its
+// sibling subtree — to the survivor there nearest it — and, once that
+// subtree is all gone, into the sibling subtree one level up: the tree
+// decides, not the nearest surviving index. One domain dies at round 0,
+// another at round 1.
 func TestApplyFailoverSiblingPreference(t *testing.T) {
-	p := failPlan()
-	p.Domains[0].Sibling = 2 // planner says 2, even though 1 is nearer
-	_, evs := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 0)
-	if evs[0].Taker != 2 {
-		t.Errorf("taker = %d, want the designated sibling 2", evs[0].Taker)
-	}
-
-	// Dead sibling: fall back to the nearest survivor.
-	p = failPlan()
-	p.Domains[0].Sibling = 1
-	_, evs = failover(deadNodes(t, 0, 1), ident, ident, p, newOverlay(p), 0)
-	for _, ev := range evs {
-		if ev.Failed == 0 && ev.Taker != 2 {
-			t.Errorf("taker = %d, want fallback survivor 2", ev.Taker)
+	for _, tc := range []struct {
+		name          string
+		n             int
+		tree          RemergeTree
+		first, second int
+		takers        [2]int // of the first and the second failure
+	}{
+		{"partition tree (0,(1,(2,3)))", 4, RemergeTree{6, 5, 4, 4, 5, 6, -1}, 2, 1, [2]int{3, 3}},
+		{"even split of 8", 8, balancedTree(8), 5, 4, [2]int{4, 6}},
+		{"even split of 3, trailing domain", 3, balancedTree(3), 2, 1, [2]int{1, 0}},
+	} {
+		p := linePlan(tc.n, tc.tree)
+		sched := mustSchedule(t, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: tc.first, Round: 0}, {Node: tc.second, Round: 1}}})
+		ov, evs := failover(sched, ident, ident, p, newOverlay(p), 0)
+		if len(evs) != 1 || evs[0].Taker != tc.takers[0] {
+			t.Fatalf("%s: round 0 events %+v, want domain %d into %d", tc.name, evs, tc.first, tc.takers[0])
+		}
+		_, evs = failover(sched, ident, ident, p, ov, 1)
+		if len(evs) != 1 || evs[0].Failed != tc.second || evs[0].Taker != tc.takers[1] {
+			t.Errorf("%s: round 1 events %+v, want domain %d into %d", tc.name, evs, tc.second, tc.takers[1])
 		}
 	}
 }
@@ -202,7 +245,6 @@ func TestApplyFailoverPastSchedule(t *testing.T) {
 // rank run the check for itself — and leave the plan as it was.
 func TestApplyFailoverDeterministic(t *testing.T) {
 	p := failPlan()
-	p.Domains[0].Sibling = 1
 	before := clonePlan(p)
 	a, ea := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
 	b, eb := failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
@@ -222,7 +264,6 @@ func TestApplyFailoverDeterministic(t *testing.T) {
 func TestFailoverChains(t *testing.T) {
 	t.Run("taker dies a round after absorbing", func(t *testing.T) {
 		p := failPlan()
-		p.Domains[0].Sibling, p.Domains[1].Sibling = 1, 2
 		sched := mustSchedule(t, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 0, Round: 0}, {Node: 1, Round: 1}}})
 		ov, evs := failover(sched, ident, ident, p, newOverlay(p), 0)
 		if len(evs) != 1 || evs[0].Taker != 1 || evs[0].Bytes != 200 {
@@ -256,8 +297,7 @@ func TestFailoverChains(t *testing.T) {
 	t.Run("node death and leader death in one round", func(t *testing.T) {
 		// Two nodes of two ranks: domains on ranks 0 and 2, each its
 		// node's leader. Node 0 dies and leader 2 fails, both at round 1.
-		p := failPlan()
-		p.Domains = p.Domains[:2]
+		p := linePlan(2, balancedTree(2))
 		p.Domains[1].Agg = 2
 		p.Exts = make([]Ext, 4)
 		p.LeaderOf = []int{0, 0, 2, 2}
@@ -289,9 +329,9 @@ func TestFailoverChains(t *testing.T) {
 }
 
 // randomFailoverCase draws a valid plan of 1–8 domains with 0–6 windows
-// each on a nodes x cores layout (rank r on node r/cores) — siblings
-// anywhere, in range or not; with and without an elected leader map and
-// its succession lines — and a fault schedule over it.
+// each on a nodes x cores layout (rank r on node r/cores) — under a
+// random remerge tree; with and without an elected leader map and its
+// succession lines — and a fault schedule over it.
 func randomFailoverCase(rng *rand.Rand) (p *Plan, cores int, spec faults.Spec) {
 	nodes := 1 + rng.Intn(4)
 	cores = 1 + rng.Intn(4)
@@ -300,7 +340,7 @@ func randomFailoverCase(rng *rand.Rand) (p *Plan, cores int, spec faults.Spec) {
 	aggs := rng.Perm(n)[:1+rng.Intn(min(8, n))]
 	var off int64
 	for _, agg := range aggs {
-		d := Domain{Agg: agg, Lo: off, BufBytes: 64, Sibling: rng.Intn(len(aggs)+3) - 2, NodeAvail: int64(rng.Intn(4)) << 10}
+		d := Domain{Agg: agg, Lo: off, BufBytes: 64, NodeAvail: int64(rng.Intn(4)) << 10}
 		for w := rng.Intn(7); w > 0; w-- {
 			off += int64(rng.Intn(2)) * 8 // sometimes a hole before the window
 			l := int64(1 + rng.Intn(64))
@@ -310,6 +350,7 @@ func randomFailoverCase(rng *rand.Rand) (p *Plan, cores int, spec faults.Spec) {
 		d.Hi = off
 		p.Domains = append(p.Domains, d)
 	}
+	p.Tree = randomTree(rng, len(p.Domains))
 	if rng.Intn(2) == 0 {
 		p.MemMin = 1 << 10
 	}
@@ -537,5 +578,160 @@ func TestFaultFreeRunKeepsOverlayAliased(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// siblingSnapshot is the former Domain.Sibling of every leaf: the leaf
+// next to it in its sibling subtree of the pristine tree (for an even
+// split, i^1 or i-1), -1 for a lone leaf.
+func siblingSnapshot(t RemergeTree) []int {
+	n := (len(t) + 1) / 2
+	s, err := t.spans(n, nil)
+	if err != nil {
+		panic(err)
+	}
+	sib := make([]int, n)
+	for i := range sib {
+		switch p := t[i]; {
+		case p < 0:
+			sib[i] = -1
+		case s[p].lo == i:
+			sib[i] = i + 1
+		default:
+			sib[i] = i - 1
+		}
+	}
+	return sib
+}
+
+// pickTakeover is the runtime rule the remerge tree replaced: the
+// snapshot sibling when it survives, else the nearest surviving domain
+// by index (file order), lower index on ties.
+func pickTakeover(sibling []int, fi int, alive []bool) int {
+	if s := sibling[fi]; s >= 0 && s < len(sibling) && s != fi && alive[s] {
+		return s
+	}
+	for dist := 1; dist < len(sibling); dist++ {
+		if i := fi - dist; i >= 0 && alive[i] {
+			return i
+		}
+		if i := fi + dist; i < len(sibling) && alive[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// ruleDiffs steps plan p's failover through every round under sched, as
+// each rank's collective does, and holds each remerge's taker (the tree
+// rule) against pickTakeover's choice from the same survivors. It
+// returns the number of remerges compared and one line per remerge the
+// two rules decide differently. The rules must agree whenever the
+// snapshot sibling survives — on every first failure in a subtree.
+func ruleDiffs(t testing.TB, sched *faults.Schedule, nodeOf, worldOf func(int) int, p *Plan) (remerges int, diffs []string) {
+	t.Helper()
+	sib := siblingSnapshot(p.Tree)
+	ov := newOverlay(p)
+	for r := 0; r < ov.rounds; r++ {
+		var evs []FoEvent
+		ov, evs = failover(sched, nodeOf, worldOf, p, ov, r)
+		alive := make([]bool, len(p.Domains))
+		for i, d := range p.Domains {
+			node := nodeOf(d.Agg) // a leader handoff keeps a domain on its node
+			drained := p.MemMin > 0 && d.NodeAvail > 0 && d.NodeAvail-sched.PressureBy(node, r) < p.MemMin
+			alive[i] = !sched.NodeFailedBy(node, r) && !drained
+		}
+		for _, ev := range evs {
+			if ev.Kind == foLeader {
+				continue
+			}
+			remerges++
+			if old := pickTakeover(sib, ev.Failed, alive); old != ev.Taker {
+				diffs = append(diffs, fmt.Sprintf("round %d: domain %d goes to %d by the tree, to %d by the sibling rule (sibling %d is down)",
+					r, ev.Failed, ev.Taker, old, sib[ev.Failed]))
+				if s := sib[ev.Failed]; s >= 0 && alive[s] {
+					t.Errorf("round %d: domain %d: the rules disagree (%d vs %d) while its sibling %d survives", r, ev.Failed, ev.Taker, old, s)
+				}
+			}
+		}
+	}
+	return remerges, diffs
+}
+
+// TestRemergeRulesDifferential runs the tree rule against the sibling
+// rule it replaced — on random trees and on even splits under random
+// node deaths, and on the even split of the chaos schedules' shape
+// (examples/chaos.json kills node 1 at round 2 after draining it at
+// round 1) — and prints every remerge the two decide differently (-v).
+// They may differ only on a second failure inside a subtree, and the
+// generator must reach such failures.
+func TestRemergeRulesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	total, differ := 0, 0
+	for i := 0; i < 600; i++ {
+		n := 1 + rng.Intn(12)
+		p := linePlan(n, balancedTree(n))
+		if i%2 == 1 {
+			p.Tree = randomTree(rng, n)
+		}
+		var spec faults.Spec
+		for k := 1 + rng.Intn(n); k > 0; k-- {
+			spec.NodeFailures = append(spec.NodeFailures, faults.NodeFailure{Node: rng.Intn(n), Round: rng.Intn(2)})
+		}
+		rem, diffs := ruleDiffs(t, mustSchedule(t, spec), ident, ident, p)
+		for _, d := range diffs {
+			t.Logf("case %d, tree %v, faults %+v: %s", i, p.Tree, spec.NodeFailures, d)
+		}
+		total, differ = total+rem, differ+len(diffs)
+	}
+	for _, nodes := range []int{2, 3, 4, 10} {
+		p := linePlan(nodes, balancedTree(nodes))
+		p.MemMin = 1 << 20
+		for i := range p.Domains {
+			p.Domains[i].NodeAvail = 2 << 20
+		}
+		spec := faults.Spec{
+			MemPressure:  []faults.MemPressure{{Node: 1, Round: 1, Bytes: 2 << 20}},
+			NodeFailures: []faults.NodeFailure{{Node: 1, Round: 2}},
+		}
+		rem, diffs := ruleDiffs(t, mustSchedule(t, spec), ident, ident, p)
+		if rem != 1 || len(diffs) != 0 {
+			t.Errorf("chaos shape on %d nodes: %d remerges, differences %q; want one remerge decided alike", nodes, rem, diffs)
+		}
+	}
+	t.Logf("%d of %d remerges decided differently", differ, total)
+	if differ == 0 {
+		t.Error("no remerge decided differently: the generator no longer reaches a second failure in a subtree")
+	}
+}
+
+// TestFailoverValidateCatchesWrongTaker is the mutation check of the
+// validator's remerge clauses: plans whose domain indices do not follow
+// file order make the tree hand a lost domain to a wrong taker, and
+// failover must panic naming what the taker broke.
+func TestFailoverValidateCatchesWrongTaker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		los  [3]int64 // domain extents [lo, lo+200)
+		want string
+	}{
+		{"a live domain between the failed one and its taker", [3]int64{0, 400, 200}, "hands domain 0 to 1 across live domain 2"},
+		{"the grown taker over a live domain", [3]int64{0, 200, 300}, "leaves live domains 1 and 2 overlapping"},
+	} {
+		p := failPlan()
+		for i, lo := range tc.los {
+			d := &p.Domains[i]
+			d.Lo, d.Hi = lo, lo+200
+			d.Windows = []datatype.Segment{{Off: lo, Len: 100}, {Off: lo + 100, Len: 100}}
+		}
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: failover panicked with %v, want %q", tc.name, err, tc.want)
+				}
+			}()
+			failover(deadNodes(t, 0), ident, ident, p, newOverlay(p), 1)
+		}()
 	}
 }

@@ -54,12 +54,6 @@ type Domain struct {
 	BufBytes int64              // aggregation buffer charged to the ledger
 	Windows  []datatype.Segment // per-round file windows, in order
 
-	// Sibling is the index (into Plan.Domains) of the domain that
-	// absorbs this one under runtime failover — the partition tree's
-	// adjacent leaf for MCCIO plans, the paired neighbour for the
-	// baseline. -1 (or an invalid index) falls back to the nearest
-	// surviving domain. See failover.go.
-	Sibling int
 	// NodeAvail is the aggregator node's available memory in the
 	// planner's consistent snapshot; with Plan.MemMin it drives the
 	// memory-exhaustion failover predicate. 0 disables that predicate
@@ -72,8 +66,14 @@ type Domain struct {
 // constructors fill it and nobody writes it afterwards (what a runtime
 // fault changes lives in each rank's overlay, failover.go).
 type Plan struct {
-	Domains []Domain
-	Exts    []Ext // per comm rank, from the strategy's allgather
+	Domains []Domain // in file order
+	Exts    []Ext    // per comm rank, from the strategy's allgather
+
+	// Tree is the remerge tree over Domains: the partition tree the
+	// planner left for the memory-conscious strategy, the balanced tree
+	// of the even split otherwise. Runtime failover hands a lost domain
+	// to its RemergeTree.Taker.
+	Tree RemergeTree
 
 	// Group is the aggregation-group index this plan executes for —
 	// the trace/observability identity of the schedule. Single-group
@@ -116,9 +116,14 @@ type Plan struct {
 }
 
 // Validate checks the invariants the engine relies on: one domain per
-// aggregator, windows inside the domain and strictly ordered, a leader
-// map whose leaders lead themselves, in-range succession lines.
+// aggregator, windows inside the domain and strictly ordered, a remerge
+// tree over the domains, a leader map whose leaders lead themselves,
+// in-range succession lines.
 func (p *Plan) Validate(commSize int) error {
+	var buf [64]span // every collective validates its plan: stay off the heap for up to 32 domains
+	if _, err := p.Tree.spans(len(p.Domains), buf[:]); err != nil {
+		return err
+	}
 	seen := make(map[int]bool, len(p.Domains))
 	for i, d := range p.Domains {
 		if d.Agg < 0 || d.Agg >= commSize {

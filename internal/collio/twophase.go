@@ -1,6 +1,8 @@
 package collio
 
 import (
+	"math"
+
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
@@ -106,7 +108,7 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 // domain per aggregator in aggs (in order), each with a collective
 // buffer of cb bytes capped by its node's availability (avail is
 // indexed by comm rank) and floored at BufFloor, offset windows of that
-// size, and consecutive domains paired as failover siblings. align,
+// size, and the balanced remerge tree over the domains. align,
 // when positive, rounds the domain size up to a multiple of it so
 // boundaries fall on stripe edges (the last domain absorbs the
 // remainder). Which ranks aggregate is the caller's policy — lowest
@@ -114,21 +116,13 @@ func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 // plan carries no domains when nobody has data.
 func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 	plan := &Plan{Exts: exts}
-	var gLo, gHi int64
-	first := true
+	gLo, gHi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, e := range exts {
-		if e.Empty() {
-			continue
+		if !e.Empty() {
+			gLo, gHi = min(gLo, e.Lo), max(gHi, e.Hi)
 		}
-		if first || e.Lo < gLo {
-			gLo = e.Lo
-		}
-		if first || e.Hi > gHi {
-			gHi = e.Hi
-		}
-		first = false
 	}
-	if first { // nobody has data
+	if gLo > gHi { // nobody has data
 		return plan
 	}
 	fd := (gHi - gLo + int64(len(aggs)) - 1) / int64(len(aggs))
@@ -137,35 +131,18 @@ func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 	}
 	for i, agg := range aggs {
 		dLo := gLo + int64(i)*fd
-		dHi := dLo + fd
-		if dHi > gHi {
-			dHi = gHi
-		}
+		dHi := min(dLo+fd, gHi)
 		if dHi <= dLo {
 			break
 		}
-		buf := cb
-		if buf > avail[agg] {
-			buf = avail[agg]
-		}
-		if buf < BufFloor {
-			buf = BufFloor
-		}
+		buf := max(min(cb, avail[agg]), BufFloor)
 		plan.Domains = append(plan.Domains, Domain{
 			Agg: agg, Lo: dLo, Hi: dHi,
 			BufBytes: buf,
 			Windows:  OffsetWindows(dLo, dHi, buf),
 		})
 	}
-	// Pair consecutive domains for runtime failover: even absorbs odd and
-	// vice versa; a trailing unpaired domain leans on its left neighbour.
-	for i := range plan.Domains {
-		s := i ^ 1
-		if s >= len(plan.Domains) {
-			s = i - 1
-		}
-		plan.Domains[i].Sibling = s
-	}
+	plan.Tree = balancedTree(len(plan.Domains))
 	return plan
 }
 

@@ -57,8 +57,8 @@ func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*Inspe
 	return res, nil
 }
 
-// DumpTree renders the partition tree as indented ASCII, leaves marked
-// with their data volume.
+// DumpTree renders the partition tree as remerging left it, as indented
+// ASCII, leaves marked with their data volume.
 func DumpTree(t *Tree) string {
 	var b strings.Builder
 	var walk func(n *TreeNode, depth int)
@@ -67,9 +67,8 @@ func DumpTree(t *Tree) string {
 			return
 		}
 		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), n.String())
-		l, r := n.Children()
-		walk(l, depth+1)
-		walk(r, depth+1)
+		walk(n.left, depth+1)
+		walk(n.right, depth+1)
 	}
 	walk(t.Root(), 0)
 	return b.String()

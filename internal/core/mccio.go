@@ -220,11 +220,11 @@ func (mc MCCIO) divide(c *mpi.Comm, view datatype.List) *division {
 
 // executable converts group gi's planning record into the schedule the
 // round engine runs: one domain per placement with coverage windows
-// sized by its buffer, the partition tree's adjacent leaf as failover
-// sibling, the snapshot availability arming the memory-exhaustion
-// predicate, and the leader map of the chosen exchange layering. Only
-// the live collective pays for it; the offline planner stops at the
-// record.
+// sized by its buffer and the snapshot availability arming the
+// memory-exhaustion predicate, the partition tree remerging left as the
+// plan's remerge tree, and the leader map of the chosen exchange
+// layering. Only the live collective pays for it; the offline planner
+// stops at the record.
 func (mc MCCIO) executable(gi int, gp *GroupPlan, memberSegs []datatype.List, nodeAvail map[int]int64) *collio.Plan {
 	// Exact writes: groups aggregate disjoint data that interleaves in
 	// the file, so an extent RMW in one group could overwrite another
@@ -234,14 +234,16 @@ func (mc MCCIO) executable(gi int, gp *GroupPlan, memberSegs []datatype.List, no
 		l, h := segs.Extent()
 		plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
 	}
-	for i, pl := range gp.Placements {
+	for _, pl := range gp.Placements {
 		plan.Domains = append(plan.Domains, collio.Domain{
 			Agg: pl.Agg, Lo: pl.Leaf.Lo, Hi: pl.Leaf.Hi,
 			BufBytes:  pl.Buf,
 			Windows:   collio.CoverageWindows(gp.Coverage.Clip(pl.Leaf.Lo, pl.Leaf.Hi), pl.Buf),
-			Sibling:   gp.Tree.SiblingLeafIndex(i),
 			NodeAvail: nodeAvail[gp.NodeOfRank[pl.Agg]],
 		})
+	}
+	if gp.Tree != nil {
+		plan.Tree = gp.Tree.remergeTree()
 	}
 	if el := gp.election; el != nil {
 		plan.LeaderOf = el.LeaderOf

@@ -165,7 +165,7 @@ func TestPlacerRemergesWhenSharesRunOut(t *testing.T) {
 	if len(placements) >= 4 {
 		t.Fatalf("%d placements, expected fewer than the 4 initial leaves", len(placements))
 	}
-	if err := p.tree.CheckInvariants(); err != nil {
+	if err := p.tree.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -43,7 +43,7 @@ type placer struct {
 	rec   *explain.Recorder // decision audit; nil disables
 	group int               // aggregation-group index for audit events
 
-	placed map[*TreeNode]*Placement
+	placed []*Placement // per built leaf of the tree
 }
 
 // newPlacer snapshots per-node availability. nodeAvail is the
@@ -60,7 +60,7 @@ func newPlacer(tree *Tree, memberSegs []datatype.List, nodeOfRank []int, nodeAva
 		opts:       opts,
 		rec:        rec,
 		group:      group,
-		placed:     make(map[*TreeNode]*Placement),
+		placed:     make([]*Placement, len(tree.leaves)),
 	}
 	for r, node := range nodeOfRank {
 		h := p.hosts[node]
@@ -114,17 +114,17 @@ func (p *placer) candidates(leaf *TreeNode) []*hostState {
 	return out
 }
 
-// choose picks the aggregator host for a leaf: the candidate with
+// choose picks the aggregator host for built leaf i: the candidate with
 // maximum available memory (§3.3), or — for the ablation that disables
 // memory awareness — simple rotation over candidates.
-func (p *placer) choose(leaf *TreeNode, cands []*hostState) *hostState {
+func (p *placer) choose(i int, cands []*hostState) *hostState {
 	if p.opts.DisableMemAware {
-		// ROMIO-like obliviousness: rotate by leaf position.
+		// ROMIO-like obliviousness: rotate by the leaf's position among
+		// the current ones.
 		idx := 0
-		for i, l := range p.tree.Leaves() {
-			if l == leaf {
-				idx = i
-				break
+		for j := range i {
+			if p.tree.live(j) {
+				idx++
 			}
 		}
 		return cands[idx%len(cands)]
@@ -145,51 +145,31 @@ func (p *placer) Place() []*Placement {
 	// How many aggregators will actually land per node: budgeting a
 	// node's memory over Nah slots when only one or two domains will
 	// ever live there wastes most of it.
-	p.effSlots = (len(p.tree.Leaves()) + len(p.hostOrder) - 1) / len(p.hostOrder)
-	if p.effSlots < 1 {
-		p.effSlots = 1
-	}
-	if p.effSlots > p.opts.Nah {
-		p.effSlots = p.opts.Nah
-	}
-	guard := 0
-	for {
-		guard++
-		if guard > 1<<16 {
-			panic("core: placement did not converge")
-		}
-		leaf := p.nextUnplaced()
-		if leaf == nil {
-			break
-		}
+	p.effSlots = min(max((len(p.tree.leaves)+len(p.hostOrder)-1)/len(p.hostOrder), 1), p.opts.Nah)
+	// Each pass places a leaf or removes one.
+	for i := p.nextUnplaced(); i >= 0; i = p.nextUnplaced() {
+		leaf := p.tree.leaves[i]
 		retriesBefore := p.retries
 		cands := p.candidates(leaf)
 		retried := p.retries > retriesBefore
-		host := p.choose(leaf, cands)
+		host := p.choose(i, cands)
 		// An aggregator may claim only its share of the host's remaining
 		// budget: the memory left divided by the aggregator slots left
 		// (§3: "each node uses N_ah I/O aggregators with Msg_ind message
 		// size"). Letting the first aggregator drain the node would
 		// starve the other slots and cascade needless remerges.
 		share := p.share(host)
-		if share < p.opts.Memmin && !p.opts.DisableRemerge && len(p.tree.Leaves()) > 1 {
+		if share < p.opts.Memmin && !p.opts.DisableRemerge && len(p.tree.leaves)-p.remerges > 1 {
 			// Not enough aggregation memory anywhere this domain's data
 			// lives: merge it into the neighbouring domain and retry
-			// (§3.2). The takeover leaf may already be placed — its
-			// domain simply grew and its window schedule will stretch.
-			var sib *TreeNode
-			if par := leaf.Parent(); par != nil {
-				if l, r := par.Children(); l == leaf {
-					sib = r
-				} else {
-					sib = l
-				}
-			}
+			// (§3.2). The taker may already be placed — its domain simply
+			// grew and its window schedule will stretch.
+			ti, fig5a := p.tree.remove(i)
 			variant := explain.VariantDFS
-			if sib != nil && sib.IsLeaf() {
+			if fig5a {
 				variant = explain.VariantSibling
 			}
-			taker := p.tree.RemoveLeaf(leaf)
+			taker := p.tree.leaves[ti]
 			p.remerges++
 			if p.rec.Enabled() {
 				p.rec.Record(explain.Event{
@@ -202,34 +182,14 @@ func (p *placer) Place() []*Placement {
 					TakerLo:    taker.Lo, TakerHi: taker.Hi,
 				})
 			}
-			// Fig 5a turns the parent into the merged leaf, retiring the
-			// placed sibling's vertex: carry the placement over so the
-			// aggregator it claimed keeps serving the merged domain.
-			if sib != nil && taker != sib {
-				if sibPl := p.placed[sib]; sibPl != nil {
-					delete(p.placed, sib)
-					sibPl.Leaf = taker
-					p.placed[taker] = sibPl
-				}
-			}
 			continue
 		}
-		buf := leaf.DataBytes
-		if buf > share {
-			buf = share
-		}
-		if buf < collio.BufFloor {
-			buf = collio.BufFloor
-		}
+		buf := max(min(leaf.DataBytes, share), collio.BufFloor)
 		agg := p.pickRank(host)
 		availBefore := host.avail
-		if buf > host.avail {
-			host.avail = 0
-		} else {
-			host.avail -= buf
-		}
+		host.avail = max(host.avail-buf, 0)
 		host.aggs++
-		p.placed[leaf] = &Placement{Leaf: leaf, Agg: agg, Buf: buf}
+		p.placed[i] = &Placement{Leaf: leaf, Agg: agg, Buf: buf}
 		if p.rec.Enabled() {
 			var runnersUp []explain.Candidate
 			for _, h := range cands {
@@ -246,14 +206,11 @@ func (p *placer) Place() []*Placement {
 			})
 		}
 	}
-	leaves := p.tree.Leaves()
-	out := make([]*Placement, 0, len(leaves))
-	for _, l := range leaves {
-		pl := p.placed[l]
-		if pl == nil {
-			panic(fmt.Sprintf("core: leaf %v left unplaced", l))
+	out := make([]*Placement, 0, len(p.placed)-p.remerges)
+	for _, pl := range p.placed {
+		if pl != nil {
+			out = append(out, pl)
 		}
-		out = append(out, pl)
 	}
 	return out
 }
@@ -288,14 +245,15 @@ func (p *placer) share(h *hostState) int64 {
 	return h.avail / int64(slots)
 }
 
-// nextUnplaced returns the first leaf (file order) without a placement.
-func (p *placer) nextUnplaced() *TreeNode {
-	for _, l := range p.tree.Leaves() {
-		if p.placed[l] == nil {
-			return l
+// nextUnplaced returns the first current leaf (file order) without a
+// placement, as a built-leaf index, or -1.
+func (p *placer) nextUnplaced() int {
+	for i, pl := range p.placed {
+		if pl == nil && p.tree.live(i) {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // pickRank selects the aggregator process on a host: the next rank not

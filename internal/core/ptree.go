@@ -14,7 +14,8 @@
 //     hosted (no candidate node has Mem_min available) leaves the tree,
 //     its region taken over by the neighbouring leaf (sibling-leaf
 //     takeover, Fig 5a, or directional DFS into the sibling subtree,
-//     Fig 5b).
+//     Fig 5b) — collio.RemergeTree.Taker, the rule runtime failover
+//     applies too.
 //   - Aggregator Location (§3.3): each file domain's aggregator is
 //     placed on the candidate host with maximum available memory,
 //     subject to at most N_ah aggregators per host.
@@ -27,29 +28,23 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/collio"
 	"repro/internal/datatype"
 	"repro/internal/explain"
 )
 
 // TreeNode is a vertex of the binary partition tree. Every vertex
 // represents a non-overlapping portion [Lo, Hi) of the group's file
-// region; leaves are the current file domains.
+// region; leaves are file domains.
 type TreeNode struct {
 	Lo, Hi    int64
 	DataBytes int64 // requested bytes covered inside [Lo, Hi)
 
-	parent      *TreeNode
 	left, right *TreeNode
 }
 
-// IsLeaf reports whether the vertex is a current file domain.
+// IsLeaf reports whether the vertex is a file domain.
 func (n *TreeNode) IsLeaf() bool { return n.left == nil && n.right == nil }
-
-// Parent returns the parent vertex (nil at the root).
-func (n *TreeNode) Parent() *TreeNode { return n.parent }
-
-// Children returns the left and right children (nil for leaves).
-func (n *TreeNode) Children() (*TreeNode, *TreeNode) { return n.left, n.right }
 
 func (n *TreeNode) String() string {
 	kind := "leaf"
@@ -60,10 +55,16 @@ func (n *TreeNode) String() string {
 }
 
 // Tree is the binary partition tree of one aggregation group's file
-// region.
+// region. Bisection builds it once; remerging never edits its shape but
+// marks built leaves gone and grows each taker's extent, and the tree
+// it stands for is the one the built tree induces on the leaves left.
 type Tree struct {
 	root     *TreeNode
 	coverage datatype.List // the group's aggregate request coverage
+
+	leaves []*TreeNode        // the built leaves, in file order
+	gone   []bool             // per built leaf: remerged away; nil until the first remerge
+	built  collio.RemergeTree // over the built leaves; set at the first remerge
 
 	rec   *explain.Recorder // decision audit; nil disables
 	group int               // aggregation-group index for audit events
@@ -94,7 +95,16 @@ func BuildTreeExplained(coverage datatype.List, msgind int64, maxLeaves int, rec
 	root := &TreeNode{Lo: lo, Hi: hi, DataBytes: coverage.TotalBytes()}
 	t := &Tree{root: root, coverage: coverage, rec: rec, group: group}
 	t.split(root, msgind, maxLeaves)
+	t.leaves = root.appendLeaves(nil)
 	return t
+}
+
+// appendLeaves appends the leaves below n to out, in file order.
+func (n *TreeNode) appendLeaves(out []*TreeNode) []*TreeNode {
+	if n.IsLeaf() {
+		return append(out, n)
+	}
+	return n.right.appendLeaves(n.left.appendLeaves(out))
 }
 
 // split bisects n until its leaves satisfy the termination criterion,
@@ -112,8 +122,8 @@ func (t *Tree) split(n *TreeNode, msgind int64, budget int) {
 	if leftData == 0 || rightData == 0 {
 		return // degenerate cut; keep as leaf
 	}
-	n.left = &TreeNode{Lo: n.Lo, Hi: cut, DataBytes: leftData, parent: n}
-	n.right = &TreeNode{Lo: cut, Hi: n.Hi, DataBytes: rightData, parent: n}
+	n.left = &TreeNode{Lo: n.Lo, Hi: cut, DataBytes: leftData}
+	n.right = &TreeNode{Lo: cut, Hi: n.Hi, DataBytes: rightData}
 	t.rec.Bisect(t.group, n.Lo, n.Hi, n.DataBytes, cut, leftData)
 	lb := budget / 2
 	rb := budget - lb
@@ -141,169 +151,88 @@ func (t *Tree) halfDataOffset(n *TreeNode) int64 {
 	return n.Hi
 }
 
-// Root returns the root vertex.
-func (t *Tree) Root() *TreeNode { return t.root }
+// Root returns the root vertex of the tree as remerging left it.
+func (t *Tree) Root() *TreeNode { return t.induced() }
 
-// Coverage returns the group coverage the tree was built from.
-func (t *Tree) Coverage() datatype.List { return t.coverage }
+// Leaves returns the current file domains in file order: the built
+// leaves remerging has not taken out.
+func (t *Tree) Leaves() []*TreeNode { return t.Root().appendLeaves(nil) }
 
-// Leaves returns the current file domains in file order.
-func (t *Tree) Leaves() []*TreeNode {
-	var out []*TreeNode
-	var walk func(n *TreeNode)
-	walk = func(n *TreeNode) {
-		if n == nil {
-			return
-		}
-		if n.IsLeaf() {
-			out = append(out, n)
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out
-}
+// live reports whether built leaf i is still a file domain.
+func (t *Tree) live(i int) bool { return t.gone == nil || !t.gone[i] }
 
-// SiblingLeafIndex returns the index, in Leaves() order, of the leaf
-// that would absorb leaf i under workload-portion remerging: the
-// nearest leaf inside i's sibling subtree — the same leaf RemoveLeaf
-// would hand the region to (Fig 5a/5b). Because Leaves() walks
-// in-order, that is simply the adjacent leaf on the sibling's side.
-// Returns -1 for a single-leaf tree or an out-of-range index.
-func (t *Tree) SiblingLeafIndex(i int) int {
-	leaves := t.Leaves()
-	if i < 0 || i >= len(leaves) {
-		return -1
+// remove takes built leaf i out of the tree — the Workload Portion
+// Remerging operation — and returns the built leaf that takes over its
+// region by the one remerge rule (collio.RemergeTree.Taker), and whether
+// that was Fig 5a. The taker keeps its vertex; its extent and data grow
+// over leaf i's. It panics when leaf i is the group's last domain.
+func (t *Tree) remove(i int) (taker int, fig5a bool) {
+	if t.gone == nil {
+		t.built, t.gone = t.remergeTree(), make([]bool, len(t.leaves))
 	}
-	p := leaves[i].parent
-	if p == nil {
-		return -1
-	}
-	if p.left == leaves[i] {
-		return i + 1 // first leaf of the right sibling subtree
-	}
-	return i - 1 // last leaf of the left sibling subtree
-}
-
-// RemoveLeaf removes leaf a from the tree — the Workload Portion
-// Remerging operation. It returns the leaf that took over a's region:
-//
-//   - If a's sibling b is a leaf (Fig 5a), the parent becomes a leaf
-//     owned by b: the two regions merge into one domain.
-//   - If b is internal (Fig 5b), a depth-first search inside b's
-//     subtree finds the leaf adjacent to a (leftmost leaf when a was
-//     the left sibling, rightmost when right); that leaf c absorbs a's
-//     region, the parent vertex leaves the tree, and the extents along
-//     c's spine stretch to cover the absorbed region.
-//
-// It panics when a is not a leaf or is the root (the last domain of a
-// group cannot be removed; the caller must keep at least one).
-func (t *Tree) RemoveLeaf(a *TreeNode) *TreeNode {
-	if !a.IsLeaf() {
-		panic(fmt.Sprintf("core: RemoveLeaf on internal vertex %v", a))
-	}
-	p := a.parent
-	if p == nil {
+	t.gone[i] = true
+	if taker, fig5a = t.built.Taker(i, t.gone); taker < 0 {
 		panic("core: cannot remove the only domain of a group")
 	}
-	b := p.left
-	aIsLeft := false
-	if b == a {
-		b = p.right
-		aIsLeft = true
-	}
-
-	if b.IsLeaf() {
-		// Fig 5a: parent becomes the merged leaf.
-		p.left, p.right = nil, nil
-		p.DataBytes = a.DataBytes + b.DataBytes
-		return p
-	}
-
-	// Fig 5b: contract p (replace it with b), then stretch the spine.
-	gp := p.parent
-	b.parent = gp
-	if gp == nil {
-		t.root = b
-	} else if gp.left == p {
-		gp.left = b
-	} else {
-		gp.right = b
-	}
-	// Stretch b's subtree toward a's side and descend to the adjacent
-	// leaf, extending every vertex on the way.
-	c := b
-	for {
-		if aIsLeft {
-			c.Lo = a.Lo
-		} else {
-			c.Hi = a.Hi
-		}
-		c.DataBytes += a.DataBytes
-		if c.IsLeaf() {
-			return c
-		}
-		if aIsLeft {
-			c = c.left
-		} else {
-			c = c.right
-		}
-	}
+	a, c := t.leaves[i], t.leaves[taker]
+	c.Lo, c.Hi, c.DataBytes = min(c.Lo, a.Lo), max(c.Hi, a.Hi), c.DataBytes+a.DataBytes
+	return taker, fig5a
 }
 
-// CheckInvariants verifies the partition-tree structural invariants:
-// children tile their parent exactly, data adds up, leaves tile the
-// root in order. Tests and debug assertions use it.
-func (t *Tree) CheckInvariants() error {
-	var err error
-	var walk func(n *TreeNode)
-	walk = func(n *TreeNode) {
-		if n == nil || err != nil {
-			return
-		}
-		if (n.left == nil) != (n.right == nil) {
-			err = fmt.Errorf("vertex %v has exactly one child", n)
-			return
-		}
-		if n.left != nil {
-			l, r := n.left, n.right
-			if l.Lo != n.Lo || r.Hi != n.Hi || l.Hi != r.Lo {
-				err = fmt.Errorf("children of %v do not tile it: %v + %v", n, l, r)
-				return
+// induced is the tree the built tree induces on the leaves remerging
+// left — what removing each leaf and contracting its parent would have
+// left: a vertex with one side left is replaced by that side, and every
+// vertex spans its leaves' grown extents. Without remerges it is the
+// built tree.
+func (t *Tree) induced() *TreeNode {
+	if t.gone == nil {
+		return t.root
+	}
+	spare := make([]TreeNode, 0, len(t.leaves)) // fresh internal vertices; never regrows
+	k := 0                                      // built leaves walked, in file order
+	var walk func(n *TreeNode) *TreeNode
+	walk = func(n *TreeNode) *TreeNode {
+		if n.IsLeaf() {
+			if k++; !t.live(k - 1) {
+				return nil
 			}
-			if l.DataBytes+r.DataBytes != n.DataBytes {
-				err = fmt.Errorf("data of %v != children sum %d+%d", n, l.DataBytes, r.DataBytes)
-				return
-			}
-			if l.parent != n || r.parent != n {
-				err = fmt.Errorf("broken parent pointers under %v", n)
-				return
-			}
-			walk(l)
-			walk(r)
+			return n
+		}
+		l, r := walk(n.left), walk(n.right)
+		switch {
+		case l == nil:
+			return r
+		case r == nil:
+			return l
+		}
+		spare = append(spare, TreeNode{Lo: l.Lo, Hi: r.Hi, DataBytes: l.DataBytes + r.DataBytes, left: l, right: r})
+		return &spare[len(spare)-1]
+	}
+	return walk(t.root)
+}
+
+// remergeTree is the remerge tree of the current file domains, its
+// leaves numbered in file order.
+func (t *Tree) remergeTree() collio.RemergeTree {
+	n := len(t.leaves)
+	for _, g := range t.gone {
+		if g {
+			n--
 		}
 	}
-	walk(t.root)
-	if err != nil {
-		return err
-	}
-	leaves := t.Leaves()
-	prev := t.root.Lo
-	var data int64
-	for _, l := range leaves {
-		if l.Lo != prev {
-			return fmt.Errorf("leaf %v does not start at previous end %d", l, prev)
+	rt := make(collio.RemergeTree, 2*n-1)
+	leaf, next := 0, n
+	var walk func(v *TreeNode) int
+	walk = func(v *TreeNode) int {
+		if v.IsLeaf() {
+			leaf++
+			return leaf - 1
 		}
-		prev = l.Hi
-		data += l.DataBytes
+		l, r := walk(v.left), walk(v.right)
+		rt[l], rt[r] = next, next
+		next++
+		return next - 1
 	}
-	if prev != t.root.Hi {
-		return fmt.Errorf("leaves end at %d, root at %d", prev, t.root.Hi)
-	}
-	if data != t.root.DataBytes {
-		return fmt.Errorf("leaf data %d != root data %d", data, t.root.DataBytes)
-	}
-	return nil
+	rt[walk(t.induced())] = -1
+	return rt
 }

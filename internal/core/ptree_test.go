@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,7 +25,7 @@ func randomCoverage(r *stats.RNG, n int) datatype.List {
 func TestBuildTreeTerminatesAtMsgind(t *testing.T) {
 	cov := contiguous(0, 1<<20)
 	tr := BuildTree(cov, 100<<10, 64)
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	leaves := tr.Leaves()
@@ -41,7 +42,7 @@ func TestBuildTreeTerminatesAtMsgind(t *testing.T) {
 func TestBuildTreeRespectsMaxLeaves(t *testing.T) {
 	cov := contiguous(0, 1<<20)
 	tr := BuildTree(cov, 1, 7) // msgind=1 would want 2^20 leaves
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(tr.Leaves()); n > 7 {
@@ -65,7 +66,7 @@ func TestBuildTreeBalancesDataNotOffsets(t *testing.T) {
 	// span: the first split must put one segment on each side.
 	cov := datatype.List{{Off: 0, Len: 1 << 10}, {Off: 1<<20 - 1<<10, Len: 1 << 10}}
 	tr := BuildTree(cov, 1<<10, 8)
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	leaves := tr.Leaves()
@@ -84,7 +85,7 @@ func TestBuildTreePropertyInvariants(t *testing.T) {
 		msgind := int64(msgRaw)%20000 + 1
 		budget := int(budgetRaw)%40 + 1
 		tr := BuildTree(cov, msgind, budget)
-		if tr.CheckInvariants() != nil {
+		if tr.checkInvariants() != nil {
 			return false
 		}
 		if len(tr.Leaves()) > budget {
@@ -118,26 +119,33 @@ func TestBuildTreePropertyInvariants(t *testing.T) {
 	}
 }
 
+// liveIndex returns the built-leaf index of the k-th current leaf.
+func liveIndex(tr *Tree, k int) int {
+	for i := range tr.leaves {
+		if tr.live(i) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("liveIndex: out of range")
+}
+
 func TestRemoveLeafSiblingLeafCase(t *testing.T) {
-	// Fig 5a: removing a leaf whose sibling is a leaf merges into the
-	// parent.
+	// Fig 5a: removing a leaf whose sibling is a leaf hands its region to
+	// that sibling.
 	cov := contiguous(0, 1000)
 	tr := BuildTree(cov, 250, 4) // 4 leaves of 250
-	leaves := tr.Leaves()
-	if len(leaves) != 4 {
-		t.Fatalf("setup: %d leaves", len(leaves))
+	if n := len(tr.Leaves()); n != 4 {
+		t.Fatalf("setup: %d leaves", n)
 	}
-	a := leaves[0]
-	sib := leaves[1]
-	if a.Parent() != sib.Parent() {
-		t.Fatal("setup: first two leaves are not siblings")
-	}
-	got := tr.RemoveLeaf(a)
-	if err := tr.CheckInvariants(); err != nil {
+	ti, fig5a := tr.remove(0)
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Lo != 0 || got.Hi != sib.Hi || got.DataBytes != 500 {
-		t.Fatalf("merged leaf %v", got)
+	if got := tr.leaves[ti]; ti != 1 || !fig5a || got.Lo != 0 || got.Hi != 500 || got.DataBytes != 500 {
+		t.Fatalf("taker %d (%v, fig5a=%v), want leaf 1 grown to [0,500) data 500 by Fig 5a", ti, got, fig5a)
 	}
 	if n := len(tr.Leaves()); n != 3 {
 		t.Fatalf("%d leaves after removal", n)
@@ -145,30 +153,20 @@ func TestRemoveLeafSiblingLeafCase(t *testing.T) {
 }
 
 func TestRemoveLeafDFSCase(t *testing.T) {
-	// Fig 5b: a's sibling is internal; the adjacent leaf of the
-	// sibling subtree takes over a's region.
+	// Fig 5b: once leaf 1 is gone, leaf 0's sibling is the internal right
+	// subtree; its adjacent (leftmost) leaf takes over leaf 0's region.
 	cov := contiguous(0, 800)
 	tr := BuildTree(cov, 200, 4) // leaves: [0,200) [200,400) [400,600) [600,800)
-	leaves := tr.Leaves()
-	// Remove the left child of the root's left subtree's... take leaf 0
-	// whose sibling at some level is internal: remove leaf 1 first to
-	// force shapes? Simpler: remove leaf 0's sibling chain directly.
-	// Build a known shape instead: remove leaf[1], then leaf[0]'s
-	// sibling is the internal right subtree.
-	tr.RemoveLeaf(leaves[1]) // merges [0,200)+[200,400) -> leaf
-	leaves = tr.Leaves()     // [0,400) [400,600) [600,800)
-	a := leaves[0]
-	if a.Parent() == nil || a.Parent() != tr.Root() {
-		t.Fatalf("setup: expected a directly under root, tree %v", tr.Root())
+	if ti, fig5a := tr.remove(1); ti != 0 || !fig5a {
+		t.Fatalf("setup: leaf 1 went to %d (fig5a=%v), want its sibling 0", ti, fig5a)
 	}
-	// a's sibling (right subtree) is internal -> DFS leftmost leaf
-	// [400,600) must take over, stretching to [0,600).
-	c := tr.RemoveLeaf(a)
-	if err := tr.CheckInvariants(); err != nil {
+	ti, fig5a := tr.remove(0)
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Lo != 0 || c.Hi != 600 || c.DataBytes != 600 {
-		t.Fatalf("takeover leaf %v, want [0,600) data 600", c)
+	c := tr.leaves[ti]
+	if fig5a || c.Lo != 0 || c.Hi != 600 || c.DataBytes != 600 {
+		t.Fatalf("takeover leaf %v (fig5a=%v), want [0,600) data 600 by Fig 5b", c, fig5a)
 	}
 	got := tr.Leaves()
 	if len(got) != 2 || got[0] != c || got[1].Lo != 600 {
@@ -179,42 +177,34 @@ func TestRemoveLeafDFSCase(t *testing.T) {
 func TestRemoveLeafRightDirection(t *testing.T) {
 	cov := contiguous(0, 800)
 	tr := BuildTree(cov, 200, 4)
-	leaves := tr.Leaves()
-	tr.RemoveLeaf(leaves[2]) // [400,600)+[600,800) merge
-	leaves = tr.Leaves()     // [0,200) [200,400) [400,800)
-	a := leaves[2]           // right child of root, sibling internal
-	if a.Parent() != tr.Root() {
-		t.Fatalf("setup: %v not under root", a)
-	}
-	c := tr.RemoveLeaf(a)
-	if err := tr.CheckInvariants(); err != nil {
+	tr.remove(2) // [400,600)+[600,800) merge into leaf 3
+	ti, _ := tr.remove(3)
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Rightmost leaf of the left subtree is [200,400): stretches to 800.
-	if c.Lo != 200 || c.Hi != 800 {
+	if c := tr.leaves[ti]; c.Lo != 200 || c.Hi != 800 {
 		t.Fatalf("takeover leaf %v, want [200,800)", c)
 	}
 }
 
-func TestRemoveLeafPanicsOnRootOrInternal(t *testing.T) {
+func TestRemoveLeafPanicsOnLastDomain(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
 	tr := BuildTree(contiguous(0, 100), 1000, 4) // single leaf = root
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("removing root leaf did not panic")
-			}
-		}()
-		tr.RemoveLeaf(tr.Root())
-	}()
+	mustPanic("removing the only leaf", func() { tr.remove(0) })
 	tr2 := BuildTree(contiguous(0, 1000), 250, 4)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("removing internal vertex did not panic")
-			}
-		}()
-		tr2.RemoveLeaf(tr2.Root())
-	}()
+	tr2.remove(0)
+	tr2.remove(1)
+	tr2.remove(2)
+	mustPanic("removing the last leaf left", func() { tr2.remove(3) })
 }
 
 func TestRemoveLeafPropertyRandomSequences(t *testing.T) {
@@ -223,11 +213,9 @@ func TestRemoveLeafPropertyRandomSequences(t *testing.T) {
 		cov := randomCoverage(r, 1+r.Intn(20))
 		tr := BuildTree(cov, 1+cov.TotalBytes()/16, 32)
 		total := tr.Root().DataBytes
-		for len(tr.Leaves()) > 1 {
-			leaves := tr.Leaves()
-			victim := leaves[r.Intn(len(leaves))]
-			tr.RemoveLeaf(victim)
-			if tr.CheckInvariants() != nil {
+		for live := len(tr.Leaves()); live > 1; live-- {
+			tr.remove(liveIndex(tr, r.Intn(live)))
+			if tr.checkInvariants() != nil {
 				return false
 			}
 			if tr.Root().DataBytes != total {
@@ -241,4 +229,106 @@ func TestRemoveLeafPropertyRandomSequences(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRemoveMatchesPointerSurgery holds the mask-based removal to the
+// pointer surgery it replaced (refRemoveLeaf) over random layouts and
+// random removal sequences: at every step the same taker, the same
+// Fig 5a/5b variant, the same leaf extents and data, and the same
+// DumpTree text.
+func TestRemoveMatchesPointerSurgery(t *testing.T) {
+	steps := 0
+	for c := uint64(0); c < 400; c++ {
+		r := stats.NewRNG(c)
+		cov := randomCoverage(r, 1+r.Intn(30))
+		tr := BuildTree(cov, 1+cov.TotalBytes()/int64(1+r.Intn(24)), 1+r.Intn(40))
+		ref := refClone(tr.root, nil)
+		for live := len(tr.leaves); live > 1 && r.Intn(8) > 0; live-- {
+			k := r.Intn(live)
+			ti, fig5a := tr.remove(liveIndex(tr, k))
+			rt, rfig5a := refRemoveLeaf(&ref, refLeaves(ref)[k])
+			got := tr.leaves[ti]
+			if fig5a != rfig5a || got.Lo != rt.Lo || got.Hi != rt.Hi || got.DataBytes != rt.DataBytes {
+				t.Fatalf("case %d: removing leaf %d: taker %v (fig5a=%v), reference %+v (fig5a=%v)", c, k, got, fig5a, *rt, rfig5a)
+			}
+			leaves, rl := tr.Leaves(), refLeaves(ref)
+			for j := range rl {
+				if leaves[j].Lo != rl[j].Lo || leaves[j].Hi != rl[j].Hi || leaves[j].DataBytes != rl[j].DataBytes {
+					t.Fatalf("case %d: leaf %d is %v, reference %+v", c, j, leaves[j], *rl[j])
+				}
+			}
+			if d, rd := DumpTree(tr), refDump(ref); d != rd {
+				t.Fatalf("case %d: DumpTree\n%s\nreference\n%s", c, d, rd)
+			}
+			steps++
+		}
+	}
+	if steps < 1000 {
+		t.Errorf("only %d removals compared: the generator no longer builds multi-leaf trees", steps)
+	}
+}
+
+// BenchmarkPartitionTree measures building a tree and remerging it
+// leaf by leaf down to one domain.
+func BenchmarkPartitionTree(b *testing.B) {
+	cov := datatype.List{{Off: 0, Len: 1 << 30}}
+	r := stats.NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		tr := BuildTree(cov, 1<<22, 256)
+		for live := len(tr.leaves); live > 1; live-- {
+			tr.remove(liveIndex(tr, r.Intn(live)))
+		}
+	}
+}
+
+// checkInvariants verifies the partition-tree structural invariants of
+// the tree as remerging left it: children tile their parent exactly,
+// data adds up, leaves tile the root in order.
+func (t *Tree) checkInvariants() error {
+	var err error
+	var walk func(n *TreeNode)
+	walk = func(n *TreeNode) {
+		if n == nil || err != nil {
+			return
+		}
+		if (n.left == nil) != (n.right == nil) {
+			err = fmt.Errorf("vertex %v has exactly one child", n)
+			return
+		}
+		if n.left != nil {
+			l, r := n.left, n.right
+			if l.Lo != n.Lo || r.Hi != n.Hi || l.Hi != r.Lo {
+				err = fmt.Errorf("children of %v do not tile it: %v + %v", n, l, r)
+				return
+			}
+			if l.DataBytes+r.DataBytes != n.DataBytes {
+				err = fmt.Errorf("data of %v != children sum %d+%d", n, l.DataBytes, r.DataBytes)
+				return
+			}
+			walk(l)
+			walk(r)
+		}
+	}
+	root := t.Root()
+	walk(root)
+	if err != nil {
+		return err
+	}
+	leaves := t.Leaves()
+	prev := root.Lo
+	var data int64
+	for _, l := range leaves {
+		if l.Lo != prev {
+			return fmt.Errorf("leaf %v does not start at previous end %d", l, prev)
+		}
+		prev = l.Hi
+		data += l.DataBytes
+	}
+	if prev != root.Hi {
+		return fmt.Errorf("leaves end at %d, root at %d", prev, root.Hi)
+	}
+	if data != root.DataBytes {
+		return fmt.Errorf("leaf data %d != root data %d", data, root.DataBytes)
+	}
+	return nil
 }

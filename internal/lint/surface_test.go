@@ -28,7 +28,6 @@ const repoRoot = "../.."
 // driver against.
 var uncalledAllowed = map[string]string{
 	"collio.LowestRankLeaders": "test oracle: the reference leader topology the collio/core combine tests build plans with",
-	"core.CheckInvariants":     "test oracle: the partition-tree invariants every tree-building test asserts",
 	"logx.ParseRecords":        "test oracle: reads a request log back so pland's tests can check what the daemon wrote",
 }
 
