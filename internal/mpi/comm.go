@@ -33,7 +33,7 @@ type Comm struct {
 	shares   int   // lockstep counter naming shared slots (Shared)
 
 	sparse *SparseExchange // cached SparseScratch result, lazily built
-	ag     *ringTask       // allgather state, lazily built (ring.go)
+	ag     *allgatherTask  // allgather state, lazily built (ring.go)
 }
 
 // SparseScratch returns this member's cached SparseExchange, creating
@@ -147,7 +147,7 @@ func (c *Comm) irecv(src, tag int) any {
 // (a fresh tag per call made it grow with every round of two-phase
 // I/O, which dominated large-run memory and GC time).
 //
-// tagAllgather no longer names mailboxes: the ring delivers into one
+// tagAllgather no longer names mailboxes: an allgather delivers into one
 // inbox per member (ring.go). Its 63 step tags survive only as the
 // stream identity of the fault layer's per-(src,dst,tag) arrival clamp
 // in World.inject, which a fault schedule's trajectory depends on.
@@ -267,27 +267,33 @@ func Shared[T any](c *Comm, f func() T) T {
 // kind.
 type allgathered []any
 
-// Allgather collects one value from every member on every member, via
-// the ring algorithm (p−1 steps, each carrying one block). bytes is the
-// charged size of each member's value. Result is indexed by comm rank;
-// it is one slice for all members (Shared), so nobody may write it.
-//
-// The ring runs as an engine-driven task (ring.go): the caller starts
-// it, parks at most once, and is resumed by the step that completes it.
-// Each member fills in its own entry; the ring carries no values, only
-// the waits that order them.
+// Allgather collects one value from every member on every member, by
+// the algorithm MPICH2 picks for the total p × bytes (pickAllgather).
+// bytes is the charged size of each member's value and must be the
+// same on every member. Result is indexed by comm rank; it is one slice
+// for all members (Shared), so nobody may write it.
 func (c *Comm) Allgather(v any, bytes int64) []any {
+	return c.allgather(v, bytes, pickAllgather(len(c.group), bytes))
+}
+
+// allgather runs Allgather with algorithm alg as an engine-driven task
+// (ring.go): the caller starts it, parks at most once, and is resumed by
+// the step that completes it. Each member fills in its own entry before
+// step 0; the task carries no values, only the waits that order them,
+// and its last step depends on every member, so the slice is full when
+// any member returns.
+func (c *Comm) allgather(v any, bytes int64, alg allgatherAlg) []any {
 	out := Shared(c, func() allgathered { return make(allgathered, len(c.group)) })
 	out[c.rank] = v
-	if len(out) > 1 && !c.ringTask().start(bytes) {
+	if len(out) > 1 && !c.allgatherTask().start(alg, bytes) {
 		c.ag.parked = true
 		c.p.Park(c.ag)
 	}
 	return out
 }
 
-// stepTag folds an unbounded ring step into the 63-tag block reserved
-// for Allgather.
+// stepTag folds an unbounded allgather step into the 63-tag block
+// reserved for Allgather.
 func stepTag(step int) int { return step % 63 }
 
 // Gather collects one value from every member at root; non-roots get

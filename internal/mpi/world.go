@@ -2,9 +2,9 @@
 // I/O strategies run on: communicators over simulated processes,
 // point-to-point messaging costed through the machine's resource
 // links, and the collective algorithms (binomial broadcast,
-// dissemination barrier, ring allgather, pairwise all-to-all) MPI
-// implementations actually use, so their virtual-time cost scales the
-// way real collectives do.
+// dissemination barrier, MPICH2's recursive-doubling, Bruck and ring
+// allgathers, pairwise all-to-all) MPI implementations actually use, so
+// their virtual-time cost scales the way real collectives do.
 //
 // The transfer model is eager with asynchronous delivery: a sender is
 // blocked only while it injects the message through its own node's
@@ -15,13 +15,13 @@
 // Two execution styles share that model (World.inject is its single
 // copy). Point-to-point calls and most collectives are coroutine code:
 // they run on the calling rank's simulated process and park it at every
-// wait. The ring allgather — p·(p−1) messages per call, the dominant
-// host cost at a few hundred ranks — is instead an engine-driven task
+// wait. The allgather — p·log p messages per short call and p·(p−1) per
+// long one, which runs the ring — is instead an engine-driven task
 // (ring.go): a per-rank state record advanced by engine callbacks that
 // occupy exactly the queue slots the coroutine's wakes did, with the
 // process parked once for the whole collective. The virtual trajectory
 // is the same to the last event; see ring.go for the rule and
-// ring_test.go for the coroutine ring it is checked against.
+// ring_test.go for the coroutine allgathers it is checked against.
 package mpi
 
 import (
@@ -71,7 +71,7 @@ type World struct {
 	size     int
 	boxes    map[msgKey]*mailbox
 	barriers map[uint64]*simtime.Barrier // per communicator context
-	rings    map[ringKey]*ringInbox      // per (context, member), see ring.go
+	inboxes  map[inboxKey]*inbox         // allgather blocks per (context, member), see ring.go
 	shared   map[sharedKey]*sharedSlot   // per (context, call), see Shared
 	identity []int                       // the world group, shared by every world communicator
 
@@ -127,7 +127,7 @@ func NewWorld(e *simtime.Engine, m *cluster.Machine, size int) (*World, error) {
 		size:     size,
 		boxes:    make(map[msgKey]*mailbox),
 		barriers: make(map[uint64]*simtime.Barrier),
-		rings:    make(map[ringKey]*ringInbox),
+		inboxes:  make(map[inboxKey]*inbox),
 		shared:   make(map[sharedKey]*sharedSlot),
 		identity: make([]int, size),
 		met:      newWorldMetrics(m.Metrics()),
@@ -226,7 +226,7 @@ func (w *World) barrierFor(ctx uint64, parties int) *simtime.Barrier {
 // inter-node payload (intra false) reaches dst's node at arrival, while an intra-node one is handed over by the sender itself
 // once free has passed. It is the single copy of the reservation and
 // fault arithmetic, shared by the blocking deliver and the
-// engine-driven ring (ring.go).
+// engine-driven allgather (ring.go).
 func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, arrival float64, intra bool) {
 	sn, dn := w.machine.NodeOfRank(src), w.machine.NodeOfRank(dst)
 	now := w.engine.Now()
