@@ -1,7 +1,8 @@
 package collio
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/datatype"
@@ -66,16 +67,6 @@ func (tp *topology) leads() bool { return tp.of(tp.me) == tp.me }
 // solo reports whether this rank leads only itself: it has no intra-node
 // stage to run and exchanges with aggregators directly.
 func (tp *topology) solo() bool { return tp.leads() && len(tp.mates) == 0 }
-
-// mateIntersects reports whether any mate's view touches [lo, hi).
-func (tp *topology) mateIntersects(lo, hi int64) bool {
-	for _, v := range tp.views {
-		if v.Intersects(lo, hi) {
-			return true
-		}
-	}
-	return false
-}
 
 // LowestRankLeaders is the simplest leader election: every rank follows
 // the lowest comm rank on its node. It returns nil — no intra-node layer
@@ -147,7 +138,7 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 		}
 		total += pieces[pi].data.Len()
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].seg.Off < srcs[j].seg.Off })
+	slices.SortFunc(srcs, func(a, b segSrc) int { return cmp.Compare(a.seg.Off, b.seg.Off) })
 	data := buffer.New(total, phantom)
 	var segs datatype.List
 	var pos int64
@@ -164,22 +155,23 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 }
 
 // funnel is the write round's intra-node stage: a non-leader hands its
-// packed pieces (wire bytes on the bus, packed payload bytes of them)
-// to its leader; a leader collects its mates' bundles. It returns the
-// payload bytes this rank sent.
+// bundle — this round's packed pieces (wire bytes on the bus, packed
+// payload bytes of them) — to its leader; a leader collects the node's
+// bundles in x.bundles, its own first. It returns the payload bytes
+// this rank sent.
 func (x *collective) funnel(wire, packed int64) (moved int64) {
 	c, tp := x.c, &x.topo
 	if tp.leads() {
-		x.bundles = x.bundles[:0]
+		x.bundles = append(x.bundles[:0], x.packed)
 		for _, mate := range tp.mates {
-			x.bundles = append(x.bundles, *c.RecvVal(mate, bundleTag).(*[]shufflePiece))
+			x.bundles = append(x.bundles, *c.RecvVal(mate, bundleTag).(*[]domPiece))
 		}
 		return 0
 	}
 	// A pointer to the field, not the slice: boxing the header would
 	// allocate every round, and the leader reads it within this round,
-	// before the lock-step barrier lets x.pieces be refilled.
-	c.SendVal(tp.of(tp.me), bundleTag, &x.pieces, 8+wire)
+	// before the lock-step barrier lets x.packed be refilled.
+	c.SendVal(tp.of(tp.me), bundleTag, &x.packed, 8+wire)
 	return packed
 }
 
@@ -189,22 +181,21 @@ func (x *collective) funnel(wire, packed int64) (moved int64) {
 // carve the per-rank pieces — exactly what the aggregator would have
 // sent each rank directly — paying the scatter/gather pass on the
 // node's memory bus. Every mate knows how many pieces to expect: one
-// per active domain its view hits. It returns the payload bytes this
-// rank sent its mates.
+// per domain whose window its view meets this round. It returns the
+// payload bytes this rank sent its mates.
 func (x *collective) fanOut(r int) (moved int64) {
 	c, tp := x.c, &x.topo
 	if !tp.leads() {
-		for di := range x.ov.doms {
-			if w, ok := x.ov.window(di, r); ok && x.vi.Intersects(w.Off, w.End()) {
-				piece := c.RecvVal(tp.of(tp.me), pieceTag).(shufflePiece)
-				x.vi.Unpack(x.data, piece.segs, piece.data)
-			}
+		for range x.rs.doms.at(r) {
+			piece := c.RecvVal(tp.of(tp.me), pieceTag).(*shufflePiece)
+			x.vi.Unpack(x.data, piece.segs, piece.data)
 		}
 		return 0
 	}
+	x.fanned = x.fanned[:0]
 	x.ex.Received(func(agg int, v any) {
 		piece := v.(*shufflePiece)
-		w, _ := x.ov.window(domainOf(x.ov.doms, agg), r)
+		w, _ := x.ov.window(int(x.aggDom[agg]), r)
 		lo, hi := piece.segs.Extent()
 		region := buffer.New(hi-lo, x.data.Phantom())
 		iolib.ScatterIntoRegion(region, lo, piece.segs, piece.data)
@@ -217,7 +208,11 @@ func (x *collective) fanOut(r int) (moved int64) {
 			if len(clip) == 0 {
 				continue
 			}
-			mp := shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, lo, clip)}
+			// Boxed by pointer into a reused slice, as funnel's bundles
+			// are. A mate reads its pieces within this round; when the
+			// append moves the array, what was sent stays in the old one.
+			x.fanned = append(x.fanned, shufflePiece{segs: clip, data: iolib.GatherFromRegion(region, lo, clip)})
+			mp := &x.fanned[len(x.fanned)-1]
 			c.SendVal(mate, pieceTag, mp, mp.wireBytes())
 			moved += mp.data.Len()
 		}

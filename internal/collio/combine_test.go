@@ -343,7 +343,7 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 // TestFunnelSendDoesNotAllocate: the write round's intra-node hand-over
 // — a mate's c.SendVal of its pieces and the leader's matching receive —
 // is free of garbage once the mailbox exists. The payload is a pointer
-// to the collective's own pieces field; the slice itself would be boxed
+// to the collective's own packed field; the slice itself would be boxed
 // (one object per rank per round, the largest allocation site of a
 // two-layer run before it was removed).
 func TestFunnelSendDoesNotAllocate(t *testing.T) {
@@ -359,11 +359,11 @@ func TestFunnelSendDoesNotAllocate(t *testing.T) {
 	}
 	w.Start(func(c *mpi.Comm) {
 		x := &collective{c: c, plan: plan, topo: newTopology(c.Rank(), plan.LeaderOf)}
-		x.pieces = []shufflePiece{{segs: datatype.List{{Off: 0, Len: 64}}, data: buffer.NewPhantom(64)}}
+		x.packed = []domPiece{{shufflePiece: shufflePiece{segs: datatype.List{{Off: 0, Len: 64}}, data: buffer.NewPhantom(64)}}}
 		if x.topo.leads() {
 			for i := 0; i <= rounds; i++ { // AllocsPerRun warms up with one extra call
 				x.funnel(0, 64)
-				if got := x.bundles[0][0].data.Len(); got != 64 {
+				if got := x.bundles[1][0].data.Len(); got != 64 {
 					t.Fatalf("leader received a %d-byte piece, want 64", got)
 				}
 			}

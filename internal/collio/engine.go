@@ -1,7 +1,8 @@
 package collio
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/datatype"
@@ -28,6 +29,14 @@ type shufflePiece struct {
 
 func (s shufflePiece) wireBytes() int64 {
 	return s.data.Len() + int64(len(s.segs))*extBytes
+}
+
+// domPiece is a write round's packed piece for domain di. A rank's
+// pieces of one round, ascending by domain, are the bundle it funnels
+// to its leader.
+type domPiece struct {
+	di int
+	shufflePiece
 }
 
 // aggState is what an aggregator accumulates during one collective.
@@ -68,15 +77,15 @@ func localityOf(c *mpi.Comm, a, b int, n int64) (int64, int64) {
 }
 
 // collective is one rank's state for one collective call: its routing
-// (the overlay on the plan, and the aggregator state and leader topology
-// rebuilt from it when a failover changes it) and the scratch its rounds
-// reuse — allocating per round dominated GC time at 1080 ranks. pieces
-// backs the boxed *shufflePiece payloads: boxing the struct by value
-// allocated on every send, a pointer into a reused array does not. The
-// arena recycles every per-round clipped list; it resets at the round
-// barrier, by which point the previous round's pieces (ours, our mates'
-// and our peers') are all consumed. See DESIGN.md §14 for the ownership
-// rules.
+// (the overlay on the plan, and the aggregator state, leader topology
+// and round schedule rebuilt from it when a failover changes it) and
+// the scratch its rounds reuse — allocating per round dominated GC time
+// at 1080 ranks. pieces backs the boxed *shufflePiece payloads: boxing
+// the struct by value allocated on every send, a pointer into a reused
+// array does not. The arena recycles every per-round clipped list; it
+// resets at the round barrier, by which point the previous round's
+// pieces (ours, our mates' and our peers') are all consumed. See
+// DESIGN.md §14 for the ownership rules.
 type collective struct {
 	f     *iolib.File
 	c     *mpi.Comm
@@ -87,14 +96,18 @@ type collective struct {
 	p     probe      // where every fact of the call is recorded
 	write bool
 
-	mine *aggState // nil unless this rank aggregates a domain
-	topo topology
+	mine   *aggState // nil unless this rank aggregates a domain
+	topo   topology
+	rs     roundSchedule // who has data in which round, from route()
+	aggDom []int32       // read leader with mates: aggregator -> its domain
 
 	ex      *mpi.SparseExchange
 	arena   datatype.Arena
-	pieces  []shufflePiece   // staged payloads: by domain (write), by destination rank (read)
-	bundles [][]shufflePiece // write leader: each mate's pieces this round
-	group   []shufflePiece   // write leader: one domain's pieces, to merge
+	packed  []domPiece     // write: this round's packed pieces, ascending by domain (my bundle)
+	pieces  []shufflePiece // staged payloads: by domain (write leader), by destination rank (read)
+	bundles [][]domPiece   // write leader: my bundle, then each mate's
+	group   []shufflePiece // write leader: one domain's pieces, to merge
+	fanned  []shufflePiece // read leader: this round's pieces for my mates
 	offs    []int64
 	bufs    []buffer.Buf
 }
@@ -119,12 +132,12 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 		p:  newProbe(c, op, plan.Group, m),
 		ex: c.SparseScratch(),
 	}
-	if write {
-		x.pieces = make([]shufflePiece, len(plan.Domains))
+	if write { // a window per domain at most, so a round never outgrows it
+		x.packed = make([]domPiece, 0, len(plan.Domains))
 	}
 	sched := c.Faults()
 	ph := x.p.begin(obs.PhaseReqExchange, -1)
-	x.route()
+	x.route(0)
 	x.p.end(ph, 0)
 	if x.mine != nil {
 		x.p.aggregator(plan.Domains[x.mine.di].BufBytes)
@@ -149,7 +162,7 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 			// request exchange and the topology, then resume this round.
 			// Collective — every rank takes this branch for the same
 			// rounds (the decision is pure).
-			x.route()
+			x.route(r)
 		}
 		x.ex.Reset()
 		x.arena.Reset()
@@ -187,9 +200,9 @@ func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, p
 
 // route performs the upfront metadata exchange under the overlay's
 // current domains and leader map: this rank's topology, its aggregator
-// state (nil if it owns no domain) and, for reads, the mate views a
-// leader fans out by.
-func (x *collective) route() {
+// state (nil if it owns no domain), for reads the mate views a leader
+// fans out by, and its round schedule from round from on.
+func (x *collective) route(from int) {
 	c, doms := x.c, x.ov.doms
 	x.topo = newTopology(c.Rank(), x.ov.leaderOf)
 	x.mine = nil
@@ -225,76 +238,104 @@ func (x *collective) route() {
 		})
 		mine.coverage = datatype.Normalize(all)
 		if x.topo.leaderOf != nil {
-			sort.SliceStable(mine.reqOrder, func(i, j int) bool {
-				return x.topo.of(mine.reqOrder[i].src) < x.topo.of(mine.reqOrder[j].src)
+			slices.SortStableFunc(mine.reqOrder, func(a, b reqEntry) int {
+				return cmp.Compare(x.topo.of(a.src), x.topo.of(b.src))
 			})
 		}
 	}
 	if !x.write {
 		x.topo.gatherViews(c, x.vi)
+		if !x.topo.solo() && x.topo.leads() {
+			if x.aggDom == nil {
+				x.aggDom = make([]int32, c.Size())
+			}
+			for di, d := range doms {
+				x.aggDom[d.Agg] = int32(di)
+			}
+		}
 	}
+	x.rs = newRoundSchedule(&x.ov, from, x.vi.View(), x.topo.views, mine)
 }
 
 // sendToAggregators is the write round's sending side: pack my piece
-// for every domain active this round, funnel the pieces to my leader,
-// and — as a leader — stage one merged piece per domain. It returns
-// the staged payload split by locality.
+// for every domain whose window my view meets this round, funnel the
+// pieces to my leader, and — as a leader — stage one merged piece per
+// domain the node has data for. It returns the staged payload split by
+// locality.
 func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 	c, doms, tp := x.c, x.ov.doms, &x.topo
 	var packed, wire int64
 	ph := x.p.begin(obs.PhasePack, r)
-	for di := range doms {
-		w, ok := x.ov.window(di, r)
-		if !ok {
-			continue
-		}
+	x.packed = x.packed[:0]
+	for _, s := range x.rs.doms.at(r) {
+		w, _ := x.ov.window(int(s.i), r)
 		segs, data := x.vi.PackArena(&x.arena, x.data, w.Off, w.End())
-		x.pieces[di] = shufflePiece{segs: segs, data: data}
+		p := shufflePiece{segs: segs, data: data}
+		x.packed = append(x.packed, domPiece{di: int(s.i), shufflePiece: p})
 		packed += data.Len()
-		wire += x.pieces[di].wireBytes()
+		wire += p.wireBytes()
 	}
 	x.p.end(ph, packed)
 
-	if !tp.solo() {
-		ph = x.p.begin(obs.PhaseIntra, r)
-		moved := x.funnel(wire, packed)
-		x.p.intra(ph, packed, moved)
+	if tp.solo() { // my pieces are my node's: ship them as packed
+		for k := range x.packed {
+			i, e := x.stageWrite(x.packed[k].di, &x.packed[k].shufflePiece)
+			intra += i
+			inter += e
+		}
+		return intra, inter
 	}
+	ph = x.p.begin(obs.PhaseIntra, r)
+	moved := x.funnel(wire, packed)
+	x.p.intra(ph, packed, moved)
 	if !tp.leads() {
 		return 0, 0
+	}
+	if x.pieces == nil {
+		x.pieces = make([]shufflePiece, len(doms))
 	}
 	// Leaders ship one piece per domain: the node's segments merged into
 	// file order (adjacent runs from different mates coalesce), paying
 	// the reorder pass on the node's memory bus when there was anything
-	// to merge.
+	// to merge. Every bundle is ascending by domain, so the domains come
+	// out in file order, each with its pieces in bundle order (mine
+	// first).
 	phantom := x.data.Phantom()
-	for di := range doms {
-		if _, ok := x.ov.window(di, r); !ok {
-			continue
-		}
-		x.group = x.group[:0]
-		if own := x.pieces[di]; len(own.segs) > 0 {
-			x.group = append(x.group, own)
-		}
+	for {
+		di := -1
 		for _, b := range x.bundles {
-			if p := b[di]; len(p.segs) > 0 {
-				x.group = append(x.group, p)
+			if len(b) > 0 && (di < 0 || b[0].di < di) {
+				di = b[0].di
 			}
 		}
-		if len(x.group) == 0 {
-			continue
+		if di < 0 {
+			break
+		}
+		x.group = x.group[:0]
+		for k, b := range x.bundles {
+			if len(b) > 0 && b[0].di == di {
+				x.group = append(x.group, b[0].shufflePiece)
+				x.bundles[k] = b[1:]
+			}
 		}
 		merged := mergePieces(x.group, phantom)
 		if len(x.group) > 1 {
 			chargeAssembly(c, merged.data.Len())
 		}
 		x.pieces[di] = merged
-		x.ex.Stage(doms[di].Agg, &x.pieces[di], merged.wireBytes())
-		i, e := localityOf(c, c.Rank(), doms[di].Agg, merged.data.Len())
+		i, e := x.stageWrite(di, &x.pieces[di])
 		intra += i
 		inter += e
 	}
 	return intra, inter
+}
+
+// stageWrite stages p, which must stay put until the exchange is over,
+// for domain di's aggregator and returns its payload split by locality.
+func (x *collective) stageWrite(di int, p *shufflePiece) (intra, inter int64) {
+	agg := x.ov.doms[di].Agg
+	x.ex.Stage(agg, p, p.wireBytes())
+	return localityOf(x.c, x.c.Rank(), agg, p.data.Len())
 }
 
 // myWindow returns the window this rank aggregates in round r, if any.
@@ -308,14 +349,8 @@ func (x *collective) myWindow(r int) (w datatype.Segment, ok bool) {
 // expectLeaders declares the write round's receives: the leader of
 // every rank whose requests intersect my current window.
 func (x *collective) expectLeaders(r int) {
-	w, ok := x.myWindow(r)
-	if !ok {
-		return
-	}
-	for _, en := range x.mine.reqOrder {
-		if en.segs.Intersects(w.Off, w.End()) {
-			x.ex.Expect(x.topo.of(en.src))
-		}
+	for _, s := range x.rs.reqs.at(r) {
+		x.ex.Expect(x.topo.of(x.mine.reqOrder[s.i].src))
 	}
 }
 
@@ -404,24 +439,16 @@ func (x *collective) readWindow(r int) (intra, inter int64) {
 		if x.pieces == nil { // only aggregators stage read pieces
 			x.pieces = make([]shufflePiece, c.Size())
 		}
-		for i := 0; i < len(mine.reqOrder); {
-			leader := tp.of(mine.reqOrder[i].src)
-			var segs datatype.List
-			members := 0
-			for ; i < len(mine.reqOrder) && tp.of(mine.reqOrder[i].src) == leader; i++ {
-				clip := x.arena.Clip(mine.reqOrder[i].segs, w.Off, w.End())
-				if len(clip) == 0 {
-					continue
-				}
-				if members == 0 {
-					segs = clip
-				} else {
-					segs = append(segs, clip...) // arena lists are capped: this copies
-				}
+		// The round's requesters are grouped by leader, as reqOrder is.
+		steps := x.rs.reqs.at(r)
+		for k := 0; k < len(steps); {
+			leader := tp.of(mine.reqOrder[steps[k].i].src)
+			segs := x.arena.Clip(mine.reqOrder[steps[k].i].segs, w.Off, w.End())
+			members := 1
+			for k++; k < len(steps) && tp.of(mine.reqOrder[steps[k].i].src) == leader; k++ {
+				clip := x.arena.Clip(mine.reqOrder[steps[k].i].segs, w.Off, w.End())
+				segs = append(segs, clip...) // arena lists are capped: this copies
 				members++
-			}
-			if members == 0 {
-				continue
 			}
 			if members > 1 {
 				segs = datatype.Normalize(segs)
@@ -444,11 +471,8 @@ func (x *collective) expectAggregators(r int) {
 	if !x.topo.leads() {
 		return
 	}
-	for di := range x.ov.doms {
-		w, ok := x.ov.window(di, r)
-		if ok && (x.vi.Intersects(w.Off, w.End()) || x.topo.mateIntersects(w.Off, w.End())) {
-			x.ex.Expect(x.ov.doms[di].Agg)
-		}
+	for _, s := range x.rs.doms.at(r) {
+		x.ex.Expect(x.ov.doms[s.i].Agg)
 	}
 }
 

@@ -5,7 +5,9 @@
 package datatype
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -38,7 +40,9 @@ func Normalize(segs []Segment) List {
 			work = append(work, s)
 		}
 	}
-	sort.Slice(work, func(i, j int) bool { return work[i].Off < work[j].Off })
+	// Equal offsets coalesce into the same run in either order, so an
+	// unstable sort gives one result.
+	slices.SortFunc(work, func(a, b Segment) int { return cmp.Compare(a.Off, b.Off) })
 	out := work[:0]
 	for _, s := range work {
 		if n := len(out); n > 0 && s.Off <= out[n-1].End() {

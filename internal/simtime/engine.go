@@ -115,6 +115,11 @@ type Engine struct {
 	// Resume; next returns it as soon as that callback returns.
 	resumed *Proc
 
+	// party is the next member of the barrier release being dispatched
+	// (see scheduleParty): the rest of its chain precedes every queued
+	// event, so next takes it before popping again.
+	party *Proc
+
 	// Park census (see Stats). Plain counters: one coroutine executes
 	// simulation code at a time.
 	parks, dispatches, callbacks, inline uint64
@@ -161,6 +166,26 @@ func (e *Engine) schedule(at float64, p *Proc, fn func()) {
 	e.events.push(event{at: at, seq: e.nextSeq(), p: p, fn: fn})
 }
 
+// scheduleParty wakes first and then each of rest at time at, in that
+// order, as one queue entry: the entry takes first's sequence number
+// and reserves the next len(rest), which the rest would have taken as
+// events of their own. Nothing can be scheduled between them, and
+// everything queued before the entry at the same instant precedes it,
+// so once the entry is popped its chain goes ahead of every other event
+// — next walks it in place — and the dispatch order, the clock and
+// Stats are those of one event per member. Each member must be parked
+// with no other wake pending.
+func (e *Engine) scheduleParty(at float64, first *Proc, rest []*Proc) {
+	e.schedule(at, first, nil)
+	first.partySeq = e.seq
+	prev := first
+	for _, w := range rest {
+		prev.link, prev = w, w
+	}
+	prev.link = nil
+	e.seq += uint64(len(rest))
+}
+
 // advanceInline reports whether the running process (or callback) may
 // advance the clock to at without parking: no pending event precedes
 // at, so a park would be immediately followed by its own resumption.
@@ -172,7 +197,7 @@ func (e *Engine) schedule(at float64, p *Proc, fn func()) {
 // kept so a looping process still yields control to the drained run
 // loop.
 func (e *Engine) advanceInline(at float64) bool {
-	if !e.running || e.stopped {
+	if !e.running || e.stopped || e.party != nil {
 		return false
 	}
 	if len(e.events.heap) != 0 && e.events.heap[0].at <= at {
@@ -259,35 +284,48 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 }
 
 // next drains events on the caller's stack until one resumes a process
-// — its own wake event, or a callback that named it with Resume — and
-// returns that process (without dispatching it), or nil when the queue
-// is empty or Stop was called. Callback (timer) events run inline here:
-// exactly one coroutine executes simulation code at a time, so a
-// callback is safe on whichever stack holds the run token, and running
-// it in place saves a switch to Run and back per timer.
+// — its own wake event, a member of a barrier release (scheduleParty)
+// or a callback that named it with Resume — and returns that process
+// (without dispatching it), or nil when the queue is empty or Stop was
+// called. Callback (timer) events run inline here: exactly one
+// coroutine executes simulation code at a time, so a callback is safe
+// on whichever stack holds the run token, and running it in place saves
+// a switch to Run and back per timer.
 func (e *Engine) next() *Proc {
-	for len(e.events.heap) > 0 && !e.stopped {
-		ev := e.events.pop()
-		if ev.at < e.now {
-			panic("simtime: time went backwards")
-		}
-		e.now = ev.at
-		if ev.p != nil {
-			if ev.p.state == stateDone {
-				continue // proc was killed/finished before its wake fired
+	for !e.stopped {
+		p := e.party
+		if p != nil {
+			e.party, p.link = p.link, nil
+		} else {
+			if len(e.events.heap) == 0 {
+				return nil
 			}
-			e.dispatches++
-			return ev.p
-		}
-		if ev.fn != nil {
-			e.callbacks++
-			ev.fn()
-			if p := e.resumed; p != nil {
-				e.resumed = nil
-				e.dispatches++
-				return p
+			ev := e.events.pop()
+			if ev.at < e.now {
+				panic("simtime: time went backwards")
+			}
+			e.now = ev.at
+			if ev.p == nil {
+				if ev.fn != nil {
+					e.callbacks++
+					ev.fn()
+					if p := e.resumed; p != nil {
+						e.resumed = nil
+						e.dispatches++
+						return p
+					}
+				}
+				continue
+			}
+			if p = ev.p; p.partySeq == ev.seq { // a barrier release: the party follows p
+				e.party, p.link = p.link, nil
 			}
 		}
+		if p.state == stateDone {
+			continue // proc was killed/finished before its wake fired
+		}
+		e.dispatches++
+		return p
 	}
 	return nil
 }

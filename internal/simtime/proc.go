@@ -29,6 +29,12 @@ type Proc struct {
 	// waiting is why the process is parked, rendered only if a deadlock
 	// report needs it.
 	waiting fmt.Stringer
+
+	// A barrier release (Engine.scheduleParty) chains its members
+	// through link; partySeq is the sequence number of the queue entry
+	// whose chain starts here.
+	link     *Proc
+	partySeq uint64
 }
 
 // reason is a fixed wait reason.

@@ -88,14 +88,15 @@ func (b *Barrier) String() string { return "barrier " + b.name }
 
 // Await blocks p until parties processes have called Await in the
 // current generation. The last arriver releases everyone without
-// blocking itself.
+// blocking itself; the waiters resume in arrival order, as one queue
+// entry (Engine.scheduleParty).
 func (b *Barrier) Await(p *Proc) {
 	b.arrived++
 	if b.arrived == b.parties {
 		b.arrived = 0
 		b.gen++
-		for _, w := range b.waiters {
-			w.wake()
+		if len(b.waiters) > 0 {
+			b.e.scheduleParty(b.e.now, b.waiters[0], b.waiters[1:])
 		}
 		b.waiters = b.waiters[:0]
 		return
@@ -123,14 +124,10 @@ func (b *Barrier) AwaitDelay(p *Proc, delay float64) {
 	if b.arrived == b.parties {
 		b.arrived = 0
 		b.gen++
-		at := b.e.now + delay
-		// Schedule self before the waiters so the releaser keeps the
-		// first slot at the release instant, matching the order the
-		// unfolded Await + Sleep sequence produced.
-		b.e.schedule(at, p, nil)
-		for _, w := range b.waiters {
-			b.e.schedule(at, w, nil)
-		}
+		// One queue entry for the whole party, self first so the
+		// releaser keeps the first slot at the release instant, matching
+		// the order the unfolded Await + Sleep sequence produced.
+		b.e.scheduleParty(b.e.now+delay, p, b.waiters)
 		b.waiters = b.waiters[:0]
 		p.park(b)
 		return
