@@ -355,17 +355,8 @@ func randomFailoverCase(rng *rand.Rand) (p *Plan, cores int, spec faults.Spec) {
 		p.MemMin = 1 << 10
 	}
 	if rng.Intn(3) > 0 {
-		p.LeaderOf = make([]int, n)
-		succ := make([][]int, n)
-		for node := 0; node < nodes; node++ {
-			line := rng.Perm(cores)
-			for i := range line {
-				line[i] += node * cores
-			}
-			for _, r := range line {
-				p.LeaderOf[r], succ[r] = line[0], line
-			}
-		}
+		var succ [][]int
+		p.LeaderOf, succ = electLeaders(rng, nodes, cores)
 		if rng.Intn(4) > 0 {
 			p.LeaderSucc = succ
 		}
