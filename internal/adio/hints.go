@@ -10,6 +10,7 @@ package adio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/core"
+	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/pfs"
 	"repro/internal/strategy"
@@ -124,6 +126,51 @@ func New(name string, opts core.Options, cb int64) (iolib.Collective, error) {
 		return iolib.Naive{Opts: iolib.DefaultSieve()}, nil
 	}
 	return nil, fmt.Errorf("adio: unknown collective %q (want %s)", name, strategy.List())
+}
+
+// Inspect is New's offline counterpart: the plans the named strategy's
+// live Plan executes for views on machine, from its comm-free planner
+// fed by the machine (one availability snapshot per node, ranks
+// block-wise on nodes; decisions go to machine.Explain()). mccio plans
+// its groups (core.MCCIO.Inspect). two-phase and two-layer run
+// PlanFromMeta and come back as one group whose record holds the plan,
+// the coverage and the plan's election, with no tree or placements.
+func Inspect(name string, opts core.Options, cb int64, machine *cluster.Machine, views []datatype.List) (*core.InspectResult, error) {
+	s, err := New(name, opts, cb)
+	if err != nil {
+		return nil, err
+	}
+	if mc, ok := s.(core.MCCIO); ok {
+		return mc.Inspect(machine, views)
+	}
+	n := len(views)
+	if n == 0 || n > machine.NumRanks() {
+		return nil, fmt.Errorf("adio: %d views for machine of %d ranks", n, machine.NumRanks())
+	}
+	exts, nodeOf, avail := make([]collio.Ext, n), make([]int, n), make([]int64, n)
+	gp := core.GroupPlan{Group: core.Group{Last: n - 1}, NodeOfRank: nodeOf}
+	for r, v := range views {
+		lo, hi := v.Extent()
+		exts[r] = collio.Ext{Lo: lo, Hi: hi}
+		nodeOf[r] = machine.NodeOfRank(r)
+		avail[r] = machine.Node(nodeOf[r]).Available()
+		gp.Group.Bytes += v.TotalBytes()
+	}
+	gp.Group.Nodes = nodeOf[n-1] - nodeOf[0] + 1
+	gp.Coverage = datatype.Normalize(slices.Concat(views...))
+	switch s := s.(type) {
+	case collio.TwoPhase:
+		gp.Plan = s.PlanFromMeta(exts, nodeOf, avail)
+	case twolayer.Strategy:
+		var el *twolayer.Election
+		if gp.Plan, el = s.PlanFromMeta(exts, nodeOf, avail); el != nil {
+			gp.Leaders = el.Leaders
+			el.Explain(machine.Explain(), 0)
+		}
+	default:
+		return nil, fmt.Errorf("adio: strategy %s has no plan to inspect", s.Name())
+	}
+	return &core.InspectResult{Plans: []core.GroupPlan{gp}}, nil
 }
 
 // BuildStrategy resolves the hints into a concrete strategy for the

@@ -14,6 +14,7 @@ import (
 	"repro/internal/strategy"
 	"repro/internal/sweep"
 	"repro/internal/trace"
+	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
@@ -256,8 +257,9 @@ var sinkFacts = []struct {
 		return firstErr(same("Groups", v.res.Groups, 1), same("group-division instants", div.n, 0), same("mccio_plan_groups_total", reg, 0))
 	}},
 	{"leaders", func(v *sinkView) error {
-		// Every node of these machines hosts several ranks, so every
-		// election's leaders lead the plan and count in the row.
+		// Only an election whose leaders lead the plan (some node hosts
+		// several ranks) is audited, so every leader instant counts in
+		// the row; with one rank per node there are none.
 		n := v.instants(obs.EventLeader).n
 		return firstErr(same("Leaders", v.res.Leaders, n),
 			same("twolayer_plan_leaders_total", int(v.series("twolayer_plan_leaders_total")), n))
@@ -286,10 +288,21 @@ func multiGroupSpec(op string, twoLayer bool) Spec {
 	return Spec{Strategy: core.MCCIO{Opts: opts}, Op: op, Machine: mcfg, FS: fcfg, Workload: wl}
 }
 
-// TestSinksAgree runs the regression, strategies and chaos golden grids
-// and the multi-group run, with and without the two-layer exchange,
-// each with a fresh tracer and registry, and checks every fact of
-// sinkFacts on every row.
+// oneRankPerNodeSpec is the standalone two-layer strategy on 4 nodes ×
+// 1 core: every node's election is trivial and the plan runs the flat
+// exchange.
+func oneRankPerNodeSpec(op string) Spec {
+	const nodes, mem = 4, 8 * cluster.MiB
+	mcfg := TestbedMachine(nodes, mem, 50*cluster.MB, 42)
+	mcfg.CoresPerNode = 1
+	wl := workload.IOR{Ranks: nodes, BlockSize: 256 << 10, Segments: 4, TransferSize: 256 << 10}
+	return Spec{Strategy: twolayer.Strategy{CBBuffer: mem}, Op: op, Machine: mcfg, FS: TestbedFS(42), Workload: wl}
+}
+
+// TestSinksAgree runs the regression, strategies and chaos golden grids,
+// the multi-group run with and without the two-layer exchange, and the
+// standalone two-layer strategy at one rank per node, each with a fresh
+// tracer and registry, and checks every fact of sinkFacts on every row.
 func TestSinksAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
@@ -318,6 +331,7 @@ func TestSinksAgree(t *testing.T) {
 		for _, tl := range []bool{false, true} {
 			rows = append(rows, row{key: fmt.Sprintf("multi-group/twolayer=%v/%s", tl, op), spec: multiGroupSpec(op, tl)})
 		}
+		rows = append(rows, row{key: "two-layer/one-rank-per-node/" + op, spec: oneRankPerNodeSpec(op)})
 	}
 	views, err := sweep.Sweep[*sinkView]{Workers: 4, Label: "sinks"}.Run(context.Background(), len(rows), func(_ context.Context, i int) (*sinkView, error) {
 		spec := rows[i].spec

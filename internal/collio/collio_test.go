@@ -72,7 +72,7 @@ func TestOffsetWindows(t *testing.T) {
 
 func TestCoverageWindowsAdvanceByData(t *testing.T) {
 	cov := datatype.List{{Off: 0, Len: 10}, {Off: 100, Len: 10}, {Off: 200, Len: 10}}
-	w := CoverageWindows(cov, 15)
+	w := CoverageWindows(nil, cov, 0, 210, 15)
 	// First window: 10 bytes at [0,10) + 5 bytes at [100,105) => extent [0,105).
 	want := []datatype.Segment{{Off: 0, Len: 105}, {Off: 105, Len: 105}}
 	if len(w) != 2 || w[0] != want[0] || w[1] != want[1] {
@@ -80,6 +80,11 @@ func TestCoverageWindowsAdvanceByData(t *testing.T) {
 	}
 }
 
+// TestCoverageWindowsProperty: over random coverage and a random domain
+// [lo, hi), the windows CoverageWindows appends after dst's own are
+// ordered, inside the domain, hold (0, buf] covered bytes each, cover
+// the domain's coverage exactly, and number ceil(data / buf) — the
+// count planners size one backing array by.
 func TestCoverageWindowsProperty(t *testing.T) {
 	f := func(seed uint64, bufRaw uint16) bool {
 		r := stats.NewRNG(seed)
@@ -89,12 +94,19 @@ func TestCoverageWindowsProperty(t *testing.T) {
 		}
 		cov := datatype.Normalize(raw)
 		buf := int64(bufRaw%2048) + 1
-		ws := CoverageWindows(cov, buf)
+		lo := r.Int63n(5300)
+		hi := lo + r.Int63n(5300-lo+1)
+		dst := []datatype.Segment{{Off: -9, Len: 1}}
+		ws := CoverageWindows(dst, cov, lo, hi, buf)
+		if ws[0] != dst[0] {
+			return false // dst's own windows overwritten
+		}
+		ws = ws[1:]
 		var covered int64
-		prev := int64(-1 << 62)
+		prev := lo
 		for _, w := range ws {
-			if w.Len <= 0 || w.Off < prev {
-				return false // disordered or empty window
+			if w.Len <= 0 || w.Off < prev || w.End() > hi {
+				return false // disordered, empty, or outside the domain
 			}
 			prev = w.End()
 			data := cov.Clip(w.Off, w.End()).TotalBytes()
@@ -103,7 +115,8 @@ func TestCoverageWindowsProperty(t *testing.T) {
 			}
 			covered += data
 		}
-		return covered == cov.TotalBytes()
+		want := cov.Clip(lo, hi).TotalBytes()
+		return covered == want && int64(len(ws)) == (want+buf-1)/buf
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -337,10 +350,10 @@ func TestTwoPhaseEmptyViewsEverywhere(t *testing.T) {
 	}
 }
 
-// TestTwoPhaseBuildPlanSharedByEveryRank: the plan is built once per
+// TestTwoPhasePlanSharedByEveryRank: the plan is built once per
 // call and every rank holds the same pointer, as it does the metadata
 // it was built from — with data and without.
-func TestTwoPhaseBuildPlanSharedByEveryRank(t *testing.T) {
+func TestTwoPhasePlanSharedByEveryRank(t *testing.T) {
 	const p = 6
 	e, m, _ := testRig(t, 2, 3, 64*cluster.MiB)
 	w, err := mpi.NewWorld(e, m, p)
@@ -350,7 +363,7 @@ func TestTwoPhaseBuildPlanSharedByEveryRank(t *testing.T) {
 	plans := make([][2]*Plan, p)
 	w.Start(func(c *mpi.Comm) {
 		for call, view := range []datatype.List{interleavedView(c.Rank(), p, 4, 4<<10), nil} {
-			plans[c.Rank()][call] = TwoPhase{CBBuffer: 16 << 10}.BuildPlan(c, view)
+			plans[c.Rank()][call] = planOf(TwoPhase{CBBuffer: 16 << 10})(c, view)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -519,7 +532,7 @@ func TestAlignStripeDomains(t *testing.T) {
 		// ~2.4 MiB per rank: domain size is not naturally stripe-sized.
 		view := interleavedView(c.Rank(), 6, 5, 512<<10)
 		tp := TwoPhase{CBBuffer: 1 << 20, AlignStripe: stripe}
-		plan := tp.BuildPlan(c, view)
+		plan := planOf(tp)(c, view)
 		if c.Rank() == 0 {
 			for i, d := range plan.Domains {
 				if d.Lo%stripe != 0 {

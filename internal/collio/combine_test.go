@@ -143,7 +143,7 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
-		tp := plannedStrategy{build: TwoPhase{CBBuffer: 32 << 10}.BuildPlan, leaders: lowestRankLeaders}
+		tp := plannedStrategy{build: planOf(TwoPhase{CBBuffer: 32 << 10}), leaders: lowestRankLeaders}
 		if _, plan := tp.Plan("write", c, view, nil); !reflect.DeepEqual(plan.(*Plan).LeaderOf, []int{0, 0, 0, 3, 3, 3}) {
 			t.Errorf("lowest-rank plan leader map %v", plan.(*Plan).LeaderOf)
 		}
@@ -170,7 +170,7 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	f := iolib.Open(fs, "x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 4, 4<<10)
-		tp := plannedStrategy{build: TwoPhase{CBBuffer: 16 << 10}.BuildPlan, leaders: lowestRankLeaders}
+		tp := plannedStrategy{build: planOf(TwoPhase{CBBuffer: 16 << 10}), leaders: lowestRankLeaders}
 		if _, plan := tp.Plan("write", c, view, nil); plan.(*Plan).LeaderOf != nil {
 			t.Errorf("leader map %v on a one-rank-per-node machine", plan.(*Plan).LeaderOf)
 		}
@@ -199,6 +199,15 @@ func (s plannedStrategy) Plan(op string, c *mpi.Comm, view datatype.List, m *tra
 		plan = &p
 	}
 	return c, plan
+}
+
+// planOf is tp's planning as a plan builder: the shared *Plan its Plan
+// hands iolib.Run.
+func planOf(tp TwoPhase) func(*mpi.Comm, datatype.List) *Plan {
+	return func(c *mpi.Comm, view datatype.List) *Plan {
+		_, s := tp.Plan("", c, view, nil)
+		return s.(*Plan)
+	}
 }
 
 // lowestRankLeaders is the reference topology: every rank follows the
@@ -261,7 +270,7 @@ func groupedPlan(buf int64) func(c *mpi.Comm, view datatype.List) *Plan {
 			lo, hi := dom.Extent()
 			plan.Domains = append(plan.Domains, Domain{
 				Agg: p - 1 - 2*i, Lo: lo, Hi: hi, BufBytes: buf,
-				Windows: CoverageWindows(dom, buf),
+				Windows: CoverageWindows(nil, dom, lo, hi, buf),
 			})
 		}
 		plan.Tree = balancedTree(len(plan.Domains))
@@ -301,7 +310,7 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 		}
 		buf := int64(1+rng.Intn(8)) << 10
 		for name, build := range map[string]func(*mpi.Comm, datatype.List) *Plan{
-			"two-phase": TwoPhase{CBBuffer: buf}.BuildPlan,
+			"two-phase": planOf(TwoPhase{CBBuffer: buf}),
 			"grouped":   groupedPlan(buf),
 		} {
 			for _, op := range []string{"write", "read"} {

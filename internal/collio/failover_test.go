@@ -420,7 +420,7 @@ func TestFailoverProperty(t *testing.T) {
 // one and the same *Plan — the first built — for every collective of the
 // test, and remembers what it looked like before anyone ran it. own
 // counts the ranks whose builder handed them a plan of their own, which
-// a builder that shares its plan itself (BuildPlan) never does.
+// a builder that shares its plan itself (TwoPhase.Plan) never does.
 type sharedPlan struct {
 	build  func(c *mpi.Comm, view datatype.List) *Plan
 	plan   *Plan
@@ -473,14 +473,14 @@ func withMemMin(build func(*mpi.Comm, datatype.List) *Plan, avail, memMin int64)
 }
 
 // TestPlanUnchangedByRun hands one *Plan pointer to every rank — the
-// case the old in-place failover needed guards for, and what BuildPlan
+// case the old in-place failover needed guards for, and what TwoPhase.Plan
 // itself does now — and to the write and the read after it, under
 // schedules that make the collective fail over: every byte verifies,
 // failovers happened, and the plan is deep-equal to its clone from
 // before the first run. (The two-layer strategy's shared plan is held to
 // the same under its leader and node schedules in package twolayer.)
 func TestPlanUnchangedByRun(t *testing.T) {
-	even := TwoPhase{CBBuffer: BufFloor}.BuildPlan
+	even := planOf(TwoPhase{CBBuffer: BufFloor})
 	for _, tc := range []struct {
 		name   string
 		build  func(*mpi.Comm, datatype.List) *Plan
@@ -549,7 +549,7 @@ func TestFaultFreeRunKeepsOverlayAliased(t *testing.T) {
 		f := iolib.Open(fs, "x")
 		w.Start(func(c *mpi.Comm) {
 			view := interleavedView(c.Rank(), 4, 4, 64<<10)
-			s := plannedStrategy{build: TwoPhase{CBBuffer: BufFloor}.BuildPlan, leaders: leaders}
+			s := plannedStrategy{build: planOf(TwoPhase{CBBuffer: BufFloor}), leaders: leaders}
 			for _, op := range []string{"write", "read"} {
 				_, sched := s.Plan(op, c, view, nil)
 				plan := sched.(*Plan)

@@ -222,20 +222,23 @@ func OffsetWindows(lo, hi, buf int64) []datatype.Segment {
 	return out
 }
 
-// CoverageWindows slices a domain so each window holds at most buf
-// *covered* bytes of coverage (the union of requests inside the
-// domain). Where coverage is sparse — the memory-conscious groups see
-// this on interleaved workloads — offset windows would spin through
-// empty rounds; coverage windows advance by data instead. Window bounds
-// snap to coverage so no window starts or ends inside a hole.
-func CoverageWindows(coverage datatype.List, buf int64) []datatype.Segment {
+// CoverageWindows appends to dst the windows of domain [lo, hi), each
+// holding at most buf bytes of coverage (the sorted union of requests).
+// Where coverage is sparse, offset windows would spin through empty
+// rounds; coverage windows advance by data instead, and snap to
+// coverage so none starts or ends in a hole. The walk stops at the
+// first run past hi, so domains in file order walk coverage once.
+func CoverageWindows(dst []datatype.Segment, coverage datatype.List, lo, hi, buf int64) []datatype.Segment {
 	if buf <= 0 {
 		panic(fmt.Sprintf("collio: window buffer %d", buf))
 	}
-	var out []datatype.Segment
 	var cur datatype.Segment
 	var curData int64
 	for _, s := range coverage {
+		if s.Off >= hi {
+			break
+		}
+		s.Off, s.Len = max(s.Off, lo), min(s.End(), hi)-max(s.Off, lo)
 		for s.Len > 0 {
 			if curData == 0 {
 				cur.Off = s.Off
@@ -246,13 +249,13 @@ func CoverageWindows(coverage datatype.List, buf int64) []datatype.Segment {
 			s.Off += take
 			s.Len -= take
 			if curData == buf {
-				out = append(out, cur)
+				dst = append(dst, cur)
 				curData = 0
 			}
 		}
 	}
 	if curData > 0 {
-		out = append(out, cur)
+		dst = append(dst, cur)
 	}
-	return out
+	return dst
 }

@@ -78,18 +78,10 @@ func GatherMeta(c *mpi.Comm, view datatype.List) (exts []Ext, nodeOf []int, avai
 	return g.exts, g.nodeOf, g.avail
 }
 
-// BuildPlan computes the baseline schedule. Every rank calls it inside
-// the collective; the plan is a pure function of allgathered metadata,
-// built once per call and shared by pointer (mpi.Shared).
-func (tp TwoPhase) BuildPlan(c *mpi.Comm, view datatype.List) *Plan {
-	exts, nodeOf, avail := GatherMeta(c, view)
-	return mpi.Shared(c, func() *Plan { return tp.PlanFromMeta(exts, nodeOf, avail) })
-}
-
 // PlanFromMeta builds the baseline schedule from already-gathered
 // metadata: per-rank extents, each rank's node, and each rank's node
-// availability. The pure core of BuildPlan, shared with the offline
-// plan service.
+// availability. The pure core of Plan, which the offline planner
+// (adio.Inspect) runs too.
 func (tp TwoPhase) PlanFromMeta(exts []Ext, nodeOf []int, avail []int64) *Plan {
 	// One aggregator per node: lowest comm rank on each node.
 	var aggs []int
@@ -147,7 +139,11 @@ func EvenSplit(exts []Ext, aggs []int, avail []int64, cb, align int64) *Plan {
 }
 
 // Plan implements iolib.Collective: the baseline schedule, one group
-// on the caller's communicator.
+// on the caller's communicator, a pure function of allgathered
+// metadata built once per call and shared by pointer (mpi.Shared).
 func (tp TwoPhase) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
-	return c, PlanOneGroup(c, m, func() *Plan { return tp.BuildPlan(c, view) })
+	return c, PlanOneGroup(c, m, func() *Plan {
+		exts, nodeOf, avail := GatherMeta(c, view)
+		return mpi.Shared(c, func() *Plan { return tp.PlanFromMeta(exts, nodeOf, avail) })
+	})
 }

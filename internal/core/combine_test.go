@@ -122,7 +122,8 @@ func TestNodeCombineWithTwoPhasePlan(t *testing.T) {
 			nodeOf[r] = c.NodeOf(r)
 		}
 		build := func() *collio.Plan {
-			plan := collio.TwoPhase{CBBuffer: 64 << 10}.BuildPlan(c, view)
+			_, s := collio.TwoPhase{CBBuffer: 64 << 10}.Plan("", c, view, nil)
+			plan := s.(*collio.Plan)
 			if plan.LeaderOf = collio.LowestRankLeaders(nodeOf); plan.LeaderOf == nil {
 				t.Error("lowest-rank leaders on a 3-rank-per-node machine gave no leader map")
 			}

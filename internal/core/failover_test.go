@@ -13,7 +13,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/simtime"
 	"repro/internal/trace"
-	"repro/internal/twolayer"
 )
 
 func clonePlan(p *collio.Plan) *collio.Plan {
@@ -31,27 +30,13 @@ func clonePlan(p *collio.Plan) *collio.Plan {
 	return &q
 }
 
-func cloneElection(el *twolayer.Election) *twolayer.Election {
-	q := *el
-	q.Leaders = slices.Clone(el.Leaders)
-	for i := range q.Leaders {
-		q.Leaders[i].RunnersUp = slices.Clone(el.Leaders[i].RunnersUp)
-	}
-	q.LeaderOf = slices.Clone(el.LeaderOf)
-	q.Succ = slices.Clone(el.Succ)
-	for i := range q.Succ {
-		q.Succ[i] = slices.Clone(el.Succ[i])
-	}
-	return &q
-}
-
 // TestRunLeavesPlanAndRecordAlone runs the composed strategy under the
 // leader fault schedule — two elected leaders die mid-collective — and
-// holds everything the planner produced to its state before the rounds:
-// the plan a group shares by pointer, the group's planning record, and
-// the election whose leader map the plan aliases (a handoff used to be
-// written through that alias into the record the audit and /v1/plan
-// read).
+// holds the plan a group shares by pointer to its state before the
+// rounds. The plan is the group's planning record's Plan, and its
+// leader map and succession lines are the election's own slices (a
+// handoff used to be written through that alias into the record the
+// audit and /v1/plan read).
 func TestRunLeavesPlanAndRecordAlone(t *testing.T) {
 	spec, err := faults.LoadSpec("../../examples/chaos-leader.json")
 	if err != nil {
@@ -80,23 +65,15 @@ func TestRunLeavesPlanAndRecordAlone(t *testing.T) {
 				data = buffer.NewReal(view.TotalBytes())
 			}
 			var mtr trace.Metrics
-			sub, plan, gp := mc.plan(op, c, view, &mtr)
+			sub, sched := mc.Plan(op, c, view, &mtr)
+			plan := sched.(*collio.Plan)
 			if plan.LeaderOf == nil {
 				t.Fatalf("%s: rank %d's group elected no leaders", op, c.Rank())
 			}
 			planBefore := clonePlan(plan)
-			var gpBefore GroupPlan
-			if gp != nil { // group root
-				gpBefore = *gp
-				gpBefore.election = cloneElection(gp.election)
-				gpBefore.Leaders = slices.Clone(gp.Leaders)
-			}
 			plan.Run(op, f, sub, view, data, &mtr)
 			if !reflect.DeepEqual(plan, planBefore) {
 				t.Errorf("%s: rank %d's group plan was written during the run", op, c.Rank())
-			}
-			if gp != nil && !reflect.DeepEqual(*gp, gpBefore) {
-				t.Errorf("%s: the planning record was written during the run: leader map %v, elected %v", op, gp.election.LeaderOf, gpBefore.election.LeaderOf)
 			}
 			c.Barrier()
 		}

@@ -11,8 +11,7 @@ import (
 // InspectResult is the full static plan MCCIO would compute for a set
 // of rank views on a machine — everything but the data movement.
 type InspectResult struct {
-	Groups []Group
-	Plans  []GroupPlan
+	Plans []GroupPlan // one per aggregation group, in group order
 }
 
 // Inspect runs MCCIO's planning pipeline (group division, workload
@@ -44,7 +43,7 @@ func (mc MCCIO) Inspect(machine *cluster.Machine, views []datatype.List) (*Inspe
 	groups := DivideGroupsMemAware(nodeOf, bytesPer, mc.Opts.msggroup(), avail, mc.Opts.Memmin)
 	auditGroups(rec, "inspect", total, mc.Opts.msggroup(), groups)
 
-	res := &InspectResult{Groups: groups, Plans: make([]GroupPlan, 0, len(groups))}
+	res := &InspectResult{Plans: make([]GroupPlan, 0, len(groups))}
 	for gi, g := range groups {
 		nodeOfRank := make([]int, 0, g.Last-g.First+1)
 		for r := g.First; r <= g.Last; r++ {
@@ -77,7 +76,7 @@ func DumpTree(t *Tree) string {
 // Summary renders the inspection as human-readable text.
 func (ir *InspectResult) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "aggregation groups: %d\n", len(ir.Groups))
+	fmt.Fprintf(&b, "aggregation groups: %d\n", len(ir.Plans))
 	for gi, gp := range ir.Plans {
 		g := gp.Group
 		fmt.Fprintf(&b, "\ngroup %d: ranks [%d..%d] on %d node(s), %.2f MB requested\n",

@@ -47,8 +47,8 @@ func TestInspectEmptyGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 2 || len(res.Plans) != 2 || res.Groups[1].Bytes != 0 {
-		t.Fatalf("want a data group and an empty one, got %+v", res.Groups)
+	if len(res.Plans) != 2 || res.Plans[1].Group.Bytes != 0 {
+		t.Fatalf("want a data group and an empty one, got %+v", res.Plans)
 	}
 	all := make([]datatype.List, 4)
 	empty, err := MCCIO{Opts: opts}.Inspect(machine, all)
@@ -115,18 +115,18 @@ func TestInspectDisableGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(divided.Groups) < 2 {
-		t.Fatalf("layout divides into %d group(s); the test needs several", len(divided.Groups))
+	if len(divided.Plans) < 2 {
+		t.Fatalf("layout divides into %d group(s); the test needs several", len(divided.Plans))
 	}
 	opts.DisableGroups = true
 	one, err := MCCIO{Opts: opts}.Inspect(machine, inspectViews(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(one.Groups) != 1 || len(one.Plans) != 1 {
-		t.Fatalf("DisableGroups left %d groups / %d plans", len(one.Groups), len(one.Plans))
+	if len(one.Plans) != 1 {
+		t.Fatalf("DisableGroups left %d plans", len(one.Plans))
 	}
-	if g := one.Groups[0]; g.First != 0 || g.Last != 7 || g.Nodes != 4 {
+	if g := one.Plans[0].Group; g.First != 0 || g.Last != 7 || g.Nodes != 4 {
 		t.Errorf("the one group is %+v, want ranks 0..7 on 4 nodes", g)
 	}
 	if s := one.Summary(); !strings.Contains(s, "aggregation groups: 1\n") {

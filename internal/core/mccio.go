@@ -129,13 +129,6 @@ type segsMsg struct {
 // Plan implements iolib.Collective: the caller's aggregation-group
 // communicator and the plan its group shares.
 func (mc MCCIO) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
-	sub, plan, _ := mc.plan(op, c, view, m)
-	return sub, plan
-}
-
-// plan is Plan plus, on the group root only, the record the plan was
-// built from.
-func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, *collio.Plan, *GroupPlan) {
 	if err := mc.Opts.Validate(); err != nil {
 		panic(err)
 	}
@@ -161,9 +154,7 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 	// of once per process.
 	segsRaw := sub.Gather(0, segsMsg{segs: view}, int64(len(view))*16+8)
 	var plan *collio.Plan
-	var record *GroupPlan
 	if sub.Rank() == 0 {
-		g := d.groups[gi]
 		memberSegs := make([]datatype.List, sub.Size())
 		nodeOfRank := make([]int, sub.Size())
 		for i, v := range segsRaw {
@@ -171,15 +162,13 @@ func (mc MCCIO) plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metric
 			nodeOfRank[i] = sub.NodeOf(i)
 		}
 		// Aggregator Location works from the snapshot group division used.
-		nodeAvail := groupAvail(nodeOfRank, d.avail)
-		gp := mc.Opts.planGroup(gi, g, memberSegs, nodeOfRank, nodeAvail, c.Explain())
-		record = &gp
-		plan = mc.executable(gi, &gp, memberSegs, nodeAvail)
+		gp := mc.Opts.planGroup(gi, d.groups[gi], memberSegs, nodeOfRank, groupAvail(nodeOfRank, d.avail), c.Explain())
 		recordGroupPlan(sub, op, gi, &gp, m)
+		plan = gp.Plan
 	}
 	plan = sub.Bcast(0, plan, planWireBytes(plan)).(*collio.Plan)
 	psp.End()
-	return sub, plan, record
+	return sub, plan
 }
 
 // division is one collective call's group-division outcome, a pure
@@ -216,40 +205,6 @@ func (mc MCCIO) divide(c *mpi.Comm, view datatype.List) *division {
 		d.colors = ColorOf(d.groups, len(raw))
 		return d
 	})
-}
-
-// executable converts group gi's planning record into the schedule the
-// round engine runs: one domain per placement with coverage windows
-// sized by its buffer and the snapshot availability arming the
-// memory-exhaustion predicate, the partition tree remerging left as the
-// plan's remerge tree, and the leader map of the chosen exchange
-// layering. Only the live collective pays for it; the offline planner
-// stops at the record.
-func (mc MCCIO) executable(gi int, gp *GroupPlan, memberSegs []datatype.List, nodeAvail map[int]int64) *collio.Plan {
-	// Exact writes: groups aggregate disjoint data that interleaves in
-	// the file, so an extent RMW in one group could overwrite another
-	// group's concurrent writes with stale bytes.
-	plan := &collio.Plan{Group: gi, Exts: make([]collio.Ext, len(memberSegs)), ExactWrite: true, MemMin: mc.Opts.Memmin}
-	for i, segs := range memberSegs {
-		l, h := segs.Extent()
-		plan.Exts[i] = collio.Ext{Lo: l, Hi: h}
-	}
-	for _, pl := range gp.Placements {
-		plan.Domains = append(plan.Domains, collio.Domain{
-			Agg: pl.Agg, Lo: pl.Leaf.Lo, Hi: pl.Leaf.Hi,
-			BufBytes:  pl.Buf,
-			Windows:   collio.CoverageWindows(gp.Coverage.Clip(pl.Leaf.Lo, pl.Leaf.Hi), pl.Buf),
-			NodeAvail: nodeAvail[gp.NodeOfRank[pl.Agg]],
-		})
-	}
-	if gp.Tree != nil {
-		plan.Tree = gp.Tree.remergeTree()
-	}
-	if el := gp.election; el != nil {
-		plan.LeaderOf = el.LeaderOf
-		plan.LeaderSucc = el.Succ
-	}
-	return plan
 }
 
 // planWireBytes estimates the broadcast size of a plan: per-domain

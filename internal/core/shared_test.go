@@ -63,9 +63,9 @@ func TestDivisionAndPlacementSeeOneSnapshot(t *testing.T) {
 			m.Node(0).MustAlloc(staged)
 			defer m.Node(0).Free(staged)
 		}
-		sub, plan, _ := mc.plan("write", c, interleavedView(c.Rank(), p, 16, 64<<10), &trace.Metrics{})
+		sub, plan := mc.Plan("write", c, interleavedView(c.Rank(), p, 16, 64<<10), &trace.Metrics{})
 		if c.Rank() == 0 {
-			for _, d := range plan.Domains {
+			for _, d := range plan.(*collio.Plan).Domains {
 				if sub.NodeOf(d.Agg) == 0 {
 					onNode0 = append(onNode0, d)
 				}

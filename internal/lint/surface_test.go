@@ -40,6 +40,7 @@ var calledByStdlib = map[string]bool{"MarshalJSON": true, "UnmarshalJSON": true}
 type goFile struct {
 	pkgDir  string // directory, relative to repoRoot
 	ast     *ast.File
+	lines   int
 	imports map[string]struct{} // repro/... import paths
 }
 
@@ -66,7 +67,7 @@ func parseModule(t *testing.T) []goFile {
 			return err
 		}
 		rel, _ := filepath.Rel(repoRoot, filepath.Dir(path))
-		gf := goFile{pkgDir: filepath.ToSlash(rel), ast: f, imports: map[string]struct{}{}}
+		gf := goFile{pkgDir: filepath.ToSlash(rel), ast: f, lines: fset.File(f.Pos()).LineCount(), imports: map[string]struct{}{}}
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
 			gf.imports[p] = struct{}{}

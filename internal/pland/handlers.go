@@ -11,15 +11,12 @@ import (
 	"repro/internal/adio"
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/collio"
 	"repro/internal/core"
-	"repro/internal/datatype"
 	"repro/internal/explain"
 	"repro/internal/logx"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/strategy"
-	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
@@ -383,15 +380,14 @@ func (s *Server) admitPlan(canon *canonRequest, fp string, rec *logx.Record) ([]
 	return o.body, o.err
 }
 
-// buildPlanJSON runs the offline planner on a fresh machine built from
-// the canonical request and serializes the resulting plan, plus the
-// decision-count summary GET /debug/explain reports. Both planner
-// families produce the same per-group record — core.MCCIO.Inspect one
-// core.GroupPlan per aggregation group, flatGroupPlan one for the
-// single group of two-phase and two-layer — and the response is one
-// projection of those records. A planner panic (hostile-but-validated
-// input hitting an internal invariant) is counted and converted to an
-// error so one request cannot take the daemon down.
+// buildPlanJSON serializes the plans the request's strategy executes
+// (inspect) as a PlanResponse — per domain the *collio.Plan's
+// aggregator, extent and buffer, the host from the group's node map,
+// the covered data from one walk of the coverage — plus the
+// decision-count summary GET /debug/explain reports. A planner panic
+// (hostile-but-validated input hitting an internal invariant) is
+// counted and converted to an error so one request cannot take the
+// daemon down.
 func buildPlanJSON(c *canonRequest, fp string, panics *metrics.Counter) (body []byte, sum explain.Summary, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -399,25 +395,13 @@ func buildPlanJSON(c *canonRequest, fp string, panics *metrics.Counter) (body []
 			err = fmt.Errorf("pland: planner failed: %v", p)
 		}
 	}()
-	machine, err := cluster.New(c.Cluster)
+	ir, sum, err := inspect(c)
 	if err != nil {
 		return nil, explain.Summary{}, err
 	}
-	rec := explain.NewRecorder()
-	machine.SetExplain(rec)
-	var plans []core.GroupPlan
-	if c.Strategy == strategy.MCCIO {
-		ir, err := core.MCCIO{Opts: c.Options}.Inspect(machine, c.Views)
-		if err != nil {
-			return nil, explain.Summary{}, err
-		}
-		plans = ir.Plans
-	} else {
-		plans = []core.GroupPlan{flatGroupPlan(c, machine, rec)}
-	}
-
-	resp := PlanResponse{Fingerprint: fp, Strategy: c.Strategy, Ranks: len(c.Views), Options: c.Options}
-	for gi, gp := range plans {
+	resp := PlanResponse{Fingerprint: fp, Strategy: c.Strategy, Ranks: len(c.Views), Options: c.Options,
+		Groups: make([]PlanGroup, len(ir.Plans))}
+	for gi, gp := range ir.Plans {
 		pg := PlanGroup{
 			First:         gp.Group.First,
 			Last:          gp.Group.Last,
@@ -426,15 +410,22 @@ func buildPlanJSON(c *canonRequest, fp string, panics *metrics.Counter) (body []
 			CoverageBytes: gp.Coverage.TotalBytes(),
 			Remerges:      gp.Remerges,
 		}
-		for _, pl := range gp.Placements {
-			pg.Domains = append(pg.Domains, PlanDomain{
-				Agg:       pl.Agg,
-				Node:      gp.NodeOfRank[pl.Agg],
-				Lo:        pl.Leaf.Lo,
-				Hi:        pl.Leaf.Hi,
-				DataBytes: pl.Leaf.DataBytes,
-				BufBytes:  pl.Buf,
-			})
+		if doms := gp.Plan.Domains; len(doms) > 0 {
+			pg.Domains = make([]PlanDomain, len(doms))
+			cov := gp.Coverage
+			for i, d := range doms {
+				for len(cov) > 0 && cov[0].End() <= d.Lo {
+					cov = cov[1:]
+				}
+				var data int64
+				for _, s := range cov {
+					if s.Off >= d.Hi {
+						break
+					}
+					data += min(s.End(), d.Hi) - max(s.Off, d.Lo)
+				}
+				pg.Domains[i] = PlanDomain{Agg: d.Agg, Node: gp.NodeOfRank[d.Agg], Lo: d.Lo, Hi: d.Hi, DataBytes: data, BufBytes: d.BufBytes}
+			}
 		}
 		for _, l := range gp.Leaders {
 			resp.Leaders = append(resp.Leaders, PlanLeader{
@@ -443,62 +434,34 @@ func buildPlanJSON(c *canonRequest, fp string, panics *metrics.Counter) (body []
 			})
 		}
 		resp.TotalBytes += gp.Group.Bytes
-		resp.Aggregators += len(gp.Placements)
+		resp.Aggregators += len(pg.Domains)
 		resp.Remerges += gp.Remerges
-		resp.Groups = append(resp.Groups, pg)
+		resp.Groups[gi] = pg
 	}
 	body, err = json.Marshal(resp)
 	if err != nil {
 		return nil, explain.Summary{}, err
 	}
-	return append(body, '\n'), explain.Summarize(rec.Events()), nil
+	return append(body, '\n'), sum, nil
 }
 
-// flatGroupPlan plans the single-group strategies — two-phase (lowest-
-// rank aggregators) and two-layer (memory-elected leaders) — through
-// their comm-free PlanFromMeta builders and returns the plan as the
-// per-group record the memory-conscious planner produces: one group
-// spanning every rank, one placement per even-split domain. Both
-// strategies size their collective buffer from the node's memory,
-// mirroring the simulation path.
-func flatGroupPlan(c *canonRequest, machine *cluster.Machine, rec *explain.Recorder) core.GroupPlan {
-	n := len(c.Views)
-	exts := make([]collio.Ext, n)
-	nodeOf := make([]int, n)
-	avail := make([]int64, n)
-	g := core.Group{Last: n - 1}
-	var all datatype.List
-	for r, v := range c.Views {
-		lo, hi := v.Extent()
-		exts[r] = collio.Ext{Lo: lo, Hi: hi}
-		nodeOf[r] = machine.NodeOfRank(r)
-		avail[r] = machine.Node(nodeOf[r]).Available()
-		g.Bytes += v.TotalBytes()
-		all = append(all, v...)
+// inspect runs the request's strategy's comm-free planner
+// (adio.Inspect) on a fresh machine built from the canonical request:
+// the plans the live collective would execute, and the summary of the
+// decisions that made them. The single-group strategies size their
+// collective buffer from the node's memory, as /v1/simulate does.
+func inspect(c *canonRequest) (*core.InspectResult, explain.Summary, error) {
+	machine, err := cluster.New(c.Cluster)
+	if err != nil {
+		return nil, explain.Summary{}, err
 	}
-	g.Nodes = nodeOf[n-1] - nodeOf[0] + 1 // ranks map to nodes block-wise
-	gp := core.GroupPlan{Group: g, Coverage: datatype.Normalize(all), NodeOfRank: nodeOf}
-
-	var plan *collio.Plan
-	if c.Strategy == strategy.TwoLayer {
-		var el *twolayer.Election
-		plan, el = twolayer.Strategy{CBBuffer: c.Cluster.MemPerNode}.PlanFromMeta(exts, nodeOf, avail)
-		if el != nil && el.MultiRank {
-			gp.Leaders = el.Leaders
-			el.Explain(rec, 0)
-		}
-	} else {
-		plan = collio.TwoPhase{CBBuffer: c.Cluster.MemPerNode}.PlanFromMeta(exts, nodeOf, avail)
+	rec := explain.NewRecorder()
+	machine.SetExplain(rec)
+	ir, err := adio.Inspect(c.Strategy, c.Options, c.Cluster.MemPerNode, machine, c.Views)
+	if err != nil {
+		return nil, explain.Summary{}, err
 	}
-	leaves := make([]core.TreeNode, len(plan.Domains))
-	placed := make([]core.Placement, len(plan.Domains))
-	gp.Placements = make([]*core.Placement, len(plan.Domains))
-	for i, d := range plan.Domains {
-		leaves[i] = core.TreeNode{Lo: d.Lo, Hi: d.Hi, DataBytes: gp.Coverage.Clip(d.Lo, d.Hi).TotalBytes()}
-		placed[i] = core.Placement{Leaf: &leaves[i], Agg: d.Agg, Buf: d.BufBytes}
-		gp.Placements[i] = &placed[i]
-	}
-	return gp
+	return ir, explain.Summarize(rec.Events()), nil
 }
 
 // ExplainState is the body of GET /debug/explain: the decision-count

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,9 +17,9 @@ import (
 	"repro/internal/explain"
 	"repro/internal/mpi"
 	"repro/internal/simtime"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/sweep"
-	"repro/internal/twolayer"
 	"repro/internal/workload"
 )
 
@@ -80,100 +81,80 @@ func parityLayouts(t *testing.T) []planLayout {
 	return out
 }
 
-// executedDomain is one file domain of a plan the engine ran.
-type executedDomain struct {
-	group, agg, node int
-	lo, hi, buf      int64
-}
-
-// served flattens a /v1/plan response into the comparable form: group
-// boundaries, domains, leaders.
-func served(pr PlanResponse) (groups []explain.GroupInfo, doms []executedDomain, leaders []PlanLeader) {
-	for gi, g := range pr.Groups {
-		groups = append(groups, explain.GroupInfo{First: g.First, Last: g.Last, Nodes: g.Nodes, Bytes: g.Bytes})
-		for _, d := range g.Domains {
-			doms = append(doms, executedDomain{gi, d.Agg, d.Node, d.Lo, d.Hi, d.BufBytes})
+// randomRequests are seeded plan requests over what the golden layouts
+// hold fixed: node count, 1 or 4 ranks per node (so two-layer elections
+// are trivial or contested), nominal memory and its σ, IOR or random
+// extents, and the tunables Nah and Memmin (so mccio remerges), each
+// under every plan-servable configuration.
+func randomRequests(n int) []parityCase {
+	r := stats.NewRNG(36)
+	var out []parityCase
+	for i := 0; i < n; i++ {
+		nodes, cores := 2+r.Intn(4), []int{1, 4}[r.Intn(2)]
+		ranks := nodes * cores
+		mem := []int64{1, 2, 4, 16}[r.Intn(4)] * cluster.MiB
+		seed := uint64(1 + r.Intn(1000))
+		mc := bench.TestbedMachine(nodes, mem, r.Int63n(mem), seed)
+		mc.CoresPerNode = cores
+		fc := bench.TestbedFS(seed)
+		block := (1 + r.Int63n(16)) << 16
+		var wl workload.Workload = workload.IOR{Ranks: ranks, BlockSize: block, Segments: 1 + r.Intn(6), TransferSize: block}
+		if r.Intn(2) == 0 {
+			wl = workload.Random{Ranks: ranks, SegsPerRank: 1 + r.Intn(8), SegLen: (1 + r.Int63n(8)) << 14, FileSize: int64(ranks) << 20, Seed: seed}
+		}
+		nah, memmin := 1+r.Intn(cores), mem/int64(2+r.Intn(6))
+		for _, cfg := range planConfigs {
+			req := requestFor(mc, fc, wl, cfg)
+			req.Options.Nah, req.Options.Memmin = nah, memmin
+			out = append(out, parityCase{fmt.Sprintf("random%d/%dx%d/%s", i, nodes, cores, cfg.name), req})
 		}
 	}
-	return groups, doms, pr.Leaders
+	return out
 }
 
-// executedFromExplain reconstructs the plan a live mccio run executed
-// from its decision audit: the groups event, each group's placements
-// with later remerges stretching the taker's extent (a remerge hands
-// the removed region to one leaf, placed or not; a placed taker keeps
-// its aggregator over the grown domain), and the leader elections.
-func executedFromExplain(events []explain.Event) (groups []explain.GroupInfo, doms []executedDomain, leaders []PlanLeader) {
-	for _, e := range events {
-		switch e.Kind {
-		case explain.KindGroups:
-			groups = e.Groups
-		case explain.KindPlace:
-			doms = append(doms, executedDomain{e.Group, e.Rank, e.Node, e.Lo, e.Hi, e.Buf})
-		case explain.KindRemerge:
-			for i := range doms {
-				if d := &doms[i]; d.group == e.Group && e.TakerLo <= d.lo && d.hi <= e.TakerHi {
-					d.lo, d.hi = e.TakerLo, e.TakerHi
-				}
-			}
-		case explain.KindLeader:
-			leaders = append(leaders, PlanLeader{Group: e.Group, Node: e.Node, Rank: e.Rank,
-				MemAvail: e.Avail, Score: e.Score, RunnersUp: len(e.RunnersUp)})
-		}
-	}
-	sort.SliceStable(doms, func(i, j int) bool {
-		if doms[i].group != doms[j].group {
-			return doms[i].group < doms[j].group
-		}
-		return doms[i].lo < doms[j].lo
-	})
-	sort.SliceStable(leaders, func(i, j int) bool { return leaders[i].Group < leaders[j].Group })
-	return groups, doms, leaders
+// parityCase is one plan request the parity proof serves and executes.
+type parityCase struct {
+	name string
+	req  PlanRequest
 }
 
-// executedFlat runs the strategy's own BuildPlan — the schedule its
-// Plan hands iolib.Run — inside a world on the request's machine.
-func executedFlat(t *testing.T, c *canonRequest) (groups []explain.GroupInfo, doms []executedDomain, leaders []PlanLeader) {
+// executed runs the request's strategy — built as /v1/simulate builds
+// it — through Collective.Plan in a world on the request's machine, and
+// returns the plan each group root holds, indexed by group, with the
+// decisions the live planner recorded.
+func executed(t *testing.T, c *canonRequest) ([]*collio.Plan, []explain.Event) {
 	t.Helper()
-	engine := simtime.NewEngine()
+	spec, err := simSpec(c, "write")
+	if err != nil {
+		t.Fatal(err)
+	}
 	machine, err := cluster.New(c.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := explain.NewRecorder()
+	machine.SetExplain(rec)
+	engine := simtime.NewEngine()
 	world, err := mpi.NewWorld(engine, machine, len(c.Views))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plan *collio.Plan
-	var el *twolayer.Election
+	roots := map[int]*collio.Plan{}
 	world.Start(func(cm *mpi.Comm) {
-		var p *collio.Plan
-		var e *twolayer.Election
-		if c.Strategy == strategy.TwoLayer {
-			p, e = twolayer.Strategy{CBBuffer: c.Cluster.MemPerNode}.BuildPlan(cm, c.Views[cm.Rank()])
-		} else {
-			p = collio.TwoPhase{CBBuffer: c.Cluster.MemPerNode}.BuildPlan(cm, c.Views[cm.Rank()])
-		}
-		if cm.Rank() == 0 {
-			plan, el = p, e
+		sub, s := spec.Strategy.Plan("write", cm, c.Views[cm.Rank()], nil)
+		if sub.Rank() == 0 {
+			p := s.(*collio.Plan)
+			roots[p.Group] = p
 		}
 	})
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	g := explain.GroupInfo{Last: len(c.Views) - 1, Nodes: machine.NodeOfRank(len(c.Views)-1) + 1}
-	for _, v := range c.Views {
-		g.Bytes += v.TotalBytes()
+	plans := make([]*collio.Plan, len(roots))
+	for g, p := range roots {
+		plans[g] = p
 	}
-	for _, d := range plan.Domains {
-		doms = append(doms, executedDomain{0, d.Agg, machine.NodeOfRank(d.Agg), d.Lo, d.Hi, d.BufBytes})
-	}
-	if el != nil && plan.LeaderOf != nil {
-		for _, l := range el.Leaders {
-			leaders = append(leaders, PlanLeader{Node: l.Node, Rank: l.Rank, MemAvail: l.Avail, Score: l.Score, RunnersUp: len(l.RunnersUp)})
-		}
-	}
-	return []explain.GroupInfo{g}, doms, leaders
+	return plans, rec.Events()
 }
 
 // plannerEvents is a decision log reduced to what the planner decided:
@@ -192,88 +173,109 @@ func plannerEvents(events []explain.Event) []explain.Event {
 	return out
 }
 
-// TestServedPlanIsExecutedPlan is the parity proof: for every golden
-// workload and each plan-servable configuration, the plan /v1/plan
-// serves (buildPlanJSON) has the groups, the per-domain (aggregator,
-// node, extent, buffer) and the elected leaders of the plan the engine
-// executes for the same request (the spec /v1/simulate runs, through
-// bench.RunOnce). The executed plan is witnessed without a production
-// hook: the decision audit of the live run for mccio, the strategy's
-// own BuildPlan inside a world for the single-group strategies. For
-// mccio the live run's planner event stream must also equal
-// Inspect's, label aside.
+// TestServedPlanIsExecutedPlan is the parity proof, over the golden
+// workloads and seeded random layouts under each plan-servable
+// configuration: the plans /v1/plan projects (inspect) are
+// reflect.DeepEqual to the *collio.Plan every group root's
+// Collective.Plan returns in a live world for the same request; the
+// served body is their projection (aggregator, extent and buffer from
+// the plan, host from the machine, covered data from the layout, one
+// leader per rank that leads itself in the plan's leader map); and the
+// served decision summary equals the live planner's, field for field
+// (a planning-only world takes no memory samples). For mccio the live
+// planner event stream must also equal the offline one, label aside.
 func TestServedPlanIsExecutedPlan(t *testing.T) {
+	var cases []parityCase
 	for _, l := range parityLayouts(t) {
 		for _, cfg := range planConfigs {
-			name := l.name + "/" + cfg.name
-			req := requestFor(l.mc, l.fc, l.wl, cfg)
-			c, err := req.canonicalize()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			body, _, err := buildPlanJSON(c, c.Fingerprint(), nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			var pr PlanResponse
-			if err := json.Unmarshal(body, &pr); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			wantGroups, wantDoms, wantLeaders := served(pr)
+			cases = append(cases, parityCase{l.name + "/" + cfg.name, requestFor(l.mc, l.fc, l.wl, cfg)})
+		}
+	}
+	cases = append(cases, randomRequests(12)...)
+	var remerged, trivial bool
+	for _, pc := range cases {
+		name := pc.name
+		c, err := pc.req.canonicalize()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		served, _, err := inspect(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body, sum, err := buildPlanJSON(c, c.Fingerprint(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		plans, events := executed(t, c)
+		machine, err := cluster.New(c.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			spec, err := simSpec(c, "write")
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		if len(served.Plans) != len(plans) || len(pr.Groups) != len(plans) {
+			t.Fatalf("%s: served %d (%d in the body) groups, executed %d", name, len(served.Plans), len(pr.Groups), len(plans))
+		}
+		var leaders []PlanLeader
+		for gi, p := range plans {
+			if !reflect.DeepEqual(served.Plans[gi].Plan, p) {
+				t.Errorf("%s: group %d: served plan\n%+v\nexecuted\n%+v", name, gi, served.Plans[gi].Plan, p)
+				continue
 			}
-			live := explain.NewRecorder()
-			spec.Explain = live
-			res, err := bench.RunOnce(spec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			g := pr.Groups[gi]
+			coverage := datatype.Normalize(slices.Concat(c.Views[g.First : g.Last+1]...))
+			var want []PlanDomain
+			for _, d := range p.Domains {
+				want = append(want, PlanDomain{Agg: d.Agg, Node: machine.NodeOfRank(g.First + d.Agg), Lo: d.Lo, Hi: d.Hi,
+					DataBytes: coverage.Clip(d.Lo, d.Hi).TotalBytes(), BufBytes: d.BufBytes})
 			}
-			if res.Groups != len(pr.Groups) || res.Aggregators != pr.Aggregators ||
-				res.Remerges != pr.Remerges || res.Leaders != len(pr.Leaders) {
-				t.Errorf("%s: ran %d groups / %d aggregators / %d remerges / %d leaders, served %d / %d / %d / %d", name,
-					res.Groups, res.Aggregators, res.Remerges, res.Leaders,
-					len(pr.Groups), pr.Aggregators, pr.Remerges, len(pr.Leaders))
+			if !reflect.DeepEqual(g.Domains, want) {
+				t.Errorf("%s: group %d: served domains\n%+v\nprojected from the executed plan\n%+v", name, gi, g.Domains, want)
 			}
+			for r, l := range p.LeaderOf {
+				if l == r {
+					leaders = append(leaders, PlanLeader{Group: gi, Rank: r})
+				}
+			}
+			remerged = remerged || g.Remerges > 0
+		}
+		trivial = trivial || (c.Cluster.CoresPerNode == 1 && (c.Strategy == strategy.TwoLayer || c.Options.TwoLayer))
+		var got []PlanLeader
+		for _, l := range pr.Leaders {
+			got = append(got, PlanLeader{Group: l.Group, Rank: l.Rank})
+		}
+		if !reflect.DeepEqual(got, leaders) {
+			t.Errorf("%s: served leaders %+v, the executed leader maps lead with %+v", name, got, leaders)
+		}
 
-			var groups []explain.GroupInfo
-			var doms []executedDomain
-			var leaders []PlanLeader
-			if cfg.strategy == strategy.MCCIO {
-				groups, doms, leaders = executedFromExplain(live.Events())
-				machine, err := cluster.New(c.Cluster)
-				if err != nil {
-					t.Fatal(err)
-				}
-				offline := explain.NewRecorder()
-				machine.SetExplain(offline)
-				if _, err := (core.MCCIO{Opts: c.Options}).Inspect(machine, c.Views); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				a, b := plannerEvents(live.Events()), plannerEvents(offline.Events())
-				if len(a) != len(b) {
-					t.Errorf("%s: live run recorded %d planner events, Inspect %d", name, len(a), len(b))
-				}
-				for i := 0; i < len(a) && i < len(b); i++ {
-					if !reflect.DeepEqual(a[i], b[i]) {
-						t.Errorf("%s: planner event %d differs:\nlive    %+v\ninspect %+v", name, i, a[i], b[i])
-						break
-					}
-				}
-			} else {
-				groups, doms, leaders = executedFlat(t, c)
+		live := explain.Summarize(events)
+		live.MemSamples = sum.MemSamples
+		if live != sum {
+			t.Errorf("%s: served decision summary %+v, live %+v", name, sum, live)
+		}
+		if c.Strategy == strategy.MCCIO {
+			offline := explain.NewRecorder()
+			machine.SetExplain(offline)
+			if _, err := (core.MCCIO{Opts: c.Options}).Inspect(machine, c.Views); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if !reflect.DeepEqual(groups, wantGroups) {
-				t.Errorf("%s: executed groups %+v, served %+v", name, groups, wantGroups)
+			a, b := plannerEvents(events), plannerEvents(offline.Events())
+			if len(a) != len(b) {
+				t.Errorf("%s: live run recorded %d planner events, Inspect %d", name, len(a), len(b))
 			}
-			if !reflect.DeepEqual(doms, wantDoms) {
-				t.Errorf("%s: executed domains %+v, served %+v", name, doms, wantDoms)
-			}
-			if !reflect.DeepEqual(leaders, wantLeaders) {
-				t.Errorf("%s: executed leaders %+v, served %+v", name, leaders, wantLeaders)
+			for i := 0; i < len(a) && i < len(b); i++ {
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Errorf("%s: planner event %d differs:\nlive    %+v\ninspect %+v", name, i, a[i], b[i])
+					break
+				}
 			}
 		}
+	}
+	if !remerged || !trivial {
+		t.Errorf("the layouts no longer reach a remerge (%v) or a trivial two-layer election (%v)", remerged, trivial)
 	}
 }

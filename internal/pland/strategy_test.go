@@ -104,17 +104,18 @@ func assertNoPlannerPanics(t *testing.T, srv *Server) {
 }
 
 // TestPlannerPanicIsCounted reaches buildPlanJSON's recover() with a
-// request canonicalization would have refused (no ranks at all): it
-// answers with an error instead of taking the process down, and the
-// panic is counted.
+// request canonicalization would have refused (a negative-length extent
+// on rank 0): it answers with an error instead of taking the process
+// down, and the panic is counted.
 func TestPlannerPanicIsCounted(t *testing.T) {
 	panics := metrics.New().Counter("panics", "")
-	c := &canonRequest{Cluster: multiRankRequest().Cluster, FS: pfs.DefaultConfig(), Strategy: strategy.TwoPhase}
+	views := []datatype.List{{{Off: 0, Len: -5}}, {{Off: 10, Len: 5}}}
+	c := &canonRequest{Cluster: multiRankRequest().Cluster, FS: pfs.DefaultConfig(), Strategy: strategy.TwoPhase, Views: views}
 	if err := c.Cluster.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := buildPlanJSON(c, "fp", panics); err == nil || !strings.Contains(err.Error(), "planner failed") {
-		t.Fatalf("plan over no ranks: err = %v, want a recovered planner failure", err)
+		t.Fatalf("plan over a negative extent: err = %v, want a recovered planner failure", err)
 	}
 	if got := panics.Value(); got != 1 {
 		t.Fatalf("one recovered panic counted %v times", got)

@@ -48,30 +48,11 @@ type Strategy struct {
 // Name implements iolib.Collective.
 func (tl Strategy) Name() string { return strategy.TwoLayer }
 
-// BuildPlan computes the two-layer schedule from the baseline's own
-// metadata gather, so the degenerate case matches two-phase
-// byte-for-byte on the wire; the availability snapshot feeds both
-// buffer sizing and the election. Every rank calls it inside the
-// collective; plan and election are a pure function of allgathered
-// metadata, built once per call and shared by pointer (mpi.Shared). The
-// returned Election is nil when nobody has data.
-func (tl Strategy) BuildPlan(c *mpi.Comm, view datatype.List) (*collio.Plan, *Election) {
-	exts, nodeOf, avail := collio.GatherMeta(c, view)
-	type built struct {
-		plan *collio.Plan
-		el   *Election
-	}
-	b := mpi.Shared(c, func() built {
-		plan, el := tl.PlanFromMeta(exts, nodeOf, avail)
-		return built{plan, el}
-	})
-	return b.plan, b.el
-}
-
 // PlanFromMeta builds the two-layer schedule from already-gathered
 // metadata: per-rank extents, each rank's node, and each rank's node
-// availability. The pure core of BuildPlan, shared with the offline
-// plan service. The returned Election is nil when nobody has data.
+// availability: the pure core of Plan, which the offline planner
+// (adio.Inspect) runs too. The returned Election is the one the plan's
+// leader map comes from, nil when the plan carries none.
 func (tl Strategy) PlanFromMeta(exts []collio.Ext, nodeOf []int, avail []int64) (*collio.Plan, *Election) {
 	span := make([]int64, len(nodeOf))
 	for r := range span {
@@ -85,17 +66,14 @@ func (tl Strategy) PlanFromMeta(exts []collio.Ext, nodeOf []int, avail []int64) 
 		aggs[i] = l.Rank
 	}
 	plan := collio.EvenSplit(exts, aggs, avail, tl.CBBuffer, 0)
-	if len(plan.Domains) == 0 { // nobody has data
-		return plan, nil
-	}
 	// The two-layer exchange only pays off when nodes host several
 	// ranks; with one rank per node the plan carries no leader map and
 	// the engine runs the flat exchange — the two-phase trajectory
-	// exactly.
-	if el.MultiRank {
-		plan.LeaderOf = el.LeaderOf
-		plan.LeaderSucc = el.Succ
+	// exactly. Nor does a plan without domains (nobody has data).
+	if len(plan.Domains) == 0 || !el.MultiRank {
+		return plan, nil
 	}
+	plan.LeaderOf, plan.LeaderSucc = el.LeaderOf, el.Succ
 	return plan, el
 }
 
@@ -123,13 +101,12 @@ func (el *Election) Explain(rec *explain.Recorder, group int) {
 	}
 }
 
-// Audit records an election on the calling rank: obs instants, explain
-// events, registry metrics and, when a node hosts several ranks (the
-// plan then carries the leader map), the leader count in m — all
-// stamped with the aggregation group the plan serves (0 for the
-// standalone strategy). Call it from exactly one rank per plan — the
-// plan's root — so counts add up across ranks. The memory-conscious
-// strategy calls it per group when composing (core.Options.TwoLayer).
+// Audit records an election the plan's leader map comes from on the
+// calling rank: obs instants, explain events, registry metrics and the
+// leader count in m — all stamped with the aggregation group the plan
+// serves (0 for the standalone strategy). Call it from exactly one rank
+// per plan — the plan's root — so counts add up across ranks. A trivial
+// election (one rank per node) leads nothing and is audited nowhere.
 func Audit(c *mpi.Comm, op string, group int, el *Election, m *trace.Metrics) {
 	t := c.Tracer()
 	loc := obs.Loc{Rank: c.WorldRank(c.Rank()), Node: c.NodeOf(c.Rank()), Group: group, Round: -1}
@@ -145,22 +122,31 @@ func Audit(c *mpi.Comm, op string, group int, el *Election, m *trace.Metrics) {
 			"Elected leader node's available memory at election time.",
 			"node", strconv.Itoa(l.Node)).Set(float64(l.Avail))
 	}
-	// With one rank per node the plan runs the flat exchange and elects
-	// nobody, so the row stays byte-identical to the baseline's.
-	if el.MultiRank && m != nil {
+	if m != nil {
 		m.Leaders += len(el.Leaders)
 	}
 }
 
 // Plan implements iolib.Collective: the two-layer schedule, one group
-// on the caller's communicator, with the election audited by the plan's
-// root.
+// on the caller's communicator, its election audited by the plan's
+// root. The baseline's own metadata gather feeds it, so the degenerate
+// case matches two-phase byte-for-byte on the wire. Plan and election
+// are a pure function of that metadata, built once per call and shared
+// by pointer (mpi.Shared).
 func (tl Strategy) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics) (*mpi.Comm, iolib.Schedule) {
 	return c, collio.PlanOneGroup(c, m, func() *collio.Plan {
-		plan, el := tl.BuildPlan(c, view)
-		if el != nil && c.Rank() == 0 {
-			Audit(c, op, 0, el, m)
+		exts, nodeOf, avail := collio.GatherMeta(c, view)
+		type built struct {
+			plan *collio.Plan
+			el   *Election
 		}
-		return plan
+		b := mpi.Shared(c, func() built {
+			plan, el := tl.PlanFromMeta(exts, nodeOf, avail)
+			return built{plan, el}
+		})
+		if b.el != nil && c.Rank() == 0 {
+			Audit(c, op, 0, b.el, m)
+		}
+		return b.plan
 	})
 }
