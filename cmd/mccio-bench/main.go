@@ -102,24 +102,32 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS, 1 = serial); results are byte-identical for every value")
 		csvPath    = flag.String("csv", "", "also write results as CSV to this file")
 		quiet      = flag.Bool("quiet", false, "suppress per-run progress lines")
-		jsonPath   = flag.String("json", "", "write the trajectory of -experiment regression | sweep | strategies (schema-versioned bench JSON) to this file; implies -experiment regression unless one is named")
+		jsonPath   = flag.String("json", "", "write the trajectory of -experiment strategies | regression | sweep (schema-versioned bench JSON) to this file; implies -experiment regression unless one is named, and any other experiment is a usage error")
 		serveAddr  = flag.String("serve", "", "serve Prometheus metrics on ADDR at /metrics during the runs and keep serving afterwards until interrupted")
 		pprofOn    = flag.Bool("pprof", false, "with -serve, also mount live profiling handlers under /debug/pprof/")
 		topN       = flag.Int("top", 15, "sites per table for -sites")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		explPath   = flag.String("explain", "", "with -experiment regression, record the planner decision audit to FILE as JSONL (render with mccio-report explain/memtl); byte-identical for every -parallel value")
-		hostOn     = flag.Bool("host", false, "record host wall-clock and allocation columns (host_ns_op, host_allocs_op) per trajectory row; forces serial execution and is gated separately from the deterministic columns (mccio-report compare -host)")
+		explPath   = flag.String("explain", "", "with -experiment strategies | regression | sweep, record the planner decision audit of every row to FILE as JSONL (render with mccio-report explain/memtl); byte-identical for every -parallel value; implies -experiment regression unless one is named")
+		hostOn     = flag.Bool("host", false, "with -experiment strategies | regression | sweep, record host wall-clock and allocation columns (host_ns_op, host_allocs_op) per trajectory row (written by -json); forces serial execution and is gated separately from the deterministic columns (mccio-report compare -host); implies -experiment regression unless one is named")
 		sitesPath  = flag.String("sites", "", "capture a CPU+allocation profile across the whole run and write the decoded top-site tables (machine-readable JSON, -top sites each) to this file; incompatible with -cpuprofile")
 	)
 	flag.Parse()
 
-	if (*jsonPath != "" || *explPath != "") && *experiment == "all" {
-		*experiment = "regression"
+	// Resolve the name before anything starts: a typo, or a flag the
+	// experiment would silently ignore, must not cost a profile file, a
+	// listening socket or a run.
+	var trajectoryFlags []string
+	if *jsonPath != "" {
+		trajectoryFlags = append(trajectoryFlags, "-json")
 	}
-	// Resolve the name before anything starts: a typo must not cost a
-	// profile file, a listening socket or a run.
-	selected, err := bench.SelectExperiments(*experiment)
+	if *hostOn {
+		trajectoryFlags = append(trajectoryFlags, "-host")
+	}
+	if *explPath != "" {
+		trajectoryFlags = append(trajectoryFlags, "-explain")
+	}
+	selected, err := bench.SelectExperiments(*experiment, trajectoryFlags...)
 	if err != nil {
 		fail(2, err)
 	}

@@ -207,7 +207,7 @@ func compare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mccio-report: %v\n", err)
 		return 1
 	}
-	table, _, regressed, err := bench.CompareBench(old, cur, *threshold)
+	table, regressed, err := bench.CompareBench(old, cur, *threshold)
 	if err != nil {
 		fmt.Fprintf(stderr, "mccio-report: %v\n", err)
 		return 1
@@ -219,7 +219,7 @@ func compare(args []string, stdout, stderr io.Writer) int {
 		code = 1
 	}
 	if *host {
-		htable, _, hregressed, err := bench.CompareHost(old, cur, *hostNsTol, *hostAllocTol)
+		htable, hregressed, err := bench.CompareHost(old, cur, *hostNsTol, *hostAllocTol)
 		if err != nil {
 			fmt.Fprintf(stderr, "mccio-report: %v\n", err)
 			return 1

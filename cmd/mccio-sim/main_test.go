@@ -60,11 +60,26 @@ func TestRunUsageErrors(t *testing.T) {
 // TestRunOperationalErrors: well-formed flags naming something
 // unusable exit 1.
 func TestRunOperationalErrors(t *testing.T) {
-	for _, args := range [][]string{
+	cases := [][]string{
 		{"-mem", "lots"},
 		{"-hints", "mccio_node_combine=true", "-procs", "8", "-cores", "4"}, // removed key
 		{"-faults", filepath.Join(t.TempDir(), "missing.json"), "-procs", "8", "-cores", "4"},
+	}
+	// Fault entries naming a node, OST or rank the 24 x 12 run lacks.
+	for i, spec := range []string{
+		`{"mem_pressure":[{"node":99,"round":0,"bytes":1000}]}`,
+		`{"node_failures":[{"node":99,"round":0}]}`,
+		`{"slow_links":[{"node":99,"factor":2}]}`,
+		`{"slow_osts":[{"ost":999,"factor":2}]}`,
+		`{"rank_failures":[{"rank":9999,"round":0}]}`,
 	} {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("faults%d.json", i))
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, []string{"-strategy", "mccio", "-workload", "ior", "-procs", "24", "-cores", "12", "-mem", "4MB", "-faults", path})
+	}
+	for _, args := range cases {
 		var out, errb strings.Builder
 		if code := run(args, &out, &errb); code != 1 || errb.Len() == 0 {
 			t.Errorf("run(%v) = %d, want 1 with a diagnostic (stderr: %s)", args, code, errb.String())

@@ -314,14 +314,16 @@ func TestSinksAgree(t *testing.T) {
 	var rows []row
 	for _, g := range []struct {
 		golden string
-		rows   func(Options) []specRow
+		grid   func(Options) grid
 	}{
-		{"regression_seed_engine.json", regressionRows},
-		{"strategies_seed_engine.json", strategiesRows},
+		{"regression_seed_engine.json", regression},
+		{"strategies_seed_engine.json", strategies},
 	} {
 		gf, _ := readGolden(t, g.golden)
-		for _, r := range g.rows(Options{Scale: gf.Scale, Seed: gf.Seed}) {
-			rows = append(rows, row{key: r.key, spec: r.spec})
+		o := Options{Scale: gf.Scale, Seed: gf.Seed}
+		gr := g.grid(o)
+		for i, c := range gr.cells() {
+			rows = append(rows, row{key: gr.key(c), spec: gr.spec(o, i, c)})
 		}
 	}
 	for _, r := range chaosGrid() {

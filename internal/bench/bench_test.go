@@ -9,8 +9,10 @@ import (
 	"repro/internal/collio"
 	"repro/internal/core"
 	"repro/internal/datatype"
+	"repro/internal/faults"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -109,6 +111,39 @@ func TestRunOnceRejectsOversizedWorkload(t *testing.T) {
 	}
 }
 
+// TestRunOnceRejectsOutOfRangeFaults: a fault entry naming a node,
+// rank or OST the run does not have is an error naming the entry,
+// returned before the engine starts — not a panic inside it, and not a
+// fault counted as injected that perturbed nothing.
+func TestRunOnceRejectsOutOfRangeFaults(t *testing.T) {
+	mcfg := TestbedMachine(2, 4*cluster.MiB, 0, 1)
+	mcfg.CoresPerNode = 2
+	wl := workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 2}
+	for _, c := range []struct {
+		kind string
+		spec faults.Spec
+	}{
+		{"mem_pressure", faults.Spec{MemPressure: []faults.MemPressure{{Node: 99, Bytes: 1000}}}},
+		{"node_failures", faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 99}}}},
+		{"slow_links", faults.Spec{SlowLinks: []faults.SlowLink{{Node: 99, Factor: 2}}}},
+		{"slow_osts", faults.Spec{SlowOSTs: []faults.SlowOST{{OST: 999, Factor: 2}}}},
+		{"rank_failures", faults.Spec{RankFailures: []faults.RankFailure{{Rank: 9999}}}},
+	} {
+		sched, err := faults.NewSchedule(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunOnce(Spec{Strategy: collective(strategy.MCCIO, MCCIOOptions(mcfg, TestbedFS(1), wl.TotalBytes(), 4*cluster.MiB), 4*cluster.MiB),
+			Op: "write", Machine: mcfg, FS: TestbedFS(1), Workload: wl, Faults: sched})
+		if err == nil || !strings.Contains(err.Error(), c.kind) {
+			t.Errorf("%s: RunOnce error %v, want one naming the entry", c.kind, err)
+		}
+		if sched.Injected() != 0 {
+			t.Errorf("%s: %d faults injected by a run that did not start", c.kind, sched.Injected())
+		}
+	}
+}
+
 // buggyStrategy is two-phase with a bug: rank 2 panics while planning
 // its write, after the other ranks have entered the collective.
 type buggyStrategy struct{ collio.TwoPhase }
@@ -164,23 +199,22 @@ func TestComparisonSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")
 	}
-	// A tiny sweep exercising the whole harness path.
-	old := MemSweep
-	MemSweep = []int64{1 << 20, 4 << 20}
-	defer func() { MemSweep = old }()
+	// A tiny sweep exercising the whole harness path: the figures'
+	// grid over two memory points.
+	ms := []int64{1 << 20, 4 << 20}
 	wl := workload.IOR{Ranks: 8, BlockSize: 128 << 10, Segments: 8}
-	tab, pts, err := comparisonSweep("smoke", wl, 2, Options{Scale: 1, Seed: 5})
+	g := comparison("smoke", wl, 2, ms)
+	r, err := runGrid(Options{Scale: 1, Seed: 5}, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || len(tab.Rows) != 2 {
-		t.Fatalf("points %d rows %d", len(pts), len(tab.Rows))
+	if tab := g.table(r); len(r.cells) != 4*len(ms) || len(tab.Rows) != len(ms) {
+		t.Fatalf("cells %d rows %d for %d memory points", len(r.cells), len(tab.Rows), len(ms))
 	}
-	for _, p := range pts {
-		for _, r := range []float64{p.BaseWrite.BandwidthMBps(), p.MccWrite.BandwidthMBps(),
-			p.BaseRead.BandwidthMBps(), p.MccRead.BandwidthMBps()} {
-			if r <= 0 {
-				t.Fatalf("zero bandwidth in %+v", p)
+	for _, m := range ms {
+		for _, op := range bothOps {
+			if b, mc := r.pair(cell{mem: m, op: op}); b <= 0 || mc <= 0 {
+				t.Fatalf("zero bandwidth at %s %s: two-phase %v, mccio %v", mb(m), op, b, mc)
 			}
 		}
 	}
@@ -237,7 +271,7 @@ func TestAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	tab, err := Ablation(tinyOptions())
+	tab, _, err := runMode("ablation", tinyOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +284,7 @@ func TestMemoryPressureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	tab, err := MemoryPressure(tinyOptions())
+	tab, _, err := runMode("memory", tinyOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +297,7 @@ func TestStripesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	tab, err := Stripes(tinyOptions())
+	tab, _, err := runMode("stripes", tinyOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,17 +308,19 @@ func TestStripesSmoke(t *testing.T) {
 
 // TestFigureRunnersSmoke resolves every mode of the experiment table
 // and runs it at toy scale: each must produce a non-empty table, and a
-// trajectory exactly when it is one of the -json modes. The two modes
+// trajectory exactly when it is one of the -json modes. The figures run
+// at one memory point, through their own grid over it. The two modes
 // whose rank count does not scale down (fig8 and exascale: up to 1,080
 // ranks) are resolved but not run — minutes under the race
-// detector for the code paths fig7 and memory already cover.
+// detector for the code paths fig7 and memory already cover
+// (TestExperimentsGolden runs them at scale 0.05).
 func TestFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiments")
 	}
-	old := MemSweep
-	MemSweep = []int64{4 << 20}
-	defer func() { MemSweep = old }()
+	o := tinyOptions().withDefaults()
+	ms := []int64{4 << 20}
+	figures := map[string]grid{"fig6": fig6(o, ms), "fig7": fig7(o, ms)}
 	trajectories := map[string]bool{"strategies": true, "regression": true, "sweep": true}
 	tooWide := map[string]bool{"fig8": true, "exascale": true}
 	for _, name := range ExperimentNames() {
@@ -292,18 +328,25 @@ func TestFigureRunnersSmoke(t *testing.T) {
 		if err != nil || len(sel) != 1 || sel[0].Name != name {
 			t.Fatalf("SelectExperiments(%q) = %v, %v", name, sel, err)
 		}
+		if sel[0].Trajectory != trajectories[name] {
+			t.Errorf("%s: Trajectory %v, want %v", name, sel[0].Trajectory, trajectories[name])
+		}
 		if tooWide[name] {
 			continue
 		}
-		tab, traj, err := sel[0].Run(tinyOptions(), nil)
+		g, ok := figures[name]
+		if !ok {
+			g = sel[0].grid(o)
+		}
+		tab, traj, err := runExperiment(o, g, sel[0].Trajectory, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if tab == nil || tab.Title == "" || len(tab.Rows) == 0 {
 			t.Errorf("%s: empty table %+v", name, tab)
 		}
-		if strings.HasPrefix(name, "fig") && len(tab.Rows) != len(MemSweep) {
-			t.Errorf("%s: %d rows for %d memory points", name, len(tab.Rows), len(MemSweep))
+		if strings.HasPrefix(name, "fig") && len(tab.Rows) != len(ms) {
+			t.Errorf("%s: %d rows for %d memory points", name, len(tab.Rows), len(ms))
 		}
 		if (traj != nil) != trajectories[name] || (traj != nil && len(traj.Experiments) == 0) {
 			t.Errorf("%s: trajectory %+v, want one: %v", name, traj, trajectories[name])
@@ -320,5 +363,31 @@ func TestFigureRunnersSmoke(t *testing.T) {
 	}
 	if _, err := SelectExperiments("profile"); err == nil || !strings.Contains(err.Error(), "regression") {
 		t.Errorf("unknown name: error %v does not list the modes", err)
+	}
+}
+
+// TestSelectExperimentsTrajectoryFlags: -json, -host and -explain are
+// accepted with exactly the trajectory modes; with any other mode they
+// are an error before anything runs, and with "all" they select the
+// regression bench.
+func TestSelectExperimentsTrajectoryFlags(t *testing.T) {
+	trajectories := map[string]bool{"strategies": true, "regression": true, "sweep": true}
+	for _, name := range ExperimentNames() {
+		for _, flag := range []string{"-json", "-host", "-explain"} {
+			sel, err := SelectExperiments(name, flag)
+			if trajectories[name] {
+				if err != nil || len(sel) != 1 || sel[0].Name != name {
+					t.Errorf("%s %s: %v, %v; want the mode", name, flag, sel, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), flag) || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s %s: error %v, want one naming the flag and the mode", name, flag, err)
+			}
+		}
+	}
+	if sel, err := SelectExperiments("all", "-json", "-explain"); err != nil || len(sel) != 1 || sel[0].Name != "regression" {
+		t.Errorf("all with -json -explain: %v, %v; want regression", sel, err)
+	}
+	if _, err := SelectExperiments("bogus", "-json"); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("unknown mode with -json: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 func runRegressionExplain(t *testing.T, parallel int) (jsonl, rendered []byte) {
 	t.Helper()
 	rec := explain.NewRecorder()
-	if _, err := RunRegression(Options{Scale: 0.05, Seed: 9, Parallel: parallel, Explain: rec}, nil); err != nil {
+	if _, err := runTrajectory("regression", Options{Scale: 0.05, Seed: 9, Parallel: parallel, Explain: rec}, nil); err != nil {
 		t.Fatalf("parallel=%d: %v", parallel, err)
 	}
 	var log, rep bytes.Buffer
@@ -121,7 +121,7 @@ func TestPhaseBreakdownAnomalyNotes(t *testing.T) {
 		t.Skip("multi-run experiment")
 	}
 	run := func() []byte {
-		tab, err := PhaseBreakdown(Options{Scale: 0.05, Seed: 9, Parallel: 2})
+		tab, _, err := runMode("phases", Options{Scale: 0.05, Seed: 9, Parallel: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

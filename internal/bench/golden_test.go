@@ -33,6 +33,21 @@ func readGolden(t *testing.T, name string) (*BenchFile, []byte) {
 	return g, canon
 }
 
+// runTrajectory runs the named trajectory experiment.
+func runTrajectory(name string, o Options, reg *metrics.Registry) (*BenchFile, error) {
+	_, b, err := runMode(name, o, reg)
+	return b, err
+}
+
+// runMode runs the named experiment.
+func runMode(name string, o Options, reg *metrics.Registry) (*Table, *BenchFile, error) {
+	sel, err := SelectExperiments(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sel[0].Run(o, reg)
+}
+
 // checkGolden runs the experiment at the golden's own (scale, seed) and
 // compares canonical encodings.
 func checkGolden(t *testing.T, name string, run func(Options) (*BenchFile, error), parallel int) {
@@ -54,7 +69,7 @@ func TestGoldenRegressionSeedEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	run := func(o Options) (*BenchFile, error) { return RunRegression(o, metrics.New()) }
+	run := func(o Options) (*BenchFile, error) { return runTrajectory("regression", o, metrics.New()) }
 	checkGolden(t, "regression_seed_engine.json", run, 1)
 	checkGolden(t, "regression_seed_engine.json", run, 8)
 }
@@ -66,7 +81,7 @@ func TestGoldenSweepSeedEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48-run experiment")
 	}
-	run := func(o Options) (*BenchFile, error) { return RunSweep(o, metrics.New()) }
+	run := func(o Options) (*BenchFile, error) { return runTrajectory("sweep", o, metrics.New()) }
 	checkGolden(t, "sweep_seed_engine.json", run, 1)
 	checkGolden(t, "sweep_seed_engine.json", run, 8)
 }
@@ -78,7 +93,7 @@ func TestGoldenStrategiesSeedEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	run := func(o Options) (*BenchFile, error) { return RunStrategies(o, metrics.New()) }
+	run := func(o Options) (*BenchFile, error) { return runTrajectory("strategies", o, metrics.New()) }
 	checkGolden(t, "strategies_seed_engine.json", run, 1)
 	checkGolden(t, "strategies_seed_engine.json", run, 8)
 }
@@ -97,7 +112,7 @@ func TestStrategiesOneLeaderPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	got, err := RunStrategies(Options{}, nil)
+	got, err := runTrajectory("strategies", Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +153,7 @@ func TestGoldenHostMetricsDoNotPerturb(t *testing.T) {
 		t.Skip("multi-run experiment")
 	}
 	g, want := readGolden(t, "regression_seed_engine.json")
-	got, err := RunRegression(Options{Scale: g.Scale, Seed: g.Seed, HostMetrics: true}, metrics.New())
+	got, err := runTrajectory("regression", Options{Scale: g.Scale, Seed: g.Seed, HostMetrics: true}, metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}

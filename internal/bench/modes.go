@@ -19,72 +19,55 @@ type Experiment struct {
 	// regression and sweep are fixed-seed trajectories whose output is
 	// a golden, not a figure.
 	InAll bool
-	// Run executes the mode. reg receives the metrics of the modes that
-	// feed a live registry (nil disables that); the BenchFile is non-nil
-	// for the modes that persist a trajectory (-json).
-	Run func(o Options, reg *metrics.Registry) (*Table, *BenchFile, error)
+	// Trajectory marks the modes whose rows persist as a BenchFile:
+	// Run returns one, and mccio-bench's -json, -host and -explain apply
+	// to these modes and to no other.
+	Trajectory bool
+	// grid describes the mode at o's scale and seed.
+	grid func(o Options) grid
 }
 
 var experiments = []Experiment{
-	{"table1", true, func(Options, *metrics.Registry) (*Table, *BenchFile, error) { return Table1(), nil, nil }},
-	{"fig6", true, figure(Fig6CollPerf)},
-	{"fig7", true, figure(Fig7IOR120)},
-	{"fig8", true, figure(Fig8IOR1080)},
-	{"ablation", true, tableOnly(Ablation)},
-	{"memory", true, tableOnly(MemoryPressure)},
-	{"exascale", true, tableOnly(Exascale)},
-	{"stripes", true, tableOnly(Stripes)},
-	{"phases", true, tableOnly(PhaseBreakdown)},
-	{"strategies", false, trajectory(RunStrategies, StrategiesTable)},
-	{"regression", false, trajectory(RunRegression, trajectoryTable("Regression"))},
-	{"chaos", false, func(o Options, reg *metrics.Registry) (*Table, *BenchFile, error) {
-		t, err := Chaos(o, reg)
-		return t, nil, err
-	}},
-	{"sweep", false, trajectory(RunSweep, trajectoryTable("Sharded sweep"))},
+	{"table1", true, false, func(Options) grid { return grid{table: func(*gridRun) *Table { return Table1() }} }},
+	{"fig6", true, false, paper(fig6)},
+	{"fig7", true, false, paper(fig7)},
+	{"fig8", true, false, paper(fig8)},
+	{"ablation", true, false, ablation},
+	{"memory", true, false, memoryPressure},
+	{"exascale", true, false, exascale},
+	{"stripes", true, false, stripeSweep},
+	{"phases", true, false, phaseBreakdown},
+	{"strategies", false, true, strategies},
+	{"regression", false, true, regression},
+	{"chaos", false, false, chaos},
+	{"sweep", false, true, sweepGrid},
 }
 
-func figure(f func(Options) (*Table, []SweepPoint, error)) func(Options, *metrics.Registry) (*Table, *BenchFile, error) {
-	return func(o Options, _ *metrics.Registry) (*Table, *BenchFile, error) {
-		t, _, err := f(o)
-		return t, nil, err
-	}
+// paper runs a figure over the paper's memory sweep.
+func paper(fig func(Options, []int64) grid) func(Options) grid {
+	return func(o Options) grid { return fig(o, paperMems()) }
 }
 
-func tableOnly(f func(Options) (*Table, error)) func(Options, *metrics.Registry) (*Table, *BenchFile, error) {
-	return func(o Options, _ *metrics.Registry) (*Table, *BenchFile, error) {
-		t, err := f(o)
-		return t, nil, err
-	}
+// Run executes the mode: its grid through the one runner, then its
+// table. The BenchFile is non-nil exactly for the trajectory modes.
+// reg, when non-nil, absorbs every row's metrics.
+func (e Experiment) Run(o Options, reg *metrics.Registry) (*Table, *BenchFile, error) {
+	o = o.withDefaults()
+	return runExperiment(o, e.grid(o), e.Trajectory, reg)
 }
 
-func trajectory(run func(Options, *metrics.Registry) (*BenchFile, error), table func(*BenchFile) *Table) func(Options, *metrics.Registry) (*Table, *BenchFile, error) {
-	return func(o Options, reg *metrics.Registry) (*Table, *BenchFile, error) {
-		b, err := run(o, reg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return table(b), b, nil
+// runExperiment runs g and renders its table, and its trajectory when
+// asked.
+func runExperiment(o Options, g grid, trajectory bool, reg *metrics.Registry) (*Table, *BenchFile, error) {
+	r, err := runGrid(o, g, reg)
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// trajectoryTable renders a bench trajectory for stdout under name.
-func trajectoryTable(name string) func(*BenchFile) *Table {
-	return func(b *BenchFile) *Table {
-		t := &Table{
-			Title:   fmt.Sprintf("%s bench (scale %.3g, seed %d)", name, b.Scale, b.Seed),
-			Headers: []string{"experiment", "MB/s", "rounds", "aggs", "io MB", "shuffle MB"},
-		}
-		for _, r := range b.Experiments {
-			t.AddRow(r.Key,
-				fmt.Sprintf("%.1f", r.BandwidthMBps),
-				fmt.Sprintf("%d", r.Rounds),
-				fmt.Sprintf("%d", r.Aggregators),
-				fmt.Sprintf("%.1f", float64(r.BytesIO)/1e6),
-				fmt.Sprintf("%.1f", float64(r.ShuffleIntra+r.ShuffleInter)/1e6))
-		}
-		return t
+	var b *BenchFile
+	if trajectory {
+		b = r.benchFile()
 	}
+	return g.table(r), b, nil
 }
 
 // ExperimentNames lists every mode in table order.
@@ -98,16 +81,30 @@ func ExperimentNames() []string {
 
 // SelectExperiments resolves an -experiment argument: one mode by
 // name, or "all" for every mode marked InAll. An unknown name is an
-// error naming the allowed ones.
-func SelectExperiments(name string) ([]Experiment, error) {
-	var out []Experiment
+// error naming the allowed ones. trajectoryFlags names the options in
+// use that only a trajectory mode records (-json, -host, -explain):
+// with any of them, "all" means regression and a mode that is not a
+// trajectory is an error.
+func SelectExperiments(name string, trajectoryFlags ...string) ([]Experiment, error) {
+	if name == "all" && len(trajectoryFlags) > 0 {
+		name = "regression"
+	}
+	var traj []string
+	var sel []Experiment
 	for _, e := range experiments {
+		if e.Trajectory {
+			traj = append(traj, e.Name)
+		}
 		if e.Name == name || (name == "all" && e.InAll) {
-			out = append(out, e)
+			sel = append(sel, e)
 		}
 	}
-	if len(out) == 0 {
+	if len(sel) == 0 {
 		return nil, fmt.Errorf("unknown experiment %q (want %s | all)", name, strings.Join(ExperimentNames(), " | "))
 	}
-	return out, nil
+	if len(trajectoryFlags) > 0 && !sel[0].Trajectory {
+		return nil, fmt.Errorf("%s records only the trajectory experiments (%s), not %s",
+			strings.Join(trajectoryFlags, ", "), strings.Join(traj, " | "), name)
+	}
+	return sel, nil
 }

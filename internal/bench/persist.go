@@ -134,35 +134,27 @@ func ReadBenchFile(path string) (*BenchFile, error) {
 	return &b, nil
 }
 
-// Delta is one key's bandwidth movement between two trajectories.
-type Delta struct {
-	Key       string
-	Old, New  float64 // MB/s
-	Pct       float64 // (New/Old - 1) * 100
-	Regressed bool    // New fell more than the threshold below Old
-}
-
 // CompareBench diffs two trajectories row by row (matched on Key) and
-// returns a printable table, the per-key deltas, and the number of
-// regressions: rows whose bandwidth fell by more than thresholdPct
-// percent. Keys present in only one file are reported as notes, never
-// as regressions. A nil trajectory or a schema mismatch between the
-// two files is an error, not a silent empty comparison.
-func CompareBench(old, new *BenchFile, thresholdPct float64) (*Table, []Delta, int, error) {
+// returns a printable table (one row per matched key, its verdict in
+// the last column) and the number of regressions: rows whose bandwidth
+// fell by more than thresholdPct percent. Keys present in only one
+// file are reported as notes, never as regressions. A nil trajectory
+// or a schema mismatch between the two files is an error, not a silent
+// empty comparison.
+func CompareBench(old, new *BenchFile, thresholdPct float64) (*Table, int, error) {
 	if old == nil {
-		return nil, nil, 0, fmt.Errorf("bench: compare: baseline trajectory is missing; generate one with the regression bench")
+		return nil, 0, fmt.Errorf("bench: compare: baseline trajectory is missing; generate one with the regression bench")
 	}
 	if new == nil {
-		return nil, nil, 0, fmt.Errorf("bench: compare: current trajectory is missing")
+		return nil, 0, fmt.Errorf("bench: compare: current trajectory is missing")
 	}
 	if old.Schema != new.Schema {
-		return nil, nil, 0, fmt.Errorf("bench: compare: schema mismatch (baseline %d, current %d); regenerate the baseline", old.Schema, new.Schema)
+		return nil, 0, fmt.Errorf("bench: compare: schema mismatch (baseline %d, current %d); regenerate the baseline", old.Schema, new.Schema)
 	}
 	t := &Table{
 		Title:   "Bench trajectory comparison",
 		Headers: []string{"experiment", "old MB/s", "new MB/s", "delta", "verdict"},
 	}
-	var deltas []Delta
 	regressed := 0
 	for _, or := range old.Experiments {
 		nr := new.Row(or.Key)
@@ -170,22 +162,16 @@ func CompareBench(old, new *BenchFile, thresholdPct float64) (*Table, []Delta, i
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: missing from new trajectory", or.Key))
 			continue
 		}
-		d := Delta{Key: or.Key, Old: or.BandwidthMBps, New: nr.BandwidthMBps}
-		if d.Old > 0 {
-			d.Pct = (d.New/d.Old - 1) * 100
+		o, n, pct := or.BandwidthMBps, nr.BandwidthMBps, 0.0
+		if o > 0 {
+			pct = (n/o - 1) * 100
 		}
-		d.Regressed = d.New < d.Old*(1-thresholdPct/100)
 		verdict := "ok"
-		if d.Regressed {
+		if n < o*(1-thresholdPct/100) {
 			verdict = "REGRESSED"
 			regressed++
 		}
-		deltas = append(deltas, d)
-		t.AddRow(d.Key,
-			fmt.Sprintf("%.1f", d.Old),
-			fmt.Sprintf("%.1f", d.New),
-			fmt.Sprintf("%+.1f%%", d.Pct),
-			verdict)
+		t.addf("%s %.1f %.1f %+.1f%% %s", or.Key, o, n, pct, verdict)
 	}
 	for _, nr := range new.Experiments {
 		if old.Row(nr.Key) == nil {
@@ -193,16 +179,7 @@ func CompareBench(old, new *BenchFile, thresholdPct float64) (*Table, []Delta, i
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("threshold: fail when bandwidth drops more than %.1f%%", thresholdPct))
-	return t, deltas, regressed, nil
-}
-
-// HostDelta is one key's host-cost movement between two trajectories.
-type HostDelta struct {
-	Key                  string
-	OldNs, NewNs         int64
-	OldAllocs, NewAllocs int64
-	NsRegressed          bool // NewNs exceeded OldNs by more than the band
-	AllocsRegressed      bool // NewAllocs exceeded OldAllocs by more than the band
+	return t, regressed, nil
 }
 
 // CompareHost diffs the host-side columns (host_ns_op, host_allocs_op)
@@ -217,15 +194,14 @@ type HostDelta struct {
 // are skipped with a note; comparing two trajectories where no row
 // pair has host data is an error (the caller almost certainly forgot
 // to record with -host).
-func CompareHost(old, new *BenchFile, nsTolPct, allocTolPct float64) (*Table, []HostDelta, int, error) {
+func CompareHost(old, new *BenchFile, nsTolPct, allocTolPct float64) (*Table, int, error) {
 	if old == nil || new == nil {
-		return nil, nil, 0, fmt.Errorf("bench: compare host: missing trajectory")
+		return nil, 0, fmt.Errorf("bench: compare host: missing trajectory")
 	}
 	t := &Table{
 		Title:   "Host-cost comparison (wall time and allocations per row)",
 		Headers: []string{"experiment", "old ms", "new ms", "wall", "old allocs", "new allocs", "alloc", "verdict"},
 	}
-	var deltas []HostDelta
 	regressed, compared := 0, 0
 	pctStr := func(oldV, newV int64) string {
 		if oldV <= 0 {
@@ -243,33 +219,20 @@ func CompareHost(old, new *BenchFile, nsTolPct, allocTolPct float64) (*Table, []
 			continue
 		}
 		compared++
-		d := HostDelta{
-			Key:   or.Key,
-			OldNs: or.HostNsOp, NewNs: nr.HostNsOp,
-			OldAllocs: or.HostAllocsOp, NewAllocs: nr.HostAllocsOp,
-		}
-		d.NsRegressed = float64(d.NewNs) > float64(d.OldNs)*(1+nsTolPct/100)
-		d.AllocsRegressed = d.OldAllocs > 0 &&
-			float64(d.NewAllocs) > float64(d.OldAllocs)*(1+allocTolPct/100)
+		nsUp := float64(nr.HostNsOp) > float64(or.HostNsOp)*(1+nsTolPct/100)
+		allocsUp := or.HostAllocsOp > 0 && float64(nr.HostAllocsOp) > float64(or.HostAllocsOp)*(1+allocTolPct/100)
 		verdict := "ok"
-		if d.NsRegressed || d.AllocsRegressed {
+		if nsUp || allocsUp {
 			verdict = "REGRESSED"
 			regressed++
 		}
-		deltas = append(deltas, d)
-		t.AddRow(d.Key,
-			fmt.Sprintf("%.1f", float64(d.OldNs)/1e6),
-			fmt.Sprintf("%.1f", float64(d.NewNs)/1e6),
-			pctStr(d.OldNs, d.NewNs),
-			fmt.Sprintf("%d", d.OldAllocs),
-			fmt.Sprintf("%d", d.NewAllocs),
-			pctStr(d.OldAllocs, d.NewAllocs),
-			verdict)
+		t.addf("%s %.1f %.1f %s %d %d %s %s", or.Key, float64(or.HostNsOp)/1e6, float64(nr.HostNsOp)/1e6,
+			pctStr(or.HostNsOp, nr.HostNsOp), or.HostAllocsOp, nr.HostAllocsOp, pctStr(or.HostAllocsOp, nr.HostAllocsOp), verdict)
 	}
 	if compared == 0 {
-		return nil, nil, 0, fmt.Errorf("bench: compare host: no row pair carries host columns; record both trajectories with host metrics enabled (mccio-bench -host)")
+		return nil, 0, fmt.Errorf("bench: compare host: no row pair carries host columns; record both trajectories with host metrics enabled (mccio-bench -host)")
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"bands: fail when wall time grows more than %.0f%% or allocations more than %.0f%%", nsTolPct, allocTolPct))
-	return t, deltas, regressed, nil
+	return t, regressed, nil
 }

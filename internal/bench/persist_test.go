@@ -54,22 +54,24 @@ func TestCompareBenchDetectsRegression(t *testing.T) {
 	cur := syntheticFile()
 	cur.Experiments[1].BandwidthMBps = 150 // -25%: regression
 	cur.Experiments[2].BandwidthMBps = 285 // -5%: within threshold
-	tbl, deltas, regressed, err := CompareBench(old, cur, 10)
+	tbl, regressed, err := CompareBench(old, cur, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regressed != 1 {
-		t.Fatalf("regressed = %d, want 1 (deltas %+v)", regressed, deltas)
-	}
-	if !deltas[1].Regressed || deltas[0].Regressed || deltas[2].Regressed {
-		t.Errorf("wrong row flagged: %+v", deltas)
+		t.Fatalf("regressed = %d, want 1 (rows %v)", regressed, tbl.Rows)
 	}
 	if len(tbl.Rows) != 3 {
-		t.Errorf("table rows = %d, want 3", len(tbl.Rows))
+		t.Fatalf("table rows = %d, want 3", len(tbl.Rows))
+	}
+	for i, want := range []string{"ok", "REGRESSED", "ok"} {
+		if got := tbl.Rows[i][len(tbl.Rows[i])-1]; got != want {
+			t.Errorf("row %s: verdict %s, want %s", tbl.Rows[i][0], got, want)
+		}
 	}
 
 	// The same pair passes at a looser threshold.
-	if _, _, n, _ := CompareBench(old, cur, 30); n != 0 {
+	if _, n, _ := CompareBench(old, cur, 30); n != 0 {
 		t.Errorf("regressed at 30%% threshold = %d, want 0", n)
 	}
 }
@@ -79,15 +81,15 @@ func TestCompareBenchMissingKeys(t *testing.T) {
 	cur := syntheticFile()
 	cur.Experiments = cur.Experiments[:2]
 	cur.Experiments = append(cur.Experiments, BenchRow{Key: "brand-new", BandwidthMBps: 1})
-	_, deltas, regressed, err := CompareBench(old, cur, 10)
+	tbl, regressed, err := CompareBench(old, cur, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regressed != 0 {
 		t.Errorf("missing keys must not count as regressions, got %d", regressed)
 	}
-	if len(deltas) != 2 {
-		t.Errorf("deltas = %d, want 2 (dropped key is a note, not a delta)", len(deltas))
+	if len(tbl.Rows) != 2 {
+		t.Errorf("compared rows = %d, want 2 (dropped key is a note, not a row)", len(tbl.Rows))
 	}
 }
 
@@ -97,11 +99,11 @@ func TestCompareBenchMissingKeys(t *testing.T) {
 func TestRunRegressionDeterministic(t *testing.T) {
 	opts := Options{Scale: 0.05, Seed: 42}
 	reg := metrics.New()
-	a, err := RunRegression(opts, reg)
+	a, err := runTrajectory("regression", opts, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRegression(Options{Scale: 0.05, Seed: 42}, nil)
+	b, err := runTrajectory("regression", Options{Scale: 0.05, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +134,15 @@ func TestRunRegressionDeterministic(t *testing.T) {
 // schema mismatches fail loudly instead of comparing nothing.
 func TestCompareBenchErrors(t *testing.T) {
 	ok := syntheticFile()
-	if _, _, _, err := CompareBench(nil, ok, 10); err == nil {
+	if _, _, err := CompareBench(nil, ok, 10); err == nil {
 		t.Error("nil baseline: want error, got nil")
 	}
-	if _, _, _, err := CompareBench(ok, nil, 10); err == nil {
+	if _, _, err := CompareBench(ok, nil, 10); err == nil {
 		t.Error("nil current: want error, got nil")
 	}
 	newer := syntheticFile()
 	newer.Schema = BenchSchemaVersion + 1
-	if _, _, _, err := CompareBench(ok, newer, 10); err == nil {
+	if _, _, err := CompareBench(ok, newer, 10); err == nil {
 		t.Error("schema mismatch: want error, got nil")
 	}
 }

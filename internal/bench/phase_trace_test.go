@@ -199,7 +199,7 @@ func TestPhaseBreakdownExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	tab, err := PhaseBreakdown(Options{Scale: 0.05, Seed: 3})
+	tab, _, err := runMode("phases", Options{Scale: 0.05, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // TestRunProfileNamesEngineSites is `mccio-bench -experiment
-// regression -sites` in-process: a SiteCapture around RunRegression
-// must attribute work to the engine packages.
+// regression -sites` in-process: a SiteCapture around the regression
+// experiment must attribute work to the engine packages.
 func TestRunProfileNamesEngineSites(t *testing.T) {
 	sc, err := StartSiteCapture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := RunRegression(Options{Scale: 0.1, Seed: 42, Parallel: 1}, nil)
+	_, runErr := runTrajectory("regression", Options{Scale: 0.1, Seed: 42, Parallel: 1}, nil)
 	rep, err := sc.Stop(20)
 	if runErr != nil || err != nil {
 		t.Fatal(runErr, err)

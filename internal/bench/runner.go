@@ -78,6 +78,11 @@ func RunOnce(spec Spec) (trace.Result, error) {
 	if nprocs > machine.NumRanks() {
 		return trace.Result{}, fmt.Errorf("bench: workload needs %d ranks, machine has %d", nprocs, machine.NumRanks())
 	}
+	if spec.Faults != nil {
+		if err := spec.Faults.Spec().Fits(machine.NumNodes(), nprocs, spec.FS.OSTs); err != nil {
+			return trace.Result{}, err
+		}
+	}
 	// Attach observability sinks before the file system and MPI world
 	// are built: both resolve their instrument handles at construction.
 	if spec.Tracer != nil {

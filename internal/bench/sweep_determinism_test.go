@@ -30,7 +30,7 @@ func TestSweepDeterminismRegression(t *testing.T) {
 	}
 	run := func(parallel int) []byte {
 		reg := metrics.New()
-		b, err := RunRegression(Options{Scale: 0.05, Seed: 9, Parallel: parallel}, reg)
+		b, err := runTrajectory("regression", Options{Scale: 0.05, Seed: 9, Parallel: parallel}, reg)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -51,7 +51,7 @@ func TestSweepDeterminismGrid(t *testing.T) {
 	}
 	run := func(parallel int) *BenchFile {
 		reg := metrics.New()
-		b, err := RunSweep(Options{Scale: 0.02, Seed: 9, Parallel: parallel}, reg)
+		b, err := runTrajectory("sweep", Options{Scale: 0.02, Seed: 9, Parallel: parallel}, reg)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -74,7 +74,7 @@ func TestSweepDeterminismVariantsDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48-run experiment")
 	}
-	b, err := RunSweep(Options{Scale: 0.02, Seed: 9}, nil)
+	b, err := runTrajectory("sweep", Options{Scale: 0.02, Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

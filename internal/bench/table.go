@@ -21,6 +21,17 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
+// addf appends a row whose i-th cell is vals[i] formatted with the
+// i-th of the space-separated verbs.
+func (t *Table) addf(verbs string, vals ...any) {
+	vs := strings.Fields(verbs)
+	cells := make([]string, len(vals))
+	for i, v := range vals {
+		cells[i] = fmt.Sprintf(vs[i], v)
+	}
+	t.AddRow(cells...)
+}
+
 // WriteText renders the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "\n%s\n%s\n", t.Title, strings.Repeat("=", len(t.Title)))

@@ -184,6 +184,45 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// Fits reports the first entry that names a node, rank or OST the run
+// does not have: nodes and osts are the machine's node and OST counts,
+// ranks the workload's rank count. Validate judges a spec on its own,
+// Fits on one platform; the caller supplies the counts, so this
+// package still imports none of the layers it perturbs. An entry out
+// of range would otherwise index past the ledger (mem_pressure) or
+// match nothing while counting as injected.
+func (s Spec) Fits(nodes, ranks, osts int) error {
+	bad := func(kind string, entry any, what string, v, n int) error {
+		return fmt.Errorf("faults: %s entry %+v names %s %d, but the run has %d %ss", kind, entry, what, v, n, what)
+	}
+	for _, p := range s.MemPressure {
+		if p.Node >= nodes {
+			return bad("mem_pressure", p, "node", p.Node, nodes)
+		}
+	}
+	for _, o := range s.SlowOSTs {
+		if o.OST >= osts {
+			return bad("slow_osts", o, "OST", o.OST, osts)
+		}
+	}
+	for _, l := range s.SlowLinks {
+		if l.Node >= nodes {
+			return bad("slow_links", l, "node", l.Node, nodes)
+		}
+	}
+	for _, n := range s.NodeFailures {
+		if n.Node >= nodes {
+			return bad("node_failures", n, "node", n.Node, nodes)
+		}
+	}
+	for _, r := range s.RankFailures {
+		if r.Rank >= ranks {
+			return bad("rank_failures", r, "rank", r.Rank, ranks)
+		}
+	}
+	return nil
+}
+
 // withDefaults fills the retry parameters left zero.
 func (r RetrySpec) withDefaults() RetrySpec {
 	if r.TimeoutSec == 0 {

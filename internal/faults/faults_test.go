@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -376,4 +378,86 @@ func TestRankFailureSpec(t *testing.T) {
 			t.Errorf("%+v: want error, got nil", bad)
 		}
 	}
+}
+
+// TestSpecFits: each entry kind that names a node, rank or OST past
+// the platform's counts is rejected with the entry in the message,
+// and the same entry one inside the counts passes.
+func TestSpecFits(t *testing.T) {
+	const nodes, ranks, osts = 2, 24, 16
+	for _, c := range []struct {
+		kind     string
+		out, in  Spec
+		mentions string
+	}{
+		{"mem_pressure", Spec{MemPressure: []MemPressure{{Node: 99, Bytes: 1000}}},
+			Spec{MemPressure: []MemPressure{{Node: nodes - 1, Bytes: 1000}}}, "node 99"},
+		{"slow_osts", Spec{SlowOSTs: []SlowOST{{OST: 999, Factor: 2}}},
+			Spec{SlowOSTs: []SlowOST{{OST: osts - 1, Factor: 2}}}, "OST 999"},
+		{"slow_links", Spec{SlowLinks: []SlowLink{{Node: 99, Factor: 2}}},
+			Spec{SlowLinks: []SlowLink{{Node: nodes - 1, Factor: 2}}}, "node 99"},
+		{"node_failures", Spec{NodeFailures: []NodeFailure{{Node: 99}}},
+			Spec{NodeFailures: []NodeFailure{{Node: nodes - 1}}}, "node 99"},
+		{"rank_failures", Spec{RankFailures: []RankFailure{{Rank: 9999}}},
+			Spec{RankFailures: []RankFailure{{Rank: ranks - 1}}}, "rank 9999"},
+	} {
+		err := c.out.Fits(nodes, ranks, osts)
+		if err == nil || !strings.Contains(err.Error(), c.kind) || !strings.Contains(err.Error(), c.mentions) {
+			t.Errorf("%s: Fits = %v, want an error naming the entry and %q", c.kind, err, c.mentions)
+		}
+		if err := c.in.Fits(nodes, ranks, osts); err != nil {
+			t.Errorf("%s: in-range entry rejected: %v", c.kind, err)
+		}
+	}
+}
+
+// FuzzFaultSpec feeds arbitrary bytes through the path a -faults file
+// takes — strict decoding, Validate, NewSchedule, the platform check —
+// and then queries the armed schedule over the platform it fits. None
+// of it may panic, whatever the spec says.
+func FuzzFaultSpec(f *testing.F) {
+	for _, name := range []string{"chaos.json", "chaos-leader.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "examples", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"mem_pressure":[{"node":99,"round":0,"bytes":1000}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var s Spec
+		if dec.Decode(&s) != nil || s.Validate() != nil {
+			return
+		}
+		sched, err := NewSchedule(s)
+		if err != nil {
+			t.Fatalf("NewSchedule rejected a spec Validate accepted: %v", err)
+		}
+		const nodes, ranks, osts = 4, 16, 16
+		if s.Fits(nodes, ranks, osts) != nil {
+			return
+		}
+		sched.Bind(nil, nil)
+		for round := 0; round < 4; round++ {
+			sched.ApplyPressure(round, func(node int, _ int64) {
+				if node < 0 || node >= nodes {
+					t.Fatalf("pressure applied to node %d of %d", node, nodes)
+				}
+			})
+			for n := 0; n < nodes; n++ {
+				sched.NodeFailedBy(n, round)
+				sched.PressureBy(n, round)
+				sched.LinkFactor(n, float64(round))
+			}
+			for o := 0; o < osts; o++ {
+				sched.OSTFactor(o, float64(round))
+			}
+			for r := 0; r < ranks; r++ {
+				sched.RankFailedBy(r, round)
+				sched.ExchangeDrops(0, round, r)
+			}
+		}
+	})
 }

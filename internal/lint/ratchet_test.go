@@ -22,7 +22,7 @@ type surface struct{ Lines, Exports int }
 // regrowth to hide in.
 var surfaceBudget = map[string]surface{
 	"benchmarks":          {Lines: 2567, Exports: 0},
-	"cmd/mccio-bench":     {Lines: 215, Exports: 0},
+	"cmd/mccio-bench":     {Lines: 223, Exports: 0},
 	"cmd/mccio-loadgen":   {Lines: 114, Exports: 0},
 	"cmd/mccio-pland":     {Lines: 221, Exports: 0},
 	"cmd/mccio-report":    {Lines: 235, Exports: 0},
@@ -34,14 +34,14 @@ var surfaceBudget = map[string]surface{
 	"examples/ior":        {Lines: 73, Exports: 0},
 	"examples/quickstart": {Lines: 104, Exports: 0},
 	"internal/adio":       {Lines: 289, Exports: 7},
-	"internal/bench":      {Lines: 2196, Exports: 129},
+	"internal/bench":      {Lines: 1916, Exports: 92},
 	"internal/buffer":     {Lines: 133, Exports: 12},
 	"internal/cluster":    {Lines: 354, Exports: 53},
 	"internal/collio":     {Lines: 1909, Exports: 44},
 	"internal/core":       {Lines: 1499, Exports: 65},
 	"internal/datatype":   {Lines: 365, Exports: 43},
 	"internal/explain":    {Lines: 1010, Exports: 104},
-	"internal/faults":     {Lines: 596, Exports: 61},
+	"internal/faults":     {Lines: 635, Exports: 62},
 	"internal/iolib":      {Lines: 422, Exports: 37},
 	"internal/iotrace":    {Lines: 301, Exports: 33},
 	"internal/logx":       {Lines: 187, Exports: 20},
