@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -27,55 +25,38 @@ import (
 	"repro/internal/metrics"
 )
 
-// stopProfiles finishes any -cpuprofile/-memprofile capture; every
-// exit path must run it because os.Exit skips deferred calls.
-var stopProfiles = func() {}
+// flushProfiles stops the run's profile capture, if any, and writes
+// the -cpuprofile/-memprofile files; every exit path must run it
+// because os.Exit skips deferred calls.
+var flushProfiles = func() error { return nil }
 
-// startProfiles begins the -cpuprofile capture and arranges the
-// -memprofile snapshot, returning an idempotent stop function.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuF *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
+// writeProfiles stops capture and writes its raw CPU and allocation
+// profiles to the paths named ("" = not requested).
+func writeProfiles(capture *bench.SiteCapture, cpuPath, memPath string) error {
+	if err := capture.Stop(); err != nil {
+		return err
 	}
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			if cpuF != nil {
-				pprof.StopCPUProfile()
-				cpuF.Close()
-				fmt.Fprintf(os.Stderr, "wrote %s\n", cpuPath)
-			}
-			if memPath != "" {
-				f, err := os.Create(memPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "mccio-bench: memprofile: %v\n", err)
-					return
-				}
-				runtime.GC()
-				if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-					fmt.Fprintf(os.Stderr, "mccio-bench: memprofile: %v\n", err)
-				}
-				f.Close()
-				fmt.Fprintf(os.Stderr, "wrote %s\n", memPath)
-			}
-		})
+	for _, p := range []struct {
+		path string
+		raw  []byte
+	}{{cpuPath, capture.CPU}, {memPath, capture.Allocs}} {
+		if p.path == "" {
+			continue
+		}
+		if err := os.WriteFile(p.path, p.raw, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", p.path)
 	}
-	return stop, nil
+	return nil
 }
 
 // fail reports err and terminates with code after flushing profiles.
 func fail(code int, err error) {
 	fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
-	stopProfiles()
+	if err := flushProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
+	}
 	os.Exit(code)
 }
 
@@ -106,11 +87,11 @@ func main() {
 		serveAddr  = flag.String("serve", "", "serve Prometheus metrics on ADDR at /metrics during the runs and keep serving afterwards until interrupted")
 		pprofOn    = flag.Bool("pprof", false, "with -serve, also mount live profiling handlers under /debug/pprof/")
 		topN       = flag.Int("top", 15, "sites per table for -sites")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (pprof format)")
+		memProf    = flag.String("memprofile", "", "write the allocation profile of the whole run to this file (pprof format)")
 		explPath   = flag.String("explain", "", "with -experiment strategies | regression | sweep, record the planner decision audit of every row to FILE as JSONL (render with mccio-report explain/memtl); byte-identical for every -parallel value; implies -experiment regression unless one is named")
 		hostOn     = flag.Bool("host", false, "with -experiment strategies | regression | sweep, record host wall-clock and allocation columns (host_ns_op, host_allocs_op) per trajectory row (written by -json); forces serial execution and is gated separately from the deterministic columns (mccio-report compare -host); implies -experiment regression unless one is named")
-		sitesPath  = flag.String("sites", "", "capture a CPU+allocation profile across the whole run and write the decoded top-site tables (machine-readable JSON, -top sites each) to this file; incompatible with -cpuprofile")
+		sitesPath  = flag.String("sites", "", "capture a CPU+allocation profile across the whole run and write the decoded top-site tables (machine-readable JSON, -top sites each) to this file; combines with -cpuprofile and -memprofile, which write the same capture's raw profiles")
 	)
 	flag.Parse()
 
@@ -131,27 +112,19 @@ func main() {
 	if err != nil {
 		fail(2, err)
 	}
-	if *sitesPath != "" && *cpuProf != "" {
-		// One CPU profiler per process: -sites owns it for the whole run.
-		fail(2, fmt.Errorf("-sites is incompatible with -cpuprofile"))
-	}
 
-	stop, err := startProfiles(*cpuProf, *memProf)
-	if err != nil {
-		fail(1, err)
+	// One capture serves every profile flag.
+	var capture *bench.SiteCapture
+	if *cpuProf != "" || *memProf != "" || *sitesPath != "" {
+		if capture, err = bench.StartSiteCapture(); err != nil {
+			fail(1, err)
+		}
+		flushProfiles = sync.OnceValue(func() error { return writeProfiles(capture, *cpuProf, *memProf) })
 	}
-	stopProfiles = stop
-	defer stopProfiles()
 
 	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, HostMetrics: *hostOn}
 	if !*quiet {
 		opts.Progress = os.Stderr
-	}
-	var sites *bench.SiteCapture
-	if *sitesPath != "" {
-		if sites, err = bench.StartSiteCapture(); err != nil {
-			fail(1, err)
-		}
 	}
 	if *explPath != "" {
 		opts.Explain = explain.NewRecorder()
@@ -189,8 +162,12 @@ func main() {
 		writeTo(*explPath, func(f *os.File) error { return rec.WriteJSONL(f) })
 		fmt.Fprintf(os.Stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
 	}
-	if sites != nil {
-		rep, err := sites.Stop(*topN)
+	if err := flushProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "mccio-bench: %v\n", err)
+		os.Exit(1)
+	}
+	if *sitesPath != "" {
+		rep, err := capture.Report(*topN)
 		if err != nil {
 			fail(1, fmt.Errorf("sites: %w", err))
 		}

@@ -9,6 +9,12 @@
 //	mccio-sim -strategy two-layer -workload ior -procs 48 -cores 4 -mem 16MB
 //	mccio-sim -strategy independent -workload random -procs 24
 //	mccio-sim -plan -workload ior -procs 24 -cores 4 -mem 8MB   # the plan only, no run
+//	mccio-sim -strategy mccio -cores 4 -mem 8MB app.trace         # replay a recorded trace
+//
+// A TRACE argument (written by mccio-trace gen, or recorded from an
+// application) takes the place of the generated workload: the machine
+// gets ⌈ranks / -cores⌉ nodes, and every other flag applies as it does
+// to a generated workload.
 package main
 
 import (
@@ -27,6 +33,7 @@ import (
 	"repro/internal/explain"
 	"repro/internal/faults"
 	"repro/internal/iolib"
+	"repro/internal/iotrace"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pfs"
@@ -63,7 +70,7 @@ func main() {
 // run executes one invocation and returns the process exit code: 0
 // success, 1 operational failure, 2 usage error (unknown flags, stray
 // positional arguments, an unusable -procs/-cores pair, an unknown
-// workload or strategy).
+// workload or strategy, a generated-workload flag next to a TRACE).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mccio-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -96,15 +103,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	usage := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "mccio-sim: "+format+"\nusage: mccio-sim [flags]; -h lists them\n", a...)
+		fmt.Fprintf(stderr, "mccio-sim: "+format+"\nusage: mccio-sim [flags] [TRACE]; -h lists them\n", a...)
 		return 2
 	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "mccio-sim: %v\n", err)
 		return 1
 	}
-	if fs.NArg() > 0 {
-		return usage("unexpected argument %q", fs.Arg(0))
+	if fs.NArg() > 1 {
+		return usage("unexpected argument %q", fs.Arg(1))
+	}
+	replayPath := fs.Arg(0)
+	if replayPath != "" {
+		var generated []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workload", "procs", "dim", "block", "segments":
+				generated = append(generated, "-"+f.Name)
+			}
+		})
+		if len(generated) > 0 {
+			return usage("%s shape a generated workload; TRACE replaces it", strings.Join(generated, " "))
+		}
 	}
 
 	if *hints == "help" {
@@ -122,30 +142,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if *procs <= 0 || *cores <= 0 || *procs%*cores != 0 {
-		return usage("-procs %d and -cores %d: both must be positive and procs a multiple of cores", *procs, *cores)
+	if *cores <= 0 {
+		return usage("-cores %d: must be positive", *cores)
+	}
+	if replayPath == "" && (*procs <= 0 || *procs%*cores != 0) {
+		return usage("-procs %d and -cores %d: procs must be a positive multiple of cores", *procs, *cores)
 	}
 	if mem <= 0 {
 		return usage("-mem %s: must be positive", *memStr)
 	}
-	nodes := *procs / *cores
+	if *hints == "" && !strategy.Valid(*stratName) {
+		return usage("unknown strategy %q (want %s)", *stratName, strategy.List())
+	}
 
 	var wl workload.Workload
-	switch *wlName {
-	case "ior":
-		wl = workload.IOR{Ranks: *procs, BlockSize: block, Segments: *segments, TransferSize: block}
-	case "collperf":
-		wl = workload.CollPerf3D{Dims: [3]int64{*dim, *dim, *dim}, Procs: workload.Grid3(*procs), Elem: 4}
-	case "tile2d":
-		g := workload.Grid3(*procs)
-		wl = workload.Tile2D{Rows: *dim * g[2], Cols: *dim * g[1] * g[0], TilesX: g[2], TilesY: g[1] * g[0], Elem: 4}
-	case "random":
-		wl = workload.Random{Ranks: *procs, SegsPerRank: 64, SegLen: 64 << 10, FileSize: int64(*procs) * 16 << 20, Seed: *seed}
-	case "checkpoint":
-		wl = workload.Checkpoint{Ranks: *procs, MeanBytes: 16 << 20, Sigma: 0.7, Seed: *seed, Align: 1 << 20}
-	default:
-		return usage("unknown workload %q", *wlName)
+	if replayPath != "" {
+		rp, err := loadReplay(replayPath, *op)
+		if err != nil {
+			return fail(err)
+		}
+		wl = rp
+	} else {
+		switch *wlName {
+		case "ior":
+			wl = workload.IOR{Ranks: *procs, BlockSize: block, Segments: *segments, TransferSize: block}
+		case "collperf":
+			wl = workload.CollPerf3D{Dims: [3]int64{*dim, *dim, *dim}, Procs: workload.Grid3(*procs), Elem: 4}
+		case "tile2d":
+			g := workload.Grid3(*procs)
+			wl = workload.Tile2D{Rows: *dim * g[2], Cols: *dim * g[1] * g[0], TilesX: g[2], TilesY: g[1] * g[0], Elem: 4}
+		case "random":
+			wl = workload.Random{Ranks: *procs, SegsPerRank: 64, SegLen: 64 << 10, FileSize: int64(*procs) * 16 << 20, Seed: *seed}
+		case "checkpoint":
+			wl = workload.Checkpoint{Ranks: *procs, MeanBytes: 16 << 20, Sigma: 0.7, Seed: *seed, Align: 1 << 20}
+		default:
+			return usage("unknown workload %q", *wlName)
+		}
 	}
+	nodes := (wl.NumRanks() + *cores - 1) / *cores
 
 	mcfg := bench.TestbedMachine(nodes, mem, *sigmaMB*cluster.MB, *seed)
 	// -cores shapes rank placement too, not just the node count: the
@@ -154,9 +188,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mcfg.CoresPerNode = *cores
 	fcfg := bench.TestbedFS(*seed)
 
-	if *hints == "" && !strategy.Valid(*stratName) {
-		return usage("unknown strategy %q (want %s)", *stratName, strategy.List())
-	}
 	s, err := buildStrategy(stderr, *hints, *stratName, *calibrate, *twoLayer, *msgind, *nah, mem, mcfg, fcfg, wl)
 	if err != nil {
 		return fail(err)
@@ -170,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *explPath == "" {
 			return nil
 		}
-		if err := writeExplain(*explPath, rec); err != nil {
+		if err := writeFile(*explPath, rec.WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %d decision events to %s\n", rec.Len(), *explPath)
@@ -229,7 +260,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sched.Injected(), sched.Failovers(), sched.Unrecovered(), sched.Dropped())
 	}
 	if tracer != nil {
-		if err := writeTrace(*tracePath, tracer); err != nil {
+		// The extension picks the format.
+		write := tracer.WriteChrome
+		if strings.HasSuffix(*tracePath, ".jsonl") {
+			write = tracer.WriteJSONL
+		}
+		if err := writeFile(*tracePath, write); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "wrote %d trace events to %s\n", tracer.Len(), *tracePath)
@@ -254,7 +290,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *metaPath != "" {
-		if err := writeMetricsJSON(*metaPath, reg); err != nil {
+		if err := writeFile(*metaPath, reg.WriteJSON); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "wrote metrics dump to %s\n", *metaPath)
@@ -263,6 +299,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		expo.Block(stderr, "run complete; still serving /metrics — interrupt to exit")
 	}
 	return 0
+}
+
+// loadReplay reads the trace at path as the workload of an op run. A
+// write-only trace replayed as read reads back what was written.
+func loadReplay(path, op string) (*iotrace.Replay, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := iotrace.Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	traceOp := iotrace.Write
+	if op == "read" {
+		traceOp = iotrace.Read
+	}
+	rp, err := iotrace.NewReplay(tr, traceOp)
+	if err != nil {
+		return nil, err
+	}
+	if rp.TotalBytes() == 0 && op == "read" {
+		if writes, err := iotrace.NewReplay(tr, iotrace.Write); err == nil {
+			rp = writes
+		}
+	}
+	if rp.TotalBytes() == 0 {
+		return nil, fmt.Errorf("trace has no %s requests", op)
+	}
+	return rp, nil
 }
 
 // printPlan is -plan: the plan mc computes for wl on a fresh machine
@@ -298,37 +365,17 @@ func printPlan(w io.Writer, mc core.MCCIO, mcfg cluster.Config, wl workload.Work
 	return nil
 }
 
-// writeMetricsJSON dumps the registry snapshot as indented JSON.
-func writeMetricsJSON(path string, reg *metrics.Registry) error {
+// writeFile creates path and lets write fill it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.WriteJSON(f)
-}
-
-// writeExplain serializes the decision log as schema-versioned JSONL.
-func writeExplain(path string, rec *explain.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	defer f.Close()
-	return rec.WriteJSONL(f)
-}
-
-// writeTrace serializes the trace; the extension picks the format.
-func writeTrace(path string, t *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return t.WriteJSONL(f)
-	}
-	return t.WriteChrome(f)
+	return err
 }
 
 // buildStrategy resolves the strategy from hints (when given) or the

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/explain"
+	"repro/internal/iotrace"
+	"repro/internal/strategy"
+	"repro/internal/workload"
 )
 
 // TestPlanDefaults: -plan with every other flag at its default prints
@@ -32,7 +35,7 @@ func TestPlanDefaults(t *testing.T) {
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
-		{"stray-positional"},
+		{"one.trace", "two.trace"},
 		{"-cores", "0"},
 		{"-cores", "-3"},
 		{"-procs", "0"},
@@ -53,6 +56,83 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 		if strings.Contains(out.String(), "result:") {
 			t.Errorf("run(%v) ran a simulation:\n%s", args, out.String())
+		}
+	}
+}
+
+// recordTrace records wl's writes as a trace file and returns its path.
+func recordTrace(t *testing.T, wl workload.Workload) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "app.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := iotrace.FromWorkload(wl, iotrace.Write).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReplay: a TRACE argument replaces the generated workload for
+// every strategy and both ops, on ⌈ranks / cores⌉ nodes, and -verify
+// checks the replayed bytes; a write-only trace read back reads its
+// writes.
+func TestReplay(t *testing.T) {
+	path := recordTrace(t, workload.IOR{Ranks: 6, BlockSize: 64 << 10, Segments: 4})
+	for _, s := range strategy.Names() {
+		for _, op := range []string{"write", "read"} {
+			var out, errb strings.Builder
+			if code := run([]string{"-strategy", s, "-op", op, "-cores", "4", "-mem", "4MB", "-verify", path}, &out, &errb); code != 0 {
+				t.Fatalf("%s %s: exit %d: %s", s, op, code, errb.String())
+			}
+			for _, want := range []string{
+				"workload:        trace replay (w, 6 ranks, 24 reqs)",
+				"platform:        2 nodes x 4 cores",
+				fmt.Sprintf("result:          %s %s: 1.6 MB", s, op),
+				"verification:    every byte checked OK",
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("%s %s: output lacks %q:\n%s", s, op, want, out.String())
+				}
+			}
+		}
+	}
+}
+
+// TestReplayErrors: a TRACE with a generated-workload flag or an
+// unusable flag is a usage error; a trace that cannot be read, or that
+// has nothing to replay, is an operational one.
+func TestReplayErrors(t *testing.T) {
+	path := recordTrace(t, workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 2})
+	for _, args := range [][]string{
+		{"-workload", "ior", path},
+		{"-procs", "4", path},
+		{"-dim", "64", path},
+		{"-block", "1MB", path},
+		{"-segments", "2", path},
+		{"-cores", "0", path},
+		{"-cores", "-2", path},
+		{"-mem", "0", path},
+		{"-strategy", "nope", path},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 || errb.Len() == 0 {
+			t.Errorf("run(%v) = %d, want 2 with a diagnostic (stderr: %s)", args, code, errb.String())
+		}
+	}
+	readOnly := filepath.Join(t.TempDir(), "read-only.trace")
+	if err := os.WriteFile(readOnly, []byte("#mccio-trace v1\n0 r 0 100\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{filepath.Join(t.TempDir(), "missing.trace")},
+		{"-op", "write", readOnly},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 1 || errb.Len() == 0 {
+			t.Errorf("run(%v) = %d, want 1 with a diagnostic (stderr: %s)", args, code, errb.String())
 		}
 	}
 }

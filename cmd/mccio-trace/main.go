@@ -1,9 +1,10 @@
-// Command mccio-trace generates, inspects, and replays I/O traces —
-// the bridge between real application patterns and the simulator.
+// Command mccio-trace generates and inspects I/O traces — the bridge
+// between real application patterns and the simulator, which replays
+// them (mccio-sim TRACE).
 //
 //	mccio-trace gen -workload ior -procs 24 -out ior.trace
 //	mccio-trace stat ior.trace
-//	mccio-trace run -strategy mccio -mem 8MB ior.trace
+//	mccio-sim -strategy mccio -mem 8MB ior.trace
 package main
 
 import (
@@ -12,14 +13,8 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
-	"repro/internal/adio"
-	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/iotrace"
-	"repro/internal/obs"
-	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -45,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.gen(args[1:])
 	case "stat":
 		return c.stat(args[1:])
-	case "run":
-		return c.run(args[1:])
 	}
 	return c.usage()
 }
@@ -55,8 +48,7 @@ func (c cli) usage() int {
 	fmt.Fprintln(c.stderr, `usage:
   mccio-trace gen  -workload ior|collperf|random|checkpoint [-procs N] [-out FILE]
   mccio-trace stat FILE
-  mccio-trace run  [-strategy `+strategy.List()+`] [-op write|read] [-mem SIZE] [-trace OUT] FILE
-                   (-trace records an event trace: .jsonl = JSON lines, else Chrome JSON)`)
+(replay a trace with mccio-sim [flags] FILE)`)
 	return 2
 }
 
@@ -152,103 +144,6 @@ func (c cli) stat(args []string) int {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(c.stdout, "  %-8s %d\n", k, s.SizeBuckets[k])
-	}
-	return 0
-}
-
-func (c cli) run(args []string) int {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(c.stderr)
-	stratName := fs.String("strategy", strategy.MCCIO, strategy.List())
-	op := fs.String("op", "write", "write | read")
-	memMB := fs.Int64("mem", 8, "nominal aggregation memory per node, MB")
-	cores := fs.Int("cores", 12, "cores per node")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	traceOut := fs.String("trace", "", "record an event trace to FILE (.jsonl = JSON lines, otherwise Chrome trace_event JSON)")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		return c.usage()
-	}
-	if *cores <= 0 {
-		return c.badFlag("-cores %d: must be positive", *cores)
-	}
-	if *memMB <= 0 {
-		return c.badFlag("-mem %d: must be positive", *memMB)
-	}
-	if !strategy.Valid(*stratName) {
-		return c.badFlag("unknown strategy %q (want %s)", *stratName, strategy.List())
-	}
-	tr, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return c.fail(err)
-	}
-	traceOp := iotrace.Write
-	if *op == "read" {
-		traceOp = iotrace.Read
-	}
-	rp, err := iotrace.NewReplay(tr, traceOp)
-	if err != nil {
-		// A write-only trace replayed as read is still meaningful:
-		// read back what was written.
-		if *op == "read" {
-			rp, err = iotrace.NewReplay(tr, iotrace.Write)
-		}
-		if err != nil {
-			return c.fail(err)
-		}
-	}
-	if rp.TotalBytes() == 0 {
-		rp2, err2 := iotrace.NewReplay(tr, iotrace.Write)
-		if err2 == nil && rp2.TotalBytes() > 0 && *op == "read" {
-			rp = rp2
-		} else {
-			return c.fail(fmt.Errorf("trace has no %s requests", *op))
-		}
-	}
-	nodes := (rp.NumRanks() + *cores - 1) / *cores
-
-	mem := *memMB << 20
-	mcfg := bench.TestbedMachine(nodes, mem, bench.SigmaBytes, *seed)
-	mcfg.CoresPerNode = *cores
-	fcfg := bench.TestbedFS(*seed)
-	var opts core.Options
-	if *stratName == strategy.MCCIO {
-		opts = bench.MCCIOOptions(mcfg, fcfg, rp.TotalBytes(), mem)
-	}
-	s, err := adio.New(*stratName, opts, mem)
-	if err != nil {
-		return c.fail(err)
-	}
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-	}
-	res, err := bench.RunOnce(bench.Spec{Strategy: s, Op: *op, Machine: mcfg, FS: fcfg, Workload: rp, Tracer: tracer})
-	if err != nil {
-		return c.fail(err)
-	}
-	fmt.Fprintf(c.stdout, "replayed %s with %s %s on %d nodes x %d cores\n",
-		fs.Arg(0), *stratName, *op, nodes, *cores)
-	fmt.Fprintln(c.stdout, res.String())
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return c.fail(err)
-		}
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			err = tracer.WriteJSONL(f)
-		} else {
-			err = tracer.WriteChrome(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return c.fail(err)
-		}
-		fmt.Fprintf(c.stderr, "wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
 	return 0
 }

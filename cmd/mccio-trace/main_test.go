@@ -17,19 +17,12 @@ func genTrace(t *testing.T) string {
 	return path
 }
 
-// TestGenStatRun drives the three subcommands end to end.
-func TestGenStatRun(t *testing.T) {
+// TestGenStat drives both subcommands end to end.
+func TestGenStat(t *testing.T) {
 	path := genTrace(t)
 	var out, errb strings.Builder
 	if code := run([]string{"stat", path}, &out, &errb); code != 0 || !strings.Contains(out.String(), "ranks:        8") {
 		t.Fatalf("stat: exit %d\n%s%s", code, out.String(), errb.String())
-	}
-	out.Reset()
-	if code := run([]string{"run", "-strategy", "mccio", "-cores", "4", path}, &out, &errb); code != 0 {
-		t.Fatalf("run: exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "with mccio write on 2 nodes x 4 cores") {
-		t.Fatalf("run output:\n%s", out.String())
 	}
 }
 
@@ -41,12 +34,8 @@ func TestUsageErrors(t *testing.T) {
 		nil,
 		{"frobnicate"},
 		{"stat"},
-		{"run"},
-		{"run", "-no-such-flag", path},
-		{"run", "-cores", "0", path},
-		{"run", "-cores", "-2", path},
-		{"run", "-mem", "0", path},
-		{"run", "-strategy", "nope", path},
+		{"stat", path, path},
+		{"run", path}, // replay is mccio-sim's
 		{"gen", "-procs", "0"},
 		{"gen", "-procs", "-4"},
 		{"gen", "-workload", "nope"},

@@ -114,21 +114,27 @@ func TestRunOnceRejectsOversizedWorkload(t *testing.T) {
 // TestRunOnceRejectsOutOfRangeFaults: a fault entry naming a node,
 // rank or OST the run does not have is an error naming the entry,
 // returned before the engine starts — not a panic inside it, and not a
-// fault counted as injected that perturbed nothing.
+// fault counted as injected that perturbed nothing. A node of the
+// machine that no rank of the workload occupies is one the run does
+// not have.
 func TestRunOnceRejectsOutOfRangeFaults(t *testing.T) {
-	mcfg := TestbedMachine(2, 4*cluster.MiB, 0, 1)
-	mcfg.CoresPerNode = 2
 	wl := workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 2}
 	for _, c := range []struct {
-		kind string
-		spec faults.Spec
+		kind  string
+		nodes int
+		spec  faults.Spec
 	}{
-		{"mem_pressure", faults.Spec{MemPressure: []faults.MemPressure{{Node: 99, Bytes: 1000}}}},
-		{"node_failures", faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 99}}}},
-		{"slow_links", faults.Spec{SlowLinks: []faults.SlowLink{{Node: 99, Factor: 2}}}},
-		{"slow_osts", faults.Spec{SlowOSTs: []faults.SlowOST{{OST: 999, Factor: 2}}}},
-		{"rank_failures", faults.Spec{RankFailures: []faults.RankFailure{{Rank: 9999}}}},
+		{"mem_pressure", 2, faults.Spec{MemPressure: []faults.MemPressure{{Node: 99, Bytes: 1000}}}},
+		{"node_failures", 2, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 99}}}},
+		{"slow_links", 2, faults.Spec{SlowLinks: []faults.SlowLink{{Node: 99, Factor: 2}}}},
+		{"slow_osts", 2, faults.Spec{SlowOSTs: []faults.SlowOST{{OST: 999, Factor: 2}}}},
+		{"rank_failures", 2, faults.Spec{RankFailures: []faults.RankFailure{{Rank: 9999}}}},
+		// 4 ranks x 2 per node occupy nodes 0 and 1 of the 4.
+		{"slow_links", 4, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 3}}, SlowLinks: []faults.SlowLink{{Node: 3, Factor: 2}}}},
+		{"node_failures", 4, faults.Spec{NodeFailures: []faults.NodeFailure{{Node: 2}}}},
 	} {
+		mcfg := TestbedMachine(c.nodes, 4*cluster.MiB, 0, 1)
+		mcfg.CoresPerNode = 2
 		sched, err := faults.NewSchedule(c.spec)
 		if err != nil {
 			t.Fatal(err)
@@ -136,10 +142,10 @@ func TestRunOnceRejectsOutOfRangeFaults(t *testing.T) {
 		_, err = RunOnce(Spec{Strategy: collective(strategy.MCCIO, MCCIOOptions(mcfg, TestbedFS(1), wl.TotalBytes(), 4*cluster.MiB), 4*cluster.MiB),
 			Op: "write", Machine: mcfg, FS: TestbedFS(1), Workload: wl, Faults: sched})
 		if err == nil || !strings.Contains(err.Error(), c.kind) {
-			t.Errorf("%s: RunOnce error %v, want one naming the entry", c.kind, err)
+			t.Errorf("%s on %d nodes: RunOnce error %v, want one naming the entry", c.kind, c.nodes, err)
 		}
 		if sched.Injected() != 0 {
-			t.Errorf("%s: %d faults injected by a run that did not start", c.kind, sched.Injected())
+			t.Errorf("%s on %d nodes: %d faults injected by a run that did not start", c.kind, c.nodes, sched.Injected())
 		}
 	}
 }
@@ -217,49 +223,6 @@ func TestComparisonSweepSmoke(t *testing.T) {
 				t.Fatalf("zero bandwidth at %s %s: two-phase %v, mccio %v", mb(m), op, b, mc)
 			}
 		}
-	}
-}
-
-func TestChunkedCallsVerify(t *testing.T) {
-	// IOR's transfer-size axis: splitting one logical test into many
-	// collective calls must still move every byte correctly.
-	mcfg := TestbedMachine(2, 4*cluster.MiB, SigmaBytes, 7)
-	mcfg.CoresPerNode = 2
-	fcfg := TestbedFS(7)
-	fcfg.JitterMean = 0
-	wl := workload.IOR{Ranks: 4, BlockSize: 64 << 10, Segments: 8}
-	for _, calls := range []int{1, 2, 4, 16} {
-		res, err := RunOnce(Spec{
-			Strategy: core.MCCIO{Opts: MCCIOOptions(mcfg, fcfg, wl.TotalBytes(), 4*cluster.MiB)},
-			Op:       "write", Machine: mcfg, FS: fcfg, Workload: wl, Verify: true, Calls: calls,
-		})
-		if err != nil {
-			t.Fatalf("calls=%d: %v", calls, err)
-		}
-		if res.Bytes != wl.TotalBytes() {
-			t.Fatalf("calls=%d: bytes %d, want %d", calls, res.Bytes, wl.TotalBytes())
-		}
-	}
-}
-
-func TestMoreCallsMoreOverhead(t *testing.T) {
-	// Splitting the same data over more collective calls cannot be
-	// faster: each call pays its own planning and synchronization.
-	mcfg := TestbedMachine(4, 8*cluster.MiB, SigmaBytes, 7)
-	fcfg := TestbedFS(7)
-	wl := workload.IOR{Ranks: 48, BlockSize: 256 << 10, Segments: 16}
-	run := func(calls int) float64 {
-		res, err := RunOnce(Spec{
-			Strategy: collio.TwoPhase{CBBuffer: 8 * cluster.MiB},
-			Op:       "write", Machine: mcfg, FS: fcfg, Workload: wl, Calls: calls,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
-	}
-	if one, many := run(1), run(8); many < one {
-		t.Fatalf("8 calls (%.3fs) faster than 1 call (%.3fs)", many, one)
 	}
 }
 

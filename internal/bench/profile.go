@@ -32,14 +32,19 @@ type ProfileReport struct {
 
 // SiteCapture is an in-flight CPU + allocation capture around
 // arbitrary work: StartSiteCapture turns the runtime's CPU profiler
-// on, the caller runs whatever it wants profiled, and Stop decodes
-// both profiles into a machine-readable ProfileReport. It is the
-// mechanism behind `mccio-bench -sites` (any experiment as the body).
-// Only one capture — and no other CPU profiler — can be active per
-// process.
+// on, the caller runs whatever it wants profiled, Stop keeps both
+// profiles' raw pprof bytes, and Report decodes them into a
+// machine-readable ProfileReport. It is the one profiler behind
+// mccio-bench: -cpuprofile and -memprofile write its raw bytes and
+// -sites decodes the same bytes. Only one capture — and no other CPU
+// profiler — can be active per process.
 type SiteCapture struct {
-	cpuBuf bytes.Buffer
-	start  time.Time
+	// CPU and Allocs are the raw CPU and "allocs" profiles, in pprof's
+	// own encoding; Stop sets them.
+	CPU, Allocs []byte
+	cpuBuf      bytes.Buffer
+	start       time.Time
+	wall        float64
 }
 
 // StartSiteCapture begins a capture. Every return path must call Stop
@@ -52,32 +57,37 @@ func StartSiteCapture() (*SiteCapture, error) {
 	return c, nil
 }
 
-// Stop ends the capture, snapshots the allocation profile, and decodes
-// both into the top n sites by cumulative value. Scale and Seed are
-// left for the caller to fill; WallSeconds covers start-to-stop.
-func (c *SiteCapture) Stop(n int) (*ProfileReport, error) {
-	if n <= 0 {
-		n = 15
-	}
+// Stop ends the capture and snapshots the allocation profile.
+func (c *SiteCapture) Stop() error {
 	pprof.StopCPUProfile()
-	wall := time.Since(c.start).Seconds()
-
+	c.wall = time.Since(c.start).Seconds()
+	c.CPU = c.cpuBuf.Bytes()
 	runtime.GC() // flush pending frees so alloc_space is current
 	var heapBuf bytes.Buffer
 	if err := pprof.Lookup("allocs").WriteTo(&heapBuf, 0); err != nil {
-		return nil, fmt.Errorf("bench: profile: allocs: %w", err)
+		return fmt.Errorf("bench: profile: allocs: %w", err)
 	}
+	c.Allocs = heapBuf.Bytes()
+	return nil
+}
 
-	cp, err := prof.Parse(&c.cpuBuf)
+// Report decodes a stopped capture into the top n sites by cumulative
+// value. Scale and Seed are left for the caller to fill; WallSeconds
+// covers start-to-stop.
+func (c *SiteCapture) Report(n int) (*ProfileReport, error) {
+	if n <= 0 {
+		n = 15
+	}
+	cp, err := prof.Parse(bytes.NewReader(c.CPU))
 	if err != nil {
 		return nil, fmt.Errorf("bench: profile: decode cpu: %w", err)
 	}
-	ap, err := prof.Parse(&heapBuf)
+	ap, err := prof.Parse(bytes.NewReader(c.Allocs))
 	if err != nil {
 		return nil, fmt.Errorf("bench: profile: decode allocs: %w", err)
 	}
 	rep := &ProfileReport{
-		WallSeconds: wall,
+		WallSeconds: c.wall,
 		CPUSeconds:  float64(cp.TotalValue("cpu")) / 1e9,
 		AllocBytes:  ap.TotalValue("alloc_space"),
 	}

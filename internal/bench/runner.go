@@ -38,11 +38,6 @@ type Spec struct {
 	// (write runs are followed by a verified read). Only for small
 	// functional runs; benchmarks use phantom payloads.
 	Verify bool
-	// Calls splits each rank's view into this many consecutive chunks
-	// and issues one collective call per chunk — IOR's transfer-size
-	// axis (one MPI_File_write_all per transfer). 0 or 1 means a single
-	// call covering the whole view. Elapsed spans all calls.
-	Calls int
 	// Tracer, when non-nil, records event-level spans for the run. The
 	// runner binds it to the engine's virtual clock and attaches it to
 	// the machine; nil keeps tracing fully disabled.
@@ -79,7 +74,13 @@ func RunOnce(spec Spec) (trace.Result, error) {
 		return trace.Result{}, fmt.Errorf("bench: workload needs %d ranks, machine has %d", nprocs, machine.NumRanks())
 	}
 	if spec.Faults != nil {
-		if err := spec.Faults.Spec().Fits(machine.NumNodes(), nprocs, spec.FS.OSTs); err != nil {
+		// Only the nodes the run's ranks occupy count: a fault on any
+		// other node would be counted as injected and perturb nothing.
+		nodes := 0
+		for r := 0; r < nprocs; r++ {
+			nodes = max(nodes, machine.NodeOfRank(r)+1)
+		}
+		if err := spec.Faults.Spec().Fits(nodes, nprocs, spec.FS.OSTs); err != nil {
 			return trace.Result{}, err
 		}
 	}
@@ -127,22 +128,9 @@ func RunOnce(spec Spec) (trace.Result, error) {
 			}
 			c.Barrier()
 		}
-		calls := spec.Calls
-		if calls < 1 {
-			calls = 1
-		}
-		if calls == 1 {
-			r := iolib.Run(spec.Strategy, spec.Op, file, c, view, data, &trace.Metrics{})
-			if c.Rank() == 0 {
-				res = r
-			}
-		} else {
-			// One collective per chunk: split the view into `calls`
-			// consecutive byte ranges, slicing the flat buffer along.
-			r := runChunked(spec, file, c, view, data, calls)
-			if c.Rank() == 0 {
-				res = r
-			}
+		r := iolib.Run(spec.Strategy, spec.Op, file, c, view, data, &trace.Metrics{})
+		if c.Rank() == 0 {
+			res = r
 		}
 		if spec.Verify {
 			if err := verifyAfter(spec.Op, file, c, view, data, uint64(c.Rank())); err != nil && verifyErr == nil {
@@ -169,37 +157,6 @@ func RunOncePhases(spec Spec) (trace.Result, *obs.Summary, error) {
 		return trace.Result{}, nil, err
 	}
 	return res, obs.Summarize(tr.Events()), nil
-}
-
-// runChunked issues one collective call per consecutive view chunk and
-// folds the results: total bytes, summed metrics, elapsed spanning all
-// calls.
-func runChunked(spec Spec, file *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, calls int) trace.Result {
-	var total trace.Result
-	var bufPos int64
-	perCall := (int64(len(view)) + int64(calls) - 1) / int64(calls)
-	for i := 0; i < calls; i++ {
-		lo := int64(i) * perCall
-		hi := lo + perCall
-		if lo > int64(len(view)) {
-			lo = int64(len(view))
-		}
-		if hi > int64(len(view)) {
-			hi = int64(len(view))
-		}
-		chunk := view[lo:hi]
-		n := chunk.TotalBytes()
-		r := iolib.Run(spec.Strategy, spec.Op, file, c, chunk, data.Slice(bufPos, n), &trace.Metrics{})
-		bufPos += n
-		if c.Rank() == 0 {
-			total.Bytes += r.Bytes
-			total.Elapsed += r.Elapsed
-			total.Metrics.Merge(r.Metrics)
-			total.Strategy = r.Strategy
-			total.Op = r.Op
-		}
-	}
-	return total
 }
 
 // fillView lays the per-offset pattern into a flat view buffer.

@@ -24,8 +24,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Schema identifies the decision-log line format. Bump on incompatible
@@ -330,40 +331,24 @@ func WriteJSONLEvents(w io.Writer, events []Event) error {
 // ParseJSONL reconstructs a decision log. The header line is optional
 // (its schema is verified when present); a truncated final line — a
 // writer interrupted mid-record — is tolerated once at least one
-// record parsed, mirroring the obs trace parser. Garbage mid-stream is
-// still an error.
+// record parsed — the header counts — as obs.ScanJSONL reads every
+// JSONL log. Garbage mid-stream is still an error.
 func ParseJSONL(r io.Reader) ([]Event, error) {
 	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	parsed := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			if !sc.Scan() && sc.Err() == nil && parsed > 0 {
-				return events, nil
-			}
-			return nil, fmt.Errorf("explain: jsonl line %d: %w", line, err)
-		}
-		parsed++
-		if e.Kind == KindHeader {
+	err := obs.ScanJSONL(r, "explain: jsonl line", func(line int, e *Event) error {
+		switch e.Kind {
+		case KindHeader:
 			if e.SchemaV != Schema {
-				return nil, fmt.Errorf("explain: unsupported schema %q (want %q)", e.SchemaV, Schema)
+				return fmt.Errorf("explain: unsupported schema %q (want %q)", e.SchemaV, Schema)
 			}
-			continue
+		case "":
+			return fmt.Errorf("explain: jsonl line %d: record without kind", line)
+		default:
+			events = append(events, *e)
 		}
-		if e.Kind == "" {
-			return nil, fmt.Errorf("explain: jsonl line %d: record without kind", line)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return events, nil

@@ -203,3 +203,32 @@ func TestSummarize(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseJSONL: a decision log comes from outside the program — the
+// parser returns an error, or events that re-encode and parse back to
+// as many; never a panic.
+func FuzzParseJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteJSONLEvents(&buf, sampleEvents()); err != nil {
+		f.Fatal(err)
+	}
+	whole := buf.String()
+	f.Add(whole)
+	f.Add(whole[:strings.LastIndexByte(strings.TrimRight(whole, "\n"), '{')+5]) // truncated final line
+	f.Add(`{"kind":"header","t":0,"group":-1,"schema":"mccio-explain/999"}` + "\n")
+	f.Add(`{"t":0,"group":-1}` + "\n" + `{"kind":"run","t":0,"group":-1}` + "\n")
+	f.Add("{this is not json}\n" + whole)
+	f.Fuzz(func(t *testing.T, in string) {
+		events, err := ParseJSONL(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteJSONLEvents(&out, events); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ParseJSONL(&out); err != nil || len(back) != len(events) {
+			t.Fatalf("accepted events do not round-trip: %v (%d of %d)", err, len(back), len(events))
+		}
+	})
+}

@@ -1,7 +1,7 @@
 // Package iotrace records and replays application I/O traces. A trace
 // is the portable form of a workload: one line per request with rank,
 // operation, offset and length. Traces let users feed their real
-// application patterns into the simulator (`mccio-trace run`) and let
+// application patterns into the simulator (`mccio-sim TRACE`) and let
 // experiments persist exactly what they measured.
 //
 // Format (text, line-oriented, stable):

@@ -22,7 +22,7 @@ import (
 var docAuditPackages = []string{
 	"../sweep", "../bench", "../faults", "../twolayer", "../strategy",
 	"../pland", "../logx", "../prof", "../top", "../explain", "../ring",
-	"../../cmd/mccio-pland", "../../cmd/mccio-loadgen", "../../cmd/mccio-top",
+	"../../cmd/mccio-pland",
 }
 
 // TestExportedIdentifiersDocumented parses each audited package and

@@ -131,3 +131,32 @@ func TestValidRequestID(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseRecords: a request log comes from outside the program — the
+// parser returns an error, or records that a Logger writes back and
+// the parser reads back to as many; never a panic.
+func FuzzParseRecords(f *testing.F) {
+	var buf bytes.Buffer
+	l := New(&buf)
+	l.Request(sampleRecord())
+	l.Request(sampleRecord())
+	full := buf.String()
+	f.Add(full)
+	f.Add(full[:len(full)-10]) // truncated final line
+	f.Add("not json\n" + full)
+	f.Add("\n \n")
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := ParseRecords(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		l := New(&out)
+		for _, rec := range recs {
+			l.Request(rec)
+		}
+		if back, err := ParseRecords(&out); err != nil || len(back) != len(recs) {
+			t.Fatalf("accepted records do not round-trip: %v (%d of %d)", err, len(back), len(recs))
+		}
+	})
+}

@@ -161,7 +161,7 @@ func (s *Snapshot) Get(name string, want map[string]string) (float64, bool) {
 // histogram buckets (non-cumulative counts, ascending bounds, +Inf
 // last), with linear interpolation inside the owning bucket — the
 // standard Prometheus estimate, usable on decoded /metrics.json
-// payloads (mccio-top's latency panel). Returns
+// payloads (mccio-pland top's latency panel). Returns
 // 0 with no observations; values landing in the +Inf bucket report the
 // highest finite bound.
 func QuantileBuckets(buckets []Bucket, q float64) float64 {
@@ -208,7 +208,7 @@ func QuantileBuckets(buckets []Bucket, q float64) float64 {
 // SumBuckets adds b into dst bucket-by-bucket and returns dst; when
 // dst is empty it returns a copy of b. Bucket layouts must match (same
 // family), which holds for samples of one histogram family — the merge
-// mccio-top uses to fold per-endpoint latency series into one panel.
+// mccio-pland top uses to fold per-endpoint latency series into one panel.
 func SumBuckets(dst, b []Bucket) []Bucket {
 	if len(dst) == 0 {
 		return append([]Bucket(nil), b...)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -240,29 +241,45 @@ func WriteJSONLEvents(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
+// ScanJSONL is the tolerant JSON-lines reader behind every JSONL
+// parser of the module (trace events, decision logs, request logs):
+// each non-blank line of r, up to 16 MiB long, is unmarshalled into a
+// fresh T and handed to each with its 1-based line number. A line that
+// is not JSON is an error, "<prefix> <line>: <cause>" — except a
+// truncated final line after at least one decoded line, the tail a
+// writer interrupted mid-record (crash, full disk) leaves, which is
+// dropped. An error from each ends the scan and is returned as is.
+func ScanJSONL[T any](r io.Reader, prefix string, each func(line int, v *T) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	line, decoded := 0, 0
+	for sc.Scan() {
+		line++
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
+			continue
+		}
+		var v T
+		if err := json.Unmarshal(text, &v); err != nil {
+			// Garbage mid-stream is still an error — the extra Scan
+			// only consumes input on the error path.
+			if !sc.Scan() && sc.Err() == nil && decoded > 0 {
+				return nil
+			}
+			return fmt.Errorf("%s %d: %w", prefix, line, err)
+		}
+		decoded++
+		if err := each(line, &v); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
 // ParseJSONL reconstructs events from the JSONL format.
 func ParseJSONL(r io.Reader) ([]Event, error) {
 	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var je jsonlEvent
-		if err := json.Unmarshal([]byte(text), &je); err != nil {
-			// A writer interrupted mid-line (crash, full disk) leaves a
-			// truncated final record; tolerate it once events have been
-			// parsed. Garbage mid-stream is still an error — the extra
-			// Scan only consumes input on the error path.
-			if !sc.Scan() && sc.Err() == nil && len(events) > 0 {
-				return events, nil
-			}
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
-		}
+	err := ScanJSONL(r, "obs: jsonl line", func(line int, je *jsonlEvent) error {
 		e := Event{
 			Phase: Phase(je.Phase), T0: je.T0, T1: je.T1,
 			Loc:   Loc{Rank: je.Rank, Node: je.Node, Group: je.Group, Round: je.Round},
@@ -276,11 +293,12 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		case "counter":
 			e.Kind = KindCounter
 		default:
-			return nil, fmt.Errorf("obs: jsonl line %d: unknown kind %q", line, je.Kind)
+			return fmt.Errorf("obs: jsonl line %d: unknown kind %q", line, je.Kind)
 		}
 		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return events, nil

@@ -83,3 +83,32 @@ func TestSummarizeHostileInput(t *testing.T) {
 		t.Errorf("rounds = %d, want %d", got, maxSummaryRounds)
 	}
 }
+
+// FuzzParseJSONL: a trace file comes from outside the program — the
+// parser returns an error, or events that re-encode and parse back to
+// as many; never a panic.
+func FuzzParseJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleTracer().WriteJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(buf.String()[:buf.Len()-20]) // truncated final line
+	f.Add("\n\n  \n")
+	f.Add(validLine[:40])
+	f.Add(validLine + "\nnot json at all\n" + validLine + "\n")
+	f.Add(`{"kind":"wat","phase":"io"}` + "\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		events, err := ParseJSONL(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteJSONLEvents(&out, events); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ParseJSONL(&out); err != nil || len(back) != len(events) {
+			t.Fatalf("accepted events do not round-trip: %v (%d of %d)", err, len(back), len(events))
+		}
+	})
+}

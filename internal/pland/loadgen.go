@@ -23,13 +23,12 @@ import (
 // that, which layout to ask for is drawn from a Zipf(ZipfS) popularity
 // distribution — the skew that makes a plan cache worth having.
 type LoadSpec struct {
-	// URL is the daemon's base URL, e.g. "http://127.0.0.1:9100".
-	URL string
-	// URLs, when it has two or more entries, switches the generator to
+	// URLs are the daemons' base URLs, e.g. "http://127.0.0.1:9100";
+	// at least one is required. Two or more switch the generator to
 	// cluster mode: request i goes to URLs[i % len(URLs)] — a
 	// deterministic round-robin spray across the ring, the access
 	// pattern of clients behind a dumb load balancer — and the report
-	// gains a per-shard breakdown. Empty falls back to URL.
+	// gains a per-shard breakdown.
 	URLs []string
 	// Requests is the total request count; <= 0 means 200.
 	Requests int
@@ -119,9 +118,6 @@ type ShardReport struct {
 
 // withDefaults fills the spec's zero values.
 func (s LoadSpec) withDefaults() LoadSpec {
-	if len(s.URLs) == 0 {
-		s.URLs = []string{s.URL}
-	}
 	if s.Requests <= 0 {
 		s.Requests = 200
 	}
@@ -231,9 +227,12 @@ func (c *shardCounts) lookups() (lookups, served int) {
 // RunLoad drives the daemon — or, with multiple URLs, the whole ring —
 // with spec and reports throughput, latency percentiles, and cache
 // behavior as observed from the client side (X-Cache headers). It is
-// the engine behind cmd/mccio-loadgen and the serve benchmark
+// the engine behind `mccio-pland load` and the serve benchmark
 // experiment.
 func RunLoad(spec LoadSpec) (*LoadReport, error) {
+	if len(spec.URLs) == 0 {
+		return nil, fmt.Errorf("pland: no URLs to load")
+	}
 	spec = spec.withDefaults()
 	planBodies, simBodies, err := loadBodies(spec)
 	if err != nil {

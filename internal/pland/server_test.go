@@ -353,7 +353,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestRunLoadAgainstServer(t *testing.T) {
 	srv := startServer(t, Config{})
 	rep, err := RunLoad(LoadSpec{
-		URL:         "http://" + srv.Addr(),
+		URLs:        []string{"http://" + srv.Addr()},
 		Requests:    60,
 		Concurrency: 4,
 		Keys:        6,

@@ -1,5 +1,5 @@
 // Package top turns successive /metrics.json snapshots of a running
-// mccio-pland daemon into the live dashboard cmd/mccio-top renders:
+// mccio-pland daemon into the live dashboard `mccio-pland top` renders:
 // request rate, status mix, cache hit rate, latency percentiles, shed
 // and queue pressure. It works purely on decoded metrics.Snapshot
 // values, so anything that can fetch the JSON exposition — a test, a
