@@ -133,11 +133,7 @@ func main() {
 	reg := metrics.New()
 	var expo *metrics.Exposition
 	if *serveAddr != "" {
-		start := metrics.StartExposition
-		if *pprofOn {
-			start = metrics.StartExpositionPprof
-		}
-		if expo, err = start(*serveAddr, reg, os.Stderr); err != nil {
+		if expo, err = metrics.StartExposition(*serveAddr, reg, *pprofOn, os.Stderr); err != nil {
 			fail(1, err)
 		}
 	}

@@ -142,6 +142,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	if *op != "write" && *op != "read" {
+		return usage("-op %q: want write or read", *op)
+	}
 	if *cores <= 0 {
 		return usage("-cores %d: must be positive", *cores)
 	}
@@ -233,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// scraped while the simulation executes.
 	var expo *metrics.Exposition
 	if *serveAddr != "" {
-		if expo, err = metrics.StartExposition(*serveAddr, reg, stderr); err != nil {
+		if expo, err = metrics.StartExposition(*serveAddr, reg, false, stderr); err != nil {
 			return fail(err)
 		}
 	}

@@ -44,6 +44,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-mem", "0"},
 		{"-workload", "nope"},
 		{"-strategy", "nope"},
+		{"-op", "foo"},
 		{"-plan", "-strategy", "two-phase"},
 		{"-plan", "-hints", "romio_cb_write=disable"},
 	} {

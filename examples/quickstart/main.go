@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	file := iolib.Open(fs, "quickstart.dat")
+	file := fs.Open("quickstart.dat")
 
 	// The strategy under test: MCCIO with platform-calibrated options.
 	opts := core.DefaultOptions(mcfg, fcfg)

@@ -81,7 +81,7 @@ func TestCrossStrategyInterop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				file := iolib.Open(fs, "interop")
+				file := fs.Open("interop")
 				world.Start(func(c *mpi.Comm) {
 					view := wl.View(c.Rank())
 					data := buffer.NewReal(view.TotalBytes())

@@ -110,7 +110,7 @@ func RunOnce(spec Spec) (trace.Result, error) {
 		world.SetFaults(spec.Faults)
 		fs.SetFaults(spec.Faults)
 	}
-	file := iolib.Open(fs, "bench.dat")
+	file := fs.Open("bench.dat")
 
 	var res trace.Result
 	var verifyErr error
@@ -169,22 +169,22 @@ func fillView(view datatype.List, data buffer.Buf, tag uint64) {
 }
 
 // seedFile writes the rank's pattern independently before a read test.
-func seedFile(f *iolib.File, c *mpi.Comm, view datatype.List, tag uint64) error {
+func seedFile(f *pfs.File, c *mpi.Comm, view datatype.List, tag uint64) error {
 	data := buffer.NewReal(view.TotalBytes())
 	fillView(view, data, tag)
-	f.WriteIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, iolib.SieveOptions{})
+	iolib.WriteIndependent(f, c.Proc(), c.WorldRank(c.Rank()), view, data, iolib.SieveOptions{})
 	return nil
 }
 
 // verifyAfter checks the operation's bytes: after a read, the
 // destination buffer; after a write, the file contents re-read
 // independently.
-func verifyAfter(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, tag uint64) error {
+func verifyAfter(op string, f *pfs.File, c *mpi.Comm, view datatype.List, data buffer.Buf, tag uint64) error {
 	check := data
 	if op == "write" {
 		c.Barrier()
 		check = buffer.NewReal(view.TotalBytes())
-		f.ReadIndependent(c.Proc(), c.WorldRank(c.Rank()), view, check, iolib.SieveOptions{BufSize: 4 << 20})
+		iolib.ReadIndependent(f, c.Proc(), c.WorldRank(c.Rank()), view, check, iolib.SieveOptions{BufSize: 4 << 20})
 	}
 	var pos int64
 	for _, s := range view {

@@ -198,7 +198,7 @@ func runCollective(t *testing.T, s iolib.Collective, nodes, cores, nprocs, block
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	var res trace.Result
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), nprocs, blocks, blockLen)
@@ -262,7 +262,7 @@ func TestTwoPhaseWriteWithHolesPreservesSurroundings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	const fileSize = 64 << 10
 	w.Start(func(c *mpi.Comm) {
 		// Rank 0 pre-writes the whole file independently.
@@ -310,7 +310,7 @@ func TestTwoPhaseEffectiveBufferCappedByNodeMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	var res trace.Result
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 8, 4<<10)
@@ -341,7 +341,7 @@ func TestTwoPhaseEmptyViewsEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	w.Start(func(c *mpi.Comm) {
 		iolib.Run(TwoPhase{CBBuffer: 1 << 20}, "write", f, c, nil, buffer.NewPhantom(0), &trace.Metrics{})
 	})
@@ -387,7 +387,7 @@ func TestTwoPhaseOneRankHasAllData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	w.Start(func(c *mpi.Comm) {
 		var view datatype.List
 		if c.Rank() == 2 {
@@ -430,7 +430,7 @@ func TestExecutePanicsOnInvalidPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		defer func() {
 			if recover() == nil {
@@ -449,7 +449,7 @@ func TestEmptyPlanIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		plan := &Plan{Exts: make([]Ext, 2)}
 		var mtr trace.Metrics
@@ -472,7 +472,7 @@ func TestAggregatorWithoutOwnDataStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		var view datatype.List
 		if c.Rank() > 0 {
@@ -502,7 +502,7 @@ func TestTwoPhaseReadOfUnwrittenHolesYieldsZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		// Read a sparse view of a file nobody wrote.
 		view := datatype.List{{Off: int64(c.Rank()) * 8192, Len: 1024}}
@@ -526,7 +526,7 @@ func TestAlignStripeDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	const stripe = 1 << 20
 	w.Start(func(c *mpi.Comm) {
 		// ~2.4 MiB per rank: domain size is not naturally stripe-sized.

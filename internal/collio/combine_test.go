@@ -10,6 +10,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 	"repro/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func TestTopology(t *testing.T) {
 }
 
 // roundTrip writes and reads back view through s, checking every byte.
-func roundTrip(t *testing.T, s iolib.Collective, f *iolib.File, c *mpi.Comm, view datatype.List, mtr *trace.Metrics) {
+func roundTrip(t *testing.T, s iolib.Collective, f *pfs.File, c *mpi.Comm, view datatype.List, mtr *trace.Metrics) {
 	iolib.Run(s, "write", f, c, view, fillViewBuffer(view, uint64(c.Rank())), mtr)
 	dst := fillViewBuffer(view, 999)
 	iolib.Run(s, "read", f, c, view, dst, mtr)
@@ -140,7 +141,7 @@ func TestCombinedTwoPhaseRoundTripInPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
 		tp := plannedStrategy{build: planOf(TwoPhase{CBBuffer: 32 << 10}), leaders: lowestRankLeaders}
@@ -167,7 +168,7 @@ func TestCombinedSingleRankPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 4, 4, 4<<10)
 		tp := plannedStrategy{build: planOf(TwoPhase{CBBuffer: 16 << 10}), leaders: lowestRankLeaders}
@@ -320,7 +321,7 @@ func TestIdentityLeadersMatchFlat(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					f := iolib.Open(fs, "x")
+					f := fs.Open("x")
 					var res trace.Result
 					w.Start(func(c *mpi.Comm) {
 						view := views[c.Rank()]

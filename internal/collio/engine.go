@@ -9,6 +9,7 @@ import (
 	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/pfs"
 	"repro/internal/trace"
 )
 
@@ -87,7 +88,7 @@ func localityOf(c *mpi.Comm, a, b int, n int64) (int64, int64) {
 // pieces (ours, our mates' and our peers') are all consumed. See
 // DESIGN.md §14 for the ownership rules.
 type collective struct {
-	f     *iolib.File
+	f     *pfs.File
 	c     *mpi.Comm
 	vi    *iolib.ViewIndex
 	data  buffer.Buf // source of a write, destination of a read
@@ -122,7 +123,7 @@ type collective struct {
 // When every rank leads only itself the funnel and fan-out stages have
 // nothing to do and the round is the classic flat two-phase exchange.
 // It returns the finished collective, whose overlay tests inspect.
-func execute(f *iolib.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) *collective {
+func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) *collective {
 	if err := plan.Validate(c.Size()); err != nil {
 		panic(err)
 	}
@@ -215,7 +216,7 @@ func (x *collective) route(from int) {
 	x.ex.Reset()
 	for _, d := range doms {
 		if !myExt.Empty() && myExt.Lo < d.Hi && myExt.Hi > d.Lo {
-			segs := x.vi.Clip(d.Lo, d.Hi)
+			segs := x.vi.View().Clip(d.Lo, d.Hi)
 			x.ex.Stage(d.Agg, segsVal{segs}, int64(len(segs))*extBytes+8)
 		}
 	}

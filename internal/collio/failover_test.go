@@ -508,7 +508,7 @@ func TestPlanUnchangedByRun(t *testing.T) {
 			}
 			sched := mustSchedule(t, tc.spec)
 			w.SetFaults(sched)
-			f := iolib.Open(fs, "x")
+			f := fs.Open("x")
 			shared := &sharedPlan{build: tc.build}
 			w.Start(func(c *mpi.Comm) {
 				view := interleavedView(c.Rank(), 6, 8, 64<<10)
@@ -546,7 +546,7 @@ func TestFaultFreeRunKeepsOverlayAliased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := iolib.Open(fs, "x")
+		f := fs.Open("x")
 		w.Start(func(c *mpi.Comm) {
 			view := interleavedView(c.Rank(), 4, 4, 64<<10)
 			s := plannedStrategy{build: planOf(TwoPhase{CBBuffer: BufFloor}), leaders: leaders}

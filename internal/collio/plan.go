@@ -32,6 +32,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/iolib"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 	"repro/internal/trace"
 )
 
@@ -196,7 +197,7 @@ func domainOf(doms []Domain, rank int) int {
 // aggregator (or strategy layer) may have claimed memory meanwhile;
 // MustAlloc keeps the overcommit visible in the high-water reports
 // rather than failing. Every rank of c calls it with the identical plan.
-func (p *Plan) Run(op string, f *iolib.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+func (p *Plan) Run(op string, f *pfs.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	if di := domainOf(p.Domains, c.Rank()); di >= 0 {
 		buf := p.Domains[di].BufBytes
 		node := c.World().Machine().Node(c.NodeOf(c.Rank()))

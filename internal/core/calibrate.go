@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/cluster"
-	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
@@ -89,7 +88,7 @@ func measureStreams(mcfg cluster.Config, fcfg pfs.Config, writers int, perNode i
 	if err != nil {
 		return 0, err
 	}
-	f := iolib.Open(fs, "calib")
+	f := fs.Open("calib")
 	// Place writer i on node i/perNode, core i%perNode.
 	world, err := mpi.NewWorld(engine, machine, machine.NumRanks())
 	if err != nil {

@@ -47,7 +47,7 @@ func TestNodeCombineReducesFabricMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := testFS(t, m)
-		f := iolib.Open(fs, "x")
+		f := fs.Open("x")
 		opts := testOpts(256<<10, 0) // one group: combining is the only difference
 		opts.TwoLayer = combine
 		w.Start(func(c *mpi.Comm) {
@@ -79,7 +79,7 @@ func TestNodeCombineMatchesFlatResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := testFS(t, m)
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	combineOpts := testOpts(128<<10, 0)
 	combineOpts.TwoLayer = true
 	flatOpts := testOpts(128<<10, 0)
@@ -113,7 +113,7 @@ func TestNodeCombineWithTwoPhasePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := testFS(t, m)
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), 6, 8, 2<<10)
 		data := fillViewBuffer(view, uint64(c.Rank()))
@@ -158,7 +158,7 @@ func TestGroupedWritePreservesPreexistingHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := testFS(t, m)
-	f := iolib.Open(fs, "x")
+	f := fs.Open("x")
 	const fileSize = 64 << 10
 	w.Start(func(c *mpi.Comm) {
 		if c.Rank() == 0 {

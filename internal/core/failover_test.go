@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collio"
 	"repro/internal/faults"
-	"repro/internal/iolib"
 	"repro/internal/mpi"
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -53,7 +52,7 @@ func TestRunLeavesPlanAndRecordAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetFaults(sched)
-	f := iolib.Open(testFS(t, m), "shared")
+	f := testFS(t, m).Open("shared")
 	opts := testOpts(128<<10, 0)
 	opts.TwoLayer = true
 	mc := MCCIO{Opts: opts}

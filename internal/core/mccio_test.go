@@ -69,7 +69,7 @@ func runMCCIO(t *testing.T, s iolib.Collective, m *cluster.Machine, nprocs, bloc
 		t.Fatal(err)
 	}
 	fs := testFS(t, m)
-	f := iolib.Open(fs, "shared")
+	f := fs.Open("shared")
 	var res trace.Result
 	w.Start(func(c *mpi.Comm) {
 		view := interleavedView(c.Rank(), nprocs, blocks, blockLen)
@@ -240,7 +240,7 @@ func TestMCCIOEmptyViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := iolib.Open(testFS(t, m), "x")
+	f := testFS(t, m).Open("x")
 	w.Start(func(c *mpi.Comm) {
 		iolib.Run(MCCIO{Opts: testOpts(1<<20, 0)}, "write", f, c, nil, buffer.NewPhantom(0), &trace.Metrics{})
 	})
@@ -263,7 +263,7 @@ func TestMCCIOInvalidOptionsPanic(t *testing.T) {
 	m := testMachine(t, 1, 1, 64*cluster.MiB, 0)
 	e := simtime.NewEngine()
 	w, _ := mpi.NewWorld(e, m, 1)
-	f := iolib.Open(testFS(t, m), "x")
+	f := testFS(t, m).Open("x")
 	w.Start(func(c *mpi.Comm) {
 		defer func() {
 			if recover() == nil {

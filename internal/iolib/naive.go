@@ -4,6 +4,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -27,12 +28,12 @@ func (n Naive) Plan(op string, c *mpi.Comm, view datatype.List, m *trace.Metrics
 }
 
 // Run implements Schedule: the rank's own sieved I/O.
-func (n Naive) Run(op string, f *File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
+func (n Naive) Run(op string, f *pfs.File, c *mpi.Comm, view datatype.List, data buffer.Buf, m *trace.Metrics) {
 	t0 := c.Now()
 	if op == "write" {
-		f.WriteIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
+		WriteIndependent(f, c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
 	} else {
-		f.ReadIndependent(c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
+		ReadIndependent(f, c.Proc(), c.WorldRank(c.Rank()), view, data, n.Opts)
 	}
 	if m != nil {
 		m.BytesIO += view.TotalBytes()

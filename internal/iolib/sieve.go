@@ -3,6 +3,7 @@ package iolib
 import (
 	"repro/internal/buffer"
 	"repro/internal/datatype"
+	"repro/internal/pfs"
 	"repro/internal/simtime"
 )
 
@@ -72,7 +73,7 @@ func (o SieveOptions) batches(view datatype.List) []datatype.List {
 // concurrent writers); without it, each run is its own request in a
 // pipelined batch — slower on many tiny runs, which is exactly why
 // collective I/O exists.
-func (f *File) WriteIndependent(p *simtime.Proc, rank int, view datatype.List, data buffer.Buf, opts SieveOptions) {
+func WriteIndependent(f *pfs.File, p *simtime.Proc, rank int, view datatype.List, data buffer.Buf, opts SieveOptions) {
 	vi := NewViewIndex(view)
 	for _, batch := range opts.batches(view) {
 		lo := batch[0].Off
@@ -104,7 +105,7 @@ func (f *File) WriteIndependent(p *simtime.Proc, rank int, view datatype.List, d
 
 // ReadIndependent performs this rank's noncontiguous read with data
 // sieving: one extent read per batch, then local gathering.
-func (f *File) ReadIndependent(p *simtime.Proc, rank int, view datatype.List, dst buffer.Buf, opts SieveOptions) {
+func ReadIndependent(f *pfs.File, p *simtime.Proc, rank int, view datatype.List, dst buffer.Buf, opts SieveOptions) {
 	vi := NewViewIndex(view)
 	for _, batch := range opts.batches(view) {
 		lo := batch[0].Off

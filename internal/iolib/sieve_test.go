@@ -35,11 +35,11 @@ func rig(t *testing.T, nodes, cores int) (*simtime.Engine, *cluster.Machine, *pf
 
 func TestWriteIndependentContiguous(t *testing.T) {
 	e, _, fs := rig(t, 1, 1)
-	f := Open(fs, "x")
+	f := fs.Open("x")
 	e.Spawn("p", func(p *simtime.Proc) {
 		view := datatype.List{{Off: 100, Len: 1000}}
 		data := fillViewBuffer(view, 4)
-		f.WriteIndependent(p, 0, view, data, DefaultSieve())
+		WriteIndependent(f, p, 0, view, data, DefaultSieve())
 		out := buffer.NewReal(1000)
 		f.ReadAt(p, 0, 100, out)
 		if i := out.Verify(4, 100); i != -1 {
@@ -53,7 +53,7 @@ func TestWriteIndependentContiguous(t *testing.T) {
 
 func TestWriteIndependentRMWPreservesNeighbours(t *testing.T) {
 	e, _, fs := rig(t, 1, 1)
-	f := Open(fs, "x")
+	f := fs.Open("x")
 	e.Spawn("p", func(p *simtime.Proc) {
 		// Pre-existing data across [0, 300).
 		base := buffer.NewReal(300)
@@ -62,7 +62,7 @@ func TestWriteIndependentRMWPreservesNeighbours(t *testing.T) {
 		// Holey write sieved as one RMW batch.
 		view := datatype.List{{Off: 50, Len: 20}, {Off: 100, Len: 20}, {Off: 200, Len: 20}}
 		data := fillViewBuffer(view, 2)
-		f.WriteIndependent(p, 0, view, data, SieveOptions{BufSize: 1 << 20, WriteRMW: true})
+		WriteIndependent(f, p, 0, view, data, SieveOptions{BufSize: 1 << 20, WriteRMW: true})
 		out := buffer.NewReal(300)
 		f.ReadAt(p, 0, 0, out)
 		for _, check := range []struct {
@@ -84,14 +84,14 @@ func TestWriteIndependentRMWPreservesNeighbours(t *testing.T) {
 
 func TestReadIndependentGathersHoleyView(t *testing.T) {
 	e, _, fs := rig(t, 1, 1)
-	f := Open(fs, "x")
+	f := fs.Open("x")
 	e.Spawn("p", func(p *simtime.Proc) {
 		base := buffer.NewReal(1000)
 		base.Fill(7, 0)
 		f.WriteAt(p, 0, 0, base)
 		view := datatype.List{{Off: 10, Len: 5}, {Off: 500, Len: 100}, {Off: 900, Len: 50}}
 		dst := buffer.NewReal(view.TotalBytes())
-		f.ReadIndependent(p, 0, view, dst, DefaultSieve())
+		ReadIndependent(f, p, 0, view, dst, DefaultSieve())
 		var pos int64
 		for _, s := range view {
 			if i := dst.Slice(pos, s.Len).Verify(7, s.Off); i != -1 {
@@ -114,11 +114,11 @@ func TestSievingBeatsPerSegmentRequests(t *testing.T) {
 	}
 	runOne := func(opts SieveOptions) float64 {
 		e, _, fs := rig(t, 1, 1)
-		f := Open(fs, "x")
+		f := fs.Open("x")
 		var done float64
 		e.Spawn("p", func(p *simtime.Proc) {
 			dst := buffer.NewPhantom(view.TotalBytes())
-			f.ReadIndependent(p, 0, view, dst, opts)
+			ReadIndependent(f, p, 0, view, dst, opts)
 			done = p.Now()
 		})
 		if err := e.Run(); err != nil {
@@ -139,7 +139,7 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Open(fs, "shared")
+	f := fs.Open("shared")
 	var res trace.Result
 	const segLen = 1 << 10
 	w.Start(func(c *mpi.Comm) {
@@ -183,7 +183,7 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 func TestRunBadOpPanics(t *testing.T) {
 	e, m, fs := rig(t, 1, 1)
 	w, _ := mpi.NewWorld(e, m, 1)
-	f := Open(fs, "x")
+	f := fs.Open("x")
 	w.Start(func(c *mpi.Comm) {
 		defer func() {
 			if recover() == nil {

@@ -34,14 +34,6 @@ func NewViewIndex(view datatype.List) *ViewIndex {
 // View returns the indexed segment list.
 func (vi *ViewIndex) View() datatype.List { return vi.view }
 
-// TotalBytes returns the buffer length the view implies.
-func (vi *ViewIndex) TotalBytes() int64 {
-	if len(vi.view) == 0 {
-		return 0
-	}
-	return vi.prefix[len(vi.prefix)-1] + vi.view[len(vi.view)-1].Len
-}
-
 // bufOffset maps a file offset inside segment i to its buffer offset.
 func (vi *ViewIndex) bufOffset(i int, fileOff int64) int64 {
 	return vi.prefix[i] + (fileOff - vi.view[i].Off)
@@ -55,17 +47,6 @@ func (vi *ViewIndex) segContaining(fileOff int64) int {
 		return i
 	}
 	return -1
-}
-
-// Clip returns the view's segments inside [lo, hi).
-func (vi *ViewIndex) Clip(lo, hi int64) datatype.List {
-	return vi.view.Clip(lo, hi)
-}
-
-// Intersects reports whether the view touches [lo, hi) without
-// materialising the clipped list.
-func (vi *ViewIndex) Intersects(lo, hi int64) bool {
-	return vi.view.Intersects(lo, hi)
 }
 
 // Pack extracts from data the bytes of every view segment inside

@@ -25,9 +25,6 @@ func fillViewBuffer(view datatype.List, tag uint64) buffer.Buf {
 func TestViewIndexLookup(t *testing.T) {
 	view := datatype.List{{Off: 10, Len: 5}, {Off: 20, Len: 5}, {Off: 100, Len: 10}}
 	vi := NewViewIndex(view)
-	if vi.TotalBytes() != 20 {
-		t.Fatalf("total %d", vi.TotalBytes())
-	}
 	cases := []struct {
 		fileOff int64
 		seg     int

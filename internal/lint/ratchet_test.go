@@ -22,10 +22,10 @@ type surface struct{ Lines, Exports int }
 // regrowth to hide in.
 var surfaceBudget = map[string]surface{
 	"benchmarks":          {Lines: 2567, Exports: 0},
-	"cmd/mccio-bench":     {Lines: 200, Exports: 0},
+	"cmd/mccio-bench":     {Lines: 196, Exports: 0},
 	"cmd/mccio-pland":     {Lines: 476, Exports: 0},
 	"cmd/mccio-report":    {Lines: 235, Exports: 0},
-	"cmd/mccio-sim":       {Lines: 452, Exports: 0},
+	"cmd/mccio-sim":       {Lines: 455, Exports: 0},
 	"cmd/mccio-trace":     {Lines: 149, Exports: 0},
 	"examples/checkpoint": {Lines: 83, Exports: 0},
 	"examples/collperf3d": {Lines: 67, Exports: 0},
@@ -35,18 +35,18 @@ var surfaceBudget = map[string]surface{
 	"internal/bench":      {Lines: 1883, Exports: 94},
 	"internal/buffer":     {Lines: 133, Exports: 12},
 	"internal/cluster":    {Lines: 354, Exports: 53},
-	"internal/collio":     {Lines: 1909, Exports: 44},
-	"internal/core":       {Lines: 1499, Exports: 65},
+	"internal/collio":     {Lines: 1911, Exports: 44},
+	"internal/core":       {Lines: 1498, Exports: 65},
 	"internal/datatype":   {Lines: 365, Exports: 43},
 	"internal/explain":    {Lines: 995, Exports: 104},
 	"internal/faults":     {Lines: 635, Exports: 62},
-	"internal/iolib":      {Lines: 422, Exports: 37},
+	"internal/iolib":      {Lines: 366, Exports: 26},
 	"internal/iotrace":    {Lines: 301, Exports: 33},
 	"internal/logx":       {Lines: 172, Exports: 20},
-	"internal/metrics":    {Lines: 858, Exports: 64},
+	"internal/metrics":    {Lines: 828, Exports: 61},
 	"internal/mpi":        {Lines: 1266, Exports: 40},
 	"internal/obs":        {Lines: 868, Exports: 109},
-	"internal/pfs":        {Lines: 521, Exports: 28},
+	"internal/pfs":        {Lines: 433, Exports: 19},
 	"internal/pland":      {Lines: 2417, Exports: 170},
 	"internal/prof":       {Lines: 538, Exports: 24},
 	"internal/resource":   {Lines: 202, Exports: 18},

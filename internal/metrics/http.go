@@ -29,15 +29,6 @@ func JSONHandler(r *Registry) http.Handler {
 	})
 }
 
-// NewMux returns a mux with the two exposition endpoints mounted:
-// /metrics (Prometheus text) and /metrics.json (JSON snapshot).
-func NewMux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
-	mux.Handle("/metrics.json", JSONHandler(r))
-	return mux
-}
-
 // AttachPprof mounts the net/http/pprof profiling handlers on mux
 // under /debug/pprof/ — live CPU/heap/goroutine profiles from a
 // running daemon. Callers gate this behind a flag: the endpoints are
@@ -71,27 +62,20 @@ type Exposition struct {
 	srv *http.Server
 }
 
-// StartExposition binds addr, serves /metrics and /metrics.json in a
-// background goroutine (with the NewServer timeouts), and logs the
-// scrape URL to logw (when non-nil) using the bound address, so ":0"
-// reports the actual port.
-func StartExposition(addr string, r *Registry, logw io.Writer) (*Exposition, error) {
-	return startExposition(addr, r, false, logw)
-}
-
-// StartExpositionPprof is StartExposition with the net/http/pprof
-// handlers additionally mounted under /debug/pprof/ — the -pprof flag
-// wiring of mccio-sim and mccio-bench.
-func StartExpositionPprof(addr string, r *Registry, logw io.Writer) (*Exposition, error) {
-	return startExposition(addr, r, true, logw)
-}
-
-func startExposition(addr string, r *Registry, withPprof bool, logw io.Writer) (*Exposition, error) {
+// StartExposition binds addr, serves /metrics (Prometheus text) and
+// /metrics.json (JSON snapshot) in a background goroutine (with the
+// NewServer timeouts), and logs the scrape URL to logw (when non-nil)
+// using the bound address, so ":0" reports the actual port. withPprof
+// also mounts the net/http/pprof handlers under /debug/pprof/ (the
+// -pprof flag of mccio-bench).
+func StartExposition(addr string, r *Registry, withPprof bool, logw io.Writer) (*Exposition, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	mux := NewMux(r)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", Handler(r))
+	mux.Handle("/metrics.json", JSONHandler(r))
 	if withPprof {
 		AttachPprof(mux)
 	}
@@ -120,18 +104,4 @@ func (e *Exposition) Block(logw io.Writer, msg string) {
 		fmt.Fprintln(logw, msg)
 	}
 	select {}
-}
-
-// Serve binds addr and serves GET /metrics (and /metrics.json for the
-// JSON snapshot) in a background goroutine. It returns the bound
-// listener so callers can report the actual address (addr may use port
-// 0) and close it to stop serving. Prefer StartExposition, which also
-// handles the logging; Serve remains for callers that only need the
-// listener.
-func Serve(addr string, r *Registry) (net.Listener, error) {
-	e, err := StartExposition(addr, r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.ln, nil
 }

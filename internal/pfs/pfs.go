@@ -100,10 +100,6 @@ type FS struct {
 	runBytes []int64         // per-OST accumulator, zeroed after each split
 	runs     []ostRun        // reusable splitByOST result
 
-	reqs         int64
-	bytesRead    int64
-	bytesWritten int64
-
 	met fsMetrics
 }
 
@@ -124,10 +120,15 @@ const (
 	opWrite
 )
 
+// opNames and opPhases name each direction in metric labels and traces.
+var (
+	opNames  = [2]string{"read", "write"}
+	opPhases = [2]obs.Phase{obs.PhasePFSRead, obs.PhasePFSWrite}
+)
+
 func newFSMetrics(r *metrics.Registry, osts int) fsMetrics {
 	var fm fsMetrics
-	ops := [2]string{"read", "write"}
-	for i, op := range ops {
+	for i, op := range opNames {
 		fm.reqs[i] = r.Counter("pfs_requests_total",
 			"Requests served by the parallel file system.", "op", op)
 		fm.bytes[i] = r.Counter("pfs_bytes_total",
@@ -194,9 +195,6 @@ func New(cfg Config, m *cluster.Machine) (*FS, error) {
 	return fs, nil
 }
 
-// Config returns the file system configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
 // Open returns a handle on name, creating the file if needed.
 func (fs *FS) Open(name string) *File {
 	fd := fs.files[name]
@@ -204,19 +202,7 @@ func (fs *FS) Open(name string) *File {
 		fd = &fileData{blocks: make(map[int64][]byte)}
 		fs.files[name] = fd
 	}
-	return &File{fs: fs, name: name, data: fd}
-}
-
-// Remove deletes a file's contents.
-func (fs *FS) Remove(name string) { delete(fs.files, name) }
-
-// Stats reports cumulative request and byte counts.
-func (fs *FS) Stats() Stats {
-	s := Stats{Requests: fs.reqs, BytesRead: fs.bytesRead, BytesWritten: fs.bytesWritten}
-	for _, o := range fs.osts {
-		s.OSTBusy = append(s.OSTBusy, o.Stats().BusySeconds)
-	}
-	return s
+	return &File{fs: fs, data: fd}
 }
 
 // traceLoc is the issuing rank's track identity for service spans.
@@ -256,23 +242,11 @@ func (fs *FS) jitter() float64 {
 	return fs.rng.Exp(fs.cfg.JitterMean)
 }
 
-// Stats is a snapshot of file system activity.
-type Stats struct {
-	Requests     int64
-	BytesRead    int64
-	BytesWritten int64
-	OSTBusy      []float64
-}
-
 // File is a handle on a (simulated) striped file.
 type File struct {
 	fs   *FS
-	name string
 	data *fileData
 }
-
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
 
 // Size returns one past the highest byte ever written.
 func (f *File) Size() int64 { return f.data.size }
@@ -322,68 +296,20 @@ func (fs *FS) splitByOST(off, n int64) []ostRun {
 // the call completes when the slowest OST finishes. Returns the virtual
 // completion time.
 func (f *File) WriteAt(p *simtime.Proc, rank int, off int64, buf buffer.Buf) float64 {
-	n := buf.Len()
-	if n == 0 {
+	if buf.Len() == 0 {
 		return p.Now()
 	}
-	if off < 0 {
-		panic(fmt.Sprintf("pfs: write at negative offset %d", off))
-	}
-	t := f.fs.machine.Tracer()
-	loc := f.fs.traceLoc(rank)
-	sp := t.Begin(obs.PhasePFSWrite, loc)
-	f.storeBytes(off, buf)
-	base := f.fs.storeTx[f.fs.machine.NodeOfRank(rank)]
-	done := p.Now()
-	var reqs int64
-	for _, run := range f.fs.splitByOST(off, n) {
-		end := f.fs.slowEnd(p.Now(), base.ReserveTail(p.Now(), run.bytes, f.fs.osts[run.ost]), run.ost) + f.fs.jitter()
-		if end > done {
-			done = end
-		}
-		f.fs.reqs++
-		reqs++
-		f.fs.traceStripe(t, loc, run)
-	}
-	f.fs.bytesWritten += n
-	f.fs.met.batch(opWrite, n, reqs)
-	p.WaitUntil(done)
-	sp.EndBytes(n, reqs)
-	return done
+	return f.transfer(opWrite, p, rank, []int64{off}, []buffer.Buf{buf})
 }
 
 // ReadAt fills dst from file offset off on behalf of rank, blocking p
 // for the simulated duration. Unwritten bytes read as zero. Returns the
 // virtual completion time.
 func (f *File) ReadAt(p *simtime.Proc, rank int, off int64, dst buffer.Buf) float64 {
-	n := dst.Len()
-	if n == 0 {
+	if dst.Len() == 0 {
 		return p.Now()
 	}
-	if off < 0 {
-		panic(fmt.Sprintf("pfs: read at negative offset %d", off))
-	}
-	t := f.fs.machine.Tracer()
-	loc := f.fs.traceLoc(rank)
-	sp := t.Begin(obs.PhasePFSRead, loc)
-	f.loadBytes(off, dst)
-	base := f.fs.storeRx[f.fs.machine.NodeOfRank(rank)]
-	done := p.Now()
-	var reqs int64
-	for _, run := range f.fs.splitByOST(off, n) {
-		end := f.fs.slowEnd(p.Now(), base.ReserveHead(p.Now(), run.bytes, f.fs.osts[run.ost]), run.ost) + f.fs.jitter()
-		if end > done {
-			done = end
-		}
-		f.fs.reqs++
-		reqs++
-		f.fs.traceStripe(t, loc, run)
-	}
-	f.fs.bytesRead += n
-	f.fs.met.batch(opRead, n, reqs)
-	p.WaitUntil(done)
-	sp.EndBytes(n, reqs)
-	return done
+	return f.transfer(opRead, p, rank, []int64{off}, []buffer.Buf{dst})
 }
 
 // WriteVec writes several (offset, payload) runs as one pipelined batch
@@ -391,52 +317,30 @@ func (f *File) ReadAt(p *simtime.Proc, rank int, off int64, dst buffer.Buf) floa
 // parallel-file-system client would keep them in flight) and the call
 // completes when the slowest finishes. Returns the completion time.
 func (f *File) WriteVec(p *simtime.Proc, rank int, offs []int64, bufs []buffer.Buf) float64 {
-	if len(offs) != len(bufs) {
-		panic(fmt.Sprintf("pfs: WriteVec with %d offsets, %d payloads", len(offs), len(bufs)))
-	}
-	t := f.fs.machine.Tracer()
-	loc := f.fs.traceLoc(rank)
-	sp := t.Begin(obs.PhasePFSWrite, loc)
-	base := f.fs.storeTx[f.fs.machine.NodeOfRank(rank)]
-	done := p.Now()
-	var reqs, bytes int64
-	for i, off := range offs {
-		n := bufs[i].Len()
-		if n == 0 {
-			continue
-		}
-		if off < 0 {
-			panic(fmt.Sprintf("pfs: write at negative offset %d", off))
-		}
-		f.storeBytes(off, bufs[i])
-		for _, run := range f.fs.splitByOST(off, n) {
-			end := f.fs.slowEnd(p.Now(), base.ReserveTail(p.Now(), run.bytes, f.fs.osts[run.ost]), run.ost) + f.fs.jitter()
-			if end > done {
-				done = end
-			}
-			f.fs.reqs++
-			reqs++
-			f.fs.traceStripe(t, loc, run)
-		}
-		f.fs.bytesWritten += n
-		bytes += n
-	}
-	f.fs.met.batch(opWrite, bytes, reqs)
-	p.WaitUntil(done)
-	sp.EndBytes(bytes, reqs)
-	return done
+	return f.transfer(opWrite, p, rank, offs, bufs)
 }
 
 // ReadVec reads several (offset, destination) runs as one pipelined
 // batch; see WriteVec.
 func (f *File) ReadVec(p *simtime.Proc, rank int, offs []int64, bufs []buffer.Buf) float64 {
+	return f.transfer(opRead, p, rank, offs, bufs)
+}
+
+// transfer is the one request loop under every entry point: it moves
+// the (offset, buffer) runs of one batch in direction op (opRead or
+// opWrite) on behalf of rank, splitting each run into per-OST requests
+// that are all in flight at once, and blocks p until the slowest
+// finishes. Writes ride the node's client path onto the OST's tail;
+// reads return over it from the OST's head.
+func (f *File) transfer(op int, p *simtime.Proc, rank int, offs []int64, bufs []buffer.Buf) float64 {
 	if len(offs) != len(bufs) {
-		panic(fmt.Sprintf("pfs: ReadVec with %d offsets, %d payloads", len(offs), len(bufs)))
+		panic(fmt.Sprintf("pfs: %s batch with %d offsets, %d payloads", opNames[op], len(offs), len(bufs)))
 	}
-	t := f.fs.machine.Tracer()
-	loc := f.fs.traceLoc(rank)
-	sp := t.Begin(obs.PhasePFSRead, loc)
-	base := f.fs.storeRx[f.fs.machine.NodeOfRank(rank)]
+	fs := f.fs
+	t := fs.machine.Tracer()
+	loc := fs.traceLoc(rank)
+	sp := t.Begin(opPhases[op], loc)
+	node := fs.machine.NodeOfRank(rank)
 	done := p.Now()
 	var reqs, bytes int64
 	for i, off := range offs {
@@ -445,22 +349,30 @@ func (f *File) ReadVec(p *simtime.Proc, rank int, offs []int64, bufs []buffer.Bu
 			continue
 		}
 		if off < 0 {
-			panic(fmt.Sprintf("pfs: read at negative offset %d", off))
+			panic(fmt.Sprintf("pfs: %s at negative offset %d", opNames[op], off))
 		}
-		f.loadBytes(off, bufs[i])
-		for _, run := range f.fs.splitByOST(off, n) {
-			end := f.fs.slowEnd(p.Now(), base.ReserveHead(p.Now(), run.bytes, f.fs.osts[run.ost]), run.ost) + f.fs.jitter()
+		if op == opWrite {
+			f.storeBytes(off, bufs[i])
+		} else {
+			f.loadBytes(off, bufs[i])
+		}
+		for _, run := range fs.splitByOST(off, n) {
+			var end float64
+			if op == opWrite {
+				end = fs.storeTx[node].ReserveTail(p.Now(), run.bytes, fs.osts[run.ost])
+			} else {
+				end = fs.storeRx[node].ReserveHead(p.Now(), run.bytes, fs.osts[run.ost])
+			}
+			end = fs.slowEnd(p.Now(), end, run.ost) + fs.jitter()
 			if end > done {
 				done = end
 			}
-			f.fs.reqs++
 			reqs++
-			f.fs.traceStripe(t, loc, run)
+			fs.traceStripe(t, loc, run)
 		}
-		f.fs.bytesRead += n
 		bytes += n
 	}
-	f.fs.met.batch(opRead, bytes, reqs)
+	fs.met.batch(op, bytes, reqs)
 	p.WaitUntil(done)
 	sp.EndBytes(bytes, reqs)
 	return done

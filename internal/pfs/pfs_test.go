@@ -1,12 +1,16 @@
 package pfs
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/buffer"
 	"repro/internal/cluster"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/stats"
 )
 
 func testRig(t testing.TB) (*cluster.Machine, *FS) {
@@ -24,6 +28,22 @@ func testRig(t testing.TB) (*cluster.Machine, *FS) {
 		t.Fatal(err)
 	}
 	return m, fs
+}
+
+// observedRig is testRig's file system with a metrics registry and an
+// event tracer attached, and with storage jitter drawn from seed.
+func observedRig(t testing.TB, jitter float64, seed uint64) (*FS, *metrics.Registry, *obs.Tracer) {
+	t.Helper()
+	m, _ := testRig(t) // a fresh machine; its own FS goes unused
+	reg, tr := metrics.New(), obs.NewTracer()
+	m.SetMetrics(reg)
+	m.SetTracer(tr)
+	fs, err := New(Config{OSTs: 4, StripeUnit: 1 << 20, OSTBW: 1e8, OSTLatency: 1e-3,
+		JitterMean: jitter, Seed: seed}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, reg, tr
 }
 
 func runSim(t *testing.T, body func(p *simtime.Proc)) {
@@ -185,18 +205,25 @@ func TestPhantomWriteTracksSizeOnly(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	_, fs := testRig(t)
+	fs, reg, _ := observedRig(t, 0, 0)
 	f := fs.Open("a")
 	runSim(t, func(p *simtime.Proc) {
 		f.WriteAt(p, 0, 0, buffer.NewPhantom(4<<20))
 		f.ReadAt(p, 0, 0, buffer.NewPhantom(2<<20))
 	})
-	s := fs.Stats()
-	if s.BytesWritten != 4<<20 || s.BytesRead != 2<<20 {
-		t.Fatalf("bytes RW %d/%d", s.BytesRead, s.BytesWritten)
-	}
-	if s.Requests != 4+2 { // 4 OSTs on write, 2 on read
-		t.Fatalf("requests %d, want 6", s.Requests)
+	s := reg.Snapshot()
+	for _, c := range []struct {
+		name, op string
+		want     float64
+	}{
+		{"pfs_bytes_total", "write", 4 << 20},
+		{"pfs_bytes_total", "read", 2 << 20},
+		{"pfs_requests_total", "write", 4}, // one request per OST
+		{"pfs_requests_total", "read", 2},
+	} {
+		if got, _ := s.Get(c.name, map[string]string{"op": c.op}); got != c.want {
+			t.Errorf("%s{op=%s} = %g, want %g", c.name, c.op, got, c.want)
+		}
 	}
 }
 
@@ -237,10 +264,6 @@ func TestOpenSameNameSharesData(t *testing.T) {
 			t.Errorf("handles don't share data, mismatch at %d", i)
 		}
 	})
-	fs.Remove("x")
-	if fs.Open("x").Size() != 0 {
-		t.Fatal("Remove did not clear file")
-	}
 }
 
 func TestBadConfigRejected(t *testing.T) {
@@ -375,4 +398,116 @@ func TestNegativeJitterRejected(t *testing.T) {
 	if _, err := New(Config{OSTs: 1, StripeUnit: 1, OSTBW: 1, JitterMean: -1}, m); err == nil {
 		t.Fatal("negative jitter accepted")
 	}
+}
+
+// TestAtIsOneRunVec pins WriteAt and ReadAt as one-run batches of the
+// request loop WriteVec and ReadVec share. Two rigs with the same jitter
+// seed serve the same random requests — offsets and lengths crossing
+// stripe boundaries, from ranks on both nodes in flight at once — one
+// through the At entry points and one through one-run Vec calls. Every
+// request must complete at the same instant and read back the same
+// bytes, and the pfs_* counters and the trace events must agree.
+func TestAtIsOneRunVec(t *testing.T) {
+	type req struct {
+		write  bool
+		off, n int64
+	}
+	const ranks, perRank = 4, 16
+	rng := stats.NewRNG(7)
+	reqs := make([][]req, ranks)
+	for r := range reqs {
+		for i := 0; i < perRank; i++ {
+			reqs[r] = append(reqs[r], req{
+				write: i < perRank/4 || rng.Intn(2) == 0,
+				off:   rng.Int63n(6 << 20),
+				n:     1 + rng.Int63n(3<<20),
+			})
+		}
+	}
+	type outcome struct {
+		done   [][]float64
+		read   [][][]byte
+		counts metrics.Snapshot
+		events []obs.Event
+	}
+	serve := func(vec bool) outcome {
+		fs, reg, tr := observedRig(t, 2e-3, 11)
+		f := fs.Open("a")
+		e := simtime.NewEngine()
+		tr.SetClock(e.Now)
+		out := outcome{done: make([][]float64, ranks), read: make([][][]byte, ranks)}
+		for r := 0; r < ranks; r++ {
+			e.Spawn("c", func(p *simtime.Proc) {
+				for i, q := range reqs[r] {
+					b := buffer.NewReal(q.n)
+					var done float64
+					switch {
+					case q.write:
+						b.Fill(uint64(r*perRank+i), q.off)
+						if vec {
+							done = f.WriteVec(p, r, []int64{q.off}, []buffer.Buf{b})
+						} else {
+							done = f.WriteAt(p, r, q.off, b)
+						}
+					case vec:
+						done = f.ReadVec(p, r, []int64{q.off}, []buffer.Buf{b})
+					default:
+						done = f.ReadAt(p, r, q.off, b)
+					}
+					if !q.write {
+						out.read[r] = append(out.read[r], b.Bytes())
+					}
+					out.done[r] = append(out.done[r], done)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out.counts, out.events = reg.Snapshot(), tr.Events()
+		return out
+	}
+	at, vec := serve(false), serve(true)
+	if !reflect.DeepEqual(at.done, vec.done) {
+		t.Errorf("completion times differ:\nAt  %v\nVec %v", at.done, vec.done)
+	}
+	if !reflect.DeepEqual(at.read, vec.read) {
+		t.Error("bytes read back differ")
+	}
+	if !reflect.DeepEqual(at.counts, vec.counts) {
+		t.Errorf("pfs counters differ:\nAt  %+v\nVec %+v", at.counts, vec.counts)
+	}
+	if !reflect.DeepEqual(at.events, vec.events) {
+		t.Errorf("trace events differ: %d vs %d events", len(at.events), len(vec.events))
+	}
+	if v, _ := at.counts.Get("pfs_requests_total", map[string]string{"op": "read"}); v == 0 {
+		t.Error("no read requests counted; the comparison saw no reads")
+	}
+}
+
+// TestTransferZeroAllocs asserts that, warm, no entry point allocates:
+// the one-run batches WriteAt and ReadAt build must stay on the stack,
+// and the split scratch, client paths and counters are reused.
+func TestTransferZeroAllocs(t *testing.T) {
+	fs, _, _ := observedRig(t, 1e-3, 3)
+	f := fs.Open("a")
+	offs := []int64{0, 3 << 20, 9 << 20}
+	bufs := []buffer.Buf{buffer.NewPhantom(1 << 20), buffer.NewPhantom(2 << 20), buffer.NewPhantom(5 << 20)}
+	one := buffer.NewPhantom(3 << 20)
+	fs.machine.SetTracer(nil) // recording events allocates by design; metrics stay on
+	runSim(t, func(p *simtime.Proc) {
+		i := int64(0)
+		step := func() {
+			off := (i % 5) << 20
+			f.WriteAt(p, int(i%4), off+1000, one)
+			f.ReadAt(p, int(i%4), off, one)
+			f.WriteVec(p, int(i%4), offs, bufs)
+			f.ReadVec(p, int(i%4), offs, bufs)
+			i++
+		}
+		step()
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Errorf("warm request batches allocate %.1f objects per four calls, want 0", avg)
+		}
+	})
 }

@@ -298,7 +298,7 @@ func TestLeaderFailoverLeavesElectionAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			world.SetFaults(sched)
-			file := iolib.Open(fs, "x")
+			file := fs.Open("x")
 			wl := workload.IOR{Ranks: 16, BlockSize: 32 << 10, Segments: 3}
 			var plan, planBefore *collio.Plan
 			world.Start(func(c *mpi.Comm) {
