@@ -111,54 +111,59 @@ func (c *Comm) checkTag(tag int) {
 func (c *Comm) SendVal(dst, tag int, v any, bytes int64) {
 	c.checkRank(dst, "send")
 	c.checkTag(tag)
-	c.w.deliver(c.p, c.group[c.rank], c.group[dst], c.ctx, tag, message{payload: v, bytes: bytes})
+	c.isend(dst, tag, v, bytes)
 }
 
 // RecvVal blocks until the matching metadata value from src arrives.
 func (c *Comm) RecvVal(src, tag int) any {
 	c.checkRank(src, "recv")
 	c.checkTag(tag)
-	return c.recvAny(src, tag)
+	return c.irecv(src, tag)
 }
 
-// recvAny pulls the next message on (src→me, tag) in this context.
-func (c *Comm) recvAny(src, tag int) any {
-	k := msgKey{src: c.group[src], dst: c.group[c.rank], ctx: c.ctx, tag: tag}
-	m := c.w.box(k).ch.Get(c.p)
-	return m.payload
-}
-
-// internal send/recv on the collective tag space.
+// isend is SendVal without the checks, for the collective tags too.
 func (c *Comm) isend(dst, tag int, v any, bytes int64) {
-	c.w.deliver(c.p, c.group[c.rank], c.group[dst], c.ctx, tag, message{payload: v, bytes: bytes})
+	c.w.deliver(c.p, c.group[c.rank], c.group[dst], c.ctx, tag, v, bytes)
 }
 
+// irecv is RecvVal without the checks. It takes the oldest landed
+// message of (src, context, tag), as MPI matches; with none, it posts
+// the key and parks until one lands.
 func (c *Comm) irecv(src, tag int) any {
-	k := msgKey{src: c.group[src], dst: c.group[c.rank], ctx: c.ctx, tag: tag}
-	return c.w.box(k).ch.Get(c.p).payload
+	q, k := &c.w.rx[c.group[c.rank]], matchKey{ctx: c.ctx, src: int32(c.group[src]), tag: int32(tag)}
+	for {
+		i := q.head
+		for i < len(q.q) && (q.q[i].taken || q.q[i].v.key != k) {
+			i++
+		}
+		if i < len(q.q) && q.q[i].landed {
+			v := q.q[i].v.payload
+			q.consume(i)
+			return v
+		}
+		q.waiter, q.posted = c.p, msgKey{k, c.group[c.rank]}
+		c.p.Park(q)
+	}
 }
 
 // Internal collective tag blocks. Tags are FIXED per collective type
 // rather than drawn from a per-call sequence: within one communicator
-// context, (src,dst,tag) delivery is FIFO and arrival times are
-// monotone, and the SPMD contract means both ends issue collectives in
-// the same order — so successive collectives of the same type reuse
-// their mailboxes safely. Bounded tags keep the mailbox table small
-// (a fresh tag per call made it grow with every round of two-phase
-// I/O, which dominated large-run memory and GC time).
+// context each (src, dst, tag) stream lands in send order, and the SPMD
+// contract means both ends issue collectives in the same order, so a
+// receive matches the message of its own call. Bounded tags no longer
+// size a mailbox table (a rank's receive queue has no per-stream
+// state), but they keep that matching this simple.
 //
-// tagAllgather no longer names mailboxes: an allgather delivers into one
-// inbox per member (ring.go). Its 63 step tags survive only as the
-// stream identity of the fault layer's per-(src,dst,tag) arrival clamp
-// in World.inject, which a fault schedule's trajectory depends on.
+// tagAllgather's 63 step tags name no receive: an allgather delivers
+// into one inbox per member (ring.go). They survive as the stream
+// identity of the fault layer's arrival clamp in World.inject, which a
+// fault schedule's trajectory depends on.
 const (
-	tagBarrier   = userTagSpace
 	tagBcast     = userTagSpace + 1
 	tagGather    = userTagSpace + 2
 	tagReduce    = userTagSpace + 3
 	tagAllgather = userTagSpace + 64 // + stepTag(step)
 	tagAlltoall  = userTagSpace + 128
-	tagSplit     = userTagSpace + 192
 )
 
 // tokenBytes is the charged size of a zero-data control token.

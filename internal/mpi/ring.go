@@ -11,7 +11,7 @@ import (
 // (allgatherAlg): recursive doubling or Bruck, ⌈log₂ p⌉ steps, for short
 // totals, the ring, p−1 steps, for long ones. Each is an engine-driven
 // task rather than code on its caller's stack, where every message cost
-// the sender a park, usually the receiver another, and a mailbox lookup.
+// the sender a park, usually the receiver another, and a receive match.
 // The task keeps every one of those events — same instant, same
 // tie-break sequence — but makes them callbacks that advance a
 // per-member record (allgatherTask), so the owning process parks once
@@ -111,35 +111,109 @@ type inboxKey struct {
 // has to reproduce when each member may proceed. A ring keeps up to
 // O(p²) of them in flight, hence the narrow fields.
 type agBlock struct {
-	at                   float64 // inter-node: the instant its arrival event fires
-	seq, step            int32   // the sender's allgather sequence number on the comm, and its step
-	from                 int32   // the sender's comm rank
-	fired, landed, taken bool    // its arrival event ran; it arrived; the owner consumed it
+	seq, step int32 // the sender's allgather sequence number on the comm, and its step
+	from      int32 // the sender's comm rank
 }
 
 // is reports whether b is the block of allgather seq's step.
-func (b *agBlock) is(seq, step int) bool { return int(b.seq) == seq && int(b.step) == step }
+func (b agBlock) is(seq, step int) bool { return int(b.seq) == seq && int(b.step) == step }
 
-// stream is the mailbox a coroutine allgather would have used for b:
-// its sender and step tag.
-func (b *agBlock) stream() [2]int { return [2]int{int(b.from), stepTag(int(b.step))} }
+// stream is what a coroutine allgather's receive would match b on: its
+// sender and step tag.
+func (b agBlock) stream() [2]int { return [2]int{int(b.from), stepTag(int(b.step))} }
+
+// landQueue holds the messages sent to one receiver and not yet
+// consumed, in send order: the one copy of the landing rule that
+// point-to-point messages (rxQueue) and allgather blocks (inbox) share.
+// Each stream of values lands in send order.
+type landQueue[V interface{ stream() K }, K comparable] struct {
+	q       []landing[V]
+	head    int // oldest entry not taken
+	next    int // first entry not landed; entries before it have all landed
+	unfired int // first entry whose arrival event has not run
+}
+
+// landing is one queued value and its progress.
+type landing[V any] struct {
+	at                   float64 // inter-node: the instant its arrival event fires
+	v                    V
+	fired, landed, taken bool // its arrival event ran; it arrived; the receiver consumed it
+}
+
+// fly appends v in flight and schedules land, the queue's arrival event,
+// at arrival; at and the event time are both now+(arrival−now) exactly.
+func (lq *landQueue[V, K]) fly(e *simtime.Engine, arrival float64, v V, land func()) {
+	d := arrival - e.Now()
+	lq.q = append(lq.q, landing[V]{at: e.Now() + d, v: v})
+	e.After(d, land)
+}
+
+// put appends v as already landed (intra-node: the sender hands it over
+// itself once its bus pass is done) and returns its index.
+func (lq *landQueue[V, K]) put(v V) int {
+	lq.q = append(lq.q, landing[V]{v: v, fired: true, landed: true})
+	lq.settle()
+	return len(lq.q) - 1
+}
+
+// landOne is the arrival event of one in-flight entry, at now; it
+// returns the index of the entry that lands. Events due at the same
+// instant run in the order they were scheduled, which is queue order, so
+// the oldest unfired entry due now is the one this event was scheduled
+// for. The event then lands the oldest unlanded entry of that entry's
+// stream: a fault-clamped arrival, spelled now+(arrival−now) at a later
+// now, may round an ulp below its predecessor's and fire first.
+func (lq *landQueue[V, K]) landOne(now float64) int {
+	i := lq.unfired
+	for lq.q[i].fired || lq.q[i].at != now {
+		i++
+	}
+	j, s := lq.next, lq.q[i].v.stream()
+	for lq.q[j].landed || lq.q[j].v.stream() != s {
+		j++
+	}
+	lq.q[i].fired, lq.q[j].landed = true, true
+	lq.settle()
+	return j
+}
+
+// settle moves unfired and next past the entries fired and landed.
+func (lq *landQueue[V, K]) settle() {
+	for lq.unfired < len(lq.q) && lq.q[lq.unfired].fired {
+		lq.unfired++
+	}
+	for lq.next < len(lq.q) && lq.q[lq.next].landed {
+		lq.next++
+	}
+}
+
+// consume marks entry i taken. Taken, fired entries are shifted out once
+// they are half the queue: a drained queue starts over at the front,
+// and one that never drains still reuses its backing array.
+func (lq *landQueue[V, K]) consume(i int) {
+	lq.q[i].taken = true
+	for lq.head < len(lq.q) && lq.q[lq.head].taken {
+		lq.head++
+	}
+	if n := min(lq.head, lq.unfired); 2*n >= len(lq.q) {
+		m := copy(lq.q, lq.q[n:])
+		clear(lq.q[m:])
+		lq.q = lq.q[:m]
+		lq.head, lq.next, lq.unfired = lq.head-n, lq.next-n, lq.unfired-n
+	}
+}
 
 // inbox holds the blocks sent to one member in one communicator context
-// and not yet consumed, in send order. The owner takes the block of its
-// current (call, step), wherever it stands: Bruck's and recursive
-// doubling's senders differ per step, so their blocks may land out of
-// step order, while each (sender, step tag) stream lands in FIFO order,
-// as the mailbox it stands for would deliver it. One inbox per (context,
-// member) replaces the per-step mailboxes a coroutine allgather keeps
-// per pair.
+// and not yet consumed. The owner takes the block of its current (call,
+// step), wherever it stands: Bruck's and recursive doubling's senders
+// differ per step, so their blocks may land out of step order, while
+// each (sender, step tag) stream lands in send order, as a coroutine's
+// receives would see it. One inbox per (context, member) stands in for
+// the 63 step tags a coroutine allgather receives on per peer.
 type inbox struct {
-	e       *simtime.Engine
-	q       []agBlock
-	head    int            // oldest block not taken
-	next    int            // first block not landed; entries before it have all landed
-	unfired int            // first block whose arrival event has not run
-	waiter  *allgatherTask // the owner's task, parked on the block of its (seq, step)
-	land    func()         // arrival event of one inter-node block, allocated once
+	landQueue[agBlock, [2]int]
+	waiter *allgatherTask // the owner's task, parked on the block of its (seq, step)
+	land   func()         // arrival event of one inter-node block, allocated once
 }
 
 // inbox returns (lazily creating) the inbox of world rank `rank` in
@@ -150,66 +224,20 @@ func (w *World) inbox(ctx uint64, rank, p int) *inbox {
 	k := inboxKey{ctx: ctx, rank: rank}
 	in := w.inboxes[k]
 	if in == nil {
-		in = &inbox{e: w.engine, q: make([]agBlock, 0, bits.Len(uint(p-1)))}
-		in.land = in.landOne
+		in = &inbox{landQueue: landQueue[agBlock, [2]int]{q: make([]landing[agBlock], 0, bits.Len(uint(p-1)))}}
+		in.land = func() { in.arrived(in.landOne(w.engine.Now())) }
 		w.inboxes[k] = in
 	}
 	return in
 }
 
-// put appends a block that has already arrived (intra-node: the sender
-// hands it over itself once its bus pass is done).
-func (in *inbox) put(b agBlock) {
-	b.fired, b.landed = true, true
-	in.q = append(in.q, b)
-	in.arrived(len(in.q) - 1)
-}
-
-// fly appends a block in flight and schedules its arrival. The event
-// time is spelled now+(arrival−now), as World.deliver spells it, so the
-// two agree to the last bit.
-func (in *inbox) fly(arrival float64, b agBlock) {
-	d := arrival - in.e.Now()
-	b.at = in.e.Now() + d
-	in.q = append(in.q, b)
-	in.e.After(d, in.land)
-}
-
-// landOne is the arrival event of one in-flight block. Events due at the
-// same instant run in the order they were scheduled, which is queue
-// order, so the oldest unfired block due now is the one this event was
-// scheduled for. Like a mailbox's flush, the event then lands the oldest
-// block of that block's stream: a fault-clamped arrival, spelled
-// now+(arrival−now) at a later now, may round an ulp below its
-// predecessor's and fire first.
-func (in *inbox) landOne() {
-	now := in.e.Now()
-	i := in.unfired
-	for in.q[i].fired || in.q[i].at != now {
-		i++
-	}
-	in.q[i].fired = true
-	for in.unfired < len(in.q) && in.q[in.unfired].fired {
-		in.unfired++
-	}
-	j := in.next
-	for in.q[j].landed || in.q[j].stream() != in.q[i].stream() {
-		j++
-	}
-	in.q[j].landed = true
-	in.arrived(j)
-}
-
 // arrived notes that block i has landed and, if the owner is parked on
-// exactly that block, schedules its continuation — the wake a mailbox
-// Put gave a blocked receiver.
+// exactly that block, schedules its continuation — the wake a landing
+// gives a posted receiver.
 func (in *inbox) arrived(i int) {
-	for in.next < len(in.q) && in.q[in.next].landed {
-		in.next++
-	}
-	if t := in.waiter; t != nil && in.q[i].is(t.seq, t.step) {
+	if t := in.waiter; t != nil && in.q[i].v.is(t.seq, t.step) {
 		in.waiter = nil
-		in.e.After(0, t.resume)
+		t.c.w.engine.After(0, t.resume)
 	}
 }
 
@@ -220,23 +248,16 @@ func (in *inbox) arrived(i int) {
 func (in *inbox) take(seq, step, from int) bool {
 	for i := in.head; i < len(in.q); i++ {
 		b := &in.q[i]
-		if b.taken || !b.is(seq, step) {
+		if b.taken || !b.v.is(seq, step) {
 			continue
 		}
-		if int(b.from) != from {
-			panic(fmt.Sprintf("mpi: allgather #%d step %d: block from rank %d, receiver expects rank %d", seq, step, b.from, from))
+		if int(b.v.from) != from {
+			panic(fmt.Sprintf("mpi: allgather #%d step %d: block from rank %d, receiver expects rank %d", seq, step, b.v.from, from))
 		}
 		if !b.landed {
 			return false
 		}
-		b.taken = true
-		for in.head < len(in.q) && in.q[in.head].taken {
-			in.head++
-		}
-		if in.head == len(in.q) {
-			in.q = in.q[:0]
-			in.head, in.next, in.unfired = 0, 0, 0
-		}
+		in.consume(i)
 		return true
 	}
 	return false
@@ -315,7 +336,7 @@ func (t *allgatherTask) advance() {
 			var free, arrival float64
 			free, arrival, t.intra = w.inject(c.group[c.rank], c.group[to], c.ctx, tagAllgather+stepTag(t.step), int64(t.alg.blocks(t.step, p))*t.bytes)
 			if !t.intra {
-				t.out.fly(arrival, t.block())
+				t.out.fly(w.engine, arrival, t.block(), t.out.land)
 			}
 			t.phase = agSent
 			if !w.engine.ContinueAt(free, t.resume) {
@@ -323,7 +344,7 @@ func (t *allgatherTask) advance() {
 			}
 		case agSent:
 			if t.intra {
-				t.out.put(t.block())
+				t.out.arrived(t.out.put(t.block()))
 			}
 			t.phase = agRecv
 		case agRecv:

@@ -18,8 +18,9 @@ import (
 // The coroutine allgathers below are the references
 // TestAllgatherTasksMatchCoroutines holds the engine tasks to: each
 // algorithm as it would run on the caller's stack, one blocking send and
-// one blocking receive per step through the 63 per-step mailboxes,
-// carrying the real blocks. Nothing outside tests calls them.
+// one blocking receive per step on the 63 per-step tags, through the
+// ranks' receive queues, carrying the real blocks. Nothing outside tests
+// calls them.
 
 // coroutineRing is the ring: step k passes one block to the right.
 func coroutineRing(c *Comm, v any, bytes int64) []any {
@@ -416,8 +417,8 @@ func TestAllgatherParksEachRankAtMostOnce(t *testing.T) {
 // TestAllgatherAllocationsIndependentOfSize pins the per-call cost of
 // every algorithm: the result slice, and nothing that grows with p or
 // with the call count — the task record and its bound step function are
-// per communicator, the inbox queues reach a steady size, and no mailbox
-// is ever created.
+// per communicator, the inbox queues reach a steady size, and nothing is
+// ever queued in any rank's receive queue.
 func TestAllgatherAllocationsIndependentOfSize(t *testing.T) {
 	v := any(1)
 	mallocs := func(p, calls int, alg allgatherAlg) uint64 {
@@ -430,8 +431,10 @@ func TestAllgatherAllocationsIndependentOfSize(t *testing.T) {
 			}
 		})
 		runtime.ReadMemStats(&after)
-		if n := len(w.boxes); n != 0 {
-			t.Fatalf("allgather created %d mailboxes", n)
+		for rank := range w.rx {
+			if n := cap(w.rx[rank].q); n != 0 {
+				t.Fatalf("allgather queued messages in rank %d's receive queue (capacity %d)", rank, n)
+			}
 		}
 		return after.Mallocs - before.Mallocs
 	}

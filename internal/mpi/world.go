@@ -10,7 +10,8 @@
 // blocked only while it injects the message through its own node's
 // memory bus and NIC; the fabric and receiver-side hops determine the
 // arrival time, at which point the message lands in the destination
-// mailbox. A receive blocks until its message arrives.
+// rank's receive queue. A receive blocks until its message arrives; it
+// matches on source, context and tag, as MPI does.
 //
 // Two execution styles share that model (World.inject is its single
 // copy). Point-to-point calls and most collectives are coroutine code:
@@ -34,34 +35,49 @@ import (
 	"repro/internal/simtime"
 )
 
-// message is an in-flight payload. Payload is either a buffer.Buf or
-// an arbitrary metadata value; Bytes is its charged size.
-type message struct {
-	payload any
-	bytes   int64
-}
-
-// msgKey routes a message: world ranks, communicator context, user tag.
-type msgKey struct {
-	src, dst int
+// matchKey is what a receive matches on: source world rank,
+// communicator context and tag.
+type matchKey struct {
 	ctx      uint64
-	tag      int
+	src, tag int32
 }
 
-// mailbox pairs a delivery channel with its queue of scheduled
-// in-flight messages. Arrivals on one mailbox are monotonic (the same
-// (src,dst,tag) stream reserves the same paths in send order, and the
-// fault path clamps explicitly), so pending is a FIFO and one reusable
-// flush closure replaces the per-message closure deliver used to
-// allocate. key names the mailbox in a deadlock report (String) and is
-// formatted only there: a run creates one mailbox per (src, dst, tag)
-// stream it ever uses and reads almost none of the names.
-type mailbox struct {
-	key     msgKey
-	ch      *simtime.Chan[message]
-	pending []message
-	head    int
-	flush   func()
+// msgKey names a stream, for the fault layer's arrival clamp.
+type msgKey struct {
+	matchKey
+	dst int
+}
+
+// envelope is a point-to-point payload with its match fields.
+type envelope struct {
+	key     matchKey
+	payload any // a buffer.Buf or an arbitrary metadata value
+}
+
+func (e envelope) stream() matchKey { return e.key }
+
+// rxQueue is one world rank's receive queue: the point-to-point
+// messages sent to it and not yet received, in send order, on the
+// landing rule allgather blocks use. Built once per rank, it costs no
+// map lookup and, once grown to its working size, no allocation.
+type rxQueue struct {
+	landQueue[envelope, matchKey]
+	waiter *simtime.Proc // the owner, parked on posted
+	posted msgKey
+	land   func() // arrival event of one inter-node message, allocated once
+}
+
+// String is the owner's wait reason in a deadlock report.
+func (q *rxQueue) String() string {
+	return fmt.Sprintf("chan mbox %d->%d ctx%x tag%d", q.posted.src, q.posted.dst, q.posted.ctx, q.posted.tag)
+}
+
+// arrived wakes the owner if it is parked on entry i's key.
+func (q *rxQueue) arrived(i int) {
+	if p := q.waiter; p != nil && q.q[i].v.key == q.posted.matchKey {
+		q.waiter = nil
+		p.Wake()
+	}
 }
 
 // World is the universe of simulated MPI processes on one machine.
@@ -69,7 +85,7 @@ type World struct {
 	engine   *simtime.Engine
 	machine  *cluster.Machine
 	size     int
-	boxes    map[msgKey]*mailbox
+	rx       []rxQueue                   // per world rank
 	barriers map[uint64]*simtime.Barrier // per communicator context
 	inboxes  map[inboxKey]*inbox         // allgather blocks per (context, member), see ring.go
 	shared   map[sharedKey]*sharedSlot   // per (context, call), see Shared
@@ -87,10 +103,9 @@ type World struct {
 	intraPaths []resource.Path // node -> same-node memory-bus pass
 	barrierHop float64         // one dissemination token hop, precomputed from Config
 
-	// faults, when non-nil, perturbs inter-node delivery (link
-	// slowdowns, message delay); lastArrival keeps each mailbox FIFO
-	// under time-varying fault delays. Both are touched only from
-	// simulation context, which the engine serializes.
+	// faults, when non-nil, perturbs inter-node delivery; lastArrival
+	// keeps each stream's arrivals in send order under its delays. Both
+	// are touched only from simulation context, which serializes them.
 	faults      *faults.Schedule
 	lastArrival map[msgKey]float64
 }
@@ -125,7 +140,7 @@ func NewWorld(e *simtime.Engine, m *cluster.Machine, size int) (*World, error) {
 		engine:   e,
 		machine:  m,
 		size:     size,
-		boxes:    make(map[msgKey]*mailbox),
+		rx:       make([]rxQueue, size),
 		barriers: make(map[uint64]*simtime.Barrier),
 		inboxes:  make(map[inboxKey]*inbox),
 		shared:   make(map[sharedKey]*sharedSlot),
@@ -133,7 +148,9 @@ func NewWorld(e *simtime.Engine, m *cluster.Machine, size int) (*World, error) {
 		met:      newWorldMetrics(m.Metrics()),
 	}
 	for i := range w.identity {
+		q := &w.rx[i]
 		w.identity[i] = i
+		q.land = func() { q.arrived(q.landOne(e.Now())) }
 	}
 	nn := m.NumNodes()
 	w.txPaths = make([]resource.Path, nn)
@@ -185,31 +202,6 @@ func (w *World) Start(body func(*Comm)) {
 	}
 }
 
-// box returns (lazily creating) the mailbox for a routing key.
-func (w *World) box(k msgKey) *mailbox {
-	b := w.boxes[k]
-	if b == nil {
-		b = &mailbox{key: k}
-		b.ch = simtime.NewChanFor[message](w.engine, b)
-		b.flush = func() {
-			msg := b.pending[b.head]
-			b.pending[b.head] = message{}
-			b.head++
-			if b.head == len(b.pending) {
-				b.pending = b.pending[:0]
-				b.head = 0
-			}
-			b.ch.Put(msg)
-		}
-		w.boxes[k] = b
-	}
-	return b
-}
-
-func (b *mailbox) String() string {
-	return fmt.Sprintf("mbox %d->%d ctx%x tag%d", b.key.src, b.key.dst, b.key.ctx, b.key.tag)
-}
-
 // barrierFor returns (lazily creating) the native barrier backing a
 // communicator's Barrier calls.
 func (w *World) barrierFor(ctx uint64, parties int) *simtime.Barrier {
@@ -251,7 +243,7 @@ func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, ar
 		// Variable fault delays must not reorder a (src,dst,tag) stream:
 		// receivers match payloads by arrival order within one, so clamp
 		// each arrival to its predecessor's.
-		k := msgKey{src: src, dst: dst, ctx: ctx, tag: tag}
+		k := msgKey{matchKey{ctx: ctx, src: int32(src), tag: int32(tag)}, dst}
 		if last := w.lastArrival[k]; arrival < last {
 			arrival = last
 		}
@@ -260,19 +252,18 @@ func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, ar
 	return txDone, arrival, false
 }
 
-// deliver injects the message from src to dst (world ranks): the
+// deliver injects a message from src to dst (world ranks): the
 // calling proc blocks while its local hops carry the bytes; remote hops
-// are reserved asynchronously and the payload lands in the mailbox at
-// the arrival time.
-func (w *World) deliver(p *simtime.Proc, src, dst int, ctx uint64, tag int, msg message) {
-	b := w.box(msgKey{src: src, dst: dst, ctx: ctx, tag: tag})
-	free, arrival, intra := w.inject(src, dst, ctx, tag, msg.bytes)
+// are reserved asynchronously and the payload lands in dst's receive
+// queue at the arrival time.
+func (w *World) deliver(p *simtime.Proc, src, dst int, ctx uint64, tag int, v any, bytes int64) {
+	q, env := &w.rx[dst], envelope{key: matchKey{ctx: ctx, src: int32(src), tag: int32(tag)}, payload: v}
+	free, arrival, intra := w.inject(src, dst, ctx, tag, bytes)
 	if intra {
 		p.WaitUntil(free)
-		b.ch.Put(msg)
+		q.arrived(q.put(env))
 		return
 	}
-	b.pending = append(b.pending, msg)
-	w.engine.After(arrival-p.Now(), b.flush)
+	q.fly(w.engine, arrival, env, q.land)
 	p.WaitUntil(free)
 }

@@ -166,27 +166,3 @@ func TestAllocsPerProcess(t *testing.T) {
 		t.Fatalf("%v objects for %d processes (%.2f each), want at most %v (%d each)", got, procs, (got-3)/procs, limit, perProc)
 	}
 }
-
-// TestChanNameIsRenderedAtReportTime: NewChanFor keeps the name as
-// given — no string is built when the mailbox is created or when a
-// process blocks on it — and a deadlock report still shows it.
-func TestChanNameIsRenderedAtReportTime(t *testing.T) {
-	e := NewEngine()
-	rendered := 0
-	name := stringerFunc(func() string { rendered++; return "lazily named" })
-	var c *Chan[int]
-	if n := testing.AllocsPerRun(100, func() { c = NewChanFor[int](e, name) }); n != 1 {
-		t.Fatalf("NewChanFor allocates %v objects, want 1 (the Chan)", n)
-	}
-	e.Spawn("p", func(p *Proc) { c.Get(p) })
-	e.After(1, func() {
-		if rendered != 0 {
-			t.Errorf("name rendered %d times with no report asked for", rendered)
-		}
-	})
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok || len(de.Blocked) != 1 || de.Blocked[0] != "p (waiting: chan lazily named)" {
-		t.Fatalf("deadlock report %v", err)
-	}
-}

@@ -79,8 +79,14 @@ func (p *Proc) park(why fmt.Stringer) {
 // then, so it may report progress made while the process was parked.
 func (p *Proc) Park(why fmt.Stringer) { p.park(why) }
 
-// wake schedules the process to resume at the current virtual time.
-func (p *Proc) wake() {
+// Wake schedules p, blocked in Park, to resume at the current instant
+// from a queue entry of its own, taking the next sequence number: how
+// Chan.Put wakes a receiver. A process or a callback may call it, once
+// per Park.
+func (p *Proc) Wake() {
+	if p.state != stateParked {
+		panic(fmt.Sprintf("simtime: Wake(%s): process is not parked", p.name))
+	}
 	p.e.schedule(p.e.now, p, nil)
 }
 

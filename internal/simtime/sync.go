@@ -8,22 +8,17 @@ import "fmt"
 // concern (charge time before Put), not the channel's.
 type Chan[T any] struct {
 	e       *Engine
-	name    fmt.Stringer // rendered only by a deadlock report
+	name    string
 	items   []T
 	head    int // index of the oldest live item; items[:head] are consumed
 	waiters []*Proc
 }
 
 // NewChan returns an empty mailbox bound to engine e.
-func NewChan[T any](e *Engine, name string) *Chan[T] { return NewChanFor[T](e, reason(name)) }
-
-// NewChanFor is NewChan for a creator of many mailboxes: the name is
-// rendered only if a deadlock report needs it, so none is formatted —
-// or allocated, when name is a pointer — up front.
-func NewChanFor[T any](e *Engine, name fmt.Stringer) *Chan[T] { return &Chan[T]{e: e, name: name} }
+func NewChan[T any](e *Engine, name string) *Chan[T] { return &Chan[T]{e: e, name: name} }
 
 // String is the mailbox as a wait reason.
-func (c *Chan[T]) String() string { return "chan " + c.name.String() }
+func (c *Chan[T]) String() string { return "chan " + c.name }
 
 // Put appends v and wakes the longest-waiting receiver, if any.
 func (c *Chan[T]) Put(v T) {
@@ -42,7 +37,7 @@ func (c *Chan[T]) Put(v T) {
 		copy(c.waiters, c.waiters[1:])
 		c.waiters[len(c.waiters)-1] = nil
 		c.waiters = c.waiters[:len(c.waiters)-1]
-		w.wake()
+		w.Wake()
 	}
 }
 

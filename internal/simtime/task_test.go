@@ -191,16 +191,24 @@ type stringerFunc func() string
 
 func (f stringerFunc) String() string { return f() }
 
+// intBox is the mailbox censusScenario passes values through.
+type intBox interface {
+	Put(int)
+	Get(*Proc) int
+}
+
 // censusScenario is a fixed little simulation touching every primitive:
-// sleeps, a barrier, a mailbox, a timer and a wait chain. probe runs at
-// every logged step.
-func censusScenario(e *Engine, log *[]string, probe func()) {
+// sleeps, a barrier, a mailbox (a Chan, unless c is given), a timer and
+// a wait chain. probe runs at every logged step.
+func censusScenario(e *Engine, log *[]string, probe func(), c intBox) {
 	note := func(s string) {
 		probe()
 		*log = append(*log, s)
 	}
 	b := NewBarrier(e, "b", 3)
-	c := NewChan[int](e, "c")
+	if c == nil {
+		c = NewChan[int](e, "c")
+	}
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -224,6 +232,9 @@ func censusScenario(e *Engine, log *[]string, probe func()) {
 	})
 }
 
+// censusWant is censusScenario's census.
+var censusWant = Stats{Parks: 9, Dispatches: 13, Callbacks: 4, Inline: 2, Scheduled: 16}
+
 // TestStatsCensus pins the census on censusScenario — golden-style, in
 // the spirit of TestGoldenHostMetricsDoNotPerturb: the counts are exact
 // and repeatable, and a run that reads Stats at every step produces the
@@ -242,18 +253,105 @@ func TestStatsCensus(t *testing.T) {
 				t.Error("census went backwards")
 			}
 			last = st
-		})
+		}, nil)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return log, e.Stats()
 	}
 	log, got := run(false)
-	want := Stats{Parks: 9, Dispatches: 13, Callbacks: 4, Inline: 2, Scheduled: 16}
-	if got != want {
-		t.Fatalf("census %+v, want %+v\ntrajectory: %v", got, want, log)
+	if got != censusWant {
+		t.Fatalf("census %+v, want %+v\ntrajectory: %v", got, censusWant, log)
 	}
 	if observed, st := run(true); !reflect.DeepEqual(observed, log) || st != got {
 		t.Fatalf("reading Stats perturbed the run: census %+v, want %+v\nunobserved: %v\nobserved:   %v", st, got, log, observed)
+	}
+}
+
+// wakeBox is a mailbox built on Park and Wake, the way a receive queue
+// outside this package is: Get posts its process and parks it, Put wakes
+// the posted one.
+type wakeBox struct {
+	items  []int
+	waiter *Proc
+}
+
+func (b *wakeBox) Put(v int) {
+	b.items = append(b.items, v)
+	if p := b.waiter; p != nil {
+		b.waiter = nil
+		p.Wake()
+	}
+}
+
+func (b *wakeBox) Get(p *Proc) int {
+	for len(b.items) == 0 {
+		b.waiter = p
+		p.Park(reason("wake box"))
+	}
+	v := b.items[0]
+	b.items = b.items[1:]
+	return v
+}
+
+// TestWakeIsChanPutsWake: a wake from a process and a wake from a
+// callback each take the next sequence number and resume the parked
+// process at the current instant, from its own queue entry; and a
+// mailbox built on Park and Wake leaves censusScenario's trajectory and
+// census exactly as Chan does.
+func TestWakeIsChanPutsWake(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	var sleeper *Proc
+	e.Spawn("sleeper", func(p *Proc) {
+		sleeper = p
+		for i := 0; i < 2; i++ {
+			p.Park(reason("test"))
+			log = append(log, fmt.Sprintf("woke@%g", p.Now()))
+		}
+	})
+	wake := func(by string) {
+		before := e.Stats().Scheduled
+		sleeper.Wake()
+		if got := e.Stats().Scheduled; got != before+1 {
+			t.Errorf("a wake from a %s took sequence numbers %d..%d, want just %d", by, before+1, got, before+1)
+		}
+		log = append(log, "wake by "+by)
+	}
+	e.Spawn("waker", func(p *Proc) {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Wake of a running process did not panic")
+				}
+			}()
+			p.Wake()
+		}()
+		p.Sleep(1)
+		wake("process")
+		p.Sleep(1) // the sleeper's wake is due first
+		log = append(log, fmt.Sprintf("waker@%g", p.Now()))
+	})
+	e.After(3, func() { wake("callback") })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(log, " "), "wake by process woke@1 waker@2 wake by callback woke@3"; got != want {
+		t.Errorf("trajectory %q, want %q", got, want)
+	}
+
+	var chanLog, wakeLog []string
+	e = NewEngine()
+	censusScenario(e, &chanLog, func() {}, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e = NewEngine()
+	censusScenario(e, &wakeLog, func() {}, &wakeBox{})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st != censusWant || !reflect.DeepEqual(wakeLog, chanLog) {
+		t.Errorf("census on Park and Wake %+v, want %+v\ntrajectory %v, want %v", st, censusWant, wakeLog, chanLog)
 	}
 }
