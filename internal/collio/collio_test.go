@@ -189,6 +189,27 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
+// TestPlanValidateAllocationFree: validating a plan of up to 32 domains
+// touches no heap, leader map or not — the check runs once for every
+// collective, so an allocation here is one per collective call.
+func TestPlanValidateAllocationFree(t *testing.T) {
+	const doms, ranks = 32, 64
+	p := &Plan{Exts: make([]Ext, ranks), Tree: balancedTree(doms), LeaderOf: make([]int, ranks)}
+	for i := range doms {
+		lo := int64(i) * 100
+		p.Domains = append(p.Domains, Domain{Agg: 2 * (doms - 1 - i), Lo: lo, Hi: lo + 100, BufBytes: 40, Windows: OffsetWindows(lo, lo+100, 40)})
+	}
+	for r := range p.LeaderOf {
+		p.LeaderOf[r] = r &^ 1
+	}
+	if err := p.Validate(ranks); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = p.Validate(ranks) }); avg != 0 {
+		t.Fatalf("validating a %d-domain plan allocates %.1f objects, want 0", doms, avg)
+	}
+}
+
 // runCollective drives nprocs ranks through one write+readback cycle
 // with the given strategy and returns rank 0's write result.
 func runCollective(t *testing.T, s iolib.Collective, nodes, cores, nprocs, blocks int, blockLen int64) trace.Result {

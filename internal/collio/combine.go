@@ -175,6 +175,14 @@ func (x *collective) funnel(wire, packed int64) (moved int64) {
 	return packed
 }
 
+// domainAt returns the domain of round r's schedule that aggregator agg
+// serves: expectAggregators expected a piece from those aggregators only.
+func (x *collective) domainAt(r, agg int) int {
+	steps := x.rs.doms.at(r)
+	k := slices.IndexFunc(steps, func(s step) bool { return x.ov.doms[s.i].Agg == agg })
+	return int(steps[k].i)
+}
+
 // fanOut is the read round's intra-node stage. Each piece a leader
 // received is one aggregator's window clipped to the union of the
 // node's views; the leader re-clips every view against that window to
@@ -195,7 +203,7 @@ func (x *collective) fanOut(r int) (moved int64) {
 	x.fanned = x.fanned[:0]
 	x.ex.Received(func(agg int, v any) {
 		piece := v.(*shufflePiece)
-		w, _ := x.ov.window(int(x.aggDom[agg]), r)
+		w, _ := x.ov.window(x.domainAt(r, agg), r)
 		lo, hi := piece.segs.Extent()
 		region := buffer.New(hi-lo, x.data.Phantom())
 		iolib.ScatterIntoRegion(region, lo, piece.segs, piece.data)

@@ -97,15 +97,14 @@ type collective struct {
 	p     probe      // where every fact of the call is recorded
 	write bool
 
-	mine   *aggState // nil unless this rank aggregates a domain
-	topo   topology
-	rs     roundSchedule // who has data in which round, from route()
-	aggDom []int32       // read leader with mates: aggregator -> its domain
+	mine *aggState // nil unless this rank aggregates a domain
+	topo topology
+	rs   roundSchedule // who has data in which round, from route()
 
 	ex      *mpi.SparseExchange
 	arena   datatype.Arena
 	packed  []domPiece     // write: this round's packed pieces, ascending by domain (my bundle)
-	pieces  []shufflePiece // staged payloads: by domain (write leader), by destination rank (read)
+	pieces  []shufflePiece // this round's staged payloads (write leader, read aggregator)
 	bundles [][]domPiece   // write leader: my bundle, then each mate's
 	group   []shufflePiece // write leader: one domain's pieces, to merge
 	fanned  []shufflePiece // read leader: this round's pieces for my mates
@@ -124,7 +123,8 @@ type collective struct {
 // nothing to do and the round is the classic flat two-phase exchange.
 // It returns the finished collective, whose overlay tests inspect.
 func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, plan *Plan, m *trace.Metrics, op string) *collective {
-	if err := plan.Validate(c.Size()); err != nil {
+	// Every rank holds the same plan, so one of them checks it for all.
+	if err := mpi.Shared(c, func() error { return plan.Validate(c.Size()) }); err != nil {
 		panic(err)
 	}
 	write := op == "write"
@@ -132,9 +132,6 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 		f: f, c: c, vi: vi, data: data, plan: plan, ov: newOverlay(plan), write: write,
 		p:  newProbe(c, op, plan.Group, m),
 		ex: c.SparseScratch(),
-	}
-	if write { // a window per domain at most, so a round never outgrows it
-		x.packed = make([]domPiece, 0, len(plan.Domains))
 	}
 	sched := c.Faults()
 	ph := x.p.begin(obs.PhaseReqExchange, -1)
@@ -246,14 +243,6 @@ func (x *collective) route(from int) {
 	}
 	if !x.write {
 		x.topo.gatherViews(c, x.vi)
-		if !x.topo.solo() && x.topo.leads() {
-			if x.aggDom == nil {
-				x.aggDom = make([]int32, c.Size())
-			}
-			for di, d := range doms {
-				x.aggDom[d.Agg] = int32(di)
-			}
-		}
 	}
 	x.rs = newRoundSchedule(&x.ov, from, x.vi.View(), x.topo.views, mine)
 }
@@ -264,11 +253,12 @@ func (x *collective) route(from int) {
 // domain the node has data for. It returns the staged payload split by
 // locality.
 func (x *collective) sendToAggregators(r int) (intra, inter int64) {
-	c, doms, tp := x.c, x.ov.doms, &x.topo
+	c, tp := x.c, &x.topo
 	var packed, wire int64
 	ph := x.p.begin(obs.PhasePack, r)
-	x.packed = x.packed[:0]
-	for _, s := range x.rs.doms.at(r) {
+	steps := x.rs.doms.at(r)
+	x.packed = slices.Grow(x.packed[:0], len(steps)) // a piece per step
+	for _, s := range steps {
 		w, _ := x.ov.window(int(s.i), r)
 		segs, data := x.vi.PackArena(&x.arena, x.data, w.Off, w.End())
 		p := shufflePiece{segs: segs, data: data}
@@ -292,9 +282,11 @@ func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 	if !tp.leads() {
 		return 0, 0
 	}
-	if x.pieces == nil {
-		x.pieces = make([]shufflePiece, len(doms))
+	n := 0
+	for _, b := range x.bundles {
+		n += len(b)
 	}
+	x.pieces = slices.Grow(x.pieces[:0], n) // a merged piece per bundled domain at most
 	// Leaders ship one piece per domain: the node's segments merged into
 	// file order (adjacent runs from different mates coalesce), paying
 	// the reorder pass on the node's memory bus when there was anything
@@ -323,8 +315,8 @@ func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 		if len(x.group) > 1 {
 			chargeAssembly(c, merged.data.Len())
 		}
-		x.pieces[di] = merged
-		i, e := x.stageWrite(di, &x.pieces[di])
+		x.pieces = append(x.pieces, merged)
+		i, e := x.stageWrite(di, &x.pieces[len(x.pieces)-1])
 		intra += i
 		inter += e
 	}
@@ -437,11 +429,9 @@ func (x *collective) readWindow(r int) (intra, inter int64) {
 		x.p.io(ph, ph.t0, cov.TotalBytes(), int64(len(cov)))
 		ph = x.p.begin(obs.PhaseAssembly, r)
 		chargeAssembly(c, cov.TotalBytes())
-		if x.pieces == nil { // only aggregators stage read pieces
-			x.pieces = make([]shufflePiece, c.Size())
-		}
 		// The round's requesters are grouped by leader, as reqOrder is.
 		steps := x.rs.reqs.at(r)
+		x.pieces = slices.Grow(x.pieces[:0], len(steps)) // a piece per leader at most
 		for k := 0; k < len(steps); {
 			leader := tp.of(mine.reqOrder[steps[k].i].src)
 			segs := x.arena.Clip(mine.reqOrder[steps[k].i].segs, w.Off, w.End())
@@ -454,9 +444,10 @@ func (x *collective) readWindow(r int) (intra, inter int64) {
 			if members > 1 {
 				segs = datatype.Normalize(segs)
 			}
-			x.pieces[leader] = shufflePiece{segs: segs, data: iolib.GatherFromRegion(region, covLo, segs)}
-			x.ex.Stage(leader, &x.pieces[leader], x.pieces[leader].wireBytes())
-			i, e := localityOf(c, c.Rank(), leader, x.pieces[leader].data.Len())
+			x.pieces = append(x.pieces, shufflePiece{segs: segs, data: iolib.GatherFromRegion(region, covLo, segs)})
+			p := &x.pieces[len(x.pieces)-1]
+			x.ex.Stage(leader, p, p.wireBytes())
+			i, e := localityOf(c, c.Rank(), leader, p.data.Len())
 			intra += i
 			inter += e
 		}

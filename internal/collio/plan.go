@@ -27,6 +27,7 @@ package collio
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/datatype"
@@ -125,15 +126,12 @@ func (p *Plan) Validate(commSize int) error {
 	if _, err := p.Tree.spans(len(p.Domains), buf[:]); err != nil {
 		return err
 	}
-	seen := make(map[int]bool, len(p.Domains))
+	aggs := make([]int, 0, 32) // sorted below: an aggregator must own one domain at most
 	for i, d := range p.Domains {
 		if d.Agg < 0 || d.Agg >= commSize {
 			return fmt.Errorf("collio: domain %d aggregator %d out of comm size %d", i, d.Agg, commSize)
 		}
-		if seen[d.Agg] {
-			return fmt.Errorf("collio: aggregator %d owns two domains", d.Agg)
-		}
-		seen[d.Agg] = true
+		aggs = append(aggs, d.Agg)
 		if d.Hi < d.Lo {
 			return fmt.Errorf("collio: domain %d negative extent [%d,%d)", i, d.Lo, d.Hi)
 		}
@@ -146,6 +144,12 @@ func (p *Plan) Validate(commSize int) error {
 				return fmt.Errorf("collio: domain %d window %d %v escapes [%d,%d) or disordered", i, j, w, d.Lo, d.Hi)
 			}
 			prev = w.End()
+		}
+	}
+	slices.Sort(aggs)
+	for i := 1; i < len(aggs); i++ {
+		if aggs[i] == aggs[i-1] {
+			return fmt.Errorf("collio: aggregator %d owns two domains", aggs[i])
 		}
 	}
 	if len(p.Exts) != commSize {

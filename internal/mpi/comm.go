@@ -39,7 +39,7 @@ type Comm struct {
 // SparseScratch returns this member's cached SparseExchange, creating
 // it on first use. One scratch per communicator member suffices because
 // exchange rounds on a comm never nest; reusing it keeps repeated
-// collective rounds from reallocating the O(size) staging arrays.
+// collective rounds from reallocating the staging lists and masks.
 func (c *Comm) SparseScratch() *SparseExchange {
 	if c.sparse == nil {
 		c.sparse = NewSparseExchange(c)
@@ -265,7 +265,8 @@ func Shared[T any](c *Comm, f func() T) T {
 	if s.left--; s.left == 0 {
 		delete(c.w.shared, k)
 	}
-	return s.v.(T)
+	v, _ := s.v.(T) // the kind check fixed T; a nil interface value fails a plain assertion
+	return v
 }
 
 // allgathered is an Allgather result: a shared slot's value of its own

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -76,4 +77,21 @@ func TestSharedMismatchPanicsNamingBothKinds(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("mismatched shared call did not panic")
+}
+
+// TestSharedCarriesInterfaceValues: an interface-typed slot hands every
+// member f's value, a nil interface as well as a non-nil one.
+func TestSharedCarriesInterfaceValues(t *testing.T) {
+	const p = 4
+	boom := errors.New("boom")
+	var nils, errs [p]error
+	run(t, 1, p, p, func(c *Comm) {
+		nils[c.Rank()] = Shared(c, func() error { return nil })
+		errs[c.Rank()] = Shared(c, func() error { return boom })
+	})
+	for r := range p {
+		if nils[r] != nil || errs[r] != boom {
+			t.Errorf("rank %d got (%v, %v), want (<nil>, boom)", r, nils[r], errs[r])
+		}
+	}
 }
