@@ -20,6 +20,9 @@ type segsVal struct {
 	segs datatype.List
 }
 
+// noSegs is the request list of a domain my view misses. Nobody writes it.
+var noSegs = &segsVal{}
+
 // shufflePiece is one round's payload between a leader and an
 // aggregator (or, inside a node, a rank and its leader): the clipped
 // segments plus their packed bytes.
@@ -211,25 +214,55 @@ func (x *collective) route(from int) {
 	myExt := x.plan.Exts[c.Rank()]
 
 	x.ex.Reset()
+	meets := func(e Ext, d Domain) bool { return !e.Empty() && e.Lo < d.Hi && e.Hi > d.Lo }
+	view := x.vi.View()
+	met, lists := 0, 0
 	for _, d := range doms {
-		if !myExt.Empty() && myExt.Lo < d.Hi && myExt.Hi > d.Lo {
-			segs := x.vi.View().Clip(d.Lo, d.Hi)
-			x.ex.Stage(d.Agg, segsVal{segs}, int64(len(segs))*extBytes+8)
+		if meets(myExt, d) {
+			met++
+			if view.Intersects(d.Lo, d.Hi) {
+				lists++
+			}
 		}
 	}
+	// The lists go by pointer into one array, not boxed one by one. An
+	// extent is coarser than the view, so most may be empty: those share
+	// noSegs, as free as boxing an empty list by value.
+	x.ex.Grow(met)
+	reqs := make([]segsVal, 0, lists)
+	for _, d := range doms {
+		if !meets(myExt, d) {
+			continue
+		}
+		v := noSegs
+		if view.Intersects(d.Lo, d.Hi) {
+			reqs = append(reqs, segsVal{view.Clip(d.Lo, d.Hi)})
+			v = &reqs[len(reqs)-1]
+		}
+		x.ex.Stage(d.Agg, v, int64(len(v.segs))*extBytes+8)
+	}
 	if mine != nil {
-		d := &doms[mine.di]
 		for src, e := range x.plan.Exts {
-			if !e.Empty() && e.Lo < d.Hi && e.Hi > d.Lo {
+			if meets(e, doms[mine.di]) {
 				x.ex.Expect(src)
 			}
 		}
 	}
 	x.ex.Exchange()
 	if mine != nil {
-		var all datatype.List
+		// Most lists may be empty (an extent is coarser than the view), so
+		// size reqOrder and their union by the lists that arrived.
+		var lists, segs int
+		x.ex.Received(func(_ int, v any) {
+			if n := len(v.(*segsVal).segs); n > 0 {
+				lists++
+				segs += n
+			}
+		})
+		all := make(datatype.List, 0, segs)
+		mine.reqOrder = make([]reqEntry, 0, lists)
 		x.ex.Received(func(src int, v any) {
-			if segs := v.(segsVal).segs; len(segs) > 0 {
+			if segs := v.(*segsVal).segs; len(segs) > 0 {
 				mine.reqOrder = append(mine.reqOrder, reqEntry{src: src, segs: segs})
 				all = append(all, segs...)
 			}

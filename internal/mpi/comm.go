@@ -42,7 +42,7 @@ type Comm struct {
 // collective rounds from reallocating the staging lists and masks.
 func (c *Comm) SparseScratch() *SparseExchange {
 	if c.sparse == nil {
-		c.sparse = NewSparseExchange(c)
+		c.sparse = newSparseExchange(c)
 	}
 	return c.sparse
 }
@@ -132,13 +132,7 @@ func (c *Comm) isend(dst, tag int, v any, bytes int64) {
 func (c *Comm) irecv(src, tag int) any {
 	q, k := &c.w.rx[c.group[c.rank]], matchKey{ctx: c.ctx, src: int32(c.group[src]), tag: int32(tag)}
 	for {
-		i := q.head
-		for i < len(q.q) && (q.q[i].taken || q.q[i].v.key != k) {
-			i++
-		}
-		if i < len(q.q) && q.q[i].landed {
-			v := q.q[i].v.payload
-			q.consume(i)
+		if v, ok := q.take(k); ok {
 			return v
 		}
 		q.waiter, q.posted = c.p, msgKey{k, c.group[c.rank]}
@@ -331,41 +325,28 @@ func (c *Comm) Gather(root int, v any, bytes int64) []any {
 // it from the same global metadata on both sides. This keeps sparse
 // shuffles (the common collective-I/O case — each rank talks to a few
 // aggregators) from paying p² latency. Every entry of out is
-// overwritten (non-present entries with nil).
+// overwritten (non-present entries with nil). It is one round of the
+// member's SparseScratch.
 func (c *Comm) AlltoallSparseInto(out, vals []any, bytes []int64, present []bool) {
 	p := len(c.group)
 	if len(out) != p || len(vals) != p || len(bytes) != p || len(present) != p {
 		panic("mpi: alltoallsparse length mismatch")
 	}
-	const tag = tagAlltoall
-	sp := c.Tracer().Begin(obs.PhaseMPIAlltoall, c.traceLoc())
-	var sent, pairs int64
-	for i := range out {
-		out[i] = nil
-	}
-	if vals[c.rank] != nil {
-		out[c.rank] = vals[c.rank]
-		if bytes[c.rank] > 0 {
-			c.w.intraPaths[c.NodeOf(c.rank)].Transfer(c.p, bytes[c.rank])
-			sent += bytes[c.rank]
-			pairs++
+	x := c.SparseScratch()
+	x.Reset()
+	for i, v := range vals {
+		if v != nil {
+			x.Stage(i, v, bytes[i])
+		}
+		if present[i] {
+			x.Expect(i)
 		}
 	}
-	for step := 1; step < p; step++ {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		if vals[dst] != nil {
-			c.isend(dst, tag, vals[dst], bytes[dst])
-			sent += bytes[dst]
-			pairs++
-		}
-		if present[src] {
-			out[src] = c.irecv(src, tag)
-		}
+	x.Exchange()
+	clear(out)
+	for _, e := range x.recvd {
+		out[e.src] = e.v
 	}
-	sp.EndBytes(sent, pairs)
-	c.w.met.alltoalls.Inc()
-	c.w.met.alltoallBytes.Add(float64(sent))
 }
 
 // ReduceInt64 folds every member's value with op at root (op must be

@@ -6,23 +6,69 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/cluster"
+	"repro/internal/faults"
+	"repro/internal/resource"
 	"repro/internal/simtime"
 )
 
-func testMachine(t *testing.T, nodes, cores int) *cluster.Machine {
-	t.Helper()
-	m, err := cluster.New(cluster.Config{
+// testConfig is the small machine the tests run on; zeroLat makes every
+// link latency-free, so zero-byte messages take no time at all.
+func testConfig(nodes, cores int, zeroLat bool) cluster.Config {
+	cfg := cluster.Config{
 		Nodes: nodes, CoresPerNode: cores,
 		MemPerNode: 64 * cluster.MiB,
 		MemBusBW:   1e10, MemBusLat: 1e-7,
 		NICBW: 1e9, NICLat: 1e-6,
 		BisectionBW: 1e10, BisectionLat: 1e-6,
 		IONetBW: 1e9,
-	})
+	}
+	if zeroLat {
+		cfg.MemBusLat, cfg.NICLat, cfg.BisectionLat = 0, 0, 0
+	}
+	return cfg
+}
+
+func testMachine(t *testing.T, nodes, cores int) *cluster.Machine {
+	t.Helper()
+	m, err := cluster.New(testConfig(nodes, cores, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// caseWorld builds the world a drawn differential case runs on: procs
+// ranks on testConfig's machine, under spec's faults when spec is set.
+func caseWorld(t *testing.T, nodes, cores, procs int, zeroLat bool, spec *faults.Spec) (*World, *simtime.Engine, *faults.Schedule) {
+	t.Helper()
+	m, err := cluster.New(testConfig(nodes, cores, zeroLat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := simtime.NewEngine()
+	w, err := NewWorld(e, m, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sched *faults.Schedule
+	if spec != nil {
+		if sched, err = faults.NewSchedule(*spec); err != nil {
+			t.Fatal(err)
+		}
+		w.SetFaults(sched)
+	}
+	return w, e, sched
+}
+
+// linkLoads is every link's Stats(): each node's memory bus, NIC tx and
+// NIC rx, then the bisection.
+func linkLoads(m *cluster.Machine) []resource.LinkStats {
+	var out []resource.LinkStats
+	for n := 0; n < m.NumNodes(); n++ {
+		node := m.Node(n)
+		out = append(out, node.MemBus.Stats(), node.NICTx.Stats(), node.NICRx.Stats())
+	}
+	return append(out, m.Bisection().Stats())
 }
 
 // run spins up a world of nprocs on nodes×cores and executes body on

@@ -191,33 +191,7 @@ type agRun struct {
 // allgather.
 func (k agCase) run(t *testing.T, impl agImpl) agRun {
 	t.Helper()
-	cfg := cluster.Config{
-		Nodes: k.nodes, CoresPerNode: k.cores,
-		MemPerNode: 64 * cluster.MiB,
-		MemBusBW:   1e10, MemBusLat: 1e-7,
-		NICBW: 1e9, NICLat: 1e-6,
-		BisectionBW: 1e10, BisectionLat: 1e-6,
-		IONetBW: 1e9,
-	}
-	if k.zeroLat {
-		cfg.MemBusLat, cfg.NICLat, cfg.BisectionLat = 0, 0, 0
-	}
-	m, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := simtime.NewEngine()
-	w, err := NewWorld(e, m, k.procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sched *faults.Schedule
-	if k.spec != nil {
-		if sched, err = faults.NewSchedule(*k.spec); err != nil {
-			t.Fatal(err)
-		}
-		w.SetFaults(sched)
-	}
+	w, e, sched := caseWorld(t, k.nodes, k.cores, k.procs, k.zeroLat, k.spec)
 	out := agRun{Returns: make([][]float64, k.procs), Results: make([][][]any, k.procs)}
 	w.Start(func(c *Comm) {
 		rank := c.Rank()
@@ -250,11 +224,7 @@ func (k agCase) run(t *testing.T, impl agImpl) agRun {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < m.NumNodes(); n++ {
-		node := m.Node(n)
-		out.Links = append(out.Links, node.MemBus.Stats(), node.NICTx.Stats(), node.NICRx.Stats())
-	}
-	out.Links = append(out.Links, m.Bisection().Stats())
+	out.Links = linkLoads(w.Machine())
 	out.Events = e.Stats().Scheduled
 	out.Delays = sched.Injected()
 	return out

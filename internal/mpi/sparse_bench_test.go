@@ -18,7 +18,7 @@ func benchComm(rank, size int) *Comm {
 // ranks/64) and allocation-free (TestSparseStagingZeroAllocs).
 func BenchmarkSparseRoundStaging(b *testing.B) {
 	c := benchComm(5, 1024)
-	x := NewSparseExchange(c)
+	x := newSparseExchange(c)
 	payload := struct{ n int }{1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -37,7 +37,7 @@ func BenchmarkSparseRoundStaging(b *testing.B) {
 // here multiplies by rounds × ranks.
 func TestSparseStagingZeroAllocs(t *testing.T) {
 	c := benchComm(5, 1024)
-	x := NewSparseExchange(c)
+	x := newSparseExchange(c)
 	payload := struct{ n int }{1}
 	x.Stage(0, &payload, 1)
 	x.Reset()

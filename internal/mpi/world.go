@@ -16,13 +16,13 @@
 // Two execution styles share that model (World.inject is its single
 // copy). Point-to-point calls and most collectives are coroutine code:
 // they run on the calling rank's simulated process and park it at every
-// wait. The allgather — p·log p messages per short call and p·(p−1) per
-// long one, which runs the ring — is instead an engine-driven task
-// (ring.go): a per-rank state record advanced by engine callbacks that
-// occupy exactly the queue slots the coroutine's wakes did, with the
-// process parked once for the whole collective. The virtual trajectory
-// is the same to the last event; see ring.go for the rule and
-// ring_test.go for the coroutine allgathers it is checked against.
+// wait. The allgather and the sparse all-to-all (SparseExchange) are
+// instead engine-driven tasks: a per-rank state record advanced by
+// engine callbacks that occupy exactly the queue slots the coroutine's
+// wakes did, with the process parked once for the whole collective. The
+// virtual trajectory is the same to the last event; see ring.go for the
+// rule, and ring_test.go and sparse_test.go for the coroutine versions
+// each is checked against.
 package mpi
 
 import (
@@ -62,7 +62,8 @@ func (e envelope) stream() matchKey { return e.key }
 // map lookup and, once grown to its working size, no allocation.
 type rxQueue struct {
 	landQueue[envelope, matchKey]
-	waiter *simtime.Proc // the owner, parked on posted
+	waiter *simtime.Proc   // the owner, parked on posted
+	task   *SparseExchange // or the owner's sparse exchange, waiting on posted
 	posted msgKey
 	land   func() // arrival event of one inter-node message, allocated once
 }
@@ -72,12 +73,35 @@ func (q *rxQueue) String() string {
 	return fmt.Sprintf("chan mbox %d->%d ctx%x tag%d", q.posted.src, q.posted.dst, q.posted.ctx, q.posted.tag)
 }
 
-// arrived wakes the owner if it is parked on entry i's key.
+// arrived wakes the owner if it waits on entry i's key: a parked
+// process from its own queue entry, a sparse exchange by scheduling its
+// continuation in that same slot.
 func (q *rxQueue) arrived(i int) {
-	if p := q.waiter; p != nil && q.q[i].v.key == q.posted.matchKey {
+	if q.q[i].v.key != q.posted.matchKey {
+		return
+	}
+	if p := q.waiter; p != nil {
 		q.waiter = nil
 		p.Wake()
+	} else if x := q.task; x != nil {
+		q.task = nil
+		x.c.w.engine.After(0, x.resume)
 	}
+}
+
+// take consumes the oldest message of k if it has landed (each stream
+// lands in send order) and reports whether it did.
+func (q *rxQueue) take(k matchKey) (any, bool) {
+	i := q.head
+	for i < len(q.q) && (q.q[i].taken || q.q[i].v.key != k) {
+		i++
+	}
+	if i == len(q.q) || !q.q[i].landed {
+		return nil, false
+	}
+	v := q.q[i].v.payload
+	q.consume(i)
+	return v, true
 }
 
 // World is the universe of simulated MPI processes on one machine.

@@ -36,67 +36,86 @@ type event struct {
 }
 
 // eventQueue is a hand-rolled binary min-heap of event values ordered
-// by (at, seq). Compared to container/heap over []*event it avoids the
-// per-event pointer allocation and the interface boxing of Push/Pop;
-// the backing array is reused across the whole run, so steady-state
-// scheduling is allocation-free.
+// by (at, seq), beside a FIFO of the events scheduled at exactly the
+// current instant (a fifth of all pushes), which cost an append instead
+// of a sift. A heap event at that instant was pushed while the clock was
+// earlier, so its seq precedes every FIFO entry's. Events are stored by
+// value in arrays reused across the run: steady-state scheduling is
+// allocation-free.
 type eventQueue struct {
 	heap []event
+	fifo []event // events at now, in seq order, from head on
+	head int
 }
 
-// less orders events by time, FIFO (schedule order) within one instant.
-func (q *eventQueue) less(i, j int) bool {
-	if q.heap[i].at != q.heap[j].at {
-		return q.heap[i].at < q.heap[j].at
-	}
-	return q.heap[i].seq < q.heap[j].seq
-}
+// len is the number of events queued.
+func (q *eventQueue) len() int { return len(q.heap) + len(q.fifo) - q.head }
 
-// push inserts ev, sifting it up to its heap position.
-func (q *eventQueue) push(ev event) {
-	q.heap = append(q.heap, ev)
-	i := len(q.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
+// before orders events by time, FIFO (schedule order) within one instant.
+func before(a, b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+// push inserts ev, scheduled while the clock reads now, at the FIFO's
+// tail (shifting out taken entries when full) or its heap position.
+func (q *eventQueue) push(ev event, now float64) {
+	if ev.at == now {
+		if q.head > 0 && len(q.fifo) == cap(q.fifo) {
+			n := copy(q.fifo, q.fifo[q.head:])
+			clear(q.fifo[n:])
+			q.fifo, q.head = q.fifo[:n], 0
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
+		q.fifo = append(q.fifo, ev)
+		return
 	}
+	q.heap = append(q.heap, ev)
+	q.siftUp(len(q.heap)-1, ev)
 }
 
-// pop removes and returns the earliest event. It panics on an empty
-// queue: the run loop checks emptiness first, so a bare pop always
-// indicates a scheduler bug.
-func (q *eventQueue) pop() event {
-	n := len(q.heap) - 1
-	ev := q.heap[0]
-	q.heap[0] = q.heap[n]
-	q.heap[n] = event{} // release the fn/proc references
-	q.heap = q.heap[:n]
-	q.siftDown(0)
+// pop removes and returns the earliest event: the heap's while its top
+// is at now, then the FIFO's. It panics on an empty queue: the run loop
+// checks emptiness first, so a bare pop always indicates a scheduler bug.
+func (q *eventQueue) pop(now float64) event {
+	if q.head < len(q.fifo) && (len(q.heap) == 0 || q.heap[0].at > now) {
+		ev := q.fifo[q.head]
+		q.fifo[q.head] = event{} // release the fn/proc references
+		if q.head++; q.head == len(q.fifo) {
+			q.fifo, q.head = q.fifo[:0], 0
+		}
+		return ev
+	}
+	h := q.heap
+	n := len(h) - 1
+	ev, last := h[0], h[n]
+	h[n] = event{} // release the fn/proc references
+	h, q.heap = h[:n], h[:n]
+	// Floyd's pop: move the hole at the root down the smaller children to
+	// a leaf, then sift the last event up from there. It is usually due
+	// late and belongs near the leaves, so this costs one comparison per
+	// level where sifting it down from the root costs two.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && before(&h[c+1], &h[c]) {
+			c++
+		}
+		h[i], i = h[c], c
+	}
+	if n > 0 {
+		q.siftUp(i, last)
+	}
 	return ev
 }
 
-// siftDown restores the heap property from index i toward the leaves.
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+// siftUp places ev at the hole i, moving it up toward the root past
+// every parent it precedes.
+func (q *eventQueue) siftUp(i int, ev event) {
+	h := q.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(&ev, &h[parent]) {
+			break
 		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			return
-		}
-		q.heap[i], q.heap[least] = q.heap[least], q.heap[i]
-		i = least
+		h[i], i = h[parent], parent
 	}
+	h[i] = ev
 }
 
 // Engine is a discrete-event simulation. The zero value is not usable;
@@ -163,7 +182,7 @@ func (e *Engine) schedule(at float64, p *Proc, fn func()) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("simtime: schedule at non-finite time %g", at))
 	}
-	e.events.push(event{at: at, seq: e.nextSeq(), p: p, fn: fn})
+	e.events.push(event{at: at, seq: e.nextSeq(), p: p, fn: fn}, e.now)
 }
 
 // scheduleParty wakes first and then each of rest at time at, in that
@@ -193,14 +212,14 @@ func (e *Engine) scheduleParty(at float64, first *Proc, rest []*Proc) {
 // dominant host cost of chained resource reservations (storage
 // batches, message injection). An event already queued AT at must
 // still win (its tie-break sequence predates the wake we would have
-// scheduled), hence the strict comparison. After Stop the slow path is
-// kept so a looping process still yields control to the drained run
-// loop.
+// scheduled), hence the strict comparison; an event due now (in the
+// FIFO) always does. After Stop the slow path is kept so a looping
+// process still yields control to the drained run loop.
 func (e *Engine) advanceInline(at float64) bool {
 	if !e.running || e.stopped || e.party != nil {
 		return false
 	}
-	if len(e.events.heap) != 0 && e.events.heap[0].at <= at {
+	if q := &e.events; q.head < len(q.fifo) || len(q.heap) != 0 && q.heap[0].at <= at {
 		return false
 	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
@@ -297,10 +316,10 @@ func (e *Engine) next() *Proc {
 		if p != nil {
 			e.party, p.link = p.link, nil
 		} else {
-			if len(e.events.heap) == 0 {
+			if e.events.len() == 0 {
 				return nil
 			}
-			ev := e.events.pop()
+			ev := e.events.pop(e.now)
 			if ev.at < e.now {
 				panic("simtime: time went backwards")
 			}

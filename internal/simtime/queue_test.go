@@ -18,81 +18,96 @@ func TestQueuePopEmptyPanics(t *testing.T) {
 		}
 	}()
 	var q eventQueue
-	q.pop()
+	q.pop(0)
 }
 
-// TestQueueEqualTimestampFIFO drains a heap loaded with many events at
-// few distinct timestamps and checks full (at, seq) order: within one
-// instant, events must come out in schedule order. This is the
-// tie-break the flattened siftDown must preserve — a heap that compares
-// only on time would be stable by accident at small sizes and wrong at
-// large ones.
+// byAtSeq sorts events into the order the queue must pop them.
+func byAtSeq(evs []event) {
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].at != evs[j].at {
+			return evs[i].at < evs[j].at
+		}
+		return evs[i].seq < evs[j].seq
+	})
+}
+
+// drainAgainstSort pops q empty, advancing the clock from now to each
+// popped event, and checks the result against pushed sorted by (at,
+// seq).
+func drainAgainstSort(t *testing.T, q *eventQueue, now float64, got, pushed []event) {
+	t.Helper()
+	for q.len() > 0 {
+		ev := q.pop(now)
+		now = ev.at
+		got = append(got, ev)
+	}
+	byAtSeq(pushed)
+	if len(got) != len(pushed) {
+		t.Fatalf("drained %d events, pushed %d", len(got), len(pushed))
+	}
+	for i := range pushed {
+		if got[i].at != pushed[i].at || got[i].seq != pushed[i].seq {
+			t.Fatalf("pop %d: got (%g,%d), want (%g,%d)", i, got[i].at, got[i].seq, pushed[i].at, pushed[i].seq)
+		}
+	}
+	if len(q.heap) != 0 || len(q.fifo) != 0 || q.head != 0 {
+		t.Fatalf("drained queue holds heap %d, fifo %d from %d", len(q.heap), len(q.fifo), q.head)
+	}
+}
+
+// TestQueueEqualTimestampFIFO drains a queue loaded with many events at
+// few distinct timestamps, the earliest of them the clock's, so a share
+// goes to the same-instant FIFO, and checks full (at, seq) order:
+// within one instant, events must come out in schedule order. This is
+// the tie-break the flattened siftDown must preserve — a heap that
+// compares only on time would be stable by accident at small sizes and
+// wrong at large ones.
 func TestQueueEqualTimestampFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q eventQueue
-	var seq uint64
+	var all []event
 	const n = 5000
 	for i := 0; i < n; i++ {
-		seq++
 		// Only 8 distinct timestamps: dense ties.
-		q.push(event{at: float64(rng.Intn(8)), seq: seq})
+		ev := event{at: float64(rng.Intn(8)), seq: uint64(i + 1)}
+		q.push(ev, 0)
+		all = append(all, ev)
 	}
-	var prev event
-	for i := 0; i < n; i++ {
-		ev := q.pop()
-		if i > 0 {
-			if ev.at < prev.at {
-				t.Fatalf("pop %d: time went backwards: %g after %g", i, ev.at, prev.at)
-			}
-			if ev.at == prev.at && ev.seq < prev.seq {
-				t.Fatalf("pop %d: FIFO violated at t=%g: seq %d after %d", i, ev.at, ev.seq, prev.seq)
-			}
-		}
-		prev = ev
+	if len(q.fifo) == 0 || len(q.heap) == 0 {
+		t.Fatalf("draw left heap %d, fifo %d: both must be exercised", len(q.heap), len(q.fifo))
 	}
-	if len(q.heap) != 0 {
-		t.Fatalf("queue not drained: %d left", len(q.heap))
-	}
+	drainAgainstSort(t, &q, 0, nil, all)
 }
 
 // TestQueueInterleavedPushPop mixes pushes and pops the way a live
-// simulation does (wakes scheduled while draining) and checks the
-// result against a sort of the same records.
+// simulation does (wakes scheduled while draining, a share of them at
+// the current instant) and checks the result against a sort of the
+// same records.
 func TestQueueInterleavedPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var q eventQueue
 	var seq uint64
 	var all, got []event
-	now := 0.0
-	for i := 0; i < 2000; i++ {
-		if len(q.heap) == 0 || rng.Intn(3) != 0 {
+	now, atNow := 0.0, 0
+	for i := 0; i < 4000; i++ {
+		if q.len() == 0 || rng.Intn(3) != 0 {
 			seq++
 			ev := event{at: now + float64(rng.Intn(4)), seq: seq}
-			q.push(ev)
+			if ev.at == now {
+				atNow++
+			}
+			q.push(ev, now)
 			all = append(all, ev)
 		} else {
-			ev := q.pop()
+			ev := q.pop(now)
 			now = ev.at
 			got = append(got, ev)
 		}
 	}
-	for len(q.heap) > 0 {
-		got = append(got, q.pop())
+	if atNow < 100 {
+		t.Fatalf("only %d pushes at the current instant", atNow)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].seq < all[j].seq
-	})
-	if len(got) != len(all) {
-		t.Fatalf("drained %d events, pushed %d", len(got), len(all))
-	}
-	for i := range all {
-		if got[i].at != all[i].at || got[i].seq != all[i].seq {
-			t.Fatalf("pop %d: got (%g,%d), want (%g,%d)", i, got[i].at, got[i].seq, all[i].at, all[i].seq)
-		}
-	}
+	drainAgainstSort(t, &q, now, got, all)
 }
 
 // TestAdvanceInlineYieldsToEqualTimeEvent checks the strict comparison
@@ -164,31 +179,39 @@ func TestAdvanceInlineRespectsStop(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueue measures steady-state push/pop with a warm
-// backing array. The queue is the hottest structure in a run; it must
-// not allocate once the array has grown to the working-set size.
+// BenchmarkEventQueue measures steady-state pop+push with a warm
+// backing array, at 64, 1,024 (sim-wide's depth: most of its pushes
+// see 256–1,023 resident events) and 8,192 resident events. The queue
+// is the hottest structure in a run; it must not allocate once the
+// array has grown to the working-set size.
 func BenchmarkEventQueue(b *testing.B) {
-	var q eventQueue
-	var seq uint64
-	// Warm: keep ~64 events resident, as a mid-size simulation does.
-	for i := 0; i < 64; i++ {
-		seq++
-		q.push(event{at: float64(i), seq: seq})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := q.pop()
-		seq++
-		ev.at += 64
-		ev.seq = seq
-		q.push(ev)
-	}
-	if testing.AllocsPerRun(100, func() {
-		ev := q.pop()
-		q.push(ev)
-	}) != 0 {
-		b.Fatal("event queue allocated in steady state")
+	for _, n := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprint("resident=", n), func(b *testing.B) {
+			var q eventQueue
+			var seq uint64
+			for i := 0; i < n; i++ {
+				seq++
+				q.push(event{at: float64(i + 1), seq: seq}, 0)
+			}
+			now := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop(now)
+				now = ev.at
+				seq++
+				ev.at += float64(n)
+				ev.seq = seq
+				q.push(ev, now)
+			}
+			if testing.AllocsPerRun(100, func() {
+				ev := q.pop(now)
+				now = ev.at
+				q.push(ev, now)
+			}) != 0 {
+				b.Fatal("event queue allocated in steady state")
+			}
+		})
 	}
 }
 
