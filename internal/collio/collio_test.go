@@ -1,6 +1,7 @@
 package collio
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -514,6 +515,51 @@ func TestAggregatorWithoutOwnDataStillServes(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStandingRecordsSkippedWindows: a rank that stands through the
+// rounds it sits out still records the windows it held in them.
+// Aggregator 0's domain ends in a hole and its buffer is four times
+// aggregator 2's, so its second window meets no request and falls in a
+// round it stands through. Every rank's trace.Metrics must read as on
+// the per-round path, for a write and a read.
+func TestStandingRecordsSkippedWindows(t *testing.T) {
+	const kib = 1 << 10
+	views := []datatype.List{nil, {{Off: 0, Len: 256 * kib}}, {{Off: 512 * kib, Len: 256 * kib}}, {{Off: 768 * kib, Len: 256 * kib}}}
+	exts := make([]Ext, len(views))
+	for r, v := range views {
+		if len(v) > 0 {
+			exts[r].Lo, exts[r].Hi = v.Extent()
+		}
+	}
+	plan := EvenSplit(exts, []int{0, 2}, []int64{1024 * kib, 0, BufFloor, 0}, 256*kib, 0)
+	run := func(op string) []trace.Metrics {
+		e, m, fs := testRig(t, 2, 2, 64*cluster.MiB)
+		w, err := mpi.NewWorld(e, m, len(views))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fs.Open("x")
+		got := make([]trace.Metrics, len(views))
+		w.Start(func(c *mpi.Comm) {
+			v := views[c.Rank()]
+			plan.Run(op, f, c, v, buffer.NewPhantom(v.TotalBytes()), &got[c.Rank()])
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, op := range []string{"write", "read"} {
+		var per []trace.Metrics
+		PerRound(func() { per = run(op) })
+		if got := run(op); !reflect.DeepEqual(got, per) {
+			t.Errorf("%s: per-rank metrics\n%+v\nper round\n%+v", op, got, per)
+		}
+		if per[0].Rounds != 2 || per[2].Rounds != 8 {
+			t.Fatalf("%s: aggregators served %d and %d rounds, want 2 and 8", op, per[0].Rounds, per[2].Rounds)
+		}
 	}
 }
 

@@ -115,6 +115,9 @@ type collective struct {
 	bufs    []buffer.Buf
 }
 
+// perRound, set by tests, has every rank take each round's barrier alone.
+var perRound bool
+
 // execute is the round driver, shared by both directions and every
 // leader topology. A round is: barrier, fault checks, then the sending
 // side (write: pack, funnel to the node leader, leaders stage one
@@ -144,6 +147,11 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 		x.p.aggregator(plan.Domains[x.mine.di].BufBytes)
 	}
 
+	// A solo rank with nothing attached that a round records or branches
+	// on only waits at the barrier of a round with no schedule entry: it
+	// stands through the barriers of those it sits out in one park.
+	stand := !perRound && sched == nil && x.topo.solo() &&
+		c.Tracer() == nil && c.Metrics() == nil && !c.Explain().Enabled()
 	for r := 0; r < x.ov.rounds; r++ {
 		// ROMIO's per-round alltoallv of counts synchronizes the whole
 		// communicator: nobody starts round r+1 until the slowest
@@ -152,9 +160,20 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 		// group-local) communicator, subgroup strategies pay it only
 		// across their group, which is the decoupling the paper's group
 		// division buys.
+		n := 1
+		if stand { // the barriers up to my next round with data
+			last := x.ov.rounds - 1
+			n = min(x.rs.doms.first(r, last), x.rs.reqs.first(r, last)) - r + 1
+		}
 		ph = x.p.begin(obs.PhaseBarrier, r)
-		c.Barrier()
+		c.Barriers(n)
 		x.p.end(ph, 0)
+		for ; n > 1; n-- { // a round sat out records that its window was served
+			if _, ok := x.myWindow(r); ok {
+				x.p.roundEnd(r)
+			}
+			r++
+		}
 		if x.mine != nil {
 			x.p.memSample(r)
 		}

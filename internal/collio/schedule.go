@@ -44,6 +44,15 @@ func (l *stepList) at(r int) []step {
 	return l.steps[i:j]
 }
 
+// first returns the first round from r on that has steps, at most last;
+// it counts as asking for round r.
+func (l *stepList) first(r, last int) int {
+	if l.at(r); l.next < len(l.steps) {
+		return min(int(l.steps[l.next].r), last)
+	}
+	return last
+}
+
 // roundSchedule is one rank's partners by round, from some round on.
 type roundSchedule struct {
 	// doms: the rounds where my view meets a domain's window — for a

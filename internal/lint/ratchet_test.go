@@ -35,7 +35,7 @@ var surfaceBudget = map[string]surface{
 	"internal/bench":      {Lines: 1883, Exports: 94},
 	"internal/buffer":     {Lines: 133, Exports: 12},
 	"internal/cluster":    {Lines: 354, Exports: 53},
-	"internal/collio":     {Lines: 1947, Exports: 44},
+	"internal/collio":     {Lines: 1975, Exports: 44},
 	"internal/core":       {Lines: 1498, Exports: 65},
 	"internal/datatype":   {Lines: 365, Exports: 43},
 	"internal/explain":    {Lines: 995, Exports: 104},
@@ -44,14 +44,14 @@ var surfaceBudget = map[string]surface{
 	"internal/iotrace":    {Lines: 301, Exports: 33},
 	"internal/logx":       {Lines: 172, Exports: 20},
 	"internal/metrics":    {Lines: 828, Exports: 61},
-	"internal/mpi":        {Lines: 1355, Exports: 40},
+	"internal/mpi":        {Lines: 1361, Exports: 41},
 	"internal/obs":        {Lines: 868, Exports: 109},
 	"internal/pfs":        {Lines: 433, Exports: 19},
 	"internal/pland":      {Lines: 2417, Exports: 170},
 	"internal/prof":       {Lines: 538, Exports: 24},
 	"internal/resource":   {Lines: 202, Exports: 18},
 	"internal/ring":       {Lines: 183, Exports: 8},
-	"internal/simtime":    {Lines: 692, Exports: 41},
+	"internal/simtime":    {Lines: 715, Exports: 41},
 	"internal/stats":      {Lines: 264, Exports: 28},
 	"internal/strategy":   {Lines: 73, Exports: 9},
 	"internal/sweep":      {Lines: 302, Exports: 13},

@@ -169,20 +169,26 @@ const tokenBytes = 8
 // token messages, which dominated host time in large runs. Token
 // bandwidth is negligible (8 bytes/hop); the straggler semantics (all
 // wait for the slowest) are preserved exactly.
-func (c *Comm) Barrier() {
+func (c *Comm) Barrier() { c.Barriers(1) }
+
+// Barriers is n consecutive Barrier calls with nothing in between, under
+// one span: the member stands through the first n-1 releases without
+// running (simtime.Barrier.AwaitDelay), so a rank that sits out rounds
+// parks once for all of them. Virtual times are those of the n calls.
+func (c *Comm) Barriers(n int) {
 	p := len(c.group)
 	if p == 1 {
 		return
 	}
 	sp := c.Tracer().Begin(obs.PhaseMPIBarrier, c.traceLoc())
-	c.w.met.barriers.Inc()
+	c.w.met.barriers.Add(float64(n))
 	steps := 0
 	for dist := 1; dist < p; dist *= 2 {
 		steps++
 	}
 	// The release delay is folded into the barrier wake (one park per
 	// member instead of park-then-sleep); virtual times are unchanged.
-	c.w.barrierFor(c.ctx, p).AwaitDelay(c.p, float64(steps)*c.w.barrierHop)
+	c.w.barrierFor(c.ctx, p).AwaitDelay(c.p, float64(steps)*c.w.barrierHop, n)
 	sp.End()
 }
 

@@ -9,20 +9,22 @@ import (
 // party is what a scripted scenario needs of a barrier.
 type party interface {
 	Await(p *Proc)
-	AwaitDelay(p *Proc, delay float64)
+	AwaitDelay(p *Proc, delay float64, n int)
 }
 
 // eventBarrier is the release Barrier had before it was batched: one
 // queue event per member, the releaser's first and then the waiters' in
 // arrival order. TestBatchedReleaseMatchesPerPartyEvents holds Barrier
-// to it.
+// to it, and its AwaitDelay(n) is n consecutive calls, which
+// TestStandingMatchesRepeatedAwaitDelay holds a standing member to.
 type eventBarrier struct {
 	e                     *Engine
 	parties, arrived, gen int
 	waiters               []*Proc
+	stood                 int // releases a standing member would have stood through
 }
 
-func (b *eventBarrier) String() string { return "event barrier" }
+func (b *eventBarrier) String() string { return "barrier b" } // as NewBarrier(e, "b", …) reports
 
 func (b *eventBarrier) await(p *Proc, at float64, parkReleaser bool) {
 	b.arrived++
@@ -48,8 +50,15 @@ func (b *eventBarrier) await(p *Proc, at float64, parkReleaser bool) {
 	}
 }
 
-func (b *eventBarrier) Await(p *Proc)                     { b.await(p, b.e.now, false) }
-func (b *eventBarrier) AwaitDelay(p *Proc, delay float64) { b.await(p, b.e.now+delay, true) }
+func (b *eventBarrier) Await(p *Proc) { b.await(p, b.e.now, false) }
+func (b *eventBarrier) AwaitDelay(p *Proc, delay float64, n int) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.stood++
+		}
+		b.await(p, b.e.now+delay, true)
+	}
+}
 
 // TestBatchedReleaseMatchesPerPartyEvents: a barrier release queued as
 // one entry that chains the party (Engine.scheduleParty) runs the very
@@ -71,7 +80,7 @@ func TestBatchedReleaseMatchesPerPartyEvents(t *testing.T) {
 			if delay < 0 {
 				b.Await(p)
 			} else {
-				b.AwaitDelay(p, delay)
+				b.AwaitDelay(p, delay, 1)
 			}
 			note(name + " released")
 			if after != nil {
@@ -127,7 +136,7 @@ func TestBatchedReleaseMatchesPerPartyEvents(t *testing.T) {
 				procs = append(procs, e.Spawn(name, func(p *Proc) {
 					p.Sleep(float64(i))
 					note(name + " arrives")
-					b.AwaitDelay(p, 3)
+					b.AwaitDelay(p, 3, 1)
 					note(name + " released")
 					p.Yield()
 					note(name + " done")
@@ -181,6 +190,135 @@ func TestBatchedReleaseMatchesPerPartyEvents(t *testing.T) {
 			got, gotStats := run(false)
 			if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 				t.Fatalf("batched release diverges:\nbatched   %+v %q\nper party %+v %q", gotStats, got, wantStats, want)
+			}
+		})
+	}
+}
+
+// TestStandingMatchesRepeatedAwaitDelay: a member that stands through
+// releases — one AwaitDelay(p, d, n) for n consecutive calls — runs the
+// very trajectory of the n calls on the event-per-member barrier, with
+// the same Scheduled, Callbacks and Inline, and saves exactly one park
+// and one dispatch per release it stood through. The cases are those
+// where re-arriving in the release's slot could differ from running:
+// zero-time arrivals interleaved with standing members, a standing
+// member that releases a generation (on its own stack or re-arriving),
+// a generation in which every member stands, events queued at a release
+// instant on both sides of the entry, Stop in the middle of the chain,
+// and the deadlock a standing member is left in.
+func TestStandingMatchesRepeatedAwaitDelay(t *testing.T) {
+	// call is one AwaitDelay: gap is slept before arriving (0 is a
+	// Sleep(0), negative arrives straight from the release).
+	type call struct {
+		gap, delay float64
+		n          int
+	}
+	member := func(e *Engine, b party, note func(string), name string, calls []call, after func(*Proc)) {
+		e.Spawn(name, func(p *Proc) {
+			for _, c := range calls {
+				if c.gap >= 0 {
+					p.Sleep(c.gap)
+				}
+				note(fmt.Sprint(name, " arrives for ", c.n))
+				b.AwaitDelay(p, c.delay, c.n)
+				note(name + " released")
+			}
+			if after != nil {
+				after(p)
+			}
+			note(name + " done")
+		})
+	}
+	// rounds is n calls of one release each.
+	rounds := func(n int, gap, delay float64) []call {
+		calls := make([]call, n)
+		for i := range calls {
+			calls[i] = call{gap, delay, 1}
+		}
+		return calls
+	}
+	for _, c := range []struct {
+		name    string
+		parties int
+		run     func(e *Engine, b party, note func(string))
+	}{
+		{"zero-time arrivals interleaved with standing members", 4, func(e *Engine, b party, note func(string)) {
+			member(e, b, note, "s0", []call{{0, 0.5, 4}}, nil)
+			member(e, b, note, "m1", rounds(4, -1, 0.5), nil)
+			member(e, b, note, "s2", []call{{0.25, 0.5, 2}, {-1, 0.5, 2}}, nil)
+			member(e, b, note, "m3", rounds(4, 0, 0.5), func(p *Proc) { p.Sleep(0) })
+		}},
+		{"zero delay: re-arrivals and releases at one instant", 4, func(e *Engine, b party, note func(string)) {
+			member(e, b, note, "s0", []call{{1, 0, 5}}, nil)
+			member(e, b, note, "m1", rounds(5, 0, 0), nil)
+			member(e, b, note, "m2", rounds(5, -1, 0), func(p *Proc) {
+				e.After(0, func() { note("callback after the last release") })
+				p.Yield()
+			})
+			member(e, b, note, "s3", []call{{0, 0, 3}, {0, 0, 2}}, nil)
+		}},
+		{"a standing member releases on its own stack and re-arriving", 3, func(e *Engine, b party, note func(string)) {
+			// s arrives last, then re-arrives last of the next release.
+			member(e, b, note, "a", rounds(4, -1, 1), nil)
+			member(e, b, note, "b", []call{{1, 1, 1}, {-1, 1, 1}, {-1, 1, 1}, {-1, 1, 1}}, nil)
+			member(e, b, note, "s", []call{{2, 1, 4}}, nil)
+		}},
+		{"a standing waiter re-arrives last", 3, func(e *Engine, b party, note func(string)) {
+			member(e, b, note, "a", rounds(3, -1, 1), nil)
+			member(e, b, note, "s", []call{{1, 1, 3}}, nil)
+			member(e, b, note, "b", []call{{2, 1, 1}, {-1, 1, 1}, {-1, 1, 1}}, nil)
+		}},
+		{"every member stands, events at the release instants", 3, func(e *Engine, b party, note func(string)) {
+			// Releases at 3, 5 and 7: a timer queued before each entry,
+			// and a sleeper's wake and timer queued after it.
+			for _, at := range []float64{3, 5, 7} {
+				e.After(at, func() { note("timer queued first") })
+			}
+			e.Spawn("sleeper", func(p *Proc) {
+				p.Sleep(4)
+				e.After(1, func() { note("timer queued after") })
+				p.Sleep(1)
+				note("sleeper at the release instant")
+			})
+			for i := 0; i < 3; i++ {
+				member(e, b, note, fmt.Sprint("s", i), []call{{float64(i) / 2, 2, 3}}, func(p *Proc) { p.Sleep(0) })
+			}
+		}},
+		{"Stop mid-chain", 4, func(e *Engine, b party, note func(string)) {
+			member(e, b, note, "s0", []call{{0, 1, 4}}, nil)
+			member(e, b, note, "m1", rounds(2, -1, 1), func(p *Proc) { e.Stop(); p.Yield() })
+			member(e, b, note, "s2", []call{{0.5, 1, 4}}, nil)
+			member(e, b, note, "s3", []call{{0.25, 1, 4}}, nil)
+		}},
+		{"a standing member deadlocks", 3, func(e *Engine, b party, note func(string)) {
+			member(e, b, note, "m0", rounds(2, -1, 1), nil)
+			member(e, b, note, "s1", []call{{0, 1, 4}}, nil)
+			member(e, b, note, "s2", []call{{1, 1, 3}}, nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(perCall bool) (log []string, st Stats, err error, stood int) {
+				e := NewEngine()
+				note := func(what string) { log = append(log, fmt.Sprintf("%g %s", e.Now(), what)) }
+				eb := &eventBarrier{e: e, parties: c.parties}
+				var b party = NewBarrier(e, "b", c.parties)
+				if perCall {
+					b = eb
+				}
+				c.run(e, b, note)
+				err = e.Run()
+				return log, e.Stats(), err, eb.stood
+			}
+			want, wantStats, wantErr, stood := run(true)
+			got, gotStats, gotErr, _ := run(false)
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("standing diverges:\nstanding %v %q\nper call %v %q", gotErr, got, wantErr, want)
+			}
+			saved := wantStats
+			saved.Parks -= uint64(stood)
+			saved.Dispatches -= uint64(stood)
+			if stood == 0 || gotStats != saved {
+				t.Fatalf("census %+v, want %+v (per call %+v less %d releases stood through)", gotStats, saved, wantStats, stood)
 			}
 		})
 	}

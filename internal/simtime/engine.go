@@ -343,6 +343,13 @@ func (e *Engine) next() *Proc {
 		if p.state == stateDone {
 			continue // proc was killed/finished before its wake fired
 		}
+		if p.stand > 0 {
+			// Standing through this release (Barrier.AwaitDelay): it
+			// re-arrives here, where it would have on its own stack.
+			p.stand--
+			p.standAt.arrive(p, p.standDelay)
+			continue
+		}
 		e.dispatches++
 		return p
 	}

@@ -35,6 +35,11 @@ type Proc struct {
 	// whose chain starts here.
 	link     *Proc
 	partySeq uint64
+
+	// The releases of standAt still to stand through in AwaitDelay.
+	stand      int
+	standAt    *Barrier
+	standDelay float64
 }
 
 // reason is a fixed wait reason.

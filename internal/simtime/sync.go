@@ -111,25 +111,36 @@ func (b *Barrier) Await(p *Proc) {
 // waiters in arrival order, exactly as Await-then-Sleep interleaves —
 // but each waiter parks once instead of twice, which halves the
 // context-switch bill of a barrier at large party counts.
-func (b *Barrier) AwaitDelay(p *Proc, delay float64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("simtime: barrier %q with negative delay %g", b.name, delay))
+//
+// With n > 1 it is n consecutive calls, and p parks once for all of
+// them: Engine.next re-arrives it in its slot of the first n-1 releases
+// instead of dispatching it. Every event and instant is the n calls';
+// only their parks and dispatches are saved. Nothing else may wake p.
+func (b *Barrier) AwaitDelay(p *Proc, delay float64, n int) {
+	if delay < 0 || n < 1 {
+		panic(fmt.Sprintf("simtime: barrier %q with delay %g, count %d", b.name, delay, n))
 	}
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.gen++
-		// One queue entry for the whole party, self first so the
-		// releaser keeps the first slot at the release instant, matching
-		// the order the unfolded Await + Sleep sequence produced.
-		b.e.scheduleParty(b.e.now+delay, p, b.waiters)
-		b.waiters = b.waiters[:0]
-		p.park(b)
-		return
-	}
+	p.stand, p.standAt, p.standDelay = n-1, b, delay
 	gen := b.gen
-	b.waiters = append(b.waiters, p)
-	for gen == b.gen {
+	if b.arrive(p, delay) {
+		p.park(b) // my own release entry resumes me
+	}
+	for gen == b.gen || p.stand > 0 {
 		p.park(b)
 	}
+}
+
+// arrive counts p in and reports whether it released the generation:
+// the last arriver, first in the release's one queue entry at now+delay,
+// keeping the slot the unfolded Await + Sleep sequence gave it.
+func (b *Barrier) arrive(p *Proc, delay float64) bool {
+	if b.arrived++; b.arrived < b.parties {
+		b.waiters = append(b.waiters, p)
+		return false
+	}
+	b.arrived = 0
+	b.gen++
+	b.e.scheduleParty(b.e.now+delay, p, b.waiters)
+	b.waiters = b.waiters[:0]
+	return true
 }
