@@ -141,6 +141,10 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 	}
 	f := fs.Open("shared")
 	var res trace.Result
+	// left[call][rank] is the instant the rank returns from its write
+	// (call 0) and read (call 1) Run: the closing barrier is the last
+	// thing any rank does there, so all four leave each call together.
+	var left [2][4]float64
 	const segLen = 1 << 10
 	w.Start(func(c *mpi.Comm) {
 		// Interleaved pattern: rank r owns blocks r, r+4, r+8, ...
@@ -151,6 +155,7 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 		// other without the file locking real ROMIO employs — the exact
 		// hazard collective I/O sidesteps by assigning disjoint domains.
 		r := Run(Naive{Opts: SieveOptions{}}, "write", f, c, view, data, &trace.Metrics{})
+		left[0][c.Rank()] = c.Now()
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -158,6 +163,7 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 		// Read everything back and verify.
 		dst := buffer.NewReal(view.TotalBytes())
 		Run(Naive{Opts: DefaultSieve()}, "read", f, c, view, dst, nil)
+		left[1][c.Rank()] = c.Now()
 		var pos int64
 		for _, s := range view {
 			if i := dst.Slice(pos, s.Len).Verify(uint64(c.Rank()), s.Off); i != -1 {
@@ -168,6 +174,16 @@ func TestRunHarnessWithNaiveStrategy(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	for call, at := range left {
+		for r, tr := range at {
+			if tr != at[0] {
+				t.Errorf("call %d: rank %d left at %g, rank 0 at %g", call, r, tr, at[0])
+			}
+		}
+	}
+	if e.Now() != left[1][0] {
+		t.Errorf("engine ends at %g, the read's ranks left at %g", e.Now(), left[1][0])
 	}
 	if res.Bytes != 4*8*segLen {
 		t.Fatalf("result bytes %d, want %d", res.Bytes, 4*8*segLen)
