@@ -23,7 +23,8 @@ import (
 //
 // Matching stays deterministic on both sides:
 //   - every non-leader sends its leader exactly one bundle per round
-//     (possibly empty), so leaders never guess;
+//     (possibly empty), so leaders never guess; in a round a mate
+//     stands through, the engine sends its empty bundle (execute);
 //   - aggregators expect traffic from the *leader* of any rank that has
 //     requests in the current window (computable from the request
 //     exchange plus the leader map);
@@ -153,6 +154,10 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 	}
 	return shufflePiece{segs: segs, data: data}
 }
+
+// noBundle is the bundle of a round I sit out: x.packed may still hold
+// my last active round's pieces. Nobody writes it.
+var noBundle = &[]domPiece{}
 
 // funnel is the write round's intra-node stage: a non-leader hands its
 // bundle — this round's packed pieces (wire bytes on the bus, packed

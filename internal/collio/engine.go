@@ -147,11 +147,19 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 		x.p.aggregator(plan.Domains[x.mine.di].BufBytes)
 	}
 
-	// A solo rank with nothing attached that a round records or branches
-	// on only waits at the barrier of a round with no schedule entry: it
-	// stands through the barriers of those it sits out in one park.
-	stand := !perRound && sched == nil && x.topo.solo() &&
+	// With nothing attached that a round records or branches on, a rank
+	// only waits at the barrier of a round with no schedule entry — a
+	// write mate also funnels its leader an empty bundle, which the
+	// engine sends for it — so it stands through the barriers of those
+	// it sits out in one park. A write leader with mates receives their
+	// bundles every round: it cannot stand.
+	tp := &x.topo
+	stand := !perRound && sched == nil && (!write || !tp.leads() || tp.solo()) &&
 		c.Tracer() == nil && c.Metrics() == nil && !c.Explain().Enabled()
+	var idle any // what I funnel in a round I sit out
+	if write && !tp.leads() {
+		idle = noBundle
+	}
 	for r := 0; r < x.ov.rounds; r++ {
 		// ROMIO's per-round alltoallv of counts synchronizes the whole
 		// communicator: nobody starts round r+1 until the slowest
@@ -166,7 +174,7 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 			n = min(x.rs.doms.first(r, last), x.rs.reqs.first(r, last)) - r + 1
 		}
 		ph = x.p.begin(obs.PhaseBarrier, r)
-		c.Barriers(n)
+		c.Barriers(n, tp.of(tp.me), bundleTag, idle, 8)
 		x.p.end(ph, 0)
 		for ; n > 1; n-- { // a round sat out records that its window was served
 			if _, ok := x.myWindow(r); ok {

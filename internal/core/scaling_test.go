@@ -73,6 +73,8 @@ func collectiveAllocs(t *testing.T, p int, s iolib.Collective, run bool) (malloc
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+		// Both counters only ever grow, so one delta of each cannot wrap;
+		// the runs are compared by ratio, never subtracted.
 		mallocs, bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	}
 	return mallocs, bytes

@@ -34,6 +34,7 @@ type Comm struct {
 
 	sparse *SparseExchange // cached SparseScratch result, lazily built
 	ag     *allgatherTask  // allgather state, lazily built (ring.go)
+	idle   send            // the send Barriers has the engine make while I stand
 }
 
 // SparseScratch returns this member's cached SparseExchange, creating
@@ -121,9 +122,19 @@ func (c *Comm) RecvVal(src, tag int) any {
 	return c.irecv(src, tag)
 }
 
-// isend is SendVal without the checks, for the collective tags too.
+// isend is SendVal without the checks, for the collective tags too: the
+// caller blocks while its local hops carry the bytes (see send).
 func (c *Comm) isend(dst, tag int, v any, bytes int64) {
-	c.w.deliver(c.p, c.group[c.rank], c.group[dst], c.ctx, tag, v, bytes)
+	s := c.send(dst, tag, v, bytes)
+	free, _ := s.Next()
+	c.p.WaitUntil(free)
+	s.Next()
+}
+
+// send is my message v to comm rank dst, not yet injected.
+func (c *Comm) send(dst, tag int, v any, bytes int64) send {
+	k := matchKey{ctx: c.ctx, src: int32(c.group[c.rank]), tag: int32(tag)}
+	return send{w: c.w, dst: c.group[dst], env: envelope{key: k, payload: v}, bytes: bytes}
 }
 
 // irecv is RecvVal without the checks. It takes the oldest landed
@@ -165,15 +176,26 @@ const (
 // token messages, which dominated host time in large runs. Token
 // bandwidth is negligible (8 bytes/hop); the straggler semantics (all
 // wait for the slowest) are preserved exactly.
-func (c *Comm) Barrier() { c.Barriers(1) }
+func (c *Comm) Barrier() { c.Barriers(1, 0, 0, nil, 0) }
 
-// Barriers is n consecutive Barrier calls with nothing in between, under
-// one span: the member stands through the first n-1 releases without
-// running (simtime.Barrier.AwaitDelay), so a rank that sits out rounds
-// parks once for all of them. Virtual times are those of the n calls.
-func (c *Comm) Barriers(n int) {
+// Barriers is n consecutive Barrier calls, each but the last followed
+// by SendVal(dst, tag, v, bytes) unless v is nil, under one span. The
+// member stands through the first n-1 releases without running
+// (simtime.Barrier.AwaitDelay) and the engine makes its sends, so a
+// rank that sits out rounds parks once for all of them. Virtual times
+// are those of the n calls.
+func (c *Comm) Barriers(n, dst, tag int, v any, bytes int64) {
+	var step simtime.Step
+	if v != nil && n > 1 {
+		c.checkRank(dst, "send")
+		c.checkTag(tag)
+		c.idle, step = c.send(dst, tag, v, bytes), &c.idle
+	}
 	p := len(c.group)
 	if p == 1 {
+		for ; step != nil && n > 1; n-- {
+			c.isend(dst, tag, v, bytes)
+		}
 		return
 	}
 	sp := c.Tracer().Begin(obs.PhaseMPIBarrier, c.traceLoc())
@@ -184,7 +206,7 @@ func (c *Comm) Barriers(n int) {
 	}
 	// The release delay is folded into the barrier wake (one park per
 	// member instead of park-then-sleep); virtual times are unchanged.
-	c.w.barrierFor(c.ctx, p).AwaitDelay(c.p, float64(steps)*c.w.barrierHop, n)
+	c.w.barrierFor(c.ctx, p).AwaitDelay(c.p, float64(steps)*c.w.barrierHop, n, step)
 	sp.End()
 }
 

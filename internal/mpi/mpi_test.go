@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/buffer"
@@ -208,6 +209,101 @@ func TestBarrierSynchronizes(t *testing.T) {
 		if at < 0.07 {
 			t.Fatalf("rank %d left barrier at %g, before last arrival 0.07", r, at)
 		}
+	}
+}
+
+// TestBarriersSendLikeBarrierThenSendVal: Barriers(n, dst, tag, v,
+// bytes), whose member stands through n-1 releases while the engine
+// makes its sends, runs the trajectory of n Barrier calls with a
+// SendVal after each but the last. The receiver gets every value at
+// the same instant, the other members leave every barrier at the same
+// instant, and Scheduled, Callbacks and Inline are equal, with the
+// receiver on the sender's node, on another node, and on the sender's
+// node with latency-free links and zero-byte values (the send's wait is
+// then a yield). A warm standing stretch allocates nothing.
+func TestBarriersSendLikeBarrierThenSendVal(t *testing.T) {
+	const n, tag = 6, 7
+	for _, c := range []struct {
+		name         string
+		nodes, cores int
+		zeroLat      bool
+		bytes        int64
+	}{
+		{"intra-node", 1, 4, false, 8},
+		{"inter-node", 4, 1, false, 8},
+		{"intra-node, latency-free", 1, 4, true, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := any(&struct{ x int }{})
+			run := func(standing bool) (log []string, st simtime.Stats) {
+				w, e, _ := caseWorld(t, c.nodes, c.cores, 4, c.zeroLat, nil)
+				note := func(comm *Comm, what string) {
+					log = append(log, fmt.Sprintf("%g rank %d %s", comm.Now(), comm.Rank(), what))
+				}
+				w.Start(func(comm *Comm) {
+					switch comm.Rank() {
+					case 1: // sits rounds 1..n-1 out, sending rank 0 v in each
+						if standing {
+							comm.Barriers(n, 0, tag, v, c.bytes)
+							break
+						}
+						comm.Barrier()
+						for i := 1; i < n; i++ {
+							comm.SendVal(0, tag, v, c.bytes)
+							comm.Barrier()
+						}
+					default: // works a rank- and round-dependent while, rank 0 receiving first
+						comm.Barrier()
+						for i := 1; i < n; i++ {
+							if comm.Rank() == 0 && comm.RecvVal(1, tag) != v {
+								t.Error("the standing send carried another payload")
+							}
+							note(comm, fmt.Sprint("round ", i))
+							comm.Proc().Sleep(float64(comm.Rank()*i%3) * 1e-6)
+							comm.Barrier()
+						}
+						note(comm, "done")
+					}
+				})
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return log, e.Stats()
+			}
+			want, wantStats := run(false)
+			got, gotStats := run(true)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("standing diverges:\nstanding %q\nper call %q", got, want)
+			}
+			if gotStats.Parks >= wantStats.Parks {
+				t.Errorf("standing parks %d times, per call %d", gotStats.Parks, wantStats.Parks)
+			}
+			gotStats.Parks, gotStats.Dispatches = wantStats.Parks, wantStats.Dispatches
+			if gotStats != wantStats {
+				t.Errorf("census %+v, per call %+v", gotStats, wantStats)
+			}
+
+			const stretches = 50
+			w, e, _ := caseWorld(t, c.nodes, c.cores, 2, c.zeroLat, nil)
+			w.Start(func(comm *Comm) {
+				if comm.Rank() == 0 {
+					for i := 0; i <= stretches; i++ { // AllocsPerRun warms up with one extra call
+						comm.Barrier()
+						for j := 1; j < n; j++ {
+							comm.RecvVal(1, tag)
+							comm.Barrier()
+						}
+					}
+					return
+				}
+				if a := testing.AllocsPerRun(stretches, func() { comm.Barriers(n, 0, tag, v, c.bytes) }); a != 0 {
+					t.Errorf("a standing stretch of %d barriers allocates %v objects, want 0", n, a)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

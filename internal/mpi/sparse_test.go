@@ -355,6 +355,8 @@ func TestSparseScratchSizedByMaskWords(t *testing.T) {
 		keep[i] = newSparseExchange(c)
 	}
 	runtime.ReadMemStats(&after)
+	// TotalAlloc only ever grows, so one delta of it cannot wrap; what the
+	// race detector's runtime allocates meanwhile only raises it.
 	per := (after.TotalAlloc - before.TotalAlloc) / n
 	if limit := uint64(3*((p+63)/64)*8 + 512); per > limit {
 		t.Fatalf("newSparseExchange on %d members allocates %d bytes, want at most %d", p, per, limit)

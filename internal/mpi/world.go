@@ -239,10 +239,10 @@ func (w *World) barrierFor(ctx uint64, parties int) *simtime.Barrier {
 
 // inject books one message's hops at the caller's current time
 // without blocking anyone: the sender is busy until free; an
-// inter-node payload (intra false) reaches dst's node at arrival, while an intra-node one is handed over by the sender itself
-// once free has passed. It is the single copy of the reservation and
-// fault arithmetic, shared by the blocking deliver and the
-// engine-driven allgather (ring.go).
+// inter-node payload (intra false) reaches dst's node at arrival, while
+// an intra-node one is handed over by the sender itself once free has
+// passed. It is the single copy of the reservation and fault
+// arithmetic, shared by send and the engine-driven collectives.
 func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, arrival float64, intra bool) {
 	sn, dn := w.machine.NodeOfRank(src), w.machine.NodeOfRank(dst)
 	now := w.engine.Now()
@@ -276,18 +276,32 @@ func (w *World) inject(src, dst int, ctx uint64, tag int, bytes int64) (free, ar
 	return txDone, arrival, false
 }
 
-// deliver injects a message from src to dst (world ranks): the
-// calling proc blocks while its local hops carry the bytes; remote hops
-// are reserved asynchronously and the payload lands in dst's receive
-// queue at the arrival time.
-func (w *World) deliver(p *simtime.Proc, src, dst int, ctx uint64, tag int, v any, bytes int64) {
-	q, env := &w.rx[dst], envelope{key: matchKey{ctx: ctx, src: int32(src), tag: int32(tag)}, payload: v}
-	free, arrival, intra := w.inject(src, dst, ctx, tag, bytes)
-	if intra {
-		p.WaitUntil(free)
-		q.arrived(q.put(env))
-		return
+// send is a point-to-point message from its sender's side, as a
+// simtime.Step: the first part injects it and returns the instant the
+// sender is free (remote hops are reserved at once and an inter-node
+// payload lands in dst's receive queue at its arrival), the second
+// hands an intra-node payload over. Comm.isend runs it on the sender's
+// stack; Comm.Barriers has the engine run it for a standing member.
+type send struct {
+	w               *World
+	dst             int // world rank
+	env             envelope
+	bytes           int64
+	injected, intra bool
+}
+
+// Next runs the send's next part.
+func (s *send) Next() (float64, bool) {
+	q, k := &s.w.rx[s.dst], s.env.key
+	if s.injected = !s.injected; s.injected {
+		free, arrival, intra := s.w.inject(int(k.src), s.dst, k.ctx, int(k.tag), s.bytes)
+		if s.intra = intra; !intra {
+			q.fly(s.w.engine, arrival, s.env, q.land)
+		}
+		return free, true
 	}
-	q.fly(w.engine, arrival, env, q.land)
-	p.WaitUntil(free)
+	if s.intra {
+		q.arrived(q.put(s.env))
+	}
+	return 0, false
 }

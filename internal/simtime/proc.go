@@ -36,10 +36,12 @@ type Proc struct {
 	link     *Proc
 	partySeq uint64
 
-	// The releases of standAt still to stand through in AwaitDelay.
+	// The releases of standAt still to stand through in AwaitDelay, and
+	// the step run in each before re-arriving.
 	stand      int
 	standAt    *Barrier
 	standDelay float64
+	standStep  Step
 }
 
 // reason is a fixed wait reason.

@@ -261,7 +261,8 @@ func steadyState(b *testing.B, e *Engine, procs int, step func(p *Proc, id int))
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
 	// Averaged like testing.AllocsPerRun, and only over a real run: one
-	// stray runtime allocation is a whole alloc/op at b.N = 1.
+	// stray runtime allocation is a whole alloc/op at b.N = 1. Mallocs
+	// only ever grows, so one delta of it cannot wrap (-race included).
 	if per := (m1.Mallocs - m0.Mallocs) / uint64(b.N); per != 0 && b.N >= 100 {
 		b.Fatalf("%d allocs/op in steady state", per)
 	}
@@ -277,7 +278,7 @@ func BenchmarkBarrierHandoff(b *testing.B) {
 	const procs = 120
 	e := NewEngine()
 	bar := NewBarrier(e, "b", procs)
-	steadyState(b, e, procs, func(p *Proc, _ int) { bar.AwaitDelay(p, 1e-6, 1) })
+	steadyState(b, e, procs, func(p *Proc, _ int) { bar.AwaitDelay(p, 1e-6, 1, nil) })
 }
 
 // BenchmarkChanPingPong measures a strictly alternating pair: each Get
