@@ -22,14 +22,17 @@ import (
 // with no map every rank leads only itself and this layer is idle.
 //
 // Matching stays deterministic on both sides:
-//   - every non-leader sends its leader exactly one bundle per round
-//     (possibly empty), so leaders never guess; in a round a mate
-//     stands through, the engine sends its empty bundle (execute);
+//   - every non-leader's view reaches its leader once up front
+//     (gatherViews), so a leader knows from its round schedule which
+//     rounds each mate has pieces in;
+//   - on writes a non-leader funnels its leader a bundle exactly in
+//     those rounds and the leader receives exactly those bundles, so
+//     nobody sends an empty bundle and leaders never guess;
 //   - aggregators expect traffic from the *leader* of any rank that has
 //     requests in the current window (computable from the request
 //     exchange plus the leader map);
-//   - on reads, leaders know what their mates expect because mates'
-//     views are gathered once up front.
+//   - on reads, leaders know what their mates expect from the same
+//     views.
 
 // topology is the calling rank's place in the collective's leader map.
 // It is rebuilt after a leader failover changes the overlay's map.
@@ -37,7 +40,7 @@ type topology struct {
 	me       int
 	leaderOf []int           // the overlay's leader map; nil: every rank leads itself
 	mates    []int           // the other ranks I lead, ascending
-	views    []datatype.List // reads: my mates' full views, parallel to mates
+	views    []datatype.List // my mates' full views, parallel to mates
 }
 
 // newTopology places rank me in leaderOf, which nobody writes: a leader
@@ -97,19 +100,20 @@ const (
 	pieceTag  = 1002
 )
 
-// gatherViews is the intra-node layer of the upfront request exchange
-// (read path): every non-leader sends its view to its leader, charged
-// at segment-metadata size, so leaders can compute mate expectations
-// and carve mate pieces.
-func (tp *topology) gatherViews(c *mpi.Comm, vi *iolib.ViewIndex) {
+// gatherViews is the intra-node layer of the upfront request exchange:
+// every non-leader sends its view, own, to its leader, charged at
+// segment-metadata size, so a leader can schedule its mates' bundles
+// (write) and compute their expectations and carve their pieces (read).
+// own is sent by pointer, as funnel's bundles are: boxing it by value
+// would allocate once per mate per collective.
+func (tp *topology) gatherViews(c *mpi.Comm, own *segsVal) {
 	if !tp.leads() {
-		view := vi.View()
-		c.SendVal(tp.of(tp.me), viewTag, segsVal{view}, int64(len(view))*extBytes+8)
+		c.SendVal(tp.of(tp.me), viewTag, own, int64(len(own.segs))*extBytes+8)
 		return
 	}
 	tp.views = make([]datatype.List, len(tp.mates))
 	for i, mate := range tp.mates {
-		tp.views[i] = c.RecvVal(mate, viewTag).(segsVal).segs
+		tp.views[i] = c.RecvVal(mate, viewTag).(*segsVal).segs
 	}
 }
 
@@ -155,21 +159,26 @@ func mergePieces(pieces []shufflePiece, phantom bool) shufflePiece {
 	return shufflePiece{segs: segs, data: data}
 }
 
-// noBundle is the bundle of a round I sit out: x.packed may still hold
-// my last active round's pieces. Nobody writes it.
-var noBundle = &[]domPiece{}
+// funnelHook, set by tests, sees every write round's bundle of a rank
+// that does not lead (taken false; empty when it has nothing to send)
+// and every bundle a leader takes from a mate (taken true).
+var funnelHook func(x *collective, r, mate int, b []domPiece, taken bool)
 
-// funnel is the write round's intra-node stage: a non-leader hands its
-// bundle — this round's packed pieces (wire bytes on the bus, packed
-// payload bytes of them) — to its leader; a leader collects the node's
-// bundles in x.bundles, its own first. It returns the payload bytes
-// this rank sent.
-func (x *collective) funnel(wire, packed int64) (moved int64) {
+// funnel is the write round's intra-node stage: a non-leader with
+// pieces this round hands its bundle — the packed pieces (wire bytes on
+// the bus, packed payload bytes of them) — to its leader; a leader
+// collects the node's bundles of round r in x.bundles, its own first,
+// then those of the mates its schedule lists for r. It returns the
+// payload bytes this rank sent.
+func (x *collective) funnel(r int, wire, packed int64) (moved int64) {
 	c, tp := x.c, &x.topo
 	if tp.leads() {
 		x.bundles = append(x.bundles[:0], x.packed)
-		for _, mate := range tp.mates {
-			x.bundles = append(x.bundles, *c.RecvVal(mate, bundleTag).(*[]domPiece))
+		for _, s := range x.rs.mates.at(r) {
+			x.bundles = append(x.bundles, *c.RecvVal(tp.mates[s.i], bundleTag).(*[]domPiece))
+			if funnelHook != nil {
+				funnelHook(x, r, tp.mates[s.i], x.bundles[len(x.bundles)-1], true)
+			}
 		}
 		return 0
 	}

@@ -3,6 +3,7 @@ package collio
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -371,16 +372,54 @@ func TestFunnelSendDoesNotAllocate(t *testing.T) {
 		x := &collective{c: c, plan: plan, topo: newTopology(c.Rank(), plan.LeaderOf)}
 		x.packed = []domPiece{{shufflePiece: shufflePiece{segs: datatype.List{{Off: 0, Len: 64}}, data: buffer.NewPhantom(64)}}}
 		if x.topo.leads() {
-			for i := 0; i <= rounds; i++ { // AllocsPerRun warms up with one extra call
-				x.funnel(0, 64)
+			for r := 0; r <= rounds; r++ { // AllocsPerRun warms up with one extra call
+				x.rs.mates.steps = append(x.rs.mates.steps, step{r: int32(r)})
+			}
+			for r := 0; r <= rounds; r++ {
+				x.funnel(r, 0, 64)
 				if got := x.bundles[1][0].data.Len(); got != 64 {
 					t.Fatalf("leader received a %d-byte piece, want 64", got)
 				}
 			}
 			return
 		}
-		if n := testing.AllocsPerRun(rounds, func() { x.funnel(0, 64) }); n != 0 {
+		r := 0
+		if n := testing.AllocsPerRun(rounds, func() { x.funnel(r, 0, 64); r++ }); n != 0 {
 			t.Errorf("a funnel round allocates %v objects, want 0", n)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatherViewsSendDoesNotAllocate: a mate's half of the upfront view
+// gather — its c.SendVal of its view and the leader's matching receive
+// — is free of garbage once the mailbox exists. The payload is a pointer to the collective's own view
+// field, as funnel's is; boxing the message by value would allocate once
+// per mate per two-layer collective.
+func TestGatherViewsSendDoesNotAllocate(t *testing.T) {
+	e, m, _ := testRig(t, 1, 2, 64*cluster.MiB)
+	w, err := mpi.NewWorld(e, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	view := datatype.List{{Off: 64, Len: 64}}
+	w.Start(func(c *mpi.Comm) {
+		x := &collective{c: c, topo: newTopology(c.Rank(), []int{0, 0}), view: segsVal{view}}
+		if x.topo.leads() {
+			for i := 0; i <= calls; i++ { // AllocsPerRun warms up with one extra call
+				// gatherViews' receive, without the views array it fills
+				// once per collective
+				if got := c.RecvVal(1, viewTag).(*segsVal).segs; !slices.Equal(got, view) {
+					t.Fatalf("leader gathered %v, want %v", got, view)
+				}
+			}
+			return
+		}
+		if n := testing.AllocsPerRun(calls, func() { x.topo.gatherViews(c, &x.view) }); n != 0 {
+			t.Errorf("a mate's view gather allocates %v objects, want 0", n)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -104,6 +104,7 @@ type collective struct {
 	topo topology
 	rs   roundSchedule // who has data in which round, from route()
 
+	view    segsVal // my view, as gatherViews sends it to my leader
 	ex      *mpi.SparseExchange
 	arena   datatype.Arena
 	packed  []domPiece     // write: this round's packed pieces, ascending by domain (my bundle)
@@ -148,18 +149,11 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 	}
 
 	// With nothing attached that a round records or branches on, a rank
-	// only waits at the barrier of a round with no schedule entry — a
-	// write mate also funnels its leader an empty bundle, which the
-	// engine sends for it — so it stands through the barriers of those
-	// it sits out in one park. A write leader with mates receives their
-	// bundles every round: it cannot stand.
-	tp := &x.topo
-	stand := !perRound && sched == nil && (!write || !tp.leads() || tp.solo()) &&
+	// only waits at the barrier of a round in which neither it nor a
+	// mate it leads has a schedule entry, so it stands through the
+	// barriers of those it sits out in one park.
+	stand := !perRound && sched == nil &&
 		c.Tracer() == nil && c.Metrics() == nil && !c.Explain().Enabled()
-	var idle any // what I funnel in a round I sit out
-	if write && !tp.leads() {
-		idle = noBundle
-	}
 	for r := 0; r < x.ov.rounds; r++ {
 		// ROMIO's per-round alltoallv of counts synchronizes the whole
 		// communicator: nobody starts round r+1 until the slowest
@@ -171,10 +165,10 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 		n := 1
 		if stand { // the barriers up to my next round with data
 			last := x.ov.rounds - 1
-			n = min(x.rs.doms.first(r, last), x.rs.reqs.first(r, last)) - r + 1
+			n = min(x.rs.doms.first(r, last), x.rs.mates.first(r, last), x.rs.reqs.first(r, last)) - r + 1
 		}
 		ph = x.p.begin(obs.PhaseBarrier, r)
-		c.Barriers(n, tp.of(tp.me), bundleTag, idle, 8)
+		c.Barriers(n)
 		x.p.end(ph, 0)
 		for ; n > 1; n-- { // a round sat out records that its window was served
 			if _, ok := x.myWindow(r); ok {
@@ -228,8 +222,9 @@ func execute(f *pfs.File, c *mpi.Comm, vi *iolib.ViewIndex, data buffer.Buf, pla
 
 // route performs the upfront metadata exchange under the overlay's
 // current domains and leader map: this rank's topology, its aggregator
-// state (nil if it owns no domain), for reads the mate views a leader
-// fans out by, and its round schedule from round from on.
+// state (nil if it owns no domain), the mate views a leader schedules
+// its funnel (write) or fan-out (read) by, and its round schedule from
+// round from on.
 func (x *collective) route(from int) {
 	c, doms := x.c, x.ov.doms
 	x.topo = newTopology(c.Rank(), x.ov.leaderOf)
@@ -301,10 +296,9 @@ func (x *collective) route(from int) {
 			})
 		}
 	}
-	if !x.write {
-		x.topo.gatherViews(c, x.vi)
-	}
-	x.rs = newRoundSchedule(&x.ov, from, x.vi.View(), x.topo.views, mine)
+	x.view.segs = x.vi.View()
+	x.topo.gatherViews(c, &x.view)
+	x.rs = newRoundSchedule(&x.ov, from, x.view.segs, x.topo.views, x.write, mine)
 }
 
 // sendToAggregators is the write round's sending side: pack my piece
@@ -328,6 +322,12 @@ func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 	}
 	x.p.end(ph, packed)
 
+	if funnelHook != nil && !tp.leads() {
+		funnelHook(x, r, tp.me, x.packed, false)
+	}
+	if !tp.leads() && len(steps) == 0 {
+		return 0, 0 // no bundle: my leader expects one only in rounds I have pieces
+	}
 	if tp.solo() { // my pieces are my node's: ship them as packed
 		for k := range x.packed {
 			i, e := x.stageWrite(x.packed[k].di, &x.packed[k].shufflePiece)
@@ -337,7 +337,7 @@ func (x *collective) sendToAggregators(r int) (intra, inter int64) {
 		return intra, inter
 	}
 	ph = x.p.begin(obs.PhaseIntra, r)
-	moved := x.funnel(wire, packed)
+	moved := x.funnel(r, wire, packed)
 	x.p.intra(ph, packed, moved)
 	if !tp.leads() {
 		return 0, 0

@@ -13,19 +13,31 @@ import (
 )
 
 // walkSchedule is the round schedule by brute force: every (round,
-// domain) from from on whose window one of views intersects, and every
-// (round, requester) whose segments intersect mine's window, found by
-// probing window(di, r) for every pair.
-func walkSchedule(o *overlay, from int, views []datatype.List, mine *aggState) (doms, reqs []step) {
+// domain) from from on whose window one of views intersects, every
+// (round, mate) whose view in mates intersects some domain's window,
+// and every (round, requester) whose segments intersect mine's window,
+// found by probing window(di, r) for every pair.
+func walkSchedule(o *overlay, from int, views, mates []datatype.List, mine *aggState) (doms, ms, reqs []step) {
 	end := 0
 	for di := range o.doms {
 		end = max(end, o.end(di))
 	}
 	for r := from; r < end; r++ {
-		for di := range o.doms {
+		meets := func(v datatype.List, di int) bool {
 			w, ok := o.window(di, r)
-			if ok && slices.ContainsFunc(views, func(v datatype.List) bool { return v.Intersects(w.Off, w.End()) }) {
+			return ok && v.Intersects(w.Off, w.End())
+		}
+		for di := range o.doms {
+			if slices.ContainsFunc(views, func(v datatype.List) bool { return meets(v, di) }) {
 				doms = append(doms, step{r: int32(r), i: int32(di)})
+			}
+		}
+		for i, v := range mates {
+			for di := range o.doms {
+				if meets(v, di) {
+					ms = append(ms, step{r: int32(r), i: int32(i)})
+					break
+				}
 			}
 		}
 		if mine == nil {
@@ -39,7 +51,7 @@ func walkSchedule(o *overlay, from int, views []datatype.List, mine *aggState) (
 			}
 		}
 	}
-	return doms, reqs
+	return doms, ms, reqs
 }
 
 // scheduleCase is one plan, the views of its ranks and what can fail.
@@ -176,8 +188,9 @@ func reqOrderOf(o *overlay, di int, views []datatype.List) *aggState {
 }
 
 // checkSchedules holds every rank's schedule from round from on, as a
-// writer (its own view) and as a reader (a leader's node views), to the
-// window walk, and reads it back round by round.
+// writer (its own view, and as a leader its mates' rounds) and as a
+// reader (a leader's node views), to the window walk, and reads it back
+// round by round.
 func checkSchedules(o *overlay, from int, views []datatype.List) error {
 	for me := range views {
 		tp := newTopology(me, o.leaderOf)
@@ -189,22 +202,30 @@ func checkSchedules(o *overlay, from int, views []datatype.List) error {
 		for _, m := range tp.mates {
 			mates = append(mates, views[m])
 		}
-		for _, mates := range [][]datatype.List{nil, mates} {
-			got := newRoundSchedule(o, from, views[me], mates, mine)
-			doms, reqs := walkSchedule(o, from, append([]datatype.List{views[me]}, mates...), mine)
-			if !slices.Equal(got.doms.steps, doms) || !slices.Equal(got.reqs.steps, reqs) {
-				return fmt.Errorf("rank %d with %d mate views, from round %d:\nschedule doms %v reqs %v\nwalk     doms %v reqs %v",
-					me, len(mates), from, got.doms.steps, got.reqs.steps, doms, reqs)
+		for _, write := range []bool{true, false} {
+			got := newRoundSchedule(o, from, views[me], mates, write, mine)
+			doms, ms, reqs := walkSchedule(o, from, append([]datatype.List{views[me]}, mates...), nil, mine)
+			if write {
+				doms, ms, reqs = walkSchedule(o, from, views[me:me+1], mates, mine)
 			}
-			var again []step
-			for r := from; r < o.rounds; r++ {
-				again = append(again, got.doms.at(r)...)
-				if !slices.Equal(got.doms.at(r), got.doms.at(r)) {
-					return fmt.Errorf("rank %d: asking for round %d twice gave two answers", me, r)
+			if !slices.Equal(got.doms.steps, doms) || !slices.Equal(got.mates.steps, ms) || !slices.Equal(got.reqs.steps, reqs) {
+				return fmt.Errorf("rank %d with %d mate views, write %v, from round %d:\nschedule doms %v mates %v reqs %v\nwalk     doms %v mates %v reqs %v",
+					me, len(mates), write, from, got.doms.steps, got.mates.steps, got.reqs.steps, doms, ms, reqs)
+			}
+			for _, l := range []struct {
+				list *stepList
+				want []step
+			}{{&got.doms, doms}, {&got.mates, ms}} {
+				var again []step
+				for r := from; r < o.rounds; r++ {
+					again = append(again, l.list.at(r)...)
+					if !slices.Equal(l.list.at(r), l.list.at(r)) {
+						return fmt.Errorf("rank %d: asking for round %d twice gave two answers", me, r)
+					}
 				}
-			}
-			if !slices.Equal(again, doms) {
-				return fmt.Errorf("rank %d from round %d: read round by round %v, want %v", me, from, again, doms)
+				if !slices.Equal(again, l.want) {
+					return fmt.Errorf("rank %d from round %d: read round by round %v, want %v", me, from, again, l.want)
+				}
 			}
 		}
 	}
@@ -212,10 +233,10 @@ func checkSchedules(o *overlay, from int, views []datatype.List) error {
 }
 
 // TestRoundScheduleMatchesWindowWalk: the schedule route() builds —
-// for every rank, as writer, read leader and aggregator — is exactly
-// the window walk it replaces, from round 0 and from every round a
-// failover reroutes at (and some it does not), on real layouts under
-// memory σ and on irregular windows, with no leader map, the
+// for every rank, as writer, write leader, read leader and aggregator —
+// is exactly the window walk it replaces, from round 0 and from every
+// round a failover reroutes at (and some it does not), on real layouts
+// under memory σ and on irregular windows, with no leader map, the
 // lowest-rank one and elected ones, through random failover sequences
 // including chained remerges.
 func TestRoundScheduleMatchesWindowWalk(t *testing.T) {

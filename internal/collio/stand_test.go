@@ -90,14 +90,12 @@ func runVerified(t *testing.T, s iolib.Collective, op string, mc cluster.Config,
 // scarce-buffer IOR of two nodes × sixteen ranks (128–256 rounds), with
 // real bytes. The result, Scheduled and the bytes moved are equal, and
 // the bytes are the ranks' patterns. It is also the park census, which
-// -v prints, and holds each strategy to its share of the per-round
-// parks: 40 % for the flat ones, whose every rank leads only itself
-// (they read 19–33 %), and 45 % for the two-layer ones, whose write
-// leaders receive a bundle from every mate every round and so cannot
-// stand (they read 24–40 %). With fewer ranks per aggregator the bounds
-// are out of reach: an aggregator works every round (barrier, exchange,
-// assembly, I/O), and at four ranks per node its parks alone are half
-// of what the per-round path pays.
+// -v prints, and holds every strategy to 40 % of the per-round parks
+// (they read 19–39 %): a write leader stands too, through the rounds in
+// which neither it nor any of its mates has pieces. With fewer ranks
+// per aggregator the bound is out of reach: an aggregator works every
+// round (barrier, exchange, assembly, I/O), and at four ranks per node
+// its parks alone are half of what the per-round path pays.
 func TestIdleRoundsStandLikePerRound(t *testing.T) {
 	const (
 		nodes, perNode = 2, 16
@@ -120,14 +118,13 @@ func TestIdleRoundsStandLikePerRound(t *testing.T) {
 		}
 	}
 	for _, st := range []struct {
-		name  string
-		s     iolib.Collective
-		bound uint64 // % of the per-round path's parks
+		name string
+		s    iolib.Collective
 	}{
-		{"two-phase", collio.TwoPhase{CBBuffer: mem}, 40},
-		{"mccio", core.MCCIO{Opts: opts}, 40},
-		{"two-layer", twolayer.Strategy{CBBuffer: mem}, 45},
-		{"mccio-2l", core.MCCIO{Opts: opts2L}, 45},
+		{"two-phase", collio.TwoPhase{CBBuffer: mem}},
+		{"mccio", core.MCCIO{Opts: opts}},
+		{"two-layer", twolayer.Strategy{CBBuffer: mem}},
+		{"mccio-2l", core.MCCIO{Opts: opts2L}},
 	} {
 		for _, op := range []string{"write", "read"} {
 			key := fmt.Sprintf("%s/%s", st.name, op)
@@ -149,8 +146,8 @@ func TestIdleRoundsStandLikePerRound(t *testing.T) {
 			if per.res.Rounds < 8 {
 				t.Errorf("%s: %d rounds: the buffer is not scarce enough to sit rounds out", key, per.res.Rounds)
 			}
-			if got.stats.Parks*100 > per.stats.Parks*st.bound {
-				t.Errorf("%s: %d parks, over %d %% of the per-round path's %d", key, got.stats.Parks, st.bound, per.stats.Parks)
+			if got.stats.Parks*10 > per.stats.Parks*4 {
+				t.Errorf("%s: %d parks, over 40 %% of the per-round path's %d", key, got.stats.Parks, per.stats.Parks)
 			}
 		}
 	}

@@ -212,17 +212,20 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-// TestBarriersSendLikeBarrierThenSendVal: Barriers(n, dst, tag, v,
-// bytes), whose member stands through n-1 releases while the engine
-// makes its sends, runs the trajectory of n Barrier calls with a
-// SendVal after each but the last. The receiver gets every value at
-// the same instant, the other members leave every barrier at the same
-// instant, and Scheduled, Callbacks and Inline are equal, with the
-// receiver on the sender's node, on another node, and on the sender's
-// node with latency-free links and zero-byte values (the send's wait is
-// then a yield). A warm standing stretch allocates nothing.
+// TestBarriersSendLikeBarrierThenSendVal: a member that stands through
+// the rounds it has nothing to send — Barriers(k) for k consecutive
+// Barrier calls — and sends in the rest, as a two-layer mate funnels
+// only its non-empty bundles, runs the trajectory of a Barrier call per
+// round with the same sends. The receiver, which takes a value only in
+// the rounds it is sent one, gets every value at the same instant, the
+// other members leave every barrier at the same instant, and Scheduled,
+// Callbacks and Inline are equal, with the receiver on the sender's
+// node, on another node, and on the sender's node with latency-free
+// links and zero-byte values (the send's wait is then a yield). A warm
+// standing stretch allocates nothing.
 func TestBarriersSendLikeBarrierThenSendVal(t *testing.T) {
-	const n, tag = 6, 7
+	const rounds, tag = 9, 7
+	sends := []bool{false, false, true, false, false, false, true, true, false} // rank 1 sends after round i's barrier
 	for _, c := range []struct {
 		name         string
 		nodes, cores int
@@ -242,25 +245,30 @@ func TestBarriersSendLikeBarrierThenSendVal(t *testing.T) {
 				}
 				w.Start(func(comm *Comm) {
 					switch comm.Rank() {
-					case 1: // sits rounds 1..n-1 out, sending rank 0 v in each
-						if standing {
-							comm.Barriers(n, 0, tag, v, c.bytes)
-							break
-						}
-						comm.Barrier()
-						for i := 1; i < n; i++ {
-							comm.SendVal(0, tag, v, c.bytes)
-							comm.Barrier()
+					case 1: // stands through the rounds it sends nothing in
+						for i := 0; i < rounds; i++ {
+							if standing {
+								n := 1
+								for i+n < rounds && !sends[i+n-1] {
+									n++
+								}
+								comm.Barriers(n)
+								i += n - 1
+							} else {
+								comm.Barrier()
+							}
+							if sends[i] {
+								comm.SendVal(0, tag, v, c.bytes)
+							}
 						}
 					default: // works a rank- and round-dependent while, rank 0 receiving first
-						comm.Barrier()
-						for i := 1; i < n; i++ {
-							if comm.Rank() == 0 && comm.RecvVal(1, tag) != v {
-								t.Error("the standing send carried another payload")
+						for i := 0; i < rounds; i++ {
+							comm.Barrier()
+							if comm.Rank() == 0 && sends[i] && comm.RecvVal(1, tag) != v {
+								t.Error("the send carried another payload")
 							}
 							note(comm, fmt.Sprint("round ", i))
 							comm.Proc().Sleep(float64(comm.Rank()*i%3) * 1e-6)
-							comm.Barrier()
 						}
 						note(comm, "done")
 					}
@@ -283,21 +291,20 @@ func TestBarriersSendLikeBarrierThenSendVal(t *testing.T) {
 				t.Errorf("census %+v, per call %+v", gotStats, wantStats)
 			}
 
-			const stretches = 50
+			const stretches, n = 50, 6
 			w, e, _ := caseWorld(t, c.nodes, c.cores, 2, c.zeroLat, nil)
 			w.Start(func(comm *Comm) {
 				if comm.Rank() == 0 {
 					for i := 0; i <= stretches; i++ { // AllocsPerRun warms up with one extra call
-						comm.Barrier()
-						for j := 1; j < n; j++ {
-							comm.RecvVal(1, tag)
+						for j := 0; j < n; j++ {
 							comm.Barrier()
 						}
+						comm.RecvVal(1, tag)
 					}
 					return
 				}
-				if a := testing.AllocsPerRun(stretches, func() { comm.Barriers(n, 0, tag, v, c.bytes) }); a != 0 {
-					t.Errorf("a standing stretch of %d barriers allocates %v objects, want 0", n, a)
+				if a := testing.AllocsPerRun(stretches, func() { comm.Barriers(n); comm.SendVal(0, tag, v, c.bytes) }); a != 0 {
+					t.Errorf("a standing stretch of %d barriers and a send allocates %v objects, want 0", n, a)
 				}
 			})
 			if err := e.Run(); err != nil {

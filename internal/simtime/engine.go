@@ -343,34 +343,17 @@ func (e *Engine) next() *Proc {
 		if p.state == stateDone {
 			continue // proc was killed/finished before its wake fired
 		}
-		if p.stand > 0 { // standing through this release (Barrier.AwaitDelay)
-			e.stepStanding(p)
+		if p.stand > 0 {
+			// Standing through this release (Barrier.AwaitDelay): it
+			// re-arrives here, where it would have on its own stack.
+			p.stand--
+			p.standAt.arrive(p, p.standDelay)
 			continue
 		}
 		e.dispatches++
 		return p
 	}
 	return nil
-}
-
-// stepStanding runs standing p's step from where it stopped, waiting as
-// Proc.WaitUntil would: inline where it may, else from a queue entry of
-// p's own — the (at, seq) its wake would take — at which next brings it
-// back here. Once the step is done, p re-arrives at its barrier where
-// it would have on its own stack.
-func (e *Engine) stepStanding(p *Proc) {
-	for s := p.standStep; s != nil; {
-		t, more := s.Next()
-		if !more {
-			break
-		}
-		if t <= e.now || !e.advanceInline(t) {
-			e.schedule(max(t, e.now), p, nil)
-			return
-		}
-	}
-	p.stand--
-	p.standAt.arrive(p, p.standDelay)
 }
 
 // Run executes events until none remain or Stop is called. Its

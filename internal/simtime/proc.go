@@ -36,12 +36,10 @@ type Proc struct {
 	link     *Proc
 	partySeq uint64
 
-	// The releases of standAt still to stand through in AwaitDelay, and
-	// the step run in each before re-arriving.
+	// The releases of standAt still to stand through in AwaitDelay.
 	stand      int
 	standAt    *Barrier
 	standDelay float64
-	standStep  Step
 }
 
 // reason is a fixed wait reason.

@@ -278,7 +278,7 @@ func BenchmarkBarrierHandoff(b *testing.B) {
 	const procs = 120
 	e := NewEngine()
 	bar := NewBarrier(e, "b", procs)
-	steadyState(b, e, procs, func(p *Proc, _ int) { bar.AwaitDelay(p, 1e-6, 1, nil) })
+	steadyState(b, e, procs, func(p *Proc, _ int) { bar.AwaitDelay(p, 1e-6, 1) })
 }
 
 // BenchmarkChanPingPong measures a strictly alternating pair: each Get

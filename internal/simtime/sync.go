@@ -112,17 +112,15 @@ func (b *Barrier) Await(p *Proc) {
 // but each waiter parks once instead of twice, which halves the
 // context-switch bill of a barrier at large party counts.
 //
-// With n > 1 it is n consecutive calls with step (nil: nothing) run
-// between each and the next, and p parks once for all of them: in its
-// slot of each of the first n-1 releases, instead of dispatching it,
-// Engine.next runs step and re-arrives it. Every event and instant is
-// the n calls'; only their parks and dispatches are saved. Nothing else
-// may wake p.
-func (b *Barrier) AwaitDelay(p *Proc, delay float64, n int, step Step) {
+// With n > 1 it is n consecutive calls, and p parks once for all of
+// them: Engine.next re-arrives it in its slot of the first n-1 releases
+// instead of dispatching it. Every event and instant is the n calls';
+// only their parks and dispatches are saved. Nothing else may wake p.
+func (b *Barrier) AwaitDelay(p *Proc, delay float64, n int) {
 	if delay < 0 || n < 1 {
 		panic(fmt.Sprintf("simtime: barrier %q with delay %g, count %d", b.name, delay, n))
 	}
-	p.stand, p.standAt, p.standDelay, p.standStep = n-1, b, delay, step
+	p.stand, p.standAt, p.standDelay = n-1, b, delay
 	gen := b.gen
 	if b.arrive(p, delay) {
 		p.park(b) // my own release entry resumes me
@@ -130,16 +128,6 @@ func (b *Barrier) AwaitDelay(p *Proc, delay float64, n int, step Step) {
 	for gen == b.gen || p.stand > 0 {
 		p.park(b)
 	}
-}
-
-// Step is what a process standing through barrier releases
-// (Barrier.AwaitDelay) does in each of them before it re-arrives, run by
-// the engine in the process's place. Next runs its next part and
-// returns the instant the process would wait until (Proc.WaitUntil)
-// before the part after it, and true; or false once the step is done,
-// ready to run again from its first part. A part must not block.
-type Step interface {
-	Next() (until float64, more bool)
 }
 
 // arrive counts p in and reports whether it released the generation:
